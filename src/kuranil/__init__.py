@@ -16,7 +16,8 @@ the Kuranishi space of a complex parallelisable nilmanifold inside
   Buchberger-based ideal arithmetic (:mod:`kuranil.polyring`,
   :mod:`kuranil.groebner`),
 * a catalog of low-dimensional algebras with their known deformation data
-  (:mod:`kuranil.catalog`) and a command-line interface (:mod:`kuranil.cli`).
+  (:mod:`kuranil.catalog`), checks that re-derive it (:mod:`kuranil.verify`)
+  and a command-line interface (:mod:`kuranil.cli`).
 """
 
 from . import catalog

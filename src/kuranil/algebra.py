@@ -91,9 +91,6 @@ class Subspace:
         reduced = linalg.reduce_against(self.basis(), self.pivots(), v)
         return all(x == 0 for x in reduced)
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(row) for row in other.rows)
-
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
@@ -526,10 +523,6 @@ class ComplexStructureAlgebra:
 
     def __repr__(self) -> str:
         return f"ComplexStructureAlgebra({self.name!r}, n={self.n})"
-
-
-def classify_complex_structure(csa: ComplexStructureAlgebra) -> str:
-    return csa.classify()
 
 
 def to_complex_structure(L: LieAlgebra) -> ComplexStructureAlgebra:

@@ -9,9 +9,6 @@ import argparse
 import json
 import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 from . import catalog
 from .algebra import (
@@ -22,26 +19,13 @@ from .algebra import (
     parse_structure_file,
     to_complex_structure,
 )
-from .exterior import ExteriorForm, VectorForm
-from .groebner import (
-    GroebnerBasis,
-    GroebnerTimeout,
-    buchberger,
-    ideal_equal,
-    ideal_intersect,
-    normal_form,
-)
-from .hodge import build_theta_decomposition
-from .kuranishi import KuranishiReport, analyze, analyze_general, phi_recursion
-from .polyring import GREVLEX, LEX, MonomialOrder, Polynomial, parse_polynomial
+from .kuranishi import analyze, analyze_general
+from .polyring import GREVLEX, LEX
+from .verify import InputError, run_catalog_checks
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
-
-
-class InputError(Exception):
-    """Unresolvable CLI target or unparsable input file."""
 
 
 # -- input resolution --------------------------------------------------------
@@ -88,246 +72,7 @@ def _looks_like_complex_structure(text: str) -> bool:
     return False
 
 
-# -- verification checks -----------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    entry: str
-    check: str
-    status: str  # PASS | FAIL | SKIP
-    detail: str = ""
-    seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "FAIL"
-
-
-def _timed(results: list[CheckResult], entry: str, check: str, started: float,
-           passed: bool, detail: str = "") -> None:
-    results.append(CheckResult(entry, check, "PASS" if passed else "FAIL",
-                               detail, time.monotonic() - started))
-
-
-def _contained(gens: list[Polynomial], basis: GroebnerBasis) -> Polynomial | None:
-    """First generator not in the ideal spanned by ``basis``, or None."""
-    for g in gens:
-        if normal_form(g, basis):
-            return g
-    return None
-
-
-def run_entry_checks(entry: catalog.CatalogEntry, timeout: float = 300.0,
-                     order: MonomialOrder = GREVLEX) -> list[CheckResult]:
-    """All verification checks for one catalog entry.
-
-    ``timeout`` bounds each Gröbner-heavy check (component intersections);
-    exceeding it yields SKIP, not FAIL.
-    """
-    if entry.kind == "general":
-        return _general_checks(entry, order)
-    return _parallelisable_checks(entry, timeout, order)
-
-
-def _parallelisable_checks(entry: catalog.CatalogEntry, timeout: float,
-                           order: MonomialOrder) -> list[CheckResult]:
-    results: list[CheckResult] = []
-    started = time.monotonic()
-    algebra = entry.build()
-    report = analyze(algebra)
-    computed = (report["nu"], report["h1_theta"],
-                not report["obstruction_generators"])
-    expected = (entry.nu, entry.computed_h1, entry.smooth)
-    _timed(results, entry.name, "invariants", started, computed == expected,
-           f"nu={computed[0]} h1={computed[1]} smooth={'yes' if computed[2] else 'no'}")
-
-    if entry.published_h1 is not None and entry.published_h1 != entry.computed_h1:
-        started = time.monotonic()
-        notes = [a for a in report["annotations"]
-                 if a.get("tag") == "paper-discrepancy"
-                 and a.get("published") == entry.published_h1]
-        _timed(results, entry.name, "h1-annotation", started, bool(notes),
-               f"annotations={len(notes)}")
-
-    gens = [parse_polynomial(s) for s in report["obstruction_generators"]]
-
-    if entry.d is not None:
-        started = time.monotonic()
-        _timed(results, entry.name, "cylinder-dim", started,
-               report["cylinder_dim"] == entry.d,
-               f"d={report['cylinder_dim']} expected {entry.d}")
-
-    if entry.expected_generators:
-        started = time.monotonic()
-        _timed(results, entry.name, "expected-generators", started,
-               ideal_equal(gens, entry.expected_ideal(), order=order),
-               f"{len(gens)} generators")
-
-    if entry.reducibility:
-        results.append(_reducibility_check(entry, gens, order))
-
-    if entry.ideal_file:
-        results.append(_containment_check(entry, gens, order))
-        results.append(_intersection_check(entry, gens, timeout, order))
-    return results
-
-
-def _readings(entry: catalog.CatalogEntry):
-    yield "main", entry.published_components()
-    if entry.has_variant:
-        yield "variant", entry.published_components(variant=True)
-
-
-def _containment_check(entry: catalog.CatalogEntry, gens: list[Polynomial],
-                       order: MonomialOrder) -> CheckResult:
-    """The computed ideal must lie in every stored component (I ⊆ ∩ Qᵢ)."""
-    started = time.monotonic()
-    failure = ""
-    for label, components in _readings(entry):
-        offender = None
-        for idx, component in enumerate(components, start=1):
-            basis = buchberger(component, order=order)
-            bad = _contained(gens, basis)
-            if bad is not None:
-                offender = f"component {idx} misses {bad}"
-                break
-        if offender is None:
-            return CheckResult(entry.name, "component-containment", "PASS",
-                               f"{label} reading", time.monotonic() - started)
-        failure = f"{label} reading: {offender}"
-    return CheckResult(entry.name, "component-containment", "FAIL", failure,
-                       time.monotonic() - started)
-
-
-def _intersection_check(entry: catalog.CatalogEntry, gens: list[Polynomial],
-                        timeout: float, order: MonomialOrder) -> CheckResult:
-    """The stored components must intersect exactly to the computed ideal."""
-    started = time.monotonic()
-    deadline = started + timeout
-    failure = ""
-    for label, components in _readings(entry):
-        try:
-            # Equality forces the computed ideal into every component, so a
-            # reading that fails that containment cannot match; settling it
-            # with per-component reductions is far cheaper than the
-            # elimination fold and keeps the budget for viable readings.
-            offender = None
-            for component in components:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise GroebnerTimeout("intersection budget exhausted")
-                basis = buchberger(component, order=order,
-                                   time_limit=remaining)
-                bad = _contained(gens, basis)
-                if bad is not None:
-                    offender = bad
-                    break
-            if offender is not None:
-                failure = (f"{label} reading: intersection differs from "
-                           f"computed ideal ({offender} escapes a component)")
-                continue
-            intersection = components[0]
-            for component in components[1:]:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise GroebnerTimeout("intersection budget exhausted")
-                intersection = ideal_intersect(intersection, component,
-                                               time_limit=remaining)
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise GroebnerTimeout("intersection budget exhausted")
-            if ideal_equal(intersection, gens, order=order,
-                           time_limit=remaining):
-                return CheckResult(entry.name, "intersection", "PASS",
-                                   f"{label} reading",
-                                   time.monotonic() - started)
-            failure = f"{label} reading: intersection differs from computed ideal"
-        except GroebnerTimeout:
-            return CheckResult(entry.name, "intersection", "SKIP",
-                               f"timed out after {timeout:.0f}s",
-                               time.monotonic() - started)
-    return CheckResult(entry.name, "intersection", "FAIL", failure,
-                       time.monotonic() - started)
-
-
-def _reducibility_check(entry: catalog.CatalogEntry, gens: list[Polynomial],
-                        order: MonomialOrder) -> CheckResult:
-    """Certify V(I) = V(linear) ∪ V(rank) through exact ideal membership:
-    I ⊆ (linear), I ⊆ (rank), and products · (linear gens) lie back in I."""
-    started = time.monotonic()
-    families = {key: [parse_polynomial(s) for s in group]
-                for key, group in entry.reducibility.items()}
-    ideal_basis = buchberger(gens, order=order)
-    problems = []
-    for key in ("linear", "rank"):
-        bad = _contained(gens, buchberger(families[key], order=order))
-        if bad is not None:
-            problems.append(f"{bad} not in ({key})")
-    for product in families["products"]:
-        if normal_form(product, ideal_basis):
-            problems.append(f"{product} not in computed ideal")
-    return CheckResult(entry.name, "reducibility", "PASS" if not problems else "FAIL",
-                       "; ".join(problems) or "union certificate holds",
-                       time.monotonic() - started)
-
-
-def _general_checks(entry: catalog.CatalogEntry,
-                    order: MonomialOrder) -> list[CheckResult]:
-    """Recursion checks for the dimension-7 mixed structure: the second-order
-    obstruction vanishes while a third-order one survives."""
-    results: list[CheckResult] = []
-    csa = entry.build()
-    started = time.monotonic()
-    decomposition = build_theta_decomposition(csa, max_degree=3)
-    _timed(results, entry.name, "h1", started,
-           decomposition.harmonic_dim(1) == entry.computed_h1,
-           f"h1={decomposition.harmonic_dim(1)}")
-
-    started = time.monotonic()
-    initial = (VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
-               + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
-    series = phi_recursion(csa, decomposition=decomposition, max_degree=3,
-                           initial=initial)
-    expected_phi2 = VectorForm.single(
-        csa, ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
-    second_ok = (not series.harmonic_parts[2]) and series.phi(2) == expected_phi2
-    _timed(results, entry.name, "second-order", started, second_ok,
-           f"phi_2 = {series.phi(2)}")
-
-    started = time.monotonic()
-    w3 = ExteriorForm.covector(csa, 3, barred=True)
-    w5 = ExteriorForm.covector(csa, 5, barred=True)
-    expected_h3 = VectorForm.single(csa, w3.wedge(w5).scale(4), 6)
-    _timed(results, entry.name, "third-order", started,
-           series.harmonic_parts[3] == expected_h3,
-           f"H(S_3) = {series.harmonic_parts[3]}")
-    return results
-
-
-def run_catalog_checks(names: list[str] | None = None, timeout: float = 300.0,
-                       order: MonomialOrder = GREVLEX,
-                       jobs: int = 1) -> list[CheckResult]:
-    """Run checks for the selected entries (all when ``names`` is empty)."""
-    if names:
-        entries = [catalog.get(n) for n in names]
-    else:
-        entries = list(catalog.entries())
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_entry_checks, e, timeout, order)
-                       for e in entries]
-            groups = [f.result() for f in futures]
-    else:
-        groups = [run_entry_checks(e, timeout, order) for e in entries]
-    return [result for group in groups for result in group]
-
-
 # -- commands ----------------------------------------------------------------
-
-
-def _order_from_args(args) -> MonomialOrder:
-    return LEX if args.order == "lex" else GREVLEX
 
 
 def cmd_analyze(args) -> int:
@@ -368,12 +113,12 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    order = _order_from_args(args)
+    order = LEX if args.order == "lex" else GREVLEX
     names = args.names
     if names and all(n.lower() == "all" for n in names):
         names = []
     results = run_catalog_checks(names or None, timeout=args.timeout,
-                                 order=order, jobs=args.jobs)
+                                 order=order)
     passed = skipped = 0
     for r in results:
         line = f"[{r.status}] {r.entry} :: {r.check} ({r.seconds:.1f}s)"
@@ -425,9 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "argument selects every entry")
     p_verify.add_argument("--timeout", type=float, default=300.0,
                           metavar="SECONDS",
-                          help="budget per Gröbner-heavy check (default 300)")
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
-                          help="verify entries concurrently")
+                          help="budget for the intersection check's "
+                               "elimination and final equality (default 300)")
     p_verify.add_argument("--order", choices=("grevlex", "lex"),
                           default="grevlex",
                           help="monomial order for ideal computations")
@@ -442,9 +186,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except KeyError as exc:
-        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -123,13 +123,6 @@ class ExteriorForm:
     def degrees(self) -> set[int]:
         return {len(mi) for mi in self.terms}
 
-    def bidegrees(self) -> set[tuple[int, int]]:
-        out = set()
-        for mi in self.terms:
-            q = sum(1 for c in mi if c.barred)
-            out.add((len(mi) - q, q))
-        return out
-
     def bidegree_part(self, p: int, q: int) -> "ExteriorForm":
         picked = {}
         for mi, c in self.terms.items():
@@ -262,10 +255,6 @@ class ExteriorForm:
 
     def __repr__(self) -> str:
         return f"ExteriorForm({self.to_str()!r})"
-
-
-def wedge(a: ExteriorForm, b: ExteriorForm) -> ExteriorForm:
-    return a.wedge(b)
 
 
 class VectorForm:

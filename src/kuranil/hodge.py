@@ -194,9 +194,6 @@ class HodgeDecomposition:
         return [self._coords_to_object(q, [Polynomial.constant(x) for x in row])
                 for row in data.bases[which]]
 
-    def basis_rows(self, q: int, which: str) -> linalg.Matrix:
-        return [row[:] for row in self._data[q].bases[which]]
-
     def harmonic_pivot_cells(self, q: int) -> list:
         data = self._data[q]
         return [data.cells[p] for p in data.pivots["H"]]

@@ -157,9 +157,6 @@ class PhiSeries:
             total = total + self.terms[k]
         return total
 
-    def as_list(self) -> list[VectorForm]:
-        return [self.phi(k) for k in range(1, self.max_degree + 1)]
-
     def bracket(self, x: VectorForm, y: VectorForm) -> VectorForm:
         if self.kind == "scalar":
             return schouten_parallelisable(x, y)
@@ -317,6 +314,20 @@ def phi_recursion(L, decomposition=None, max_degree: int | None = None,
     return series
 
 
+def _normalized_generators(polys) -> list[Polynomial]:
+    """Nonzero ``polys`` normalized in grevlex, without duplicates, sorted
+    ascending by leading monomial: the published form of a generator list."""
+    normalized = []
+    seen = set()
+    for p in polys:
+        q = p.normalized(GREVLEX)
+        if q and q not in seen:
+            seen.add(q)
+            normalized.append(q)
+    normalized.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+    return normalized
+
+
 class ObstructionResult:
     """The harmonic part of [Φ,Φ]: coefficient polynomials and the normalized
     generator list of the obstruction ideal."""
@@ -324,16 +335,9 @@ class ObstructionResult:
     def __init__(self, harmonic_coefficients: dict, series: PhiSeries | None = None):
         self.harmonic_coefficients = harmonic_coefficients
         self.series = series
-        normalized = []
-        seen = set()
-        for p in harmonic_coefficients.values():
-            q = p.normalized(GREVLEX)
-            if q and q not in seen:
-                seen.add(q)
-                normalized.append(q)
-        normalized.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-        self.generators: list[Polynomial] = normalized
-        self.degree_profile: list[int] = [g.total_degree() for g in normalized]
+        self.generators: list[Polynomial] = _normalized_generators(
+            harmonic_coefficients.values())
+        self.degree_profile: list[int] = [g.total_degree() for g in self.generators]
 
     @property
     def is_zero(self) -> bool:
@@ -638,7 +642,6 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
     series = phi_recursion(csa, decomposition=decomposition,
                            max_degree=max_degree, initial=initial)
     obstruction_by_degree = {}
-    pivots = decomposition.pivot_columns(2, "H")
     generators: list[Polynomial] = []
     for k in sorted(series.harmonic_parts):
         coeffs = _harmonic_coefficients(decomposition, series.harmonic_parts[k])
@@ -646,14 +649,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
             obstruction_by_degree[str(k)] = {f"h2[{r}]": str(p)
                                              for (r, _), p in sorted(coeffs.items())}
             generators.extend(coeffs.values())
-    seen = set()
-    gens = []
-    for p in generators:
-        q = p.normalized(GREVLEX)
-        if q and q not in seen:
-            seen.add(q)
-            gens.append(q)
-    gens.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+    gens = _normalized_generators(generators)
     data = {
         "algebra": name or csa.name or f"dim-{csa.n} structure",
         "dim": csa.n,

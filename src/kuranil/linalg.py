@@ -127,7 +127,8 @@ def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
 
 def invert(a: Matrix) -> Matrix:
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    eye = identity(n)
+    aug = [a[i] + eye[i] for i in range(n)]
     rows, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

@@ -1,0 +1,278 @@
+"""Verification of catalog entries against their stored data.
+
+Each check re-derives one stored invariant or certificate and reports PASS,
+FAIL or SKIP (the intersection check ran out of its time budget).  Within one
+entry every Gröbner basis is computed at most once, and each stored reading's
+containment verdict serves both the containment and the intersection check.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+
+from . import catalog
+from .exterior import ExteriorForm, VectorForm
+from .groebner import (
+    GroebnerBasis,
+    GroebnerTimeout,
+    buchberger,
+    ideal_equal,
+    ideal_intersect,
+    normal_form,
+)
+from .hodge import build_theta_decomposition
+from .kuranishi import analyze, phi_recursion
+from .polyring import GREVLEX, MonomialOrder, Polynomial, parse_polynomial
+
+
+class InputError(Exception):
+    """Unresolvable CLI target, unknown catalog entry or unparsable input file."""
+
+
+@dataclass
+class CheckResult:
+    entry: str
+    check: str
+    status: str  # PASS | FAIL | SKIP
+    detail: str = ""
+    seconds: float = 0.0
+
+    @property
+    def ok(self) -> bool:
+        return self.status != "FAIL"
+
+
+def _timed(results: list[CheckResult], entry: str, check: str, started: float,
+           passed: bool, detail: str = "") -> None:
+    results.append(CheckResult(entry, check, "PASS" if passed else "FAIL",
+                               detail, time.monotonic() - started))
+
+
+def _contained(gens: list[Polynomial], basis: GroebnerBasis) -> Polynomial | None:
+    """First generator not in the ideal spanned by ``basis``, or None."""
+    for g in gens:
+        if normal_form(g, basis):
+            return g
+    return None
+
+
+def _remaining(deadline: float) -> float:
+    """Seconds left before ``deadline``; raises GroebnerTimeout when none are."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise GroebnerTimeout("intersection budget exhausted")
+    return remaining
+
+
+class _EntryIdeals:
+    """The computed ideal of one entry and the Gröbner work its checks share."""
+
+    def __init__(self, gens: list[Polynomial], order: MonomialOrder):
+        self.gens = gens
+        self.order = order
+        self._bases: dict[tuple[Polynomial, ...], GroebnerBasis] = {}
+        self._escapes: dict[str, tuple[int, Polynomial] | None] = {}
+
+    def basis(self, polys, time_limit: float | None = None) -> GroebnerBasis:
+        """Reduced basis of the ideal ``polys`` generate, computed once;
+        ``time_limit`` bounds the computation when it is not cached yet."""
+        key = tuple(polys)
+        if key not in self._bases:
+            self._bases[key] = buchberger(key, order=self.order,
+                                          time_limit=time_limit)
+        return self._bases[key]
+
+    def escape(self, label: str, components) -> tuple[int, Polynomial] | None:
+        """The first component (1-based) of reading ``label`` that misses a
+        computed generator, with that generator; None when none does."""
+        if label not in self._escapes:
+            escape = None
+            for idx, component in enumerate(components, start=1):
+                bad = _contained(self.gens, self.basis(component))
+                if bad is not None:
+                    escape = idx, bad
+                    break
+            self._escapes[label] = escape
+        return self._escapes[label]
+
+
+def run_entry_checks(entry: catalog.CatalogEntry, timeout: float = 300.0,
+                     order: MonomialOrder = GREVLEX) -> list[CheckResult]:
+    """All verification checks for one catalog entry.
+
+    ``timeout`` bounds the intersection check's elimination and final
+    equality; exceeding it yields SKIP, not FAIL.
+    """
+    if entry.kind == "general":
+        return _general_checks(entry, order)
+    return _parallelisable_checks(entry, timeout, order)
+
+
+def _parallelisable_checks(entry: catalog.CatalogEntry, timeout: float,
+                           order: MonomialOrder) -> list[CheckResult]:
+    results: list[CheckResult] = []
+    started = time.monotonic()
+    algebra = entry.build()
+    report = analyze(algebra)
+    computed = (report["nu"], report["h1_theta"],
+                not report["obstruction_generators"])
+    expected = (entry.nu, entry.computed_h1, entry.smooth)
+    _timed(results, entry.name, "invariants", started, computed == expected,
+           f"nu={computed[0]} h1={computed[1]} smooth={'yes' if computed[2] else 'no'}")
+
+    if entry.published_h1 is not None and entry.published_h1 != entry.computed_h1:
+        started = time.monotonic()
+        notes = [a for a in report["annotations"]
+                 if a.get("tag") == "paper-discrepancy"
+                 and a.get("published") == entry.published_h1]
+        _timed(results, entry.name, "h1-annotation", started, bool(notes),
+               f"annotations={len(notes)}")
+
+    ideals = _EntryIdeals([parse_polynomial(s)
+                           for s in report["obstruction_generators"]], order)
+
+    if entry.d is not None:
+        started = time.monotonic()
+        _timed(results, entry.name, "cylinder-dim", started,
+               report["cylinder_dim"] == entry.d,
+               f"d={report['cylinder_dim']} expected {entry.d}")
+
+    if entry.expected_generators:
+        started = time.monotonic()
+        _timed(results, entry.name, "expected-generators", started,
+               ideal_equal(ideals.basis(ideals.gens), entry.expected_ideal(),
+                           order=order),
+               f"{len(ideals.gens)} generators")
+
+    if entry.reducibility:
+        results.append(_reducibility_check(entry, ideals))
+
+    if entry.ideal_file:
+        results.append(_containment_check(entry, ideals))
+        results.append(_intersection_check(entry, ideals, timeout))
+    return results
+
+
+def _readings(entry: catalog.CatalogEntry):
+    yield "main", entry.published_components()
+    if entry.has_variant:
+        yield "variant", entry.published_components(variant=True)
+
+
+def _containment_check(entry: catalog.CatalogEntry,
+                       ideals: _EntryIdeals) -> CheckResult:
+    """The computed ideal must lie in every stored component (I ⊆ ∩ Qᵢ)."""
+    started = time.monotonic()
+    failure = ""
+    for label, components in _readings(entry):
+        escape = ideals.escape(label, components)
+        if escape is None:
+            return CheckResult(entry.name, "component-containment", "PASS",
+                               f"{label} reading", time.monotonic() - started)
+        failure = f"{label} reading: component {escape[0]} misses {escape[1]}"
+    return CheckResult(entry.name, "component-containment", "FAIL", failure,
+                       time.monotonic() - started)
+
+
+def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
+                        timeout: float) -> CheckResult:
+    """The stored components must intersect exactly to the computed ideal."""
+    started = time.monotonic()
+    deadline = started + timeout
+    failure = ""
+    for label, components in _readings(entry):
+        # Equality forces the computed ideal into every component, so a
+        # reading that fails containment cannot match; its containment
+        # verdict settles it without the elimination fold.
+        escape = ideals.escape(label, components)
+        if escape is not None:
+            failure = (f"{label} reading: intersection differs from "
+                       f"computed ideal ({escape[1]} escapes a component)")
+            continue
+        try:
+            intersection = components[0]
+            for component in components[1:]:
+                intersection = ideal_intersect(intersection, component,
+                                               time_limit=_remaining(deadline))
+            remaining = _remaining(deadline)
+            if ideal_equal(intersection, ideals.basis(ideals.gens, remaining),
+                           order=ideals.order, time_limit=remaining):
+                return CheckResult(entry.name, "intersection", "PASS",
+                                   f"{label} reading",
+                                   time.monotonic() - started)
+        except GroebnerTimeout:
+            return CheckResult(entry.name, "intersection", "SKIP",
+                               f"timed out after {timeout:.0f}s",
+                               time.monotonic() - started)
+        failure = f"{label} reading: intersection differs from computed ideal"
+    return CheckResult(entry.name, "intersection", "FAIL", failure,
+                       time.monotonic() - started)
+
+
+def _reducibility_check(entry: catalog.CatalogEntry,
+                        ideals: _EntryIdeals) -> CheckResult:
+    """Certify V(I) = V(linear) ∪ V(rank) through exact ideal membership:
+    I ⊆ (linear), I ⊆ (rank), and products · (linear gens) lie back in I."""
+    started = time.monotonic()
+    families = {key: [parse_polynomial(s) for s in group]
+                for key, group in entry.reducibility.items()}
+    ideal_basis = ideals.basis(ideals.gens)
+    problems = []
+    for key in ("linear", "rank"):
+        bad = _contained(ideals.gens, ideals.basis(families[key]))
+        if bad is not None:
+            problems.append(f"{bad} not in ({key})")
+    for product in families["products"]:
+        if normal_form(product, ideal_basis):
+            problems.append(f"{product} not in computed ideal")
+    return CheckResult(entry.name, "reducibility", "PASS" if not problems else "FAIL",
+                       "; ".join(problems) or "union certificate holds",
+                       time.monotonic() - started)
+
+
+def _general_checks(entry: catalog.CatalogEntry,
+                    order: MonomialOrder) -> list[CheckResult]:
+    """Recursion checks for the dimension-7 mixed structure: the second-order
+    obstruction vanishes while a third-order one survives."""
+    results: list[CheckResult] = []
+    csa = entry.build()
+    started = time.monotonic()
+    decomposition = build_theta_decomposition(csa, max_degree=3)
+    _timed(results, entry.name, "h1", started,
+           decomposition.harmonic_dim(1) == entry.computed_h1,
+           f"h1={decomposition.harmonic_dim(1)}")
+
+    started = time.monotonic()
+    initial = (VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
+               + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
+    series = phi_recursion(csa, decomposition=decomposition, max_degree=3,
+                           initial=initial)
+    expected_phi2 = VectorForm.single(
+        csa, ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
+    second_ok = (not series.harmonic_parts[2]) and series.phi(2) == expected_phi2
+    _timed(results, entry.name, "second-order", started, second_ok,
+           f"phi_2 = {series.phi(2)}")
+
+    started = time.monotonic()
+    w3 = ExteriorForm.covector(csa, 3, barred=True)
+    w5 = ExteriorForm.covector(csa, 5, barred=True)
+    expected_h3 = VectorForm.single(csa, w3.wedge(w5).scale(4), 6)
+    _timed(results, entry.name, "third-order", started,
+           series.harmonic_parts[3] == expected_h3,
+           f"H(S_3) = {series.harmonic_parts[3]}")
+    return results
+
+
+def run_catalog_checks(names: list[str] | None = None, timeout: float = 300.0,
+                       order: MonomialOrder = GREVLEX) -> list[CheckResult]:
+    """Run checks for the selected entries (all when ``names`` is empty).
+
+    An unknown name raises :class:`InputError` before any check runs.
+    """
+    try:
+        entries = [catalog.get(n) for n in names] if names else catalog.entries()
+    except KeyError as exc:
+        raise InputError(exc.args[0]) from None
+    return [result for entry in entries
+            for result in run_entry_checks(entry, timeout, order)]

@@ -17,7 +17,6 @@ from kuranil.algebra import (
     parse_salamon,
     to_complex_structure,
 )
-from kuranil.cli import _containment_check, _intersection_check
 from kuranil.exterior import ExteriorForm, VectorForm
 from kuranil.groebner import (
     buchberger,
@@ -42,7 +41,8 @@ from kuranil.kuranishi import (
     smoothness_tests,
 )
 from kuranil.linalg import mat_mul
-from kuranil.polyring import GREVLEX, parse_polynomial
+from kuranil.polyring import parse_polynomial
+from kuranil.verify import run_entry_checks
 
 P = parse_polynomial
 
@@ -141,11 +141,11 @@ def test_criterion_4_component_intersections():
     outcomes = [f"(0,0,0,12,13) PASS {first:.1f}s"]
     for name in ("(0,0,0,12,13+24)", "(0,0,12,13,14)", "(0,0,12,13,14+23)",
                  "(0,0,0,0,12+34)"):
-        entry = catalog.get(name)
-        gens = obstruction_map(entry.build()).generators
-        contained = _containment_check(entry, gens, GREVLEX)
+        checks = {r.check: r for r in run_entry_checks(catalog.get(name),
+                                                        timeout=300.0)}
+        contained = checks["component-containment"]
         assert contained.status == "PASS", f"{name}: {contained.detail}"
-        result = _intersection_check(entry, gens, timeout=300.0, order=GREVLEX)
+        result = checks["intersection"]
         assert result.status in ("PASS", "SKIP"), f"{name}: {result.detail}"
         outcomes.append(f"{name} {result.status} {result.seconds:.1f}s")
     _report("[PASS] criterion 4 — published component intersections: "

@@ -10,13 +10,13 @@ from kuranil.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
-    CheckResult,
     InputError,
     load_algebra,
     main,
-    run_entry_checks,
 )
 from kuranil.kuranishi import KuranishiReport, analyze
+from kuranil.polyring import GREVLEX
+from kuranil.verify import CheckResult, run_entry_checks
 
 
 # -- input resolution --------------------------------------------------------
@@ -143,14 +143,6 @@ def test_verify_with_lex_order(capsys):
     assert "[FAIL]" not in out
 
 
-def test_verify_jobs_flag_runs_entries_concurrently(capsys):
-    rc = main(["verify", "a_2", "a_3", "(0,0,12,13)", "--jobs", "2",
-               "--timeout", "60"])
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    assert out.splitlines()[-1].startswith("PASSED")
-
-
 def test_verify_tiny_timeout_reports_documented_skip(capsys):
     rc = main(["verify", "(0,0,0,12,13+24)", "--timeout", "2"])
     out = capsys.readouterr().out
@@ -164,12 +156,23 @@ def test_verify_unknown_entry_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_internal_key_error_is_not_input_error(monkeypatch):
+    from kuranil import verify
+
+    def broken_analyze(algebra):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(verify, "analyze", broken_analyze)
+    with pytest.raises(KeyError, match="internal"):
+        main(["verify", "a_1"])
+
+
 def test_verify_all_selector_expands_to_every_entry(monkeypatch, capsys):
     from kuranil import cli
 
     seen = {}
 
-    def fake_checks(names=None, timeout=300.0, order=None, jobs=1):
+    def fake_checks(names=None, timeout=300.0, order=None):
         seen["names"] = names
         return [CheckResult("x", "invariants", "PASS")]
 
@@ -182,7 +185,7 @@ def test_verify_all_selector_expands_to_every_entry(monkeypatch, capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from kuranil import cli
 
-    def fake_checks(names=None, timeout=300.0, order=None, jobs=1):
+    def fake_checks(names=None, timeout=300.0, order=None):
         return [CheckResult("x", "invariants", "FAIL", "forced")]
 
     monkeypatch.setattr(cli, "run_catalog_checks", fake_checks)
@@ -198,3 +201,22 @@ def test_run_entry_checks_detects_wrong_expectations():
     invariants = [r for r in results if r.check == "invariants"]
     assert invariants and invariants[0].status == "FAIL"
     assert not invariants[0].ok
+
+
+def test_run_entry_checks_computes_each_basis_once(monkeypatch):
+    from kuranil import groebner, verify
+
+    original = groebner.buchberger
+    inputs = []
+
+    def recording(gens, order=GREVLEX, time_limit=None):
+        gens = tuple(gens)
+        inputs.append((order, gens))
+        return original(gens, order, time_limit)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(verify, "buchberger", recording)
+    results = run_entry_checks(catalog.get("(0,0,0,12,13)"))
+    assert all(r.status == "PASS" for r in results)
+    assert {"component-containment", "intersection"} <= {r.check for r in results}
+    assert inputs and len(set(inputs)) == len(inputs)

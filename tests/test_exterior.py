@@ -16,7 +16,6 @@ from kuranil.exterior import (
     Cov,
     ExteriorForm,
     VectorForm,
-    wedge,
 )
 from kuranil.polyring import Polynomial, parse_polynomial, var_poly
 
@@ -53,7 +52,6 @@ def test_covector_wedge_antisymmetry():
     a, b = w(csa, 1), w(csa, 2)
     assert a.wedge(b) == -(b.wedge(a))
     assert not a.wedge(a)
-    assert wedge(a, b) == a.wedge(b)
 
 
 def test_wedge_canonical_reordering_sign():
