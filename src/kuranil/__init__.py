@@ -47,7 +47,6 @@ from .groebner import (
     buchberger,
     ideal_equal,
     ideal_intersect,
-    ideal_member,
     normal_form,
     parse_ideal_components,
     s_polynomial,
@@ -142,7 +141,6 @@ __all__ = [
     "hodge_numbers",
     "ideal_equal",
     "ideal_intersect",
-    "ideal_member",
     "mc_residual",
     "minor2",
     "minor3",

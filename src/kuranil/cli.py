@@ -137,6 +137,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed + skipped == total else EXIT_CHECK_FAILED
 
 
+def _seconds(text: str) -> float:
+    """A ``--timeout`` value: a number ``>= 0``; ``nan`` fails this test too."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"expected seconds >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kuranil",
@@ -168,10 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("names", nargs="*",
                           help="catalog entries to verify; 'all' or no "
                                "argument selects every entry")
-    p_verify.add_argument("--timeout", type=float, default=300.0,
+    p_verify.add_argument("--timeout", type=_seconds, default=300.0,
                           metavar="SECONDS",
-                          help="budget for the intersection check's "
-                               "elimination and final equality (default 300)")
+                          help="hard limit on the intersection check's "
+                               "elimination and final equality; 0 skips the "
+                               "check (default 300)")
     p_verify.add_argument("--order", choices=("grevlex", "lex"),
                           default="grevlex",
                           help="monomial order for ideal computations")

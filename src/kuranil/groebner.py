@@ -13,8 +13,8 @@ leading coefficient to control coefficient growth.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
+from time import monotonic
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -33,7 +33,7 @@ from .polyring import (
 
 
 class GroebnerTimeout(RuntimeError):
-    """Cooperative deadline exceeded during a Gröbner basis computation."""
+    """A Gröbner computation reached its deadline."""
 
 
 class OrderMismatch(ValueError):
@@ -71,6 +71,12 @@ class GroebnerBasis:
         return f"GroebnerBasis({self.order.kind}; {body})"
 
 
+def _check_deadline(deadline: float | None) -> None:
+    """Raise :class:`GroebnerTimeout` once ``monotonic()`` reaches ``deadline``."""
+    if deadline is not None and monotonic() >= deadline:
+        raise GroebnerTimeout("Gröbner computation reached its deadline")
+
+
 def _prep(basis: Iterable[Polynomial], order: MonomialOrder):
     return [(g, *g.leading_term(order)) for g in basis if g]
 
@@ -80,11 +86,8 @@ def _reduce_full(p: Polynomial, prepped, order: MonomialOrder,
     """Full multivariate division remainder of ``p`` by the prepped basis."""
     remainder: dict = {}
     work = p
-    steps = 0
     while work:
-        steps += 1
-        if deadline is not None and not steps % 64 and time.monotonic() > deadline:
-            raise GroebnerTimeout("basis computation exceeded the time limit")
+        _check_deadline(deadline)
         lm, lc = work.leading_term(order)
         for g, glm, glc in prepped:
             if mono_divides(glm, lm):
@@ -107,13 +110,12 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
 
 
 def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
-               time_limit: float | None = None) -> GroebnerBasis:
+               deadline: float | None = None) -> GroebnerBasis:
     """Reduced Gröbner basis of the ideal generated by ``gens``.
 
-    ``time_limit`` (seconds) bounds the pair loop cooperatively; exceeding it
-    raises :class:`GroebnerTimeout`.
+    ``deadline`` is a ``time.monotonic()`` timestamp, checked before every
+    pair and every reduction step; reaching it raises :class:`GroebnerTimeout`.
     """
-    deadline = None if time_limit is None else time.monotonic() + time_limit
     basis: list[Polynomial] = []
     seen: set[Polynomial] = set()
     for g in gens:
@@ -135,8 +137,7 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
         return (mono_degree(mono_lcm(lms[i], lms[j])), i, j)
 
     while pending:
-        if deadline is not None and time.monotonic() > deadline:
-            raise GroebnerTimeout(f"basis computation exceeded {time_limit} s")
+        _check_deadline(deadline)
         sel = min(pending, key=pair_key)
         pending.discard(sel)
         treated.add(sel)
@@ -194,27 +195,23 @@ def normal_form(p: Polynomial, G: GroebnerBasis,
     return _reduce_full(p, _prep(G.polys, G.order), G.order)
 
 
-def _as_basis(I, order: MonomialOrder, time_limit: float | None) -> GroebnerBasis:
+def _as_basis(I, order: MonomialOrder, deadline: float | None) -> GroebnerBasis:
     if isinstance(I, GroebnerBasis):
         if I.order != order:
             raise OrderMismatch(f"expected a {order.kind} basis, got {I.order.kind}")
         return I
-    return buchberger(I, order, time_limit)
-
-
-def ideal_member(p: Polynomial, I, order: MonomialOrder = GREVLEX,
-                 time_limit: float | None = None) -> bool:
-    return normal_form(p, _as_basis(I, order, time_limit)).is_zero
+    return buchberger(I, order, deadline)
 
 
 def ideal_equal(I, J, order: MonomialOrder = GREVLEX,
-                time_limit: float | None = None) -> bool:
-    """Ideal equality via uniqueness of the reduced Gröbner basis."""
-    return _as_basis(I, order, time_limit).polys == _as_basis(J, order, time_limit).polys
+                deadline: float | None = None) -> bool:
+    """Ideal equality via uniqueness of the reduced Gröbner basis; both bases
+    are computed under the one ``deadline``."""
+    return _as_basis(I, order, deadline).polys == _as_basis(J, order, deadline).polys
 
 
 def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
-                    time_limit: float | None = None) -> list[Polynomial]:
+                    deadline: float | None = None) -> list[Polynomial]:
     """Generators of I ∩ J by elimination: GB of u·I + (1−u)·J in lex with u
     greatest, keeping the u-free polynomials."""
     gens_i = [g for g in I if g]
@@ -224,7 +221,7 @@ def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
     u = Polynomial.variable(UVAR)
     one_minus_u = Polynomial.one() - u
     combined = [u * f for f in gens_i] + [one_minus_u * g for g in gens_j]
-    gb = buchberger(combined, LEX, time_limit)
+    gb = buchberger(combined, LEX, deadline)
     out = [g.normalized(GREVLEX) for g in gb if UVAR not in g.variables()]
     out.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
     return out

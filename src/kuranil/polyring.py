@@ -19,7 +19,6 @@ positive.  ``Polynomial`` is immutable and hashable.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from fractions import Fraction
@@ -95,6 +94,17 @@ def mono_str(m: Mono) -> str:
     return "*".join(parts)
 
 
+def _grevlex_key(m: Mono):
+    # Higher degree wins; on a tie, the monomial with the smaller exponent at
+    # the least-ranked variable where they differ (absent meaning 0) wins.
+    return mono_degree(m), tuple((var_rank(v), -e) for v, e in m)
+
+
+def _lex_key(m: Mono):
+    # From the greatest-ranked variable down, the larger exponent wins.
+    return tuple((var_rank(v), e) for v, e in reversed(m))
+
+
 class MonomialOrder:
     """A total order on monomials, usable as ``kind`` in {"grevlex", "lex"}."""
 
@@ -104,31 +114,10 @@ class MonomialOrder:
         if kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {kind!r}")
         self.kind = kind
-        self._key = functools.cmp_to_key(self.compare)
-
-    def compare(self, a: Mono, b: Mono) -> int:
-        """Classic cmp: positive if ``a`` is greater than ``b``."""
-        if a == b:
-            return 0
-        if self.kind == "grevlex":
-            da, db = mono_degree(a), mono_degree(b)
-            if da != db:
-                return 1 if da > db else -1
-            ea, eb = dict(a), dict(b)
-            for v in sorted(set(ea) | set(eb), key=var_rank):
-                xa, xb = ea.get(v, 0), eb.get(v, 0)
-                if xa != xb:
-                    # smaller exponent at the least differing variable wins
-                    return 1 if xa < xb else -1
-            return 0
-        ea, eb = dict(a), dict(b)
-        for v in sorted(set(ea) | set(eb), key=var_rank, reverse=True):
-            xa, xb = ea.get(v, 0), eb.get(v, 0)
-            if xa != xb:
-                return 1 if xa > xb else -1
-        return 0
+        self._key = _grevlex_key if kind == "grevlex" else _lex_key
 
     def key(self, m: Mono):
+        """Sort key: ``key(a) < key(b)`` iff ``a`` is smaller than ``b``."""
         return self._key(m)
 
     def max(self, monos) -> Mono:

@@ -57,14 +57,6 @@ def _contained(gens: list[Polynomial], basis: GroebnerBasis) -> Polynomial | Non
     return None
 
 
-def _remaining(deadline: float) -> float:
-    """Seconds left before ``deadline``; raises GroebnerTimeout when none are."""
-    remaining = deadline - time.monotonic()
-    if remaining <= 0:
-        raise GroebnerTimeout("intersection budget exhausted")
-    return remaining
-
-
 class _EntryIdeals:
     """The computed ideal of one entry and the Gröbner work its checks share."""
 
@@ -74,13 +66,13 @@ class _EntryIdeals:
         self._bases: dict[tuple[Polynomial, ...], GroebnerBasis] = {}
         self._escapes: dict[str, tuple[int, Polynomial] | None] = {}
 
-    def basis(self, polys, time_limit: float | None = None) -> GroebnerBasis:
+    def basis(self, polys, deadline: float | None = None) -> GroebnerBasis:
         """Reduced basis of the ideal ``polys`` generate, computed once;
-        ``time_limit`` bounds the computation when it is not cached yet."""
+        ``deadline`` bounds the computation when it is not cached yet."""
         key = tuple(polys)
         if key not in self._bases:
             self._bases[key] = buchberger(key, order=self.order,
-                                          time_limit=time_limit)
+                                          deadline=deadline)
         return self._bases[key]
 
     def escape(self, label: str, components) -> tuple[int, Polynomial] | None:
@@ -101,8 +93,9 @@ def run_entry_checks(entry: catalog.CatalogEntry, timeout: float = 300.0,
                      order: MonomialOrder = GREVLEX) -> list[CheckResult]:
     """All verification checks for one catalog entry.
 
-    ``timeout`` bounds the intersection check's elimination and final
-    equality; exceeding it yields SKIP, not FAIL.
+    ``timeout`` (seconds, ``>= 0``) is one hard limit on the intersection
+    check's elimination and final equality together; reaching it yields SKIP,
+    not FAIL, and ``0`` skips the certificate.
     """
     if entry.kind == "general":
         return _general_checks(entry, order)
@@ -194,10 +187,9 @@ def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
             intersection = components[0]
             for component in components[1:]:
                 intersection = ideal_intersect(intersection, component,
-                                               time_limit=_remaining(deadline))
-            remaining = _remaining(deadline)
-            if ideal_equal(intersection, ideals.basis(ideals.gens, remaining),
-                           order=ideals.order, time_limit=remaining):
+                                               deadline=deadline)
+            if ideal_equal(intersection, ideals.basis(ideals.gens, deadline),
+                           order=ideals.order, deadline=deadline):
                 return CheckResult(entry.name, "intersection", "PASS",
                                    f"{label} reading",
                                    time.monotonic() - started)

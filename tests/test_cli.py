@@ -144,11 +144,19 @@ def test_verify_with_lex_order(capsys):
 
 
 def test_verify_tiny_timeout_reports_documented_skip(capsys):
-    rc = main(["verify", "(0,0,0,12,13+24)", "--timeout", "2"])
+    rc = main(["verify", "(0,0,0,12,13+24)", "--timeout", "0"])
     out = capsys.readouterr().out
     assert rc == EXIT_OK  # SKIP is not a failure
     assert "[SKIP] (0,0,0,12,13+24) :: intersection" in out
     assert "SKIPPED 1" in out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_verify_rejects_timeout_below_zero_or_nan(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "a_1", "--timeout", value])
+    assert exc.value.code == EXIT_INPUT_ERROR
+    assert "--timeout" in capsys.readouterr().err
 
 
 def test_verify_unknown_entry_is_input_error(capsys):
@@ -209,10 +217,10 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
     original = groebner.buchberger
     inputs = []
 
-    def recording(gens, order=GREVLEX, time_limit=None):
+    def recording(gens, order=GREVLEX, deadline=None):
         gens = tuple(gens)
         inputs.append((order, gens))
-        return original(gens, order, time_limit)
+        return original(gens, order, deadline)
 
     monkeypatch.setattr(groebner, "buchberger", recording)
     monkeypatch.setattr(verify, "buchberger", recording)

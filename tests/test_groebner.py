@@ -1,11 +1,14 @@
 """Buchberger bases, normal forms, ideal operations; sympy as cross-oracle."""
 
 from fractions import Fraction
+import math
 import random
+import time
 
 import pytest
 import sympy
 
+from kuranil import groebner
 from kuranil.groebner import (
     GroebnerBasis,
     GroebnerTimeout,
@@ -13,7 +16,6 @@ from kuranil.groebner import (
     buchberger,
     ideal_equal,
     ideal_intersect,
-    ideal_member,
     normal_form,
     parse_ideal_components,
     s_polynomial,
@@ -94,8 +96,8 @@ def test_normal_form_checks_order_compatibility():
 
 def test_ideal_member_and_equal():
     gens = [minor2(1, 3, 1, 2), minor2(2, 3, 1, 2)]
-    assert ideal_member(t(3, 1) * minor2(1, 2, 1, 2), gens)
-    assert not ideal_member(minor2(1, 2, 1, 2), gens)
+    assert buchberger(gens).contains(t(3, 1) * minor2(1, 2, 1, 2))
+    assert not buchberger(gens).contains(minor2(1, 2, 1, 2))
     assert ideal_equal(gens, [gens[0] + gens[1], gens[1]])
     assert not ideal_equal(gens, [gens[0]])
     assert ideal_equal([], [Polynomial.zero()])
@@ -120,7 +122,38 @@ def test_timeout_raises():
             t(1, 2) ** 3 * t(2, 1) - t(1, 1) ** 2,
             t(2, 1) ** 3 * t(1, 1) - t(1, 2) ** 2]
     with pytest.raises(GroebnerTimeout):
-        buchberger(gens, time_limit=0.0)
+        buchberger(gens, deadline=time.monotonic())
+
+
+class _CountingClock:
+    """Stands in for ``monotonic``: the n-th read returns n."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return float(self.reads)
+
+
+def test_ideal_equal_bases_share_one_deadline(monkeypatch):
+    gens = [minor2(1, 3, 1, 2), minor2(2, 3, 1, 2)]
+    other = [gens[0] + gens[1], gens[1]]
+    clock = _CountingClock()
+    monkeypatch.setattr(groebner, "monotonic", clock)
+    buchberger(gens, deadline=math.inf)
+    first = clock.reads
+    buchberger(other, deadline=math.inf)
+    second = clock.reads - first
+    assert first > 0 and second > 0
+    # Each read returns the next tick: a deadline one past the first basis's
+    # reads lets it finish, and the second basis must then stop at once.
+    clock.reads = 0
+    assert ideal_equal(gens, other, deadline=first + second + 1)
+    clock.reads = 0
+    with pytest.raises(GroebnerTimeout):
+        ideal_equal(gens, other, deadline=first + 1)
+    assert clock.reads == first + 1
 
 
 # -- reduced-basis postconditions on random ideals ---------------------------
