@@ -232,10 +232,6 @@ for _entry in ENTRIES:
         _INDEX[_normalized] = _entry
 
 
-def names() -> list[str]:
-    return [entry.name for entry in ENTRIES]
-
-
 def entries() -> tuple[CatalogEntry, ...]:
     return ENTRIES
 

@@ -20,7 +20,6 @@ from .algebra import (
     to_complex_structure,
 )
 from .kuranishi import analyze, analyze_general
-from .polyring import GREVLEX, LEX
 from .verify import InputError, run_catalog_checks
 
 EXIT_OK = 0
@@ -113,12 +112,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    order = LEX if args.order == "lex" else GREVLEX
     names = args.names
     if names and all(n.lower() == "all" for n in names):
         names = []
-    results = run_catalog_checks(names or None, timeout=args.timeout,
-                                 order=order)
+    results = run_catalog_checks(names or None, timeout=args.timeout)
     passed = skipped = 0
     for r in results:
         line = f"[{r.status}] {r.entry} :: {r.check} ({r.seconds:.1f}s)"
@@ -181,9 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="hard limit on the intersection check's "
                                "elimination and final equality; 0 skips the "
                                "check (default 300)")
-    p_verify.add_argument("--order", choices=("grevlex", "lex"),
-                          default="grevlex",
-                          help="monomial order for ideal computations")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -3,6 +3,9 @@
 Certifies that computed obstruction ideals equal published intersections of
 components: reduced Gröbner bases give canonical forms for ideal equality, and
 intersections are computed by the standard one-variable elimination trick.
+Ideal equality compares reduced grevlex bases; lex is used only inside that
+elimination.  Generator lists are put into one canonical form by
+:func:`canonical_generators`.
 
 The pair-selection strategy is fixed so results are byte-for-byte reproducible:
 pairs are processed in ascending (lcm total degree, i, j) order, with the
@@ -109,6 +112,15 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     return a * f - b * g
 
 
+def canonical_generators(polys: Iterable[Polynomial],
+                         order: MonomialOrder = GREVLEX) -> list[Polynomial]:
+    """Nonzero ``polys`` normalized in ``order``, without duplicates (the first
+    occurrence wins), sorted ascending by leading monomial."""
+    out = list(dict.fromkeys(p.normalized(order) for p in polys if p))
+    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return out
+
+
 def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
                deadline: float | None = None) -> GroebnerBasis:
     """Reduced Gröbner basis of the ideal generated by ``gens``.
@@ -116,18 +128,9 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
     ``deadline`` is a ``time.monotonic()`` timestamp, checked before every
     pair and every reduction step; reaching it raises :class:`GroebnerTimeout`.
     """
-    basis: list[Polynomial] = []
-    seen: set[Polynomial] = set()
-    for g in gens:
-        if not g:
-            continue
-        g = g.normalized(order)
-        if g not in seen:
-            seen.add(g)
-            basis.append(g)
+    basis = canonical_generators(gens, order)
     if not basis:
         return GroebnerBasis(order, ())
-    basis.sort(key=lambda g: order.key(g.leading_monomial(order)))
     lms = [g.leading_monomial(order) for g in basis]
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
     treated: set[tuple[int, int]] = set()
@@ -186,28 +189,24 @@ def _reduce_basis(basis: list[Polynomial], order: MonomialOrder,
     return kept
 
 
-def normal_form(p: Polynomial, G: GroebnerBasis,
-                order: MonomialOrder | None = None) -> Polynomial:
-    """Division remainder of ``p`` by ``G``; zero iff ``p`` lies in the ideal."""
-    if order is not None and order != G.order:
-        raise OrderMismatch(f"normal form requested in {order.kind} "
-                            f"against a {G.order.kind} basis")
+def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
+    """Division remainder of ``p`` by ``G`` in ``G``'s order; zero iff ``p``
+    lies in the ideal."""
     return _reduce_full(p, _prep(G.polys, G.order), G.order)
 
 
-def _as_basis(I, order: MonomialOrder, deadline: float | None) -> GroebnerBasis:
+def _as_basis(I, deadline: float | None) -> GroebnerBasis:
     if isinstance(I, GroebnerBasis):
-        if I.order != order:
-            raise OrderMismatch(f"expected a {order.kind} basis, got {I.order.kind}")
+        if I.order != GREVLEX:
+            raise OrderMismatch(f"expected a grevlex basis, got {I.order.kind}")
         return I
-    return buchberger(I, order, deadline)
+    return buchberger(I, GREVLEX, deadline)
 
 
-def ideal_equal(I, J, order: MonomialOrder = GREVLEX,
-                deadline: float | None = None) -> bool:
-    """Ideal equality via uniqueness of the reduced Gröbner basis; both bases
-    are computed under the one ``deadline``."""
-    return _as_basis(I, order, deadline).polys == _as_basis(J, order, deadline).polys
+def ideal_equal(I, J, deadline: float | None = None) -> bool:
+    """Ideal equality via uniqueness of the reduced grevlex Gröbner basis; both
+    bases are computed under the one ``deadline``."""
+    return _as_basis(I, deadline).polys == _as_basis(J, deadline).polys
 
 
 def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
@@ -222,9 +221,7 @@ def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
     one_minus_u = Polynomial.one() - u
     combined = [u * f for f in gens_i] + [one_minus_u * g for g in gens_j]
     gb = buchberger(combined, LEX, deadline)
-    out = [g.normalized(GREVLEX) for g in gb if UVAR not in g.variables()]
-    out.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-    return out
+    return canonical_generators(g for g in gb if UVAR not in g.variables())
 
 
 def parse_ideal_components(text: str) -> list[list[Polynomial]]:

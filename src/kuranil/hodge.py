@@ -22,7 +22,6 @@ Two complexes are supported through one engine:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from . import linalg
 from .exterior import Cov, ExteriorForm, MultiIndex, VectorForm, VectorKey

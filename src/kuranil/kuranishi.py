@@ -24,14 +24,8 @@ from fractions import Fraction
 
 from . import groebner, hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra
-from .exterior import (
-    AmbientMismatch,
-    BarredVectorError,
-    ExteriorForm,
-    VectorForm,
-    vector_key_str,
-)
-from .polyring import GREVLEX, Polynomial, Var, var_name, var_poly
+from .exterior import AmbientMismatch, BarredVectorError, VectorForm
+from .polyring import GREVLEX, Polynomial, Var, var_poly
 
 
 class NonParallelisableAmbient(ValueError):
@@ -269,8 +263,6 @@ def phi_recursion(L, decomposition=None, max_degree: int | None = None,
 
     series = PhiSeries(L, decomposition, kind, variables, cap)
     series.terms[1] = phi1
-    obstruction_so_far: list[Polynomial] = []
-    obstruction_gb = None
 
     for k in range(2, cap + 1):
         s_k = VectorForm.zero(L)
@@ -314,20 +306,6 @@ def phi_recursion(L, decomposition=None, max_degree: int | None = None,
     return series
 
 
-def _normalized_generators(polys) -> list[Polynomial]:
-    """Nonzero ``polys`` normalized in grevlex, without duplicates, sorted
-    ascending by leading monomial: the published form of a generator list."""
-    normalized = []
-    seen = set()
-    for p in polys:
-        q = p.normalized(GREVLEX)
-        if q and q not in seen:
-            seen.add(q)
-            normalized.append(q)
-    normalized.sort(key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
-    return normalized
-
-
 class ObstructionResult:
     """The harmonic part of [Φ,Φ]: coefficient polynomials and the normalized
     generator list of the obstruction ideal."""
@@ -335,21 +313,13 @@ class ObstructionResult:
     def __init__(self, harmonic_coefficients: dict, series: PhiSeries | None = None):
         self.harmonic_coefficients = harmonic_coefficients
         self.series = series
-        self.generators: list[Polynomial] = _normalized_generators(
+        self.generators: list[Polynomial] = groebner.canonical_generators(
             harmonic_coefficients.values())
         self.degree_profile: list[int] = [g.total_degree() for g in self.generators]
 
     @property
     def is_zero(self) -> bool:
         return not self.generators
-
-    def coefficient_strings(self) -> dict[str, str]:
-        out = {}
-        for (r, key), p in sorted(self.harmonic_coefficients.items(),
-                                  key=lambda kv: (kv[0][0], kv[0][1] or (0, False))):
-            label = f"h2[{r}]" if key is None else f"h2[{r}]*{vector_key_str(key)}"
-            out[label] = str(p)
-        return out
 
 
 def obstruction_map(L, series: PhiSeries | None = None,
@@ -649,7 +619,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
             obstruction_by_degree[str(k)] = {f"h2[{r}]": str(p)
                                              for (r, _), p in sorted(coeffs.items())}
             generators.extend(coeffs.values())
-    gens = _normalized_generators(generators)
+    gens = groebner.canonical_generators(generators)
     data = {
         "algebra": name or csa.name or f"dim-{csa.n} structure",
         "dim": csa.n,

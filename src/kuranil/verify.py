@@ -1,9 +1,10 @@
 """Verification of catalog entries against their stored data.
 
 Each check re-derives one stored invariant or certificate and reports PASS,
-FAIL or SKIP (the intersection check ran out of its time budget).  Within one
-entry every Gröbner basis is computed at most once, and each stored reading's
-containment verdict serves both the containment and the intersection check.
+FAIL or SKIP (the intersection check ran out of its time budget).  Every
+Gröbner basis is a grevlex basis.  Within one entry each is computed at most
+once, and each stored reading's containment verdict serves both the
+containment and the intersection check.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .groebner import (
 )
 from .hodge import build_theta_decomposition
 from .kuranishi import analyze, phi_recursion
-from .polyring import GREVLEX, MonomialOrder, Polynomial, parse_polynomial
+from .polyring import Polynomial, parse_polynomial
 
 
 class InputError(Exception):
@@ -60,9 +61,8 @@ def _contained(gens: list[Polynomial], basis: GroebnerBasis) -> Polynomial | Non
 class _EntryIdeals:
     """The computed ideal of one entry and the Gröbner work its checks share."""
 
-    def __init__(self, gens: list[Polynomial], order: MonomialOrder):
+    def __init__(self, gens: list[Polynomial]):
         self.gens = gens
-        self.order = order
         self._bases: dict[tuple[Polynomial, ...], GroebnerBasis] = {}
         self._escapes: dict[str, tuple[int, Polynomial] | None] = {}
 
@@ -71,8 +71,7 @@ class _EntryIdeals:
         ``deadline`` bounds the computation when it is not cached yet."""
         key = tuple(polys)
         if key not in self._bases:
-            self._bases[key] = buchberger(key, order=self.order,
-                                          deadline=deadline)
+            self._bases[key] = buchberger(key, deadline=deadline)
         return self._bases[key]
 
     def escape(self, label: str, components) -> tuple[int, Polynomial] | None:
@@ -89,21 +88,24 @@ class _EntryIdeals:
         return self._escapes[label]
 
 
-def run_entry_checks(entry: catalog.CatalogEntry, timeout: float = 300.0,
-                     order: MonomialOrder = GREVLEX) -> list[CheckResult]:
+def run_entry_checks(entry: catalog.CatalogEntry,
+                     timeout: float = 300.0) -> list[CheckResult]:
     """All verification checks for one catalog entry.
 
     ``timeout`` (seconds, ``>= 0``) is one hard limit on the intersection
     check's elimination and final equality together; reaching it yields SKIP,
-    not FAIL, and ``0`` skips the certificate.
+    not FAIL, and ``0`` skips the certificate.  Any other value, ``nan``
+    included, raises :class:`ValueError` before a check runs.
     """
+    if not timeout >= 0:
+        raise ValueError(f"timeout must be seconds >= 0, got {timeout!r}")
     if entry.kind == "general":
-        return _general_checks(entry, order)
-    return _parallelisable_checks(entry, timeout, order)
+        return _general_checks(entry)
+    return _parallelisable_checks(entry, timeout)
 
 
-def _parallelisable_checks(entry: catalog.CatalogEntry, timeout: float,
-                           order: MonomialOrder) -> list[CheckResult]:
+def _parallelisable_checks(entry: catalog.CatalogEntry,
+                           timeout: float) -> list[CheckResult]:
     results: list[CheckResult] = []
     started = time.monotonic()
     algebra = entry.build()
@@ -123,7 +125,7 @@ def _parallelisable_checks(entry: catalog.CatalogEntry, timeout: float,
                f"annotations={len(notes)}")
 
     ideals = _EntryIdeals([parse_polynomial(s)
-                           for s in report["obstruction_generators"]], order)
+                           for s in report["obstruction_generators"]])
 
     if entry.d is not None:
         started = time.monotonic()
@@ -134,8 +136,7 @@ def _parallelisable_checks(entry: catalog.CatalogEntry, timeout: float,
     if entry.expected_generators:
         started = time.monotonic()
         _timed(results, entry.name, "expected-generators", started,
-               ideal_equal(ideals.basis(ideals.gens), entry.expected_ideal(),
-                           order=order),
+               ideal_equal(ideals.basis(ideals.gens), entry.expected_ideal()),
                f"{len(ideals.gens)} generators")
 
     if entry.reducibility:
@@ -189,7 +190,7 @@ def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
                 intersection = ideal_intersect(intersection, component,
                                                deadline=deadline)
             if ideal_equal(intersection, ideals.basis(ideals.gens, deadline),
-                           order=ideals.order, deadline=deadline):
+                           deadline=deadline):
                 return CheckResult(entry.name, "intersection", "PASS",
                                    f"{label} reading",
                                    time.monotonic() - started)
@@ -223,8 +224,7 @@ def _reducibility_check(entry: catalog.CatalogEntry,
                        time.monotonic() - started)
 
 
-def _general_checks(entry: catalog.CatalogEntry,
-                    order: MonomialOrder) -> list[CheckResult]:
+def _general_checks(entry: catalog.CatalogEntry) -> list[CheckResult]:
     """Recursion checks for the dimension-7 mixed structure: the second-order
     obstruction vanishes while a third-order one survives."""
     results: list[CheckResult] = []
@@ -256,8 +256,8 @@ def _general_checks(entry: catalog.CatalogEntry,
     return results
 
 
-def run_catalog_checks(names: list[str] | None = None, timeout: float = 300.0,
-                       order: MonomialOrder = GREVLEX) -> list[CheckResult]:
+def run_catalog_checks(names: list[str] | None = None,
+                       timeout: float = 300.0) -> list[CheckResult]:
     """Run checks for the selected entries (all when ``names`` is empty).
 
     An unknown name raises :class:`InputError` before any check runs.
@@ -267,4 +267,4 @@ def run_catalog_checks(names: list[str] | None = None, timeout: float = 300.0,
     except KeyError as exc:
         raise InputError(exc.args[0]) from None
     return [result for entry in entries
-            for result in run_entry_checks(entry, timeout, order)]
+            for result in run_entry_checks(entry, timeout)]

@@ -136,13 +136,6 @@ def test_verify_fast_subset_passes(capsys):
     assert "PASSED" in out.splitlines()[-1]
 
 
-def test_verify_with_lex_order(capsys):
-    rc = main(["verify", "(0,0,0,12)", "--order", "lex", "--timeout", "60"])
-    out = capsys.readouterr().out
-    assert rc == EXIT_OK
-    assert "[FAIL]" not in out
-
-
 def test_verify_tiny_timeout_reports_documented_skip(capsys):
     rc = main(["verify", "(0,0,0,12,13+24)", "--timeout", "0"])
     out = capsys.readouterr().out
@@ -180,7 +173,7 @@ def test_verify_all_selector_expands_to_every_entry(monkeypatch, capsys):
 
     seen = {}
 
-    def fake_checks(names=None, timeout=300.0, order=None):
+    def fake_checks(names=None, timeout=300.0):
         seen["names"] = names
         return [CheckResult("x", "invariants", "PASS")]
 
@@ -193,7 +186,7 @@ def test_verify_all_selector_expands_to_every_entry(monkeypatch, capsys):
 def test_verify_failure_exit_code(monkeypatch, capsys):
     from kuranil import cli
 
-    def fake_checks(names=None, timeout=300.0, order=None):
+    def fake_checks(names=None, timeout=300.0):
         return [CheckResult("x", "invariants", "FAIL", "forced")]
 
     monkeypatch.setattr(cli, "run_catalog_checks", fake_checks)
@@ -209,6 +202,18 @@ def test_run_entry_checks_detects_wrong_expectations():
     invariants = [r for r in results if r.check == "invariants"]
     assert invariants and invariants[0].status == "FAIL"
     assert not invariants[0].ok
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1], ids=["nan", "-1"])
+def test_run_entry_checks_rejects_timeout_below_zero_or_nan(value, monkeypatch):
+    from kuranil import verify
+
+    def no_check_may_run(algebra):
+        raise AssertionError("a check ran before the timeout was rejected")
+
+    monkeypatch.setattr(verify, "analyze", no_check_may_run)
+    with pytest.raises(ValueError, match="timeout"):
+        run_entry_checks(catalog.get("a_1"), timeout=value)
 
 
 def test_run_entry_checks_computes_each_basis_once(monkeypatch):

@@ -14,6 +14,7 @@ from kuranil.groebner import (
     GroebnerTimeout,
     OrderMismatch,
     buchberger,
+    canonical_generators,
     ideal_equal,
     ideal_intersect,
     normal_form,
@@ -88,10 +89,16 @@ def test_normal_form_properties():
             assert not mono_divides(g.leading_monomial(GREVLEX), mono)
 
 
-def test_normal_form_checks_order_compatibility():
-    basis = buchberger([t(1, 1)], order=GREVLEX)
+def test_canonical_generators_normalizes_dedupes_and_sorts():
+    q = t(1, 1) * t(1, 2) - t(2, 1)
+    polys = [t(2, 2) ** 3, Polynomial.zero(), 2 * q, -q, 3 * t(1, 1)]
+    assert canonical_generators(polys) == [t(1, 1), q, t(2, 2) ** 3]
+
+
+def test_ideal_equal_rejects_a_lex_basis():
+    gens = [t(1, 1) * t(1, 2) - t(2, 1), t(1, 2) ** 2]
     with pytest.raises(OrderMismatch):
-        normal_form(t(1, 1), basis, order=LEX)
+        ideal_equal(buchberger(gens, order=LEX), gens)
 
 
 def test_ideal_member_and_equal():
@@ -184,12 +191,12 @@ def test_buchberger_postconditions_random(order):
         basis = buchberger(gens, order=order)
         # every original generator reduces to zero
         for g in gens:
-            assert not normal_form(g, basis, order=order)
+            assert not normal_form(g, basis)
         # every S-polynomial of basis pairs reduces to zero
         for i in range(len(basis.polys)):
             for j in range(i + 1, len(basis.polys)):
                 s = s_polynomial(basis.polys[i], basis.polys[j], order)
-                assert not normal_form(s, basis, order=order)
+                assert not normal_form(s, basis)
         # the basis is reduced: no term of g is divisible by another leading monomial
         for i, g in enumerate(basis.polys):
             for j, h in enumerate(basis.polys):
