@@ -33,6 +33,7 @@ from .algebra import (
     abelian,
     direct_sum,
     free_two_step,
+    parse_algebra_file,
     parse_complex_structure_file,
     parse_salamon,
     parse_structure_file,
@@ -147,6 +148,7 @@ __all__ = [
     "normal_form",
     "obstruction_map",
     "parallelisable_directions",
+    "parse_algebra_file",
     "parse_complex_structure_file",
     "parse_ideal_components",
     "parse_polynomial",

@@ -303,122 +303,120 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlge
     return LieAlgebra(a.dim + b.dim, brackets, name=name or f"{a.name}+{b.name}")
 
 
-# -- Salamon-notation parser -------------------------------------------------
+# -- text formats ------------------------------------------------------------
+#
+# One grammar for Salamon strings, ``bracket`` files and ``dw`` files: a
+# right-hand side is ``0`` or a ±-separated sum of terms ``[c*]<body>``, ``c`` an
+# integer or ``p/q``, whitespace ignored; formats differ only in the body.  Files
+# skip ``#`` comments and blank lines; an exact ``dim <n>`` header fixes the
+# dimension, which is otherwise the largest index.
 
-_SALAMON_TERM = re.compile(r"^(?P<coef>\d+\*)?(?P<pair>\d\d)$")
+_TERM = re.compile(r"([+-]?)(?:(\d+)(?:/(\d+))?\*)?(.+)")
+_DIM_HEADER = re.compile(r"dim\s+(\d+)")
+_SALAMON_BODY = re.compile(r"(\d)(\d)")                    # ab = w^a ∧ w^b
+_BRACKET_LINE = re.compile(r"bracket\s+(\d+)\s+(\d+)\s*=\s*(.+)")
+_BRACKET_BODY = re.compile(r"(\d+)")                       # k = X_k
+_DW_LINE = re.compile(r"dw(\d+)\s*=\s*(.+)")
+_DW_BODY = re.compile(r"(c?)w(\d+)\^(c?)w(\d+)")           # [c]w<a>^[c]w<b>
+
+
+def _terms(rhs: str, body: re.Pattern, where: str):
+    """Yield ``(coefficient, body match, term text)`` for each term of ``rhs``."""
+    rhs = "".join(rhs.split())
+    if rhs == "0":
+        return
+    for chunk in re.split(r"(?<=.)(?=[+-])", rhs):
+        term = _TERM.fullmatch(chunk)
+        m = term and body.fullmatch(term[4])
+        if not m:
+            raise StructureParseError(f"{where}: malformed term {chunk!r}")
+        if term[3] and not int(term[3]):
+            raise StructureParseError(f"{where}: zero denominator in {chunk!r}")
+        coef = Fraction(int(term[2] or 1), int(term[3] or 1))
+        yield (-coef if term[1] == "-" else coef), m, chunk
+
+
+def _data_lines(text: str):
+    """``(line number, line)`` for each line that is not blank or a comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def _equations(text: str, pattern: re.Pattern) -> tuple[int | None, list]:
+    """The ``dim`` header (None when absent) and ``(line number, match)`` for
+    each other data line, which must match ``pattern``."""
+    dim, equations = None, []
+    for lineno, line in _data_lines(text):
+        header = line.startswith("dim")
+        m = (_DIM_HEADER if header else pattern).fullmatch(line)
+        if not m:
+            raise StructureParseError(f"line {lineno}: cannot parse {line!r}")
+        if header:
+            dim = int(m[1])
+        else:
+            equations.append((lineno, m))
+    return dim, equations
+
+
+def _file_dim(dim: int | None, indices: list[int]) -> int:
+    n = dim if dim is not None else max(indices, default=0)
+    if n == 0:
+        raise StructureParseError("no content")
+    return n
 
 
 def parse_salamon(text: str) -> LieAlgebra:
     """Parse structure strings like ``"(0,0,12,13+24)"``.
 
-    Entry ``k`` is ``dw^k``: either ``0`` or a ±-separated sum of terms, each an
-    optional integer coefficient ``c*`` followed by two distinct digits ``ab``
-    (``a < b``) meaning ``w^a ∧ w^b``.  Digits must not exceed the dimension.
+    Entry ``k`` is ``dw^k``: ``0`` or a sum of terms whose body is two distinct
+    digits ``ab`` meaning ``w^a ∧ w^b``.  Digits must not exceed the dimension.
     """
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
         raise StructureParseError("structure string must be parenthesized")
-    entries = [e.strip() for e in s[1:-1].split(",")]
-    if not entries or entries == [""]:
+    entries = s[1:-1].split(",")
+    if entries == [""]:
         raise StructureParseError("empty structure string")
     n = len(entries)
     brackets: Brackets = {}
     for k, entry in enumerate(entries, start=1):
-        if entry == "0":
-            continue
-        if not entry:
-            raise StructureParseError(f"empty entry {k}")
-        chunks = re.split(r"(?=[+-])", entry)
-        for chunk in chunks:
-            if not chunk:
-                continue
-            sign = Fraction(1)
-            body = chunk
-            if body[0] in "+-":
-                sign = Fraction(-1) if body[0] == "-" else Fraction(1)
-                body = body[1:]
-            m = _SALAMON_TERM.match(body)
-            if not m:
-                raise StructureParseError(f"malformed term {chunk!r} in entry {k}")
-            coef = sign * Fraction(int(m.group("coef")[:-1])) if m.group("coef") else sign
-            a, b = int(m.group("pair")[0]), int(m.group("pair")[1])
+        for coef, m, chunk in _terms(entry, _SALAMON_BODY, f"entry {k}"):
+            a, b = int(m[1]), int(m[2])
             if a == b:
-                raise StructureParseError(f"repeated digit in term {chunk!r}")
+                raise StructureParseError(f"entry {k}: repeated digit in term {chunk!r}")
             if a > b:
-                a, b = b, a
-                coef = -coef
+                a, b, coef = b, a, -coef
             if b > n:
-                raise StructureParseError(f"index {b} exceeds dimension {n}")
+                raise StructureParseError(f"entry {k}: index {b} exceeds dimension {n}")
             # dw^k = Σ A^k_ab w^a∧w^b  ⟹  [X_a, X_b] = −Σ_k A^k_ab X_k
             comp = brackets.setdefault((a, b), {})
             comp[k] = comp.get(k, Fraction(0)) - coef
-    brackets = {key: {k: c for k, c in comp.items() if c}
-                for key, comp in brackets.items()}
-    brackets = {key: comp for key, comp in brackets.items() if comp}
-    return LieAlgebra(n, brackets, name=text.strip())
-
-
-# -- structure-constant file format -----------------------------------------
-
-_RAT = r"-?\d+(?:/\d+)?"
-
-
-def _parse_rational(tok: str) -> Fraction:
-    if "/" in tok:
-        p, q = tok.split("/")
-        return Fraction(int(p), int(q))
-    return Fraction(int(tok))
+    return LieAlgebra(n, brackets, name=s)
 
 
 def parse_structure_file(text: str, name: str | None = None) -> LieAlgebra:
     """Line-based format: optional ``dim n`` plus ``bracket i j = c1*k1 + c2*k2``.
 
-    Coefficients are integers or rationals ``p/q``; a bare ``k`` means ``1*k``.
-    Lines starting with ``#`` and blank lines are ignored.
+    A term's body is the index ``k`` of ``X_k``; a bare ``k`` means ``1*k``.
     """
-    dim: int | None = None
+    dim, equations = _equations(text, _BRACKET_LINE)
     brackets: Brackets = {}
-    max_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dim"):
-            dim = int(line.split()[1])
-            continue
-        m = re.match(r"^bracket\s+(\d+)\s+(\d+)\s*=\s*(.+)$", line)
-        if not m:
-            raise StructureParseError(f"line {lineno}: cannot parse {line!r}")
-        i, j = int(m.group(1)), int(m.group(2))
+    indices = []
+    for lineno, m in equations:
+        i, j = int(m[1]), int(m[2])
         if i == j:
             raise StructureParseError(f"line {lineno}: bracket of a vector with itself")
-        rhs = m.group(3).strip()
-        comp: dict[int, Fraction] = {}
-        if rhs != "0":
-            for chunk in re.split(r"(?=[+-])", rhs.replace(" ", "")):
-                if not chunk:
-                    continue
-                tm = re.match(rf"^([+-]?)(?:({_RAT.lstrip('-?')})\*)?(\d+)$", chunk)
-                if not tm:
-                    raise StructureParseError(f"line {lineno}: malformed term {chunk!r}")
-                sign = Fraction(-1) if tm.group(1) == "-" else Fraction(1)
-                coef = sign * (_parse_rational(tm.group(2)) if tm.group(2) else Fraction(1))
-                k = int(tm.group(3))
-                comp[k] = comp.get(k, Fraction(0)) + coef
-        swap = i > j
-        if swap:
-            i, j = j, i
-            comp = {k: -c for k, c in comp.items()}
-        tgt = brackets.setdefault((i, j), {})
-        for k, c in comp.items():
-            tgt[k] = tgt.get(k, Fraction(0)) + c
-        max_index = max(max_index, i, j, *comp.keys()) if comp else max(max_index, i, j)
-    n = dim if dim is not None else max_index
-    if n == 0:
-        raise StructureParseError("no content")
-    brackets = {key: {k: c for k, c in comp.items() if c} for key, comp in brackets.items()}
-    brackets = {key: comp for key, comp in brackets.items() if comp}
-    return LieAlgebra(n, brackets, name=name or "structure-file")
+        sign = 1 if i < j else -1
+        i, j = min(i, j), max(i, j)
+        indices += [i, j]
+        comp = brackets.setdefault((i, j), {})
+        for coef, term, _ in _terms(m[3], _BRACKET_BODY, f"line {lineno}"):
+            k = int(term[1])
+            indices.append(k)
+            comp[k] = comp.get(k, Fraction(0)) + sign * coef
+    return LieAlgebra(_file_dim(dim, indices), brackets, name=name or "structure-file")
 
 
 # -- complex structures ------------------------------------------------------
@@ -534,11 +532,6 @@ def to_complex_structure(L: LieAlgebra) -> ComplexStructureAlgebra:
     return ComplexStructureAlgebra(L.dim, d20, {}, name=L.name)
 
 
-_CSA_TERM = re.compile(
-    rf"^([+-]?)(?:({_RAT.lstrip('-?')})\*)?(c?)w(\d+)\^(c?)w(\d+)$"
-)
-
-
 def parse_complex_structure_file(text: str, name: str | None = None) -> ComplexStructureAlgebra:
     """Parse lines ``dw<k> = [±][c*]w<a>^w<b> ...`` with ``cw`` = conjugated covector.
 
@@ -546,56 +539,39 @@ def parse_complex_structure_file(text: str, name: str | None = None) -> ComplexS
     largest index).  Terms with both covectors conjugated would make the
     structure non-integrable and are rejected.
     """
-    dim: int | None = None
+    dim, equations = _equations(text, _DW_LINE)
     d20: D20 = {}
     d11: D11 = {}
-    max_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("dim"):
-            dim = int(line.split()[1])
-            continue
-        m = re.match(r"^dw(\d+)\s*=\s*(.+)$", line)
-        if not m:
-            raise StructureParseError(f"line {lineno}: cannot parse {line!r}")
-        k = int(m.group(1))
-        max_index = max(max_index, k)
-        rhs = m.group(2).replace(" ", "")
-        if rhs == "0":
-            continue
-        for chunk in re.split(r"(?=[+-])", rhs):
-            if not chunk:
-                continue
-            tm = _CSA_TERM.match(chunk)
-            if not tm:
-                raise StructureParseError(f"line {lineno}: malformed term {chunk!r}")
-            sign = Fraction(-1) if tm.group(1) == "-" else Fraction(1)
-            coef = sign * (_parse_rational(tm.group(2)) if tm.group(2) else Fraction(1))
-            bar_a, a = bool(tm.group(3)), int(tm.group(4))
-            bar_b, b = bool(tm.group(5)), int(tm.group(6))
-            max_index = max(max_index, a, b)
+    indices = []
+    for lineno, m in equations:
+        k = int(m[1])
+        indices.append(k)
+        for coef, term, chunk in _terms(m[2], _DW_BODY, f"line {lineno}"):
+            bar_a, a = bool(term[1]), int(term[2])
+            bar_b, b = bool(term[3]), int(term[4])
+            indices += [a, b]
             if bar_a and bar_b:
-                raise NotIntegrable(
-                    f"line {lineno}: (0,2) term {chunk!r} in the differential of a (1,0)-covector"
-                )
+                raise NotIntegrable(f"line {lineno}: (0,2) term {chunk!r} in the "
+                                    "differential of a (1,0)-covector")
             if not bar_a and not bar_b:
                 if a == b:
                     raise StructureParseError(f"line {lineno}: repeated covector in {chunk!r}")
                 if a > b:
-                    a, b = b, a
-                    coef = -coef
+                    a, b, coef = b, a, -coef
                 comp = d20.setdefault(k, {})
-                comp[(a, b)] = comp.get((a, b), Fraction(0)) + coef
             else:
                 # normalize to cw^a ∧ w^b
                 if bar_b:
-                    a, b = b, a
-                    coef = -coef
+                    a, b, coef = b, a, -coef
                 comp = d11.setdefault(k, {})
-                comp[(a, b)] = comp.get((a, b), Fraction(0)) + coef
-    n = dim if dim is not None else max_index
-    if n == 0:
-        raise StructureParseError("no content")
-    return ComplexStructureAlgebra(n, d20, d11, name=name or "complex-structure-file")
+            comp[(a, b)] = comp.get((a, b), Fraction(0)) + coef
+    return ComplexStructureAlgebra(_file_dim(dim, indices), d20, d11,
+                                   name=name or "complex-structure-file")
+
+
+def parse_algebra_file(text: str, name: str | None = None) -> LieAlgebra | ComplexStructureAlgebra:
+    """Read either file format: ``dw`` equations when the first line after the
+    comments and the ``dim`` header starts with ``dw``, ``bracket`` lines otherwise."""
+    first = next((line for _, line in _data_lines(text) if not line.startswith("dim")), "")
+    parse = parse_complex_structure_file if first.startswith("dw") else parse_structure_file
+    return parse(text, name=name)

@@ -13,10 +13,11 @@ import sys
 from . import catalog
 from .algebra import (
     ComplexStructureAlgebra,
+    JacobiViolation,
     LieAlgebra,
-    parse_complex_structure_file,
+    NotNilpotent,
+    parse_algebra_file,
     parse_salamon,
-    parse_structure_file,
     to_complex_structure,
 )
 from .kuranishi import analyze, analyze_general
@@ -31,11 +32,8 @@ EXIT_INPUT_ERROR = 2
 
 
 def load_algebra(target: str) -> LieAlgebra | ComplexStructureAlgebra:
-    """Resolve ``target``: catalog name/alias, inline structure string, or file.
-
-    Files whose first effective line starts with ``dw`` are read as complex
-    structures; everything else as structure-constant files.
-    """
+    """Resolve ``target``: catalog name/alias, inline structure string, or a
+    file read by ``parse_algebra_file``."""
     try:
         return catalog.get(target).build()
     except KeyError:
@@ -48,27 +46,16 @@ def load_algebra(target: str) -> LieAlgebra | ComplexStructureAlgebra:
             raise InputError(f"cannot parse structure string {target!r}: {exc}") from None
     if os.path.exists(target):
         try:
-            text = open(target, encoding="utf-8").read()
-        except OSError as exc:
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read {target!r}: {exc}") from None
         try:
-            if _looks_like_complex_structure(text):
-                return parse_complex_structure_file(
-                    text, name=os.path.basename(target))
-            return parse_structure_file(text, name=os.path.basename(target))
+            return parse_algebra_file(text, name=os.path.basename(target))
         except ValueError as exc:
             raise InputError(f"cannot parse {target!r}: {exc}") from None
     raise InputError(
         f"{target!r} is neither a catalog name, a structure string, nor a file")
-
-
-def _looks_like_complex_structure(text: str) -> bool:
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line or line.startswith("dim"):
-            continue
-        return line.startswith("dw")
-    return False
 
 
 # -- commands ----------------------------------------------------------------
@@ -76,12 +63,16 @@ def _looks_like_complex_structure(text: str) -> bool:
 
 def cmd_analyze(args) -> int:
     algebra = load_algebra(args.algebra)
-    if args.general or isinstance(algebra, ComplexStructureAlgebra):
-        csa = (algebra if isinstance(algebra, ComplexStructureAlgebra)
-               else to_complex_structure(algebra))
-        report = analyze_general(csa, max_degree=args.max_degree or 3)
-    else:
-        report = analyze(algebra)
+    try:
+        if isinstance(algebra, ComplexStructureAlgebra):
+            report = analyze_general(algebra, max_degree=args.max_degree)
+        elif args.general:
+            algebra.validate()
+            report = analyze_general(to_complex_structure(algebra), max_degree=args.max_degree)
+        else:
+            report = analyze(algebra)  # validates the algebra itself
+    except (JacobiViolation, NotNilpotent) as exc:
+        raise InputError(f"{args.algebra!r} is not a nilpotent Lie algebra: {exc}") from None
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -142,6 +133,14 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _degree(text: str) -> int:
+    """A ``--max-degree`` value: an integer ``>= 1``."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a degree >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kuranil",
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--general", action="store_true",
                            help="use the complex-structure recursion even for "
                                 "parallelisable input")
-    p_analyze.add_argument("--max-degree", type=int, default=None, metavar="N",
+    p_analyze.add_argument("--max-degree", type=_degree, default=3, metavar="N",
                            help="truncation degree for the general recursion "
                                 "(default 3)")
     p_analyze.set_defaults(func=cmd_analyze)

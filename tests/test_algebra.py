@@ -15,6 +15,7 @@ from kuranil.algebra import (
     abelian,
     direct_sum,
     free_two_step,
+    parse_algebra_file,
     parse_complex_structure_file,
     parse_salamon,
     parse_structure_file,
@@ -176,6 +177,37 @@ def test_parse_structure_file_round_trip():
 def test_parse_structure_file_rejects_malformed():
     with pytest.raises(StructureParseError):
         parse_structure_file("dim 3\nbracket 1 2 = bogus")
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_structure_file, "dim 3\nbracket 1 2 = 3/0*3\n"),
+    (parse_complex_structure_file, "dim 3\ndw3 = 1/0*w1^w2\n"),
+    (parse_salamon, "(0,0,1/0*12)"),
+    (parse_structure_file, "dim\nbracket 1 2 = 3\n"),
+    (parse_structure_file, "dim3\nbracket 1 2 = 3\n"),
+    (parse_structure_file, "dim 3 4\nbracket 1 2 = 3\n"),
+    (parse_complex_structure_file, "dimension 3\ndw3 = w1^w2\n"),
+], ids=["bracket-zero-denominator", "dw-zero-denominator", "salamon-zero-denominator",
+        "bare-dim", "glued-dim", "two-dims", "dimension-word"])
+def test_parsers_reject_zero_denominators_and_bad_dim_headers(parse, text):
+    with pytest.raises(StructureParseError):
+        parse(text)
+
+
+def test_parse_salamon_accepts_rational_coefficients():
+    L = parse_salamon("(0,0,1/2*12)")
+    assert L.bracket(1, 2) == {3: Fraction(-1, 2)}
+    assert parse_salamon("(0,0,-3/2*21)").bracket(1, 2) == {3: Fraction(-3, 2)}
+
+
+def test_parse_algebra_file_picks_the_format_after_comments_and_dim():
+    csa = parse_algebra_file("# a comment\n\ndim 3  # header\n  # dw1 = 0\ndw3 = w1^w2\n",
+                             name="heis.alg")
+    assert isinstance(csa, ComplexStructureAlgebra)
+    assert (csa.n, csa.name, csa.d20) == (3, "heis.alg", {3: {(1, 2): Fraction(1)}})
+    L = parse_algebra_file("# dw3 = w1^w2\ndim 3\nbracket 1 2 = -1*3\n")
+    assert isinstance(L, LieAlgebra)
+    assert (L.dim, L.brackets) == (3, {(1, 2): {3: Fraction(-1)}})
 
 
 # -- complex structures ------------------------------------------------------

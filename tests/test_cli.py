@@ -106,6 +106,43 @@ def test_analyze_unknown_target_is_input_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+JACOBI_VIOLATION = ("dim 5\nbracket 1 2 = 3\nbracket 1 3 = 4\n"
+                    "bracket 2 3 = 4\nbracket 1 4 = 5\n")
+
+
+@pytest.mark.parametrize("target, content, options", [
+    ("bare_dim.txt", "dim\nbracket 1 2 = 3\n", []),
+    ("glued_dim.txt", "dim3\nbracket 1 2 = 3\n", []),
+    ("zero_denominator.txt", "dim 3\nbracket 1 2 = 3/0*3\n", []),
+    ("zero_denominator.alg", "dim 3\ndw3 = 1/0*w1^w2\n", []),
+    ("binary.txt", b"\xff\xfe\x00bracket 1 2 = 3\n", []),
+    ("(0,12)", None, []),
+    ("(0,12)", None, ["--general"]),
+    ("jacobi.txt", JACOBI_VIOLATION, []),
+    ("(0,0,12)", None, ["--max-degree", "0"]),
+    ("(0,0,12)", None, ["--max-degree", "-1"]),
+], ids=["bare-dim", "glued-dim", "bracket-zero-denominator", "dw-zero-denominator",
+        "non-utf8", "not-nilpotent", "not-nilpotent-general", "jacobi-violation",
+        "max-degree-0", "max-degree-negative"])
+def test_analyze_malformed_input_exits_2(target, content, options, tmp_path, capsys):
+    if content is not None:
+        path = tmp_path / target
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content, encoding="utf-8")
+        target = str(path)
+    try:
+        code = main(["analyze", target, *options])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT_ERROR
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        err.splitlines()[-1]]
+    assert "Traceback" not in err
+
+
 # -- catalog -----------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every private module-level name (``_x``) it defines is referenced in it."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,22 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def _dead_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in defined
+               if name.startswith("_") and not name.startswith("__")}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(private - used)
+
+
 def test_unused_imports_are_found():
     source = "import os\nfrom fractions import Fraction\nos.getcwd()\n"
     assert _unused_imports(source) == ["Fraction"]
@@ -29,3 +46,17 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_imports_are_used(module):
     assert _unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_dead_private_names_are_found():
+    source = ("_LIMIT = 3\n_SPARE: int = 4\n__all__ = []\n"
+              "def _used():\n    return _LIMIT\n"
+              "def _dead():\n    pass\n"
+              "class _Unused:\n    pass\n"
+              "def public():\n    return _used()\n")
+    assert _dead_private_names(source) == ["_SPARE", "_Unused", "_dead"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_private_names_are_used(module):
+    assert _dead_private_names((PACKAGE / module).read_text(encoding="utf-8")) == []
