@@ -172,13 +172,12 @@ class LieAlgebra:
 
     def validate(self, require_nilpotent: bool = True) -> None:
         n = self.dim
-        basis = linalg.identity(n)
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             acc = [Fraction(0)] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                inner = self.bracket_vectors(basis[a - 1], basis[b - 1])
-                outer = self.bracket_vectors(inner, basis[c - 1])
-                acc = [u + v for u, v in zip(acc, outer)]
+                for m, inner in self.bracket(a, b).items():
+                    for r, outer in self.bracket(m, c).items():
+                        acc[r - 1] += inner * outer
             if any(acc):
                 raise JacobiViolation((i, j, k), acc)
         if require_nilpotent:

@@ -8,8 +8,11 @@ elimination.  Generator lists are put into one canonical form by
 :func:`canonical_generators`.
 
 The pair-selection strategy is fixed so results are byte-for-byte reproducible:
-pairs are processed in ascending (lcm total degree, i, j) order, with the
-coprime-leading-monomial and chain criteria applied at selection time.
+pairs pop from a heap keyed (lcm total degree, i, j), so they are processed in
+ascending key order, with the coprime-leading-monomial and chain criteria
+applied at selection time.  Each basis keeps one prepped divisor list of
+``(g, leading monomial, leading coefficient)`` entries, built once and
+extended as elements are added; division works on one mutable term dict.
 Intermediate polynomials are rescaled to integer-primitive form with positive
 leading coefficient to control coefficient growth.
 """
@@ -17,6 +20,7 @@ leading coefficient to control coefficient growth.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from time import monotonic
 from typing import Iterable, Sequence
 
@@ -31,6 +35,7 @@ from .polyring import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
     parse_polynomial,
 )
 
@@ -80,26 +85,38 @@ def _check_deadline(deadline: float | None) -> None:
         raise GroebnerTimeout("Gröbner computation reached its deadline")
 
 
-def _prep(basis: Iterable[Polynomial], order: MonomialOrder):
-    return [(g, *g.leading_term(order)) for g in basis if g]
+def _prep(g: Polynomial, order: MonomialOrder) -> tuple:
+    """Divisor entry ``(g, leading monomial, leading coefficient)`` of nonzero ``g``."""
+    return (g, *g.leading_term(order))
 
 
 def _reduce_full(p: Polynomial, prepped, order: MonomialOrder,
                  deadline: float | None = None) -> Polynomial:
-    """Full multivariate division remainder of ``p`` by the prepped basis."""
+    """Full multivariate division remainder of ``p`` by the prepped basis; the
+    first divisor in list order wins."""
     remainder: dict = {}
-    work = p
+    work = dict(p.terms)
     while work:
         _check_deadline(deadline)
-        lm, lc = work.leading_term(order)
+        lm = order.max(work)
+        lc = work.pop(lm)
         for g, glm, glc in prepped:
             if mono_divides(glm, lm):
-                factor = Polynomial({mono_div(lm, glm): lc / glc})
-                work = work - factor * g
+                q = mono_div(lm, glm)
+                factor = lc / glc
+                # work -= factor·q·g; g's leading term cancels lm exactly.
+                for m, c in g.terms.items():
+                    if m == glm:
+                        continue
+                    m = mono_mul(q, m)
+                    c = work.get(m, 0) - factor * c
+                    if c:
+                        work[m] = c
+                    else:
+                        del work[m]
                 break
         else:
             remainder[lm] = lc
-            work = work - Polynomial({lm: lc})
     return Polynomial(remainder)
 
 
@@ -128,28 +145,25 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
     ``deadline`` is a ``time.monotonic()`` timestamp, checked before every
     pair and every reduction step; reaching it raises :class:`GroebnerTimeout`.
     """
-    basis = canonical_generators(gens, order)
-    if not basis:
+    prepped = [_prep(g, order) for g in canonical_generators(gens, order)]
+    if not prepped:
         return GroebnerBasis(order, ())
-    lms = [g.leading_monomial(order) for g in basis]
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
+    lms = [lm for _, lm, _ in prepped]
+    # Keys are unique, so pairs pop in ascending (lcm degree, i, j) order.
+    pairs = [(mono_degree(mono_lcm(lms[i], lms[j])), i, j)
+             for j in range(len(lms)) for i in range(j)]
+    heapify(pairs)
     treated: set[tuple[int, int]] = set()
 
-    def pair_key(p):
-        i, j = p
-        return (mono_degree(mono_lcm(lms[i], lms[j])), i, j)
-
-    while pending:
+    while pairs:
         _check_deadline(deadline)
-        sel = min(pending, key=pair_key)
-        pending.discard(sel)
-        treated.add(sel)
-        i, j = sel
+        _, i, j = heappop(pairs)
+        treated.add((i, j))
         if mono_coprime(lms[i], lms[j]):
             continue
         lcm_ij = mono_lcm(lms[i], lms[j])
         chained = False
-        for k in range(len(basis)):
+        for k in range(len(lms)):
             if k in (i, j) or not mono_divides(lms[k], lcm_ij):
                 continue
             p1 = (min(i, k), max(i, k))
@@ -159,40 +173,34 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
                 break
         if chained:
             continue
-        rem = _reduce_full(s_polynomial(basis[i], basis[j], order),
-                           _prep(basis, order), order, deadline)
+        rem = _reduce_full(s_polynomial(prepped[i][0], prepped[j][0], order),
+                           prepped, order, deadline)
         if rem:
-            rem = rem.normalized(order)
-            basis.append(rem)
-            lms.append(rem.leading_monomial(order))
-            t = len(basis) - 1
-            pending.update((k, t) for k in range(t))
-    return GroebnerBasis(order, _reduce_basis(basis, order, deadline))
+            prepped.append(_prep(rem.normalized(order), order))
+            lms.append(prepped[-1][1])
+            t = len(lms) - 1
+            for k in range(t):
+                heappush(pairs, (mono_degree(mono_lcm(lms[k], lms[t])), k, t))
+    return GroebnerBasis(order, _reduce_basis(prepped, order, deadline))
 
 
-def _reduce_basis(basis: list[Polynomial], order: MonomialOrder,
+def _reduce_basis(prepped: list[tuple], order: MonomialOrder,
                   deadline: float | None = None) -> list[Polynomial]:
     """Minimalize, then inter-reduce tails; output sorted ascending by leading monomial."""
-    ordered = sorted(basis, key=lambda g: order.key(g.leading_monomial(order)))
-    kept: list[Polynomial] = []
-    kept_lms: list = []
-    for g in ordered:
-        lm = g.leading_monomial(order)
-        if any(mono_divides(other, lm) for other in kept_lms):
-            continue
-        kept.append(g)
-        kept_lms.append(lm)
-    for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1:]
-        kept[idx] = _reduce_full(kept[idx], _prep(others, order),
-                                 order, deadline).normalized(order)
-    return kept
+    kept: list[tuple] = []
+    for entry in sorted(prepped, key=lambda e: order.key(e[1])):
+        if not any(mono_divides(other[1], entry[1]) for other in kept):
+            kept.append(entry)
+    for idx, (g, _, _) in enumerate(kept):
+        g = _reduce_full(g, kept[:idx] + kept[idx + 1:], order, deadline)
+        kept[idx] = _prep(g.normalized(order), order)
+    return [g for g, _, _ in kept]
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Division remainder of ``p`` by ``G`` in ``G``'s order; zero iff ``p``
     lies in the ideal."""
-    return _reduce_full(p, _prep(G.polys, G.order), G.order)
+    return _reduce_full(p, [_prep(g, G.order) for g in G.polys], G.order)
 
 
 def _as_basis(I, deadline: float | None) -> GroebnerBasis:

@@ -26,6 +26,7 @@ from kuranil.polyring import (
     LEX,
     Polynomial,
     minor2,
+    mono_div,
     mono_divides,
     parse_polynomial,
     var_name,
@@ -163,6 +164,21 @@ def test_ideal_equal_bases_share_one_deadline(monkeypatch):
     assert clock.reads == first + 1
 
 
+def test_deadline_stops_a_single_division(monkeypatch):
+    # t1_2^6 reduces by t1_2 - t1_1 one power at a time: six reduction steps,
+    # then one step moving t1_1^6 into the remainder.
+    prepped = [groebner._prep(t(1, 2) - t(1, 1), GREVLEX)]
+    clock = _CountingClock()
+    monkeypatch.setattr(groebner, "monotonic", clock)
+    assert groebner._reduce_full(t(1, 2) ** 6, prepped, GREVLEX,
+                                 deadline=math.inf) == t(1, 1) ** 6
+    assert clock.reads == 7
+    clock.reads = 0
+    with pytest.raises(GroebnerTimeout):
+        groebner._reduce_full(t(1, 2) ** 6, prepped, GREVLEX, deadline=3)
+    assert clock.reads == 3
+
+
 # -- reduced-basis postconditions on random ideals ---------------------------
 
 
@@ -207,6 +223,45 @@ def test_buchberger_postconditions_random(order):
                     assert not mono_divides(lead, mono)
         # idempotence: running Buchberger on the basis returns the same basis
         assert buchberger(basis.polys, order=order) == basis
+
+
+# -- division remainders ----------------------------------------------------
+
+
+def _textbook_remainder(p, divisors, order):
+    """Multivariate division in list order, one polynomial subtraction per step."""
+    remainder = Polynomial.zero()
+    work = p
+    while work:
+        lm, lc = work.leading_term(order)
+        for g in divisors:
+            glm, glc = g.leading_term(order)
+            if mono_divides(glm, lm):
+                work = work - Polynomial({mono_div(lm, glm): lc / glc}) * g
+                break
+        else:
+            remainder = remainder + Polynomial({lm: lc})
+            work = work - Polynomial({lm: lc})
+    return remainder
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_division_remainder_matches_textbook_division(order):
+    rng = random.Random(43)
+    order_sensitive = 0
+    for _ in range(30):
+        divisors = _random_ideal(rng, nvars=4, ngens=3)
+        p = sum(_random_ideal(rng, nvars=4, ngens=4, max_deg=4), Polynomial.zero())
+        remainders = []
+        for divs in (divisors, divisors[::-1]):
+            prepped = [groebner._prep(g, order) for g in divs]
+            remainder = groebner._reduce_full(p, prepped, order)
+            assert remainder == _textbook_remainder(p, divs, order)
+            remainders.append(remainder)
+        order_sensitive += remainders[0] != remainders[1]
+    # Some divisor lists are not Gröbner bases: the remainder depends on
+    # which divisor comes first, and the first one in list order must win.
+    assert order_sensitive > 0
 
 
 # -- sympy oracle ------------------------------------------------------------
