@@ -117,6 +117,7 @@ class LieAlgebra:
         self.dim = dim
         self.brackets = clean
         self.name = name or f"lie-algebra-dim-{dim}"
+        self._central_series: list[Subspace] | None = None
 
     # -- basic bracket access ------------------------------------------------
 
@@ -181,7 +182,7 @@ class LieAlgebra:
             if any(acc):
                 raise JacobiViolation((i, j, k), acc)
         if require_nilpotent:
-            series = self.descending_central_series(validated=True)
+            series = self.descending_central_series()
             if series[-1].dim != 0:
                 raise NotNilpotent(
                     f"descending central series stabilizes at dimension {series[-1].dim}"
@@ -189,25 +190,27 @@ class LieAlgebra:
 
     # -- structural invariants ----------------------------------------------
 
-    def descending_central_series(self, validated: bool = False) -> list[Subspace]:
+    def descending_central_series(self) -> list[Subspace]:
         """[C_0 = g, C_1, ..., C_last] with C_{k+1} = span[C_k, g]; stops when
-        the dimension stops dropping (reaching 0 iff nilpotent)."""
-        n = self.dim
-        current = Subspace.from_vectors(n, linalg.identity(n))
-        series = [current]
-        while current.dim:
-            spans = []
-            for row in current.rows:
-                for j in range(1, n + 1):
-                    ej = [Fraction(1) if t == j - 1 else Fraction(0) for t in range(n)]
-                    spans.append(self.bracket_vectors(list(row), ej))
-            nxt = Subspace.from_vectors(n, spans)
-            if nxt.dim == current.dim:
+        the dimension stops dropping (reaching 0 iff nilpotent).  Computed
+        once per algebra; each call returns a new list."""
+        if self._central_series is None:
+            n = self.dim
+            current = Subspace.from_vectors(n, linalg.identity(n))
+            series = [current]
+            while current.dim:
+                spans = []
+                for row in current.rows:
+                    for j in range(1, n + 1):
+                        ej = [Fraction(1) if t == j - 1 else Fraction(0) for t in range(n)]
+                        spans.append(self.bracket_vectors(list(row), ej))
+                nxt = Subspace.from_vectors(n, spans)
                 series.append(nxt)
-                break
-            series.append(nxt)
-            current = nxt
-        return series
+                if nxt.dim == current.dim:
+                    break
+                current = nxt
+            self._central_series = series
+        return list(self._central_series)
 
     def nilpotency_index(self) -> int:
         series = self.descending_central_series()
@@ -510,6 +513,19 @@ class ComplexStructureAlgebra:
                 if not barred:
                     out[(a, (k, False))] = c
         return out
+
+    def validate(self) -> None:
+        """Raise ``JacobiViolation`` (d² ≠ 0) or ``NotNilpotent`` unless the
+        structure is a nilpotent Lie algebra, checked on its complexification:
+        the ``LieAlgebra`` of ``vector_bracket`` on X_1..X_n, X̄_1..X̄_n, where
+        X̄_k is basis vector n + k."""
+        n = self.n
+        keys = [(k, barred) for barred in (False, True) for k in range(1, n + 1)]
+        brackets: Brackets = {}
+        for (a, key_a), (b, key_b) in itertools.combinations(enumerate(keys, start=1), 2):
+            brackets[(a, b)] = {k + n * barred: c for (k, barred), c
+                                in self.vector_bracket(*key_a, *key_b).items()}
+        LieAlgebra(2 * n, brackets, name=self.name).validate()
 
     def classify(self) -> str:
         if not self.d11:

@@ -65,6 +65,7 @@ def cmd_analyze(args) -> int:
     algebra = load_algebra(args.algebra)
     try:
         if isinstance(algebra, ComplexStructureAlgebra):
+            algebra.validate()
             report = analyze_general(algebra, max_degree=args.max_degree)
         elif args.general:
             algebra.validate()

@@ -40,13 +40,11 @@ _SPACES = ("B", "H", "V")
 
 
 class _DegreeData:
-    __slots__ = ("cells", "index", "bases", "pivots", "projectors")
+    __slots__ = ("bases", "pivots", "projectors")
 
-    def __init__(self, cells: list):
-        self.cells = cells
-        self.index = {c: i for i, c in enumerate(cells)}
-        self.bases: dict[str, linalg.Matrix] = {}
-        self.pivots: dict[str, list[int]] = {}
+    def __init__(self, bases: dict[str, linalg.Matrix], pivots: dict[str, list[int]]):
+        self.bases = bases
+        self.pivots = pivots
         self.projectors: dict[str, linalg.Matrix | None] = {s: None for s in _SPACES}
 
 
@@ -63,6 +61,8 @@ class HodgeDecomposition:
         self._cells: dict[int, list] = {}
         for q in range(max_degree + 2):
             self._cells[q] = self._make_cells(q) if q <= n else []
+        self._index = {q: {c: i for i, c in enumerate(cells)}
+                       for q, cells in self._cells.items()}
         # D[q]: matrix of ∂̄ from degree q to q+1 (rows = target cells)
         self.d_matrices: dict[int, linalg.Matrix] = {}
         for q in range(max_degree + 1):
@@ -72,7 +72,7 @@ class HodgeDecomposition:
             self._data[q] = self._decompose(q)
         self._delta_matrix: linalg.Matrix | None = None
 
-    # -- construction --------------------------------------------------------
+    # -- cells and coordinates -------------------------------------------------
 
     def _make_cells(self, q: int) -> list:
         n = self.ambient.complex_dim
@@ -82,70 +82,73 @@ class HodgeDecomposition:
             return multis
         return [(mi, (j, False)) for mi in multis for j in range(1, n + 1)]
 
-    def _cell_to_object(self, q: int, cell):
+    def _cell_items(self, obj):
+        """``(cell, coefficient)`` pairs of a form (scalar) or vector form (theta)."""
         if self.kind == "scalar":
-            return ExteriorForm(self.ambient, {cell: Polynomial.one()})
-        mi, (j, barred) = cell
-        return VectorForm.single(self.ambient, ExteriorForm(self.ambient, {mi: Polynomial.one()}),
-                                 j, barred)
+            return obj.terms.items()
+        return [((mi, key), coeff) for key, form in obj.components.items()
+                for mi, coeff in form.terms.items()]
+
+    def _from_cell_items(self, items):
+        """The form (scalar) or vector form (theta) with these ``(cell, coefficient)`` pairs."""
+        if self.kind == "scalar":
+            return ExteriorForm(self.ambient, dict(items))
+        comps: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
+        for (mi, key), coeff in items:
+            comps.setdefault(key, {})[mi] = coeff
+        return VectorForm(self.ambient,
+                          {key: ExteriorForm(self.ambient, terms) for key, terms in comps.items()})
+
+    def _coords(self, q: int, obj) -> list[Polynomial]:
+        index = self._index[q]
+        coords = [Polynomial.zero()] * len(index)
+        for cell, coeff in self._cell_items(obj):
+            if cell not in index:
+                raise DegreeMismatch(f"cell {cell} is not a degree-{q} cell")
+            coords[index[cell]] = coeff
+        return coords
+
+    def _from_coords(self, q: int, coords):
+        return self._from_cell_items((cell, c) for cell, c in zip(self._cells[q], coords) if c)
+
+    def _per_component(self, obj, q: int, fn):
+        """``(frame key, fn(degree-q coordinates))`` pairs, lazily.
+
+        A VectorForm over the scalar complex is handled frame component by
+        frame component; any other object is one part with key None."""
+        if self.kind == "scalar" and isinstance(obj, VectorForm):
+            parts = obj.components.items()
+        else:
+            parts = [(None, obj)]
+        return ((key, fn(self._coords(q, part))) for key, part in parts)
+
+    def _map(self, obj, q: int, fn, q_out: int):
+        """``obj`` with its degree-q coordinates sent by ``fn`` to degree ``q_out``."""
+        parts = {key: self._from_coords(q_out, image)
+                 for key, image in self._per_component(obj, q, fn)}
+        if None in parts:
+            return parts[None]
+        return VectorForm(self.ambient, parts)
+
+    # -- construction --------------------------------------------------------
 
     def _apply_d(self, obj):
         if self.kind == "scalar":
             return obj.delbar()
         return obj.delbar_theta()
 
-    def _object_coords(self, q: int, obj) -> list[Polynomial]:
-        data = self._data.get(q)
-        cells = self._cells[q]
-        index = data.index if data else {c: i for i, c in enumerate(cells)}
-        coords = [Polynomial.zero()] * len(cells)
-        if self.kind == "scalar":
-            items = obj.terms.items()
-            for mi, coeff in items:
-                if mi not in index:
-                    raise DegreeMismatch(f"multi-index {mi} is not a degree-{q} cell")
-                coords[index[mi]] = coords[index[mi]] + coeff
-        else:
-            for key, form in obj.components.items():
-                for mi, coeff in form.terms.items():
-                    cell = (mi, key)
-                    if cell not in index:
-                        raise DegreeMismatch(f"cell {cell} is not a degree-{q} cell")
-                    coords[index[cell]] = coords[index[cell]] + coeff
-        return coords
-
-    def _coords_to_object(self, q: int, coords):
-        if self.kind == "scalar":
-            return ExteriorForm(self.ambient,
-                                {cell: c for cell, c in zip(self._cells[q], coords) if c})
-        comps: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
-        for cell, c in zip(self._cells[q], coords):
-            if not c:
-                continue
-            mi, key = cell
-            comps.setdefault(key, {})[mi] = c
-        return VectorForm(self.ambient,
-                          {key: ExteriorForm(self.ambient, terms) for key, terms in comps.items()})
-
     def _build_d(self, q: int) -> linalg.Matrix:
         src = self._cells[q]
-        tgt = self._cells[q + 1]
-        tgt_index = {c: i for i, c in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src))
+        tgt_index = self._index[q + 1]
+        mat = linalg.zeros(len(tgt_index), len(src))
         for col, cell in enumerate(src):
-            image = self._apply_d(self._cell_to_object(q, cell))
-            if self.kind == "scalar":
-                items = [(mi, coeff) for mi, coeff in image.terms.items()]
-            else:
-                items = [((mi, key), coeff) for key, form in image.components.items()
-                         for mi, coeff in form.terms.items()]
-            for tcell, coeff in items:
+            image = self._apply_d(self._from_cell_items([(cell, Polynomial.one())]))
+            for tcell, coeff in self._cell_items(image):
                 mat[tgt_index[tcell]][col] = coeff.constant_value()
         return mat
 
     def _decompose(self, q: int) -> _DegreeData:
-        data = _DegreeData(self._cells[q])
-        dim_q = len(data.cells)
+        dim_q = self.dim(q)
         d_out = self.d_matrices[q]
         d_in = self.d_matrices.get(q - 1)
         # B = image of the incoming ∂̄ = row space of its transpose
@@ -164,13 +167,8 @@ class HodgeDecomposition:
             stacked.extend(linalg.transpose(d_in))
         h_rows = linalg.nullspace(stacked, dim_q) if stacked else linalg.identity(dim_q)
         h_rows, h_piv = linalg.rref(h_rows) if h_rows else ([], [])
-        data.bases = {"B": b_rows, "H": h_rows, "V": v_rows}
-        data.pivots = {
-            "B": b_piv,
-            "H": h_piv,
-            "V": v_piv,
-        }
-        return data
+        return _DegreeData({"B": b_rows, "H": h_rows, "V": v_rows},
+                           {"B": b_piv, "H": h_piv, "V": v_piv})
 
     # -- inspection ----------------------------------------------------------
 
@@ -190,12 +188,11 @@ class HodgeDecomposition:
     def basis(self, q: int, which: str):
         """Basis of B/H/V in degree q, as forms (scalar) or vector forms (theta)."""
         data = self._data[q]
-        return [self._coords_to_object(q, [Polynomial.constant(x) for x in row])
+        return [self._from_coords(q, [Polynomial.constant(x) for x in row])
                 for row in data.bases[which]]
 
     def harmonic_pivot_cells(self, q: int) -> list:
-        data = self._data[q]
-        return [data.cells[p] for p in data.pivots["H"]]
+        return [self._cells[q][p] for p in self._data[q].pivots["H"]]
 
     def pivot_columns(self, q: int, which: str) -> list[int]:
         """Pivot coordinates of the RREF basis of B/H/V in degree q.
@@ -207,7 +204,7 @@ class HodgeDecomposition:
     def projector(self, q: int, which: str) -> linalg.Matrix:
         data = self._data[q]
         if data.projectors[which] is None:
-            data.projectors[which] = linalg.project_matrix(data.bases[which], len(data.cells))
+            data.projectors[which] = linalg.project_matrix(data.bases[which], self.dim(q))
         return data.projectors[which]
 
     # -- projections and membership -------------------------------------------
@@ -226,13 +223,8 @@ class HodgeDecomposition:
     def _project_obj(self, obj, which: str, q: int | None = None):
         if q is None:
             q = self._single_degree(obj)
-        if self.kind == "scalar" and isinstance(obj, VectorForm):
-            return VectorForm(self.ambient,
-                              {key: self._project_obj(f, which, q)
-                               for key, f in obj.components.items()})
-        coords = self._object_coords(q, obj)
-        proj = self.projector(q, which)
-        return self._coords_to_object(q, linalg.mat_vec(proj, coords, zero=Polynomial.zero()))
+        return self._map(obj, q, lambda coords: linalg.mat_vec(
+            self.projector(q, which), coords, zero=Polynomial.zero()), q)
 
     def project_exact(self, obj, q: int | None = None):
         """P of the decomposition: orthogonal projection onto B ⊗ (vectors)."""
@@ -248,21 +240,29 @@ class HodgeDecomposition:
     def in_space(self, obj, which: str, q: int | None = None) -> bool:
         if q is None:
             q = self._single_degree(obj)
-        if self.kind == "scalar" and isinstance(obj, VectorForm):
-            return all(self.in_space(f, which, q) for f in obj.components.values())
-        coords = self._object_coords(q, obj)
         data = self._data[q]
-        reduced = linalg.reduce_against(data.bases[which], data.pivots[which], coords)
-        return all(not c for c in reduced)
+        return all(not any(reduced) for _, reduced in self._per_component(
+            obj, q, lambda coords: linalg.reduce_against(
+                data.bases[which], data.pivots[which], coords)))
 
     def is_closed(self, obj, q: int | None = None) -> bool:
         if q is None:
             q = self._single_degree(obj)
-        if self.kind == "scalar" and isinstance(obj, VectorForm):
-            return all(self.is_closed(f, q) for f in obj.components.values())
-        coords = self._object_coords(q, obj)
-        image = linalg.mat_vec(self.d_matrices[q], coords, zero=Polynomial.zero())
-        return all(not c for c in image)
+        return all(not any(image) for _, image in self._per_component(
+            obj, q, lambda coords: linalg.mat_vec(
+                self.d_matrices[q], coords, zero=Polynomial.zero())))
+
+    def harmonic_coefficients(self, obj, q: int = 2) -> dict:
+        """Nonzero coefficients of a harmonic element against the RREF harmonic
+        basis of degree q (see ``pivot_columns``), keyed ``(basis row, frame
+        key)``: over the scalar complex a VectorForm is split frame vector by
+        frame vector, and otherwise the frame key is None."""
+        if not obj:
+            return {}
+        pivots = self.pivot_columns(q, "H")
+        return {(r, key): coords[p]
+                for key, coords in self._per_component(obj, q, lambda coords: coords)
+                for r, p in enumerate(pivots) if coords[p]}
 
     # -- the δ operator -------------------------------------------------------
 
@@ -293,12 +293,8 @@ class HodgeDecomposition:
             return obj
         if not self.in_space(obj, "B", 2):
             raise PreimageError("delta_op input has a component outside the exact part")
-        if self.kind == "scalar" and isinstance(obj, VectorForm):
-            return VectorForm(self.ambient,
-                              {key: self.delta_op(f) for key, f in obj.components.items()})
-        coords = self._object_coords(2, obj)
-        out = linalg.mat_vec(self.delta_matrix(), coords, zero=Polynomial.zero())
-        return self._coords_to_object(1, out)
+        return self._map(obj, 2, lambda coords: linalg.mat_vec(
+            self.delta_matrix(), coords, zero=Polynomial.zero()), 1)
 
 
 def build_decomposition(L, max_degree: int | None = None) -> HodgeDecomposition:

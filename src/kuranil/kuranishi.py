@@ -156,6 +156,15 @@ class PhiSeries:
             return schouten_parallelisable(x, y)
         return schouten_general(x, y)
 
+    def bracket_sum(self, k: int) -> VectorForm:
+        """Σ_{0<i<k} [Φ_i, Φ_{k−i}] over the terms found so far."""
+        total = VectorForm.zero(self.ambient)
+        for i in range(1, k):
+            lo, hi = self.phi(i), self.phi(k - i)
+            if lo and hi:
+                total = total + self.bracket(lo, hi)
+        return total
+
 
 def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
     """Σ t_i^j ω̄^i⊗X_j over the harmonic basis.
@@ -200,30 +209,6 @@ def _vector_in_subspace(vf: VectorForm, rows, pivots, n: int) -> bool:
     return True
 
 
-def _harmonic_coefficients(decomposition, h_part: VectorForm) -> dict:
-    """Coefficients of a harmonic element against the RREF harmonic 2-basis.
-
-    Keys: (basis row index, vector key) for the scalar complex, with the
-    element decomposed frame vector by frame vector; (basis row index, None)
-    for the vector-valued complex."""
-    out: dict = {}
-    if not h_part:
-        return out
-    pivots = decomposition.pivot_columns(2, "H")
-    if decomposition.kind == "scalar":
-        for key, form in h_part.components.items():
-            coords = decomposition._object_coords(2, form)
-            for r, p in enumerate(pivots):
-                if coords[p]:
-                    out[(r, key)] = coords[p]
-    else:
-        coords = decomposition._object_coords(2, h_part)
-        for r, p in enumerate(pivots):
-            if coords[p]:
-                out[(r, None)] = coords[p]
-    return out
-
-
 def phi_recursion(L, decomposition=None, max_degree: int | None = None,
                   initial: VectorForm | None = None) -> PhiSeries:
     """Solve the Maurer-Cartan equation degree by degree up to ``max_degree``.
@@ -265,11 +250,7 @@ def phi_recursion(L, decomposition=None, max_degree: int | None = None,
     series.terms[1] = phi1
 
     for k in range(2, cap + 1):
-        s_k = VectorForm.zero(L)
-        for i in range(1, k):
-            lo, hi = series.phi(i), series.phi(k - i)
-            if lo and hi:
-                s_k = s_k + series.bracket(lo, hi)
+        s_k = series.bracket_sum(k)
         series.bracket_sums[k] = s_k
         if not s_k:
             series.terms[k] = VectorForm.zero(L)
@@ -290,10 +271,8 @@ def phi_recursion(L, decomposition=None, max_degree: int | None = None,
             coexact_part = s_k - exact_part - harmonic_part
             if coexact_part:
                 obstruction_so_far = [
-                    p for part in series.harmonic_parts.values()
-                    for p in _harmonic_coefficients(decomposition, part).values()]
-                obstruction_so_far.extend(
-                    _harmonic_coefficients(decomposition, harmonic_part).values())
+                    p for part in (*series.harmonic_parts.values(), harmonic_part)
+                    for p in decomposition.harmonic_coefficients(part).values()]
                 obstruction_gb = groebner.buchberger(obstruction_so_far, GREVLEX)
                 bad = [c for form in coexact_part.components.values()
                        for c in form.terms.values()
@@ -330,7 +309,7 @@ def obstruction_map(L, series: PhiSeries | None = None,
     dec = series.decomposition
     total: dict = {}
     for k in sorted(series.harmonic_parts):
-        for key, p in _harmonic_coefficients(dec, series.harmonic_parts[k]).items():
+        for key, p in dec.harmonic_coefficients(series.harmonic_parts[k]).items():
             total[key] = total.get(key, Polynomial.zero()) + p
     total = {key: p for key, p in total.items() if p}
     return ObstructionResult(total, series)
@@ -364,7 +343,7 @@ def quadratic_obstruction_closed_form(L, decomposition=None) -> ObstructionResul
                         total = total + VectorForm.single(
                             L, wij.scale(coeff * c), key[0], key[1])
     h_part = decomposition.project_harmonic(total, 2)
-    return ObstructionResult(_harmonic_coefficients(decomposition, h_part))
+    return ObstructionResult(decomposition.harmonic_coefficients(h_part))
 
 
 def mc_residual(L, series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm:
@@ -374,7 +353,6 @@ def mc_residual(L, series: PhiSeries, subtract_harmonic: bool = True) -> VectorF
     instead — nonzero exactly in the obstructed directions.  For capped series
     over general ambients the brackets are assembled degree by degree and
     truncated at the cap."""
-    ambient = series.ambient
     if series.kind == "scalar":
         phi = series.full()
         residual = phi.delbar_theta()
@@ -385,11 +363,7 @@ def mc_residual(L, series: PhiSeries, subtract_harmonic: bool = True) -> VectorF
         return residual
     residual = series.phi(1).delbar_theta()
     for k in range(2, series.max_degree + 1):
-        s_k = VectorForm.zero(ambient)
-        for i in range(1, k):
-            lo, hi = series.phi(i), series.phi(k - i)
-            if lo and hi:
-                s_k = s_k + series.bracket(lo, hi)
+        s_k = series.bracket_sum(k)
         term = series.phi(k).delbar_theta() + s_k
         if subtract_harmonic:
             term = term - series.decomposition.project_harmonic(s_k, 2)
@@ -614,7 +588,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
     obstruction_by_degree = {}
     generators: list[Polynomial] = []
     for k in sorted(series.harmonic_parts):
-        coeffs = _harmonic_coefficients(decomposition, series.harmonic_parts[k])
+        coeffs = decomposition.harmonic_coefficients(series.harmonic_parts[k])
         if coeffs:
             obstruction_by_degree[str(k)] = {f"h2[{r}]": str(p)
                                              for (r, _), p in sorted(coeffs.items())}

@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
 
 def zeros(nrows: int, ncols: int) -> Matrix:
@@ -98,11 +97,6 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[0])
 
 
-def row_space(a: Matrix) -> Matrix:
-    """Canonical (RREF) basis of the row space."""
-    return rref(a)[0]
-
-
 def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
     """Canonical basis of the right kernel, one row per basis vector."""
     if ncols is None:
@@ -135,22 +129,6 @@ def invert(a: Matrix) -> Matrix:
     return [row[n:] for row in rows]
 
 
-def solve(a: Matrix, b: Vector) -> Vector:
-    """One solution of ``a @ x = b`` (least structured: free vars set to 0).
-
-    Raises ``ValueError`` if the system is inconsistent.
-    """
-    ncols = len(a[0]) if a else 0
-    aug = [a[i][:] + [b[i]] for i in range(len(a))]
-    rows, pivots = rref(aug)
-    x = [Fraction(0)] * ncols
-    for i, pc in enumerate(pivots):
-        if pc == ncols:
-            raise ValueError("inconsistent linear system")
-        x[pc] = rows[i][ncols]
-    return x
-
-
 def project_matrix(basis_rows: Matrix, ncols: int) -> Matrix:
     """Orthogonal projector onto the row span, as an ``ncols x ncols`` matrix.
 
@@ -178,6 +156,3 @@ def reduce_against(rref_rows: Matrix, pivots: list[int], v: Sequence) -> list:
             w = [x - y * c for x, y in zip(w, row)]
     return w
 
-
-def in_row_space(rref_rows: Matrix, pivots: list[int], v: Vector) -> bool:
-    return all(x == 0 for x in reduce_against(rref_rows, pivots, v))

@@ -28,7 +28,6 @@ from kuranil.groebner import (
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
     ObstructionResult,
-    _harmonic_coefficients,
     _vector_in_subspace,
     analyze,
     analyze_general,
@@ -239,8 +238,8 @@ def test_criterion_7_structural_properties():
 
         # closed-form quadratic obstruction equals the recursion's degree-2 part
         quadratic = quadratic_obstruction_closed_form(L, decomposition=dec)
-        truncation = ObstructionResult(_harmonic_coefficients(
-            dec, series.harmonic_parts.get(2, VectorForm.zero(L))))
+        truncation = ObstructionResult(dec.harmonic_coefficients(
+            series.harmonic_parts.get(2, VectorForm.zero(L))))
         assert sorted(map(str, quadratic.generators)) == \
             sorted(map(str, truncation.generators)), entry.name
 

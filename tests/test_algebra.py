@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kuranil import catalog
 from kuranil.algebra import (
     ComplexStructureAlgebra,
     JacobiViolation,
@@ -82,6 +83,25 @@ def test_validate_rejects_non_nilpotent():
     LieAlgebra(2, {(1, 2): {2: Fraction(1)}}).validate(require_nilpotent=False)
 
 
+def test_every_catalog_entry_validates_as_both_kinds():
+    for entry in catalog.entries():
+        algebra = entry.build()
+        if isinstance(algebra, LieAlgebra):
+            algebra.validate()
+            algebra = to_complex_structure(algebra)
+        algebra.validate()
+
+
+@pytest.mark.parametrize("text, error", [
+    ("dim 3\ndw1 = w2^w3\ndw2 = w3^w1\ndw3 = w1^w2\n", NotNilpotent),
+    ("dw2 = w3^w4\ndw5 = w1^w2\n", JacobiViolation),
+    ("dim 4\ndw3 = w1^w2\ndw4 = cw1^w3\n", JacobiViolation),
+], ids=["so3", "d-squared-nonzero", "d-squared-nonzero-mixed"])
+def test_complex_structure_validate_rejects(text, error):
+    with pytest.raises(error):
+        parse_complex_structure_file(text).validate()
+
+
 # -- structural invariants ---------------------------------------------------
 
 
@@ -89,6 +109,8 @@ def test_central_series_and_nilpotency_index():
     L = parse_salamon("(0,0,12,13,14)")
     dims = [s.dim for s in L.descending_central_series()]
     assert dims == [5, 3, 2, 1, 0]
+    L.descending_central_series().clear()  # each call returns a new list
+    assert len(L.descending_central_series()) == 5
     assert L.nilpotency_index() == 4
     assert parse_salamon(HEISENBERG).nilpotency_index() == 2
     assert abelian(4).nilpotency_index() == 1

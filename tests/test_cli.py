@@ -121,9 +121,13 @@ JACOBI_VIOLATION = ("dim 5\nbracket 1 2 = 3\nbracket 1 3 = 4\n"
     ("jacobi.txt", JACOBI_VIOLATION, []),
     ("(0,0,12)", None, ["--max-degree", "0"]),
     ("(0,0,12)", None, ["--max-degree", "-1"]),
+    ("so3.alg", "dim 3\ndw1 = w2^w3\ndw2 = w3^w1\ndw3 = w1^w2\n", []),
+    ("d_squared.alg", "dw2 = w3^w4\ndw5 = w1^w2\n", []),
+    ("d_squared_mixed.alg", "dim 4\ndw3 = w1^w2\ndw4 = cw1^w3\n", []),
 ], ids=["bare-dim", "glued-dim", "bracket-zero-denominator", "dw-zero-denominator",
         "non-utf8", "not-nilpotent", "not-nilpotent-general", "jacobi-violation",
-        "max-degree-0", "max-degree-negative"])
+        "max-degree-0", "max-degree-negative", "dw-not-nilpotent", "dw-d-squared",
+        "dw-d-squared-mixed"])
 def test_analyze_malformed_input_exits_2(target, content, options, tmp_path, capsys):
     if content is not None:
         path = tmp_path / target

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name (``_x``) it defines is referenced in it."""
+"""Every name a module of the package imports is used in that module,
+every private module-level name (``_x``) it defines is referenced in it, and
+it reads private attributes only through ``self`` or ``cls``."""
 
 import ast
 from pathlib import Path
@@ -38,6 +39,19 @@ def _dead_private_names(source: str) -> list[str]:
     return sorted(private - used)
 
 
+def _foreign_private_reads(source: str) -> list[str]:
+    """``line:owner._name`` for each read of a private, non-dunder attribute
+    whose owner is not ``self`` or ``cls``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr.startswith("_") and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
 def test_unused_imports_are_found():
     source = "import os\nfrom fractions import Fraction\nos.getcwd()\n"
     assert _unused_imports(source) == ["Fraction"]
@@ -60,3 +74,19 @@ def test_dead_private_names_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_private_names_are_used(module):
     assert _dead_private_names((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_foreign_private_reads_are_found():
+    source = ("class A:\n"
+              "    def f(self, other):\n"
+              "        self._own = other._theirs\n"
+              "        return cls._mine, self.__dict__, other.__class__\n"
+              "def g(dec):\n"
+              "    dec._cache = 1\n"
+              "    return dec._coords(2).public, dec.public\n")
+    assert _foreign_private_reads(source) == ["3:other._theirs", "7:dec._coords"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_no_foreign_private_attributes(module):
+    assert _foreign_private_reads((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -237,14 +237,9 @@ def test_quadratic_closed_form_equals_degree_two_truncation():
         series = phi_recursion(L, decomposition=dec)
         quadratic = quadratic_obstruction_closed_form(L, decomposition=dec)
         truncation = ObstructionResult(
-            _degree_two_coefficients(L, dec, series))
+            dec.harmonic_coefficients(series.harmonic_parts[2]))
         assert sorted(map(str, quadratic.generators)) == \
             sorted(map(str, truncation.generators))
-
-
-def _degree_two_coefficients(L, dec, series):
-    from kuranil.kuranishi import _harmonic_coefficients
-    return _harmonic_coefficients(dec, series.harmonic_parts[2])
 
 
 def test_direct_sum_of_smooth_factors_is_obstructed():
