@@ -8,6 +8,8 @@ the Kuranishi space of a complex parallelisable nilmanifold inside
   (:mod:`kuranil.algebra`),
 * the Chevalley–Eilenberg and Dolbeault calculus on invariant forms
   (:mod:`kuranil.exterior`),
+* exact rational matrices and one subspace type, RREF rows with their pivots
+  (:mod:`kuranil.linalg`),
 * exact Hodge-style decompositions of the relevant complexes with explicit
   ``∂̄``-preimages (:mod:`kuranil.hodge`),
 * the degree-by-degree power-series solution of the Maurer–Cartan equation
@@ -29,7 +31,6 @@ from .algebra import (
     NotIntegrable,
     NotNilpotent,
     StructureParseError,
-    Subspace,
     abelian,
     direct_sum,
     free_two_step,
@@ -81,6 +82,7 @@ from .kuranishi import (
     schouten_parallelisable,
     smoothness_tests,
 )
+from .linalg import Subspace
 from .polyring import (
     GREVLEX,
     LEX,

@@ -25,16 +25,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import Matrix
+from .exterior import vector_key_str
+from .linalg import Subspace
 
 
 class JacobiViolation(ValueError):
-    """The Jacobi identity fails; carries a witness basis triple."""
+    """The Jacobi identity fails; carries a witness basis triple, whose
+    vectors the message calls by ``names``."""
 
-    def __init__(self, triple: tuple[int, int, int], defect):
+    def __init__(self, triple: tuple[int, int, int], defect, names: list[str]):
         self.triple = triple
         self.defect = defect
-        super().__init__(f"Jacobi identity fails on (X{triple[0]}, X{triple[1]}, X{triple[2]})")
+        super().__init__(f"Jacobi identity fails on ({', '.join(names)})")
 
 
 class NotNilpotent(ValueError):
@@ -47,52 +49,6 @@ class NotIntegrable(ValueError):
 
 class StructureParseError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of Q^ambient_dim in canonical (RREF) row form.
-
-    Equality of subspaces is literal equality of the frozen rows.
-    """
-
-    ambient_dim: int
-    rows: tuple[tuple[Fraction, ...], ...]
-
-    @staticmethod
-    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        rows, _ = linalg.rref([[Fraction(x) for x in v] for v in vecs]) if vecs else ([], [])
-        return Subspace(ambient_dim, tuple(tuple(r) for r in rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def basis(self) -> Matrix:
-        return [list(r) for r in self.rows]
-
-    def pivots(self) -> list[int]:
-        out = []
-        for row in self.rows:
-            for c, x in enumerate(row):
-                if x:
-                    out.append(c)
-                    break
-        return out
-
-    def contains(self, vector) -> bool:
-        v = [Fraction(x) for x in vector]
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector length does not match ambient dimension")
-        reduced = linalg.reduce_against(self.basis(), self.pivots(), v)
-        return all(x == 0 for x in reduced)
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
 Brackets = dict[tuple[int, int], dict[int, Fraction]]
@@ -128,18 +84,6 @@ class LieAlgebra:
         if i < j:
             return dict(self.brackets.get((i, j), {}))
         return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
-    def bracket_vectors(self, x: list[Fraction], y: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x, start=1):
-            if not xi:
-                continue
-            for j, yj in enumerate(y, start=1):
-                if not yj:
-                    continue
-                for k, c in self.bracket(i, j).items():
-                    out[k - 1] += xi * yj * c
-        return out
 
     # -- ambient protocol ----------------------------------------------------
 
@@ -180,7 +124,7 @@ class LieAlgebra:
                     for r, outer in self.bracket(m, c).items():
                         acc[r - 1] += inner * outer
             if any(acc):
-                raise JacobiViolation((i, j, k), acc)
+                raise JacobiViolation((i, j, k), acc, [f"X{i}", f"X{j}", f"X{k}"])
         if require_nilpotent:
             series = self.descending_central_series()
             if series[-1].dim != 0:
@@ -201,9 +145,13 @@ class LieAlgebra:
             while current.dim:
                 spans = []
                 for row in current.rows:
-                    for j in range(1, n + 1):
-                        ej = [Fraction(1) if t == j - 1 else Fraction(0) for t in range(n)]
-                        spans.append(self.bracket_vectors(list(row), ej))
+                    # images[j - 1] = [row, X_j] = Σ_i row_i [X_i, X_j]
+                    images = [[0] * n for _ in range(n)]
+                    for (i, j), comp in self.brackets.items():
+                        for k, c in comp.items():
+                            images[j - 1][k - 1] += row[i - 1] * c
+                            images[i - 1][k - 1] -= row[j - 1] * c
+                    spans.extend(image for image in images if any(image))
                 nxt = Subspace.from_vectors(n, spans)
                 series.append(nxt)
                 if nxt.dim == current.dim:
@@ -223,8 +171,8 @@ class LieAlgebra:
         rows = []
         for j in range(1, n + 1):
             for k in range(n):
-                rows.append([Fraction(self.bracket(i, j).get(k + 1, 0)) for i in range(1, n + 1)])
-        return Subspace.from_vectors(n, linalg.nullspace(rows, n))
+                rows.append([self.bracket(i, j).get(k + 1, 0) for i in range(1, n + 1)])
+        return linalg.nullspace(rows, n)
 
     def derived_algebra(self) -> Subspace:
         spans = []
@@ -237,10 +185,7 @@ class LieAlgebra:
 
     def derived_annihilator(self) -> Subspace:
         """Ann([g,g]) inside the dual space; its dimension is h^{0,1}."""
-        derived = self.derived_algebra()
-        if derived.dim == 0:
-            return Subspace.from_vectors(self.dim, linalg.identity(self.dim))
-        return Subspace.from_vectors(self.dim, linalg.nullspace(derived.basis(), self.dim))
+        return linalg.nullspace(self.derived_algebra().basis(), self.dim)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -255,14 +200,14 @@ class LieAlgebra:
         m0 = self.dim - c1.dim
         expected = m0 * (m0 - 1) // 2
         # generator representatives: unit vectors at the non-pivot coordinates of C_1
-        free_coords = [c for c in range(self.dim) if c not in c1.pivots()]
-        c2_rows, c2_pivots = c2.basis(), c2.pivots()
+        free_coords = [c for c in range(self.dim) if c not in c1.pivots]
         images = []
         for a, b in itertools.combinations(free_coords, 2):
-            ea = [Fraction(1) if t == a else Fraction(0) for t in range(self.dim)]
-            eb = [Fraction(1) if t == b else Fraction(0) for t in range(self.dim)]
-            images.append(linalg.reduce_against(c2_rows, c2_pivots, self.bracket_vectors(ea, eb)))
-        rank = linalg.rank(images) if images else 0
+            image = [Fraction(0)] * self.dim
+            for k, c in self.bracket(a + 1, b + 1).items():
+                image[k - 1] = c
+            images.append(c2.reduce(image))
+        rank = linalg.rank(images)
         quotient_dim = c1.dim - c2.dim
         injective = rank == expected
         verdict = "free" if (injective and quotient_dim == expected) else "not_free"
@@ -518,14 +463,18 @@ class ComplexStructureAlgebra:
         """Raise ``JacobiViolation`` (d² ≠ 0) or ``NotNilpotent`` unless the
         structure is a nilpotent Lie algebra, checked on its complexification:
         the ``LieAlgebra`` of ``vector_bracket`` on X_1..X_n, X̄_1..X̄_n, where
-        X̄_k is basis vector n + k."""
+        X̄_k is basis vector n + k and the error message calls it ``cX<k>``."""
         n = self.n
         keys = [(k, barred) for barred in (False, True) for k in range(1, n + 1)]
         brackets: Brackets = {}
         for (a, key_a), (b, key_b) in itertools.combinations(enumerate(keys, start=1), 2):
             brackets[(a, b)] = {k + n * barred: c for (k, barred), c
                                 in self.vector_bracket(*key_a, *key_b).items()}
-        LieAlgebra(2 * n, brackets, name=self.name).validate()
+        try:
+            LieAlgebra(2 * n, brackets, name=self.name).validate()
+        except JacobiViolation as exc:
+            names = [vector_key_str(keys[i - 1]) for i in exc.triple]
+            raise JacobiViolation(exc.triple, exc.defect, names) from None
 
     def classify(self) -> str:
         if not self.d11:

@@ -36,18 +36,6 @@ class DegreeMismatch(ValueError):
     pass
 
 
-_SPACES = ("B", "H", "V")
-
-
-class _DegreeData:
-    __slots__ = ("bases", "pivots", "projectors")
-
-    def __init__(self, bases: dict[str, linalg.Matrix], pivots: dict[str, list[int]]):
-        self.bases = bases
-        self.pivots = pivots
-        self.projectors: dict[str, linalg.Matrix | None] = {s: None for s in _SPACES}
-
-
 class HodgeDecomposition:
     """Three-way orthogonal decomposition of a ∂̄-complex, all bases RREF-canonical."""
 
@@ -67,9 +55,7 @@ class HodgeDecomposition:
         self.d_matrices: dict[int, linalg.Matrix] = {}
         for q in range(max_degree + 1):
             self.d_matrices[q] = self._build_d(q)
-        self._data: dict[int, _DegreeData] = {}
-        for q in range(max_degree + 1):
-            self._data[q] = self._decompose(q)
+        self._spaces = {q: self._decompose(q) for q in range(max_degree + 1)}
         self._delta_matrix: linalg.Matrix | None = None
 
     # -- cells and coordinates -------------------------------------------------
@@ -147,28 +133,19 @@ class HodgeDecomposition:
                 mat[tgt_index[tcell]][col] = coeff.constant_value()
         return mat
 
-    def _decompose(self, q: int) -> _DegreeData:
+    def _decompose(self, q: int) -> dict[str, linalg.Subspace]:
+        """B, H and V in degree q."""
         dim_q = self.dim(q)
         d_out = self.d_matrices[q]
-        d_in = self.d_matrices.get(q - 1)
-        # B = image of the incoming ∂̄ = row space of its transpose
-        if d_in is not None and d_in and any(any(row) for row in d_in):
-            b_rows, b_piv = linalg.rref(linalg.transpose(d_in))
-        else:
-            b_rows, b_piv = [], []
-        # V = image of ∂̄* from above = row space of the outgoing ∂̄
-        if d_out:
-            v_rows, v_piv = linalg.rref(d_out)
-        else:
-            v_rows, v_piv = [], []
-        # H = ker ∂̄ ∩ ker ∂̄*
-        stacked = [row[:] for row in d_out]
-        if d_in is not None:
-            stacked.extend(linalg.transpose(d_in))
-        h_rows = linalg.nullspace(stacked, dim_q) if stacked else linalg.identity(dim_q)
-        h_rows, h_piv = linalg.rref(h_rows) if h_rows else ([], [])
-        return _DegreeData({"B": b_rows, "H": h_rows, "V": v_rows},
-                           {"B": b_piv, "H": h_piv, "V": v_piv})
+        d_in_t = linalg.transpose(self.d_matrices[q - 1]) if q else []
+        return {
+            # B = image of the incoming ∂̄ = row space of its transpose
+            "B": linalg.Subspace.from_vectors(dim_q, d_in_t),
+            # H = ker ∂̄ ∩ ker ∂̄*
+            "H": linalg.nullspace(d_out + d_in_t, dim_q),
+            # V = image of ∂̄* from above = row space of the outgoing ∂̄
+            "V": linalg.Subspace.from_vectors(dim_q, d_out),
+        }
 
     # -- inspection ----------------------------------------------------------
 
@@ -179,33 +156,28 @@ class HodgeDecomposition:
         return list(self._cells[q])
 
     def space_dims(self, q: int) -> dict[str, int]:
-        data = self._data[q]
-        return {s: len(data.bases[s]) for s in _SPACES}
+        return {which: space.dim for which, space in self._spaces[q].items()}
 
     def harmonic_dim(self, q: int) -> int:
-        return len(self._data[q].bases["H"])
+        return self._spaces[q]["H"].dim
 
     def basis(self, q: int, which: str):
         """Basis of B/H/V in degree q, as forms (scalar) or vector forms (theta)."""
-        data = self._data[q]
         return [self._from_coords(q, [Polynomial.constant(x) for x in row])
-                for row in data.bases[which]]
+                for row in self._spaces[q][which].rows]
 
     def harmonic_pivot_cells(self, q: int) -> list:
-        return [self._cells[q][p] for p in self._data[q].pivots["H"]]
+        return [self._cells[q][p] for p in self._spaces[q]["H"].pivots]
 
     def pivot_columns(self, q: int, which: str) -> list[int]:
         """Pivot coordinates of the RREF basis of B/H/V in degree q.
 
         Because the basis is RREF, the coefficient of an element of the space
         against basis row r is its coordinate at pivot column r."""
-        return list(self._data[q].pivots[which])
+        return list(self._spaces[q][which].pivots)
 
     def projector(self, q: int, which: str) -> linalg.Matrix:
-        data = self._data[q]
-        if data.projectors[which] is None:
-            data.projectors[which] = linalg.project_matrix(data.bases[which], self.dim(q))
-        return data.projectors[which]
+        return self._spaces[q][which].projector
 
     # -- projections and membership -------------------------------------------
 
@@ -240,10 +212,8 @@ class HodgeDecomposition:
     def in_space(self, obj, which: str, q: int | None = None) -> bool:
         if q is None:
             q = self._single_degree(obj)
-        data = self._data[q]
-        return all(not any(reduced) for _, reduced in self._per_component(
-            obj, q, lambda coords: linalg.reduce_against(
-                data.bases[which], data.pivots[which], coords)))
+        space = self._spaces[q][which]
+        return all(not any(reduced) for _, reduced in self._per_component(obj, q, space.reduce))
 
     def is_closed(self, obj, q: int | None = None) -> bool:
         if q is None:
@@ -275,7 +245,7 @@ class HodgeDecomposition:
         if self._delta_matrix is None:
             if self.max_degree < 2:
                 raise DegreeMismatch("decomposition does not include degree 2")
-            v_rows = self._data[1].bases["V"]
+            v_rows = self._spaces[1]["V"].rows
             dim1, dim2 = self.dim(1), self.dim(2)
             if not v_rows:
                 self._delta_matrix = linalg.zeros(dim1, dim2)

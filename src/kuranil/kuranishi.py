@@ -195,18 +195,14 @@ def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
     return total, variables
 
 
-def _vector_in_subspace(vf: VectorForm, rows, pivots, n: int) -> bool:
-    """Whether every frame-vector coefficient vector of ``vf`` lies in the span
-    of ``rows`` (polynomial coefficients reduce against the RREF basis)."""
+def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
+    """Whether every frame-vector coefficient vector of ``vf`` lies in ``sub``
+    (its polynomial coefficients reduce against the RREF rows)."""
     by_cell: dict = {}
     for (j, _barred), form in vf.components.items():
         for mi, c in form.terms.items():
-            by_cell.setdefault(mi, [Polynomial.zero()] * n)[j - 1] = c
-    for vec in by_cell.values():
-        reduced = linalg.reduce_against(rows, pivots, vec)
-        if any(reduced):
-            return False
-    return True
+            by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
+    return all(sub.contains(vec) for vec in by_cell.values())
 
 
 def phi_recursion(L, decomposition=None, max_degree: int | None = None,
@@ -258,8 +254,7 @@ def phi_recursion(L, decomposition=None, max_degree: int | None = None,
             continue
         if central is not None:
             depth = min(k - 1, len(central) - 1)
-            sub = central[depth]
-            if not _vector_in_subspace(s_k, sub.basis(), sub.pivots(), L.dim):
+            if not _vector_in_subspace(s_k, central[depth]):
                 raise RuntimeError(
                     f"internal invariant violated: bracket sum at degree {k} "
                     f"leaves central-series stage {depth}")

@@ -1,15 +1,19 @@
 """Exact linear algebra over the rationals.
 
 Matrices are plain ``list[list[Fraction]]`` in row-major order.  Everything here
-is deterministic and exact; no floating point is used anywhere.  A few helpers
-(``mat_vec``, ``reduce_against``) accept vectors whose entries live in any
-commutative ring that supports ``+``, ``*`` and scalar multiplication by
-``Fraction`` (polynomial-valued vectors, in practice).
+is deterministic and exact; no floating point is used anywhere.  A subspace is
+a ``Subspace``: its RREF rows and their pivot columns, from one ``rref`` call,
+which no other module makes.  ``mat_vec`` and ``Subspace.reduce`` accept
+vectors whose entries live in any commutative ring that supports ``+``, ``*``
+and scalar multiplication by ``Fraction`` (polynomial-valued vectors, in
+practice).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -97,14 +101,74 @@ def rank(a: Matrix) -> int:
     return len(rref(a)[0])
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
-    """Canonical basis of the right kernel, one row per basis vector."""
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of Q^ambient_dim: its RREF rows and their pivot columns,
+    ``pivots[i]`` being the column of the leading 1 in ``rows[i]``.
+
+    The RREF of a spanning set is unique, so equal subspaces have equal rows.
+    """
+
+    ambient_dim: int
+    rows: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...]
+
+    @staticmethod
+    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
+        """The span of ``vectors``, each of length ``ambient_dim``."""
+        vecs = [list(v) for v in vectors]
+        for v in vecs:
+            if len(v) != ambient_dim:
+                raise ValueError("vector length does not match ambient dimension")
+        rows, pivots = rref(vecs)
+        return Subspace(ambient_dim, tuple(tuple(r) for r in rows), tuple(pivots))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> Matrix:
+        return [list(r) for r in self.rows]
+
+    def reduce(self, v: Sequence) -> list:
+        """``v`` with the span of the rows eliminated at their pivot columns;
+        zero iff ``v`` lies in the subspace.  Entries may come from any ring
+        containing Q (they are combined with rational coefficients)."""
+        w = list(v)
+        for row, pc in zip(self.rows, self.pivots):
+            c = w[pc]
+            if c:
+                w = [x - y * c for x, y in zip(w, row)]
+        return w
+
+    def contains(self, v: Sequence) -> bool:
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector length does not match ambient dimension")
+        return not any(self.reduce(v))
+
+    @cached_property
+    def projector(self) -> Matrix:
+        """Orthogonal projector onto the subspace, as an ``ambient_dim`` square
+        matrix.  For the rows R it is ``R^T (R R^T)^{-1} R``; exact over Q
+        because ``R R^T`` is a Gram matrix, invertible for independent rows."""
+        if not self.rows:
+            return zeros(self.ambient_dim, self.ambient_dim)
+        r = self.basis()
+        rt = transpose(r)
+        return mat_mul(mat_mul(rt, invert(mat_mul(r, rt))), r)
+
+    def __repr__(self) -> str:
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def nullspace(a: Matrix, ncols: int | None = None) -> Subspace:
+    """The right kernel of ``a``."""
     if ncols is None:
         if not a:
             raise ValueError("ncols required for empty matrix")
         ncols = len(a[0])
     if not a:
-        return identity(ncols)
+        return Subspace.from_vectors(ncols, identity(ncols))
     rows, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -114,9 +178,7 @@ def nullspace(a: Matrix, ncols: int | None = None) -> Matrix:
         for i, pc in enumerate(pivots):
             v[pc] = -rows[i][fc]
         basis.append(v)
-    # The construction already yields an RREF-canonical basis up to row order;
-    # re-echelonise to make the result canonical regardless of free-column order.
-    return rref(basis)[0] if basis else []
+    return Subspace.from_vectors(ncols, basis)
 
 
 def invert(a: Matrix) -> Matrix:
@@ -127,32 +189,3 @@ def invert(a: Matrix) -> Matrix:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in rows]
-
-
-def project_matrix(basis_rows: Matrix, ncols: int) -> Matrix:
-    """Orthogonal projector onto the row span, as an ``ncols x ncols`` matrix.
-
-    For row basis R this is ``R^T (R R^T)^{-1} R``; exact over Q because
-    ``R R^T`` is Gram and hence invertible for independent rows.
-    """
-    if not basis_rows:
-        return zeros(ncols, ncols)
-    r = basis_rows
-    rt = transpose(r)
-    gram = mat_mul(r, rt)
-    return mat_mul(mat_mul(rt, invert(gram)), r)
-
-
-def reduce_against(rref_rows: Matrix, pivots: list[int], v: Sequence) -> list:
-    """Subtract the ``rref_rows`` span from ``v``; result is 0 iff v is in the span.
-
-    Works for vectors over any ring containing Q (entries are combined with
-    rational coefficients); for Fraction vectors this is plain row reduction.
-    """
-    w = list(v)
-    for row, pc in zip(rref_rows, pivots):
-        c = w[pc]
-        if c:
-            w = [x - y * c for x, y in zip(w, row)]
-    return w
-

@@ -132,16 +132,6 @@ def test_is_abelian():
     assert not parse_salamon(HEISENBERG).is_abelian()
 
 
-def test_bracket_vectors_bilinear():
-    L = parse_salamon("(0,0,12,13)")
-    e1 = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
-    e2 = [Fraction(0), Fraction(1), Fraction(0), Fraction(0)]
-    assert L.bracket_vectors(e1, e2) == [Fraction(0), Fraction(0),
-                                         Fraction(-1), Fraction(0)]
-    two_e1 = [x * 2 for x in e1]
-    assert L.bracket_vectors(two_e1, e2) == [x * 2 for x in L.bracket_vectors(e1, e2)]
-
-
 # -- constructions -----------------------------------------------------------
 
 

@@ -147,6 +147,15 @@ def test_analyze_malformed_input_exits_2(target, content, options, tmp_path, cap
     assert "Traceback" not in err
 
 
+def test_jacobi_error_names_the_vectors_of_a_dw_file(tmp_path, capsys):
+    # X̄1 is basis vector 5 of the complexification; the file has no X5
+    path = tmp_path / "d_squared_mixed.alg"
+    path.write_text("dim 4\ndw3 = w1^w2\ndw4 = cw1^w3\n", encoding="utf-8")
+    assert main(["analyze", str(path)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.rstrip().endswith(
+        "Jacobi identity fails on (X1, X2, cX1)")
+
+
 # -- catalog -----------------------------------------------------------------
 
 

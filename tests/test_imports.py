@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every private module-level name (``_x``) it defines is referenced in it, and
-it reads private attributes only through ``self`` or ``cls``."""
+every private module-level name (``_x``) it defines is referenced in it,
+it reads private attributes only through ``self`` or ``cls``, and no module
+but ``linalg`` calls ``rref``."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,30 @@ def test_foreign_private_reads_are_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_reads_no_foreign_private_attributes(module):
     assert _foreign_private_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def _rref_calls(source: str) -> list[str]:
+    """``line:call`` for each call of a function named ``rref``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "rref":
+                found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_rref_calls_are_found():
+    source = ("from .linalg import rref\n"
+              "rows, pivots = rref(a)\n"
+              "space = linalg.rref(b)[0]\n"
+              "echelon = linalg.rref\n"
+              "sub.rref_rows(c)\n")
+    assert _rref_calls(source) == ["2:rref(a)", "3:linalg.rref(b)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "linalg.py"])
+def test_module_leaves_rref_to_linalg(module):
+    """Only ``linalg`` echelonises; every other module holds a ``Subspace``."""
+    assert _rref_calls((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -7,14 +7,13 @@ import pytest
 import sympy
 
 from kuranil.linalg import (
+    Subspace,
     identity,
     invert,
     mat_mul,
     mat_vec,
     nullspace,
-    project_matrix,
     rank,
-    reduce_against,
     rref,
     transpose,
     zeros,
@@ -77,13 +76,13 @@ def test_nullspace_annihilates_and_has_full_complement():
         ncols = rng.randint(1, 5)
         a = _random_matrix(rng, rng.randint(1, 5), ncols)
         null = nullspace(a, ncols)
-        for v in null:
+        for v in null.rows:
             assert all(x == 0 for x in mat_vec(a, v))
-        assert len(null) == ncols - rank(a)
+        assert null.dim == ncols - rank(a)
 
 
 def test_nullspace_of_empty_matrix_is_identity():
-    assert nullspace([], 3) == identity(3)
+    assert nullspace([], 3).basis() == identity(3)
 
 
 def test_invert_round_trip():
@@ -107,28 +106,27 @@ def test_project_matrix_is_idempotent_symmetric_and_fixes_rows():
     for _ in range(10):
         ncols = rng.randint(2, 5)
         a = _random_matrix(rng, rng.randint(1, ncols), ncols)
-        basis = rref(a)[0]
-        if not basis:
+        space = Subspace.from_vectors(ncols, a)
+        if not space.dim:
             continue
-        p = project_matrix(basis, ncols)
+        p = space.projector
         assert mat_mul(p, p) == p
         assert transpose(p) == p
-        for row in basis:
+        for row in space.rows:
             assert mat_vec(p, row) == list(row)
 
 
 def test_project_matrix_kills_orthogonal_complement():
-    basis = [[F(1), F(0), F(0)]]
-    p = project_matrix(basis, 3)
+    p = Subspace.from_vectors(3, [[F(1), F(0), F(0)]]).projector
     assert mat_vec(p, [F(0), F(5), F(-2)]) == [F(0), F(0), F(0)]
 
 
 def test_reduce_against_membership():
-    rows, pivots = rref([[F(1), F(2), F(0)], [F(0), F(0), F(1)]])
+    space = Subspace.from_vectors(3, [[F(1), F(2), F(0)], [F(0), F(0), F(1)]])
     inside = [F(2), F(4), F(-3)]
-    assert reduce_against(rows, pivots, inside) == [F(0)] * 3
+    assert space.reduce(inside) == [F(0)] * 3
     outside = [F(0), F(1), F(0)]
-    assert reduce_against(rows, pivots, outside) != [F(0)] * 3
+    assert space.reduce(outside) != [F(0)] * 3
 
 
 def test_mat_vec_accepts_polynomial_like_entries():
@@ -152,7 +150,6 @@ def test_row_space_spans_original_rows():
     rng = random.Random(59)
     for _ in range(15):
         a = _random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        basis = rref(a)[0]
-        rows, pivots = rref(basis) if basis else ([], [])
+        space = Subspace.from_vectors(len(a[0]), a)
         for row in a:
-            assert not any(reduce_against(rows, pivots, row))
+            assert not any(space.reduce(row))
