@@ -194,25 +194,23 @@ class ExteriorForm:
                     total = total + ExteriorForm(self.ambient, {new_mi: contrib})
         return total
 
-    def delbar(self) -> "ExteriorForm":
-        """(p, q) → (p, q+1) component of d, per input term."""
+    def _d_part(self, dp: int, dq: int) -> "ExteriorForm":
+        """(p, q) → (p+dp, q+dq) component of d, per input term."""
         out = ExteriorForm(self.ambient)
         for mi, c in self.terms.items():
             q = sum(1 for cv in mi if cv.barred)
             p = len(mi) - q
             single = ExteriorForm(self.ambient, {mi: c})
-            out = out + single.ce_differential().bidegree_part(p, q + 1)
+            out = out + single.ce_differential().bidegree_part(p + dp, q + dq)
         return out
+
+    def delbar(self) -> "ExteriorForm":
+        """(p, q) → (p, q+1) component of d, per input term."""
+        return self._d_part(0, 1)
 
     def del_(self) -> "ExteriorForm":
         """(p, q) → (p+1, q) component of d, per input term."""
-        out = ExteriorForm(self.ambient)
-        for mi, c in self.terms.items():
-            q = sum(1 for cv in mi if cv.barred)
-            p = len(mi) - q
-            single = ExteriorForm(self.ambient, {mi: c})
-            out = out + single.ce_differential().bidegree_part(p + 1, q)
-        return out
+        return self._d_part(1, 0)
 
     def contract(self, index: int, barred: bool = False) -> "ExteriorForm":
         """Interior product with the frame vector X_index (or its conjugate)."""

@@ -16,6 +16,11 @@ Two complexes are supported through one engine:
 * ``theta``  — Λ^{0,k} ⊗ (1,0)-vectors, cells are (multi-index, vector) pairs;
   used when the ambient has a non-trivial (1,1) structure part.
 
+``build_decomposition`` covers every degree of the scalar complex;
+``build_theta_decomposition`` covers degrees 0..2 of the Θ complex, which is
+all the deformation recursion reads.  A decomposition carries its ambient and
+its kind, so it is the one input of every deformation stage.
+
 δ inverts P∘∂̄ between V¹ and B² and is precomputed as a rational matrix.
 """
 
@@ -267,20 +272,17 @@ class HodgeDecomposition:
             self.delta_matrix(), coords, zero=Polynomial.zero()), 1)
 
 
-def build_decomposition(L, max_degree: int | None = None) -> HodgeDecomposition:
-    """Scalar Hodge decomposition of Λ^{0,•}; all degrees by default."""
-    n = L.complex_dim
-    cap = n if max_degree is None else min(max_degree, n)
-    return HodgeDecomposition(L, "scalar", cap)
+def build_decomposition(L) -> HodgeDecomposition:
+    """Scalar Hodge decomposition of Λ^{0,•} in every degree 0..n."""
+    return HodgeDecomposition(L, "scalar", L.complex_dim)
 
 
-def build_theta_decomposition(csa, max_degree: int = 2) -> HodgeDecomposition:
-    """Decomposition of the vector-valued complex Λ^{0,•} ⊗ (1,0)-vectors.
-
-    Degrees above ``max_degree`` are not materialised; the deformation recursion
-    needs degrees 0..2 plus the outgoing ∂̄ matrix in degree 2.
+def build_theta_decomposition(csa) -> HodgeDecomposition:
+    """Decomposition of the vector-valued complex Λ^{0,•} ⊗ (1,0)-vectors in
+    degrees 0..2: the deformation recursion needs no more than these and the
+    outgoing ∂̄ matrix in degree 2.
     """
-    return HodgeDecomposition(csa, "theta", max_degree)
+    return HodgeDecomposition(csa, "theta", 2)
 
 
 def hodge_numbers(L) -> list[int]:

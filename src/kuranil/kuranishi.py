@@ -15,6 +15,11 @@ For a complex-parallelisable structure the recursion terminates at the
 nilpotency index ν and the obstruction coefficients are polynomials of degree
 at most ν.  For general integrable structures the recursion need not
 terminate, so a degree cap is mandatory and results are truncations.
+
+Every stage takes the one object it reads: a Hodge decomposition (which
+carries its ambient algebra and its complex kind) → the series Φ → the
+obstruction.  The decomposition's kind selects the path: ``scalar`` for
+parallelisable algebras, ``theta`` for general structures.
 """
 
 from __future__ import annotations
@@ -122,25 +127,29 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
 
 
 class PhiSeries:
-    """The solution Φ = Φ₁ + Φ₂ + … of the recursion, with its audit trail.
+    """The solution Φ = Φ₁ + Φ₂ + … of the recursion over one decomposition,
+    with its audit trail.
 
-    ``terms[k]`` is Φ_k (t-degree k); ``bracket_sums[k]`` the bracket sum the
-    step consumed, ``harmonic_parts[k]`` its harmonic (obstructing) part, and
+    ``terms[k]`` is Φ_k (t-degree k); ``harmonic_parts[k]`` the harmonic
+    (obstructing) part of the bracket sum at degree k, and
     ``dropped_coexact[k]`` any coexact component certified to vanish on the
     obstruction locus and therefore dropped.
     """
 
-    def __init__(self, ambient, decomposition, kind: str, variables: list[Var],
-                 max_degree: int):
-        self.ambient = ambient
+    def __init__(self, decomposition, max_degree: int):
         self.decomposition = decomposition
-        self.kind = kind
-        self.variables = variables
         self.max_degree = max_degree
         self.terms: dict[int, VectorForm] = {}
-        self.bracket_sums: dict[int, VectorForm] = {}
         self.harmonic_parts: dict[int, VectorForm] = {}
         self.dropped_coexact: dict[int, VectorForm] = {}
+
+    @property
+    def ambient(self):
+        return self.decomposition.ambient
+
+    @property
+    def kind(self) -> str:
+        return self.decomposition.kind
 
     def phi(self, k: int) -> VectorForm:
         return self.terms.get(k, VectorForm.zero(self.ambient))
@@ -171,8 +180,11 @@ def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
 
     Scalar complex: variable t_i^j pairs the i-th harmonic 1-form with the j-th
     frame vector.  Vector-valued complex: each harmonic basis vector is indexed
-    by its RREF pivot cell (ω̄^a, X_b) → variable t_a^b; for a parallelisable
-    structure the two schemes agree."""
+    by its RREF pivot cell (ω̄^a, X_b) → variable t_a^b.  On a parallelisable
+    structure the two schemes name the same variables exactly when the RREF
+    pivots of H¹ are the first h^{0,1} covectors ω̄^1, …, ω̄^{h^{0,1}}, as in
+    every published frame; otherwise the names differ (for [X_3, X_4] = X_1
+    the harmonic 1-forms are ω̄^2, ω̄^3, ω̄^4, so t_1^j here is t_2^j there)."""
     ambient = decomposition.ambient
     variables: list[Var] = []
     total = VectorForm.zero(ambient)
@@ -205,49 +217,38 @@ def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
     return all(sub.contains(vec) for vec in by_cell.values())
 
 
-def phi_recursion(L, decomposition=None, max_degree: int | None = None,
+def phi_recursion(decomposition, max_degree: int | None = None,
                   initial: VectorForm | None = None) -> PhiSeries:
     """Solve the Maurer-Cartan equation degree by degree up to ``max_degree``.
 
-    ``L`` is a nilpotent Lie algebra (parallelisable path, scalar complex) or a
-    ComplexStructureAlgebra (vector-valued complex; ``max_degree`` mandatory).
-    ``initial`` overrides the generic Φ₁ with a specific harmonic element.
+    A ``scalar`` decomposition (of a nilpotent Lie algebra) takes the
+    parallelisable path, capped at the nilpotency index by default; a
+    ``theta`` decomposition takes the vector-valued path, where
+    ``max_degree`` is mandatory.  ``initial`` overrides the generic Φ₁ with a
+    specific harmonic element over the decomposition's ambient.
     """
-    if isinstance(L, LieAlgebra):
-        kind = "scalar"
-        if decomposition is None:
-            decomposition = hodge.build_decomposition(L)
+    L = decomposition.ambient
+    if decomposition.kind == "scalar":
         cap = L.nilpotency_index() if max_degree is None else max_degree
         central = L.descending_central_series()
     else:
-        kind = "theta"
         if max_degree is None:
             raise MissingDegreeCap(
                 "general structures need an explicit max_degree: the recursion "
                 "need not terminate")
-        if decomposition is None:
-            decomposition = hodge.build_theta_decomposition(L)
         cap = max_degree
         central = None
-    if decomposition.kind != kind:
-        raise ValueError(f"decomposition kind {decomposition.kind!r} does not "
-                         f"match the {kind!r} recursion path")
 
-    if initial is not None:
-        if initial.ambient is not L:
-            raise AmbientMismatch("initial element lives over a different ambient")
-        phi1, variables = initial, sorted(
-            {v for f in initial.components.values()
-             for p in f.terms.values() for v in p.variables()})
-    else:
-        phi1, variables = generic_harmonic_element(decomposition)
+    if initial is None:
+        initial, _ = generic_harmonic_element(decomposition)
+    elif initial.ambient is not L:
+        raise AmbientMismatch("initial element lives over a different ambient")
 
-    series = PhiSeries(L, decomposition, kind, variables, cap)
-    series.terms[1] = phi1
+    series = PhiSeries(decomposition, cap)
+    series.terms[1] = initial
 
     for k in range(2, cap + 1):
         s_k = series.bracket_sum(k)
-        series.bracket_sums[k] = s_k
         if not s_k:
             series.terms[k] = VectorForm.zero(L)
             series.harmonic_parts[k] = VectorForm.zero(L)
@@ -284,9 +285,7 @@ class ObstructionResult:
     """The harmonic part of [Φ,Φ]: coefficient polynomials and the normalized
     generator list of the obstruction ideal."""
 
-    def __init__(self, harmonic_coefficients: dict, series: PhiSeries | None = None):
-        self.harmonic_coefficients = harmonic_coefficients
-        self.series = series
+    def __init__(self, harmonic_coefficients: dict):
         self.generators: list[Polynomial] = groebner.canonical_generators(
             harmonic_coefficients.values())
         self.degree_profile: list[int] = [g.total_degree() for g in self.generators]
@@ -296,21 +295,18 @@ class ObstructionResult:
         return not self.generators
 
 
-def obstruction_map(L, series: PhiSeries | None = None,
-                    decomposition=None) -> ObstructionResult:
-    """Total obstruction Σ_k H(bracket sum at degree k) for parallelisable L."""
-    if series is None:
-        series = phi_recursion(L, decomposition=decomposition)
+def obstruction_map(series: PhiSeries) -> ObstructionResult:
+    """Total obstruction Σ_k H(bracket sum at degree k) of a scalar series."""
     dec = series.decomposition
     total: dict = {}
     for k in sorted(series.harmonic_parts):
         for key, p in dec.harmonic_coefficients(series.harmonic_parts[k]).items():
             total[key] = total.get(key, Polynomial.zero()) + p
     total = {key: p for key, p in total.items() if p}
-    return ObstructionResult(total, series)
+    return ObstructionResult(total)
 
 
-def quadratic_obstruction_closed_form(L, decomposition=None) -> ObstructionResult:
+def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
     """Degree-2 obstruction from the closed determinant formula
 
         H[Φ₁,Φ₁] = H( 2 Σ_{i<j} Σ_{k<l} (t_i^k t_j^l − t_i^l t_j^k) ω̄^i∧ω̄^j ⊗ [X_k,X_l] ),
@@ -318,8 +314,7 @@ def quadratic_obstruction_closed_form(L, decomposition=None) -> ObstructionResul
     built directly from minors and structure constants — an independent code
     path from the recursion, used for cross-validation."""
     from .polyring import minor2
-    if decomposition is None:
-        decomposition = hodge.build_decomposition(L)
+    L = decomposition.ambient
     hbasis = decomposition.basis(1, "H")
     n = L.complex_dim
     total = VectorForm.zero(L)
@@ -341,7 +336,7 @@ def quadratic_obstruction_closed_form(L, decomposition=None) -> ObstructionResul
     return ObstructionResult(decomposition.harmonic_coefficients(h_part))
 
 
-def mc_residual(L, series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm:
+def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm:
     """∂̄Φ + [Φ,Φ] − H[Φ,Φ] (the defining identity of the construction).
 
     With ``subtract_harmonic=False`` the plain defect ∂̄Φ + [Φ,Φ] is returned
@@ -366,15 +361,15 @@ def mc_residual(L, series: PhiSeries, subtract_harmonic: bool = True) -> VectorF
     return residual
 
 
-def smoothness_tests(L, decomposition=None, obstruction: ObstructionResult | None = None) -> dict:
+def smoothness_tests(decomposition, obstruction: ObstructionResult) -> dict:
     """Structural certificates: the wedge test on harmonic 1-forms, the
     free-2-step verdict, and polynomial vanishing of the obstruction map.
 
-    For non-abelian L, ``lambda2_singular`` (some product of harmonic 1-forms
-    is not ∂̄-exact) is equivalent to the quotient by the second central-series
-    stage not being free — and certifies an obstructed direction."""
-    if decomposition is None:
-        decomposition = hodge.build_decomposition(L)
+    For a non-abelian ambient L, ``lambda2_singular`` (some product of
+    harmonic 1-forms is not ∂̄-exact) is equivalent to the quotient by the
+    second central-series stage not being free — and certifies an obstructed
+    direction."""
+    L = decomposition.ambient
     hbasis = decomposition.basis(1, "H")
     wedge_exact = True
     for i in range(len(hbasis)):
@@ -385,8 +380,6 @@ def smoothness_tests(L, decomposition=None, obstruction: ObstructionResult | Non
                 break
         if not wedge_exact:
             break
-    if obstruction is None:
-        obstruction = obstruction_map(L, decomposition=decomposition)
     return {
         "lambda2_singular": (not L.is_abelian()) and not wedge_exact,
         "free_verdict": L.free_two_step_quotient_test().verdict,
@@ -394,11 +387,10 @@ def smoothness_tests(L, decomposition=None, obstruction: ObstructionResult | Non
     }
 
 
-def parallelisable_directions(L, decomposition=None) -> dict:
+def parallelisable_directions(decomposition) -> dict:
     """The unobstructed subspace H¹ ⊗ z(g) and the cylinder-base dimension
     d = h^{0,1} · dim(g/z)."""
-    if decomposition is None:
-        decomposition = hodge.build_decomposition(L)
+    L = decomposition.ambient
     z = L.center()
     m = decomposition.harmonic_dim(1)
     hbasis = decomposition.basis(1, "H")
@@ -417,11 +409,9 @@ def parallelisable_directions(L, decomposition=None) -> dict:
     }
 
 
-def random_central_assignment(L, decomposition=None, rng: random.Random | None = None) -> dict:
+def random_central_assignment(decomposition, rng: random.Random) -> dict:
     """A random rational t-grid point supported on H¹ ⊗ z(g)."""
-    if decomposition is None:
-        decomposition = hodge.build_decomposition(L)
-    rng = rng or random.Random()
+    L = decomposition.ambient
     z = L.center()
     m = decomposition.harmonic_dim(1)
     n = L.dim
@@ -541,11 +531,11 @@ def analyze(L: LieAlgebra, name: str | None = None) -> KuranishiReport:
     """Full parallelisable-path analysis of a validated nilpotent Lie algebra."""
     L.validate()
     decomposition = hodge.build_decomposition(L)
-    series = phi_recursion(L, decomposition=decomposition)
-    obstruction = obstruction_map(L, series=series)
-    quadratic = quadratic_obstruction_closed_form(L, decomposition=decomposition)
-    tests = smoothness_tests(L, decomposition=decomposition, obstruction=obstruction)
-    directions = parallelisable_directions(L, decomposition=decomposition)
+    series = phi_recursion(decomposition)
+    obstruction = obstruction_map(series)
+    quadratic = quadratic_obstruction_closed_form(decomposition)
+    tests = smoothness_tests(decomposition, obstruction)
+    directions = parallelisable_directions(decomposition)
     hodge_nums = [decomposition.harmonic_dim(q) for q in range(L.dim + 1)]
     h1 = hodge_nums[1] * L.dim
     smooth = tests["obs_identically_zero"]
@@ -578,8 +568,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
                     name: str | None = None) -> KuranishiReport:
     """Capped analysis over a general integrable structure (vector-valued complex)."""
     decomposition = hodge.build_theta_decomposition(csa)
-    series = phi_recursion(csa, decomposition=decomposition,
-                           max_degree=max_degree, initial=initial)
+    series = phi_recursion(decomposition, max_degree, initial)
     obstruction_by_degree = {}
     generators: list[Polynomial] = []
     for k in sorted(series.harmonic_parts):

@@ -196,7 +196,7 @@ def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
                                    time.monotonic() - started)
         except GroebnerTimeout:
             return CheckResult(entry.name, "intersection", "SKIP",
-                               f"timed out after {timeout:.0f}s",
+                               f"timed out after {timeout:g}s",
                                time.monotonic() - started)
         failure = f"{label} reading: intersection differs from computed ideal"
     return CheckResult(entry.name, "intersection", "FAIL", failure,
@@ -230,7 +230,7 @@ def _general_checks(entry: catalog.CatalogEntry) -> list[CheckResult]:
     results: list[CheckResult] = []
     csa = entry.build()
     started = time.monotonic()
-    decomposition = build_theta_decomposition(csa, max_degree=3)
+    decomposition = build_theta_decomposition(csa)
     _timed(results, entry.name, "h1", started,
            decomposition.harmonic_dim(1) == entry.computed_h1,
            f"h1={decomposition.harmonic_dim(1)}")
@@ -238,8 +238,7 @@ def _general_checks(entry: catalog.CatalogEntry) -> list[CheckResult]:
     started = time.monotonic()
     initial = (VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
                + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
-    series = phi_recursion(csa, decomposition=decomposition, max_degree=3,
-                           initial=initial)
+    series = phi_recursion(decomposition, max_degree=3, initial=initial)
     expected_phi2 = VectorForm.single(
         csa, ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
     second_ok = (not series.harmonic_parts[2]) and series.phi(2) == expected_phi2

@@ -40,7 +40,7 @@ from kuranil.kuranishi import (
     smoothness_tests,
 )
 from kuranil.linalg import mat_mul
-from kuranil.polyring import parse_polynomial
+from kuranil.polyring import Polynomial, parse_polynomial
 from kuranil.verify import run_entry_checks
 
 P = parse_polynomial
@@ -67,6 +67,10 @@ CYLINDER_ROWS = [
 ]
 
 
+def _obstruction(L):
+    return obstruction_map(phi_recursion(build_decomposition(L)))
+
+
 def _report(line: str) -> None:
     print(line, flush=True)
 
@@ -78,7 +82,7 @@ def test_criterion_1_table_row_invariants():
         dec = build_decomposition(L)
         assert L.nilpotency_index() == nu, text
         assert dec.harmonic_dim(1) * L.dim == h1, text
-        assert obstruction_map(L, decomposition=dec).is_zero is smooth, text
+        assert obstruction_map(phi_recursion(dec)).is_zero is smooth, text
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     _report(f"[PASS] criterion 1 — nine non-abelian table rows: nu, h^1(Theta), "
@@ -87,13 +91,13 @@ def test_criterion_1_table_row_invariants():
 
 def test_criterion_2_explicit_generator_displays():
     started = time.monotonic()
-    quadric = obstruction_map(parse_salamon("(0,0,0,12)")).generators
+    quadric = _obstruction(parse_salamon("(0,0,0,12)")).generators
     assert ideal_equal(quadric, [P("delta[13;12]"), P("delta[23;12]")])
     first = time.monotonic() - started
     assert first < 5.0
 
     started = time.monotonic()
-    cubic = obstruction_map(parse_salamon("(0,0,12,13)")).generators
+    cubic = _obstruction(parse_salamon("(0,0,12,13)")).generators
     assert ideal_equal(cubic, [P("t2_1*delta[12;12]")])
     second = time.monotonic() - started
     assert second < 5.0
@@ -115,7 +119,8 @@ def test_criterion_2_explicit_generator_displays():
 def test_criterion_3_cylinder_dimensions():
     started = time.monotonic()
     for text, d in CYLINDER_ROWS:
-        assert parallelisable_directions(parse_salamon(text))["d"] == d, text
+        dec = build_decomposition(parse_salamon(text))
+        assert parallelisable_directions(dec)["d"] == d, text
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     _report(f"[PASS] criterion 3 — cylinder base dimensions (9, 12, 8, 8, 16) "
@@ -128,7 +133,7 @@ def test_criterion_4_component_intersections():
     entry = catalog.get("(0,0,0,12,13)")
     components = entry.published_components()
     assert len(components) == 2
-    gens = obstruction_map(entry.build()).generators
+    gens = _obstruction(entry.build()).generators
     intersection = ideal_intersect(components[0], components[1])
     assert ideal_equal(intersection, gens)
     first = time.monotonic() - started
@@ -154,11 +159,11 @@ def test_criterion_4_component_intersections():
 def test_criterion_5_mixed_structure_recursion():
     started = time.monotonic()
     csa = catalog.get("general7").build()
-    dec = build_theta_decomposition(csa, max_degree=3)
+    dec = build_theta_decomposition(csa)
     initial = (
         VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
         + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
-    series = phi_recursion(csa, decomposition=dec, max_degree=3, initial=initial)
+    series = phi_recursion(dec, max_degree=3, initial=initial)
     assert not series.harmonic_parts[2]
     assert series.phi(2) == VectorForm.single(
         csa, ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
@@ -176,7 +181,7 @@ def test_criterion_6_free_algebra_smoothness():
     started = time.monotonic()
     for L in (free_two_step(2), free_two_step(3),
               parse_salamon("(0,0,12,13,23,14,25,24+15)")):
-        assert obstruction_map(L).is_zero, L.name
+        assert _obstruction(L).is_zero, L.name
     elapsed = time.monotonic() - started
     assert elapsed < 120.0
     _report(f"[PASS] criterion 6 — free 2-step (2 and 3 generators) and free "
@@ -201,13 +206,13 @@ def test_criterion_7_structural_properties():
                 assert all(not x for row in mat_mul(nxt, cur) for x in row), \
                     entry.name
 
-        series = phi_recursion(L, decomposition=dec)
-        obstruction = obstruction_map(L, series=series)
+        series = phi_recursion(dec)
+        obstruction = obstruction_map(series)
         nu = L.nilpotency_index()
 
         # Maurer-Cartan residual: identically zero after harmonic subtraction,
         # up to coexact terms certified to lie in the obstruction ideal
-        residual = mc_residual(L, series)
+        residual = mc_residual(series)
         if series.dropped_coexact:
             dropped = VectorForm.zero(L)
             for vf in series.dropped_coexact.values():
@@ -236,7 +241,7 @@ def test_criterion_7_structural_properties():
                     (entry.name, k, l)
 
         # closed-form quadratic obstruction equals the recursion's degree-2 part
-        quadratic = quadratic_obstruction_closed_form(L, decomposition=dec)
+        quadratic = quadratic_obstruction_closed_form(dec)
         truncation = ObstructionResult(dec.harmonic_coefficients(
             series.harmonic_parts.get(2, VectorForm.zero(L))))
         assert sorted(map(str, quadratic.generators)) == \
@@ -244,12 +249,12 @@ def test_criterion_7_structural_properties():
 
         # central directions are unobstructed: generators vanish there
         for _ in range(10):
-            point = random_central_assignment(L, decomposition=dec, rng=rng)
+            point = random_central_assignment(dec, rng)
             for g in obstruction.generators:
                 assert g.evaluate(point) == 0, entry.name
 
         # wedge-degeneracy of harmonic 1-forms tracks non-freeness of g/C_2 g
-        tests = smoothness_tests(L, decomposition=dec, obstruction=obstruction)
+        tests = smoothness_tests(dec, obstruction)
         if not L.is_abelian():
             assert tests["lambda2_singular"] == \
                 (tests["free_verdict"] != "free"), entry.name
@@ -266,32 +271,38 @@ def test_criterion_7_structural_properties():
 
     # a product with an abelian factor is never unobstructed
     product = direct_sum(parse_salamon("(0,0,12)"), abelian(1))
-    assert not obstruction_map(product).is_zero
+    assert not _obstruction(product).is_zero
 
     # scalar and vector-valued paths agree on the dim-4 quadric example
     L = parse_salamon("(0,0,0,12)")
-    scalar_gens = obstruction_map(L).generators
+    scalar_gens = _obstruction(L).generators
     general = analyze_general(to_complex_structure(L), max_degree=2)
     assert ideal_equal([P(s) for s in general["obstruction_generators"]],
                        scalar_gens)
 
     # mixed dim-7 structure: differential squares to zero on the Theta
-    # complex, and the residual identities hold for both flag values
+    # complex, and the residual identities hold for both flag values.  The
+    # matrices cover degrees 0..2; applying ∂̄ twice to every degree-2 cell
+    # carries the check on to degree 4.
     csa = catalog.get("general7").build()
-    tdec = build_theta_decomposition(csa, max_degree=3)
+    tdec = build_theta_decomposition(csa)
     for q in sorted(tdec.d_matrices):
         nxt = tdec.d_matrices.get(q + 1)
         cur = tdec.d_matrices[q]
         if nxt and cur:
             assert all(not x for row in mat_mul(nxt, cur) for x in row)
+    for mi, (j, barred) in tdec.cells(2):
+        cell = VectorForm.single(
+            csa, ExteriorForm(csa, {mi: Polynomial.one()}), j, barred)
+        assert not cell.delbar_theta().delbar_theta()
     initial = (
         VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
         + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
-    series = phi_recursion(csa, decomposition=tdec, max_degree=3, initial=initial)
-    assert mc_residual(csa, series).is_zero
+    series = phi_recursion(tdec, max_degree=3, initial=initial)
+    assert mc_residual(series).is_zero
     w35 = ExteriorForm.covector(csa, 3, barred=True).wedge(
         ExteriorForm.covector(csa, 5, barred=True))
-    assert mc_residual(csa, series, subtract_harmonic=False) == \
+    assert mc_residual(series, subtract_harmonic=False) == \
         VectorForm.single(csa, w35.scale(4), 6)
 
     elapsed = time.monotonic() - started

@@ -1,10 +1,11 @@
 """Command-line interface: exit codes, output formats, input resolution."""
 
 import json
+import math
 
 import pytest
 
-from kuranil import catalog
+from kuranil import catalog, groebner
 from kuranil.algebra import ComplexStructureAlgebra, LieAlgebra, parse_salamon
 from kuranil.cli import (
     EXIT_CHECK_FAILED,
@@ -192,6 +193,16 @@ def test_verify_tiny_timeout_reports_documented_skip(capsys):
     assert rc == EXIT_OK  # SKIP is not a failure
     assert "[SKIP] (0,0,0,12,13+24) :: intersection" in out
     assert "SKIPPED 1" in out.splitlines()[-1]
+
+
+def test_verify_skip_prints_fractional_timeout_as_given(monkeypatch, capsys):
+    # Every deadline read finds the deadline passed, so the intersection
+    # check stops at its first Gröbner step however fast the machine is.
+    monkeypatch.setattr(groebner, "monotonic", lambda: math.inf)
+    rc = main(["verify", "(0,0,0,12,13+24)", "--timeout", "0.4"])
+    out = capsys.readouterr().out
+    assert rc == EXIT_OK
+    assert "— timed out after 0.4s" in out
 
 
 @pytest.mark.parametrize("value", ["nan", "-1"])

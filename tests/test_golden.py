@@ -1,8 +1,11 @@
-"""``kuranil analyze --json`` and ``kuranil analyze --general --json`` print,
-for every catalog entry, exactly the reports stored in
-``data/catalog_reports.json``.
+"""Every catalog entry's reports and verification lines match stored files.
 
-The stored reports change only on purpose, by running this file::
+``kuranil analyze --json`` and ``kuranil analyze --general --json`` print
+exactly the reports stored in ``data/catalog_reports.json``, and
+``kuranil verify`` prints exactly the lines stored in
+``data/catalog_verify.txt`` once the ``(N.Ns)`` timings are stripped.
+
+The stored files change only on purpose, by running this file::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -10,12 +13,17 @@ The stored reports change only on purpose, by running this file::
 import contextlib
 import io
 import json
+import re
 from pathlib import Path
 
 from kuranil import catalog
 from kuranil.cli import EXIT_OK, main
 
-GOLDEN = Path(__file__).resolve().parent / "data" / "catalog_reports.json"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN = DATA / "catalog_reports.json"
+GOLDEN_VERIFY = DATA / "catalog_verify.txt"
+
+_SECONDS = re.compile(r" \([0-9]+\.[0-9]s\)")
 
 
 def _requests() -> list[list[str]]:
@@ -37,6 +45,11 @@ def _output(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def _verify_lines() -> str:
+    """``kuranil verify`` over every entry, without the per-check seconds."""
+    return _SECONDS.sub("", _output(["verify"]))
+
+
 def test_catalog_reports_match_golden_file():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     requests = _requests()
@@ -46,8 +59,14 @@ def test_catalog_reports_match_golden_file():
     assert differing == []
 
 
+def test_catalog_verify_lines_match_golden_file():
+    assert _verify_lines() == GOLDEN_VERIFY.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     reports = {" ".join(argv): json.loads(_output(argv)) for argv in _requests()}
-    GOLDEN.parent.mkdir(exist_ok=True)
+    DATA.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(reports, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(reports)} reports to {GOLDEN}")
+    GOLDEN_VERIFY.write_text(_verify_lines(), encoding="utf-8")
+    print(f"wrote the verify lines to {GOLDEN_VERIFY}")

@@ -173,7 +173,7 @@ def test_harmonic_pivot_cells_match_basis_count():
 
 def test_theta_complex_dimensions_and_h1():
     csa = _mixed7()
-    dec = build_theta_decomposition(csa, max_degree=3)
+    dec = build_theta_decomposition(csa)
     assert dec.dim(0) == 7
     assert dec.dim(1) == 49
     assert dec.dim(2) == 147
@@ -185,7 +185,7 @@ def test_theta_complex_dimensions_and_h1():
 
 def test_theta_complex_exactness_of_known_image():
     csa = _mixed7()
-    dec = build_theta_decomposition(csa, max_degree=2)
+    dec = build_theta_decomposition(csa)
     image = VectorForm.single(csa, ExteriorForm.constant(csa, 1), 5).delbar_theta()
     assert dec.in_space(image, "B", 1)
     assert dec.is_closed(image, 1)
@@ -193,7 +193,7 @@ def test_theta_complex_exactness_of_known_image():
 
 def test_theta_delta_op_round_trip():
     csa = _mixed7()
-    dec = build_theta_decomposition(csa, max_degree=2)
+    dec = build_theta_decomposition(csa)
     # delbar(cw3 ⊗ X5) = -cw1^cw3 ⊗ X7 is a nonzero element of B^2
     source = VectorForm.single(
         csa, ExteriorForm.covector(csa, 3, barred=True), 5)
@@ -206,5 +206,5 @@ def test_theta_delta_op_round_trip():
 
 def test_scalar_and_theta_harmonic_dims_consistent_on_parallelisable():
     L = parse_salamon("(0,0,12,13)")
-    dec_theta = build_theta_decomposition(to_complex_structure(L), max_degree=2)
+    dec_theta = build_theta_decomposition(to_complex_structure(L))
     assert dec_theta.harmonic_dim(1) == hodge_numbers(L)[1] * L.dim

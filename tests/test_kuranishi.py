@@ -14,7 +14,7 @@ from kuranil.algebra import (
     parse_salamon,
     to_complex_structure,
 )
-from kuranil.exterior import BarredVectorError, ExteriorForm, VectorForm
+from kuranil.exterior import AmbientMismatch, BarredVectorError, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
@@ -43,6 +43,10 @@ P = parse_polynomial
 
 def _mixed7():
     return parse_complex_structure_file("dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n")
+
+
+def _obstruction(L):
+    return obstruction_map(phi_recursion(build_decomposition(L)))
 
 
 def _cw(ambient, *indices):
@@ -130,13 +134,13 @@ def test_generic_harmonic_element_spans_h1_times_vectors():
 
 def test_phi_recursion_nilpotent_caps_at_nu():
     L = parse_salamon("(0,0,12,13)")
-    series = phi_recursion(L)
+    series = phi_recursion(build_decomposition(L))
     assert sorted(series.terms) == [1, 2, 3]  # nu = 3
 
 
 def test_phi_recursion_frozen_low_degree_terms():
     L = parse_salamon("(0,0,12,13)")
-    series = phi_recursion(L)
+    series = phi_recursion(build_decomposition(L))
     expected_phi2 = (
         VectorForm.single(L, _cw(L, 3).scale(P("2*delta[12;12]")), 3)
         + VectorForm.single(L, _cw(L, 3).scale(P("2*delta[12;13]")), 4))
@@ -152,7 +156,7 @@ def test_phi_recursion_frozen_low_degree_terms():
 
 def test_phi_recursion_higher_degree_dropped_coexact_is_ideal_trivial():
     L = parse_salamon("(0,0,12,13,14)")
-    series = phi_recursion(L)
+    series = phi_recursion(build_decomposition(L))
     expected_phi4 = VectorForm.single(
         L, _cw(L, 5).scale(P("8*t1_1^2*delta[12;12]")), 5)
     assert series.phi(4) == expected_phi4
@@ -161,7 +165,7 @@ def test_phi_recursion_higher_degree_dropped_coexact_is_ideal_trivial():
         L, _cw(L, 2, 4).scale(P("-8*t1_1*t2_1*delta[12;12]")), 5)
     assert series.dropped_coexact[4] == expected_dropped
     # every dropped coefficient already lies in the obstruction ideal
-    obstruction = obstruction_map(L, series=series)
+    obstruction = obstruction_map(series)
     basis = buchberger(obstruction.generators)
     for vf in series.dropped_coexact.values():
         for j in range(1, L.dim + 1):
@@ -173,17 +177,25 @@ def test_phi_recursion_accepts_prebuilt_decomposition_and_initial():
     L = parse_salamon("(0,0,12)")
     dec = build_decomposition(L)
     phi1, _ = generic_harmonic_element(dec)
-    series = phi_recursion(L, decomposition=dec, initial=phi1)
+    series = phi_recursion(dec, initial=phi1)
     assert series.phi(1) == phi1
     assert series.phi(2) == VectorForm.single(
         L, _cw(L, 3).scale(P("2*delta[12;12]")), 3)
 
 
+def test_phi_recursion_rejects_initial_over_another_ambient():
+    dec = build_decomposition(parse_salamon("(0,0,12)"))
+    other = parse_salamon("(0,0,12)")
+    phi1, _ = generic_harmonic_element(build_decomposition(other))
+    with pytest.raises(AmbientMismatch):
+        phi_recursion(dec, initial=phi1)
+
+
 def test_phi_recursion_theta_path_requires_degree_cap():
     csa = _mixed7()
-    dec = build_theta_decomposition(csa, max_degree=2)
+    dec = build_theta_decomposition(csa)
     with pytest.raises(MissingDegreeCap):
-        phi_recursion(csa, decomposition=dec)
+        phi_recursion(dec)
 
 
 # -- obstruction ideals ------------------------------------------------------
@@ -191,7 +203,7 @@ def test_phi_recursion_theta_path_requires_degree_cap():
 
 def test_obstruction_empty_for_unobstructed_algebras():
     for L in (abelian(3), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13,23)")):
-        result = obstruction_map(L)
+        result = _obstruction(L)
         assert result.is_zero
         assert result.generators == []
         assert result.degree_profile == []
@@ -199,7 +211,7 @@ def test_obstruction_empty_for_unobstructed_algebras():
 
 def test_obstruction_known_quadratic_ideal():
     L = parse_salamon("(0,0,0,12)")
-    result = obstruction_map(L)
+    result = _obstruction(L)
     assert len(result.generators) == 2
     assert result.degree_profile == [2, 2]
     assert ideal_equal(result.generators, [P("delta[13;12]"), P("delta[23;12]")])
@@ -207,14 +219,14 @@ def test_obstruction_known_quadratic_ideal():
 
 def test_obstruction_known_cubic_ideal():
     L = parse_salamon("(0,0,12,13)")
-    result = obstruction_map(L)
+    result = _obstruction(L)
     assert result.degree_profile == [3]
     assert ideal_equal(result.generators, [P("t2_1*delta[12;12]")])
 
 
 def test_obstruction_mixed_degrees_with_inhomogeneous_generators():
     L = parse_salamon("(0,0,0,12,13+24)")
-    result = obstruction_map(L)
+    result = _obstruction(L)
     assert len(result.generators) == 6
     assert sorted(result.degree_profile) == [2, 2, 2, 3, 3, 3]
     assert any(not g.is_homogeneous() for g in result.generators)
@@ -222,7 +234,7 @@ def test_obstruction_mixed_degrees_with_inhomogeneous_generators():
 
 def test_obstruction_generators_are_normalized_and_sorted():
     L = parse_salamon("(0,0,0,12,13)")
-    gens = obstruction_map(L).generators
+    gens = _obstruction(L).generators
     for g in gens:
         assert g == g.normalized()
     degrees = [g.total_degree() for g in gens]
@@ -234,8 +246,8 @@ def test_quadratic_closed_form_equals_degree_two_truncation():
                  "(0,0,0,12,13+24)", "(0,0,12,13,14)"):
         L = parse_salamon(text)
         dec = build_decomposition(L)
-        series = phi_recursion(L, decomposition=dec)
-        quadratic = quadratic_obstruction_closed_form(L, decomposition=dec)
+        series = phi_recursion(dec)
+        quadratic = quadratic_obstruction_closed_form(dec)
         truncation = ObstructionResult(
             dec.harmonic_coefficients(series.harmonic_parts[2]))
         assert sorted(map(str, quadratic.generators)) == \
@@ -244,7 +256,7 @@ def test_quadratic_closed_form_equals_degree_two_truncation():
 
 def test_direct_sum_of_smooth_factors_is_obstructed():
     L = direct_sum(parse_salamon("(0,0,12)"), abelian(1))
-    result = obstruction_map(L)
+    result = _obstruction(L)
     assert not result.is_zero
 
 
@@ -254,14 +266,14 @@ def test_direct_sum_of_smooth_factors_is_obstructed():
 def test_mc_residual_vanishes_after_harmonic_subtraction_low_nu():
     for text in ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,12,13,23)"):
         L = parse_salamon(text)
-        series = phi_recursion(L)
-        assert mc_residual(L, series).is_zero
+        series = phi_recursion(build_decomposition(L))
+        assert mc_residual(series).is_zero
 
 
 def test_mc_residual_without_subtraction_is_harmonic_sum():
     L = parse_salamon("(0,0,12,13)")
-    series = phi_recursion(L)
-    plain = mc_residual(L, series, subtract_harmonic=False)
+    series = phi_recursion(build_decomposition(L))
+    plain = mc_residual(series, subtract_harmonic=False)
     total = VectorForm.zero(L)
     for k in sorted(series.harmonic_parts):
         total = total + series.harmonic_parts[k]
@@ -271,8 +283,8 @@ def test_mc_residual_without_subtraction_is_harmonic_sum():
 def test_mc_residual_nu_four_equals_dropped_coexact_sum():
     for text in ("(0,0,12,13,14)", "(0,0,12,13,14+23)"):
         L = parse_salamon(text)
-        series = phi_recursion(L)
-        residual = mc_residual(L, series)
+        series = phi_recursion(build_decomposition(L))
+        residual = mc_residual(series)
         total = VectorForm.zero(L)
         for vf in series.dropped_coexact.values():
             total = total + vf
@@ -287,18 +299,18 @@ def test_smoothness_tests_tie_quadric_singularity_to_freeness():
     for text, free in (("(0,0,12)", True), ("(0,0,0,12)", False),
                        ("(0,0,12,13)", True), ("(0,0,0,0,12+34)", False)):
         L = parse_salamon(text)
-        result = smoothness_tests(L)
+        dec = build_decomposition(L)
+        result = smoothness_tests(dec, obstruction_map(phi_recursion(dec)))
         assert (result["free_verdict"] == "free") is free
         assert result["lambda2_singular"] == (not free)
 
 
 def test_parallelisable_directions_span_center_tensor_harmonics():
     L = parse_salamon("(0,0,0,12)")
-    out = parallelisable_directions(L)
+    out = parallelisable_directions(build_decomposition(L))
     assert out["subspace_dim"] == 6  # m=3 harmonics x z=2 central vectors
     assert out["d"] == 6
     assert len(out["subspace"]) == 6
-    dec = build_decomposition(L)
     for vf in out["subspace"]:
         for j in (1, 2):
             assert not vf.component(j)  # only central vectors appear
@@ -308,9 +320,10 @@ def test_random_central_assignment_annihilates_all_generators():
     rng = random.Random(2024)
     for text in ("(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13)"):
         L = parse_salamon(text)
-        gens = obstruction_map(L).generators
+        dec = build_decomposition(L)
+        gens = obstruction_map(phi_recursion(dec)).generators
         for _ in range(5):
-            point = random_central_assignment(L, rng=rng)
+            point = random_central_assignment(dec, rng)
             for g in gens:
                 assert g.evaluate(point) == 0
 
