@@ -56,6 +56,7 @@ from .groebner import (
 from .hodge import (
     DegreeMismatch,
     HodgeDecomposition,
+    NotALieAlgebra,
     PreimageError,
     build_decomposition,
     build_theta_decomposition,
@@ -119,6 +120,7 @@ __all__ = [
     "MissingDegreeCap",
     "MonomialOrder",
     "NonParallelisableAmbient",
+    "NotALieAlgebra",
     "NotIntegrable",
     "NotNilpotent",
     "ObstructionResult",

@@ -146,12 +146,15 @@ class LieAlgebra:
                 spans = []
                 for row in current.rows:
                     # images[j - 1] = [row, X_j] = Σ_i row_i [X_i, X_j]
-                    images = [[0] * n for _ in range(n)]
+                    images = [{} for _ in range(n)]
                     for (i, j), comp in self.brackets.items():
+                        a, b = row.get(i - 1), row.get(j - 1)
                         for k, c in comp.items():
-                            images[j - 1][k - 1] += row[i - 1] * c
-                            images[i - 1][k - 1] -= row[j - 1] * c
-                    spans.extend(image for image in images if any(image))
+                            if a:
+                                images[j - 1][k - 1] = images[j - 1].get(k - 1, 0) + a * c
+                            if b:
+                                images[i - 1][k - 1] = images[i - 1].get(k - 1, 0) - b * c
+                    spans.extend(image for image in images if image)
                 nxt = Subspace.from_vectors(n, spans)
                 series.append(nxt)
                 if nxt.dim == current.dim:
@@ -170,22 +173,18 @@ class LieAlgebra:
         n = self.dim
         rows = []
         for j in range(1, n + 1):
-            for k in range(n):
-                rows.append([self.bracket(i, j).get(k + 1, 0) for i in range(1, n + 1)])
+            images = [self.bracket(i, j) for i in range(1, n + 1)]
+            for k in range(1, n + 1):
+                rows.append({i: b[k] for i, b in enumerate(images) if k in b})
         return linalg.nullspace(rows, n)
 
     def derived_algebra(self) -> Subspace:
-        spans = []
-        for (i, j), comp in self.brackets.items():
-            vec = [Fraction(0)] * self.dim
-            for k, c in comp.items():
-                vec[k - 1] = c
-            spans.append(vec)
+        spans = [{k - 1: c for k, c in comp.items()} for comp in self.brackets.values()]
         return Subspace.from_vectors(self.dim, spans)
 
     def derived_annihilator(self) -> Subspace:
         """Ann([g,g]) inside the dual space; its dimension is h^{0,1}."""
-        return linalg.nullspace(self.derived_algebra().basis(), self.dim)
+        return linalg.nullspace(self.derived_algebra().rows, self.dim)
 
     def is_abelian(self) -> bool:
         return not self.brackets
@@ -206,7 +205,7 @@ class LieAlgebra:
             image = [Fraction(0)] * self.dim
             for k, c in self.bracket(a + 1, b + 1).items():
                 image[k - 1] = c
-            images.append(c2.reduce(image))
+            images.append(dict(enumerate(c2.reduce(image))))
         rank = linalg.rank(images)
         quotient_dim = c1.dim - c2.dim
         injective = rank == expected

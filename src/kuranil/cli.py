@@ -1,6 +1,8 @@
 """Command-line interface: analyze algebras, list the catalog, verify it.
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on bad input.
+A reader that closes the output pipe early ends the run quietly with exit
+code 1, as Python itself exits on a broken pipe.
 """
 
 from __future__ import annotations
@@ -186,10 +188,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except BrokenPipeError:
+        # The recipe of the ``signal`` docs: point stdout at devnull, so the
+        # flush at interpreter exit cannot raise again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

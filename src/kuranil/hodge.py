@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 
 from . import linalg
+from .algebra import LieAlgebra
 from .exterior import Cov, ExteriorForm, MultiIndex, VectorForm, VectorKey
 from .polyring import Polynomial
 
@@ -39,6 +40,10 @@ class PreimageError(ValueError):
 
 class DegreeMismatch(ValueError):
     pass
+
+
+class NotALieAlgebra(TypeError):
+    """``build_decomposition`` got an ambient that is not a ``LieAlgebra``."""
 
 
 class HodgeDecomposition:
@@ -131,7 +136,7 @@ class HodgeDecomposition:
     def _build_d(self, q: int) -> linalg.Matrix:
         src = self._cells[q]
         tgt_index = self._index[q + 1]
-        mat = linalg.zeros(len(tgt_index), len(src))
+        mat: linalg.Matrix = [{} for _ in tgt_index]
         for col, cell in enumerate(src):
             image = self._apply_d(self._from_cell_items([(cell, Polynomial.one())]))
             for tcell, coeff in self._cell_items(image):
@@ -142,7 +147,7 @@ class HodgeDecomposition:
         """B, H and V in degree q."""
         dim_q = self.dim(q)
         d_out = self.d_matrices[q]
-        d_in_t = linalg.transpose(self.d_matrices[q - 1]) if q else []
+        d_in_t = linalg.transpose(self.d_matrices[q - 1], self.dim(q - 1)) if q else []
         return {
             # B = image of the incoming ∂̄ = row space of its transpose
             "B": linalg.Subspace.from_vectors(dim_q, d_in_t),
@@ -168,7 +173,8 @@ class HodgeDecomposition:
 
     def basis(self, q: int, which: str):
         """Basis of B/H/V in degree q, as forms (scalar) or vector forms (theta)."""
-        return [self._from_coords(q, [Polynomial.constant(x) for x in row])
+        cells = self._cells[q]
+        return [self._from_cell_items((cells[j], Polynomial.constant(x)) for j, x in row.items())
                 for row in self._spaces[q][which].rows]
 
     def harmonic_pivot_cells(self, q: int) -> list:
@@ -251,15 +257,14 @@ class HodgeDecomposition:
             if self.max_degree < 2:
                 raise DegreeMismatch("decomposition does not include degree 2")
             v_rows = self._spaces[1]["V"].rows
-            dim1, dim2 = self.dim(1), self.dim(2)
             if not v_rows:
-                self._delta_matrix = linalg.zeros(dim1, dim2)
+                self._delta_matrix = [{} for _ in range(self.dim(1))]
             else:
-                vt = linalg.transpose(v_rows)
+                vt = linalg.transpose(v_rows, self.dim(1))
                 m = linalg.mat_mul(self.d_matrices[1], vt)      # V¹-coords → degree-2
-                gram_inv = linalg.invert(linalg.mat_mul(linalg.transpose(m), m))
-                self._delta_matrix = linalg.mat_mul(
-                    vt, linalg.mat_mul(gram_inv, linalg.transpose(m)))
+                mt = linalg.transpose(m, len(v_rows))
+                gram_inv = linalg.invert(linalg.mat_mul(mt, m))
+                self._delta_matrix = linalg.mat_mul(vt, linalg.mat_mul(gram_inv, mt))
         return self._delta_matrix
 
     def delta_op(self, obj):
@@ -273,7 +278,14 @@ class HodgeDecomposition:
 
 
 def build_decomposition(L) -> HodgeDecomposition:
-    """Scalar Hodge decomposition of Λ^{0,•} in every degree 0..n."""
+    """Scalar Hodge decomposition of Λ^{0,•} in every degree 0..n.
+
+    The scalar path of the recursion reads the central series and nilpotency
+    index of ``L``, so ``L`` must be a ``LieAlgebra``."""
+    if not isinstance(L, LieAlgebra):
+        raise NotALieAlgebra(
+            f"build_decomposition needs a LieAlgebra, got {type(L).__name__}; "
+            "use build_theta_decomposition for a complex structure")
     return HodgeDecomposition(L, "scalar", L.complex_dim)
 
 

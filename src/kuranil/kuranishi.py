@@ -396,11 +396,10 @@ def parallelisable_directions(decomposition) -> dict:
     hbasis = decomposition.basis(1, "H")
     vectors = []
     for h in hbasis:
-        for row in z.basis():
+        for row in z.rows:
             vf = VectorForm.zero(L)
-            for j, c in enumerate(row, start=1):
-                if c:
-                    vf = vf + VectorForm.single(L, h.scale(c), j)
+            for j, c in row.items():
+                vf = vf + VectorForm.single(L, h.scale(c), j + 1)
             vectors.append(vf)
     return {
         "subspace": vectors,
@@ -418,10 +417,10 @@ def random_central_assignment(decomposition, rng: random.Random) -> dict:
     assignment = {(i, j): Fraction(0) for i in range(1, m + 1) for j in range(1, n + 1)}
     for i in range(1, m + 1):
         vec = [Fraction(0)] * n
-        for row in z.basis():
+        for row in z.rows:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for j in range(n):
-                vec[j] += c * row[j]
+            for j, x in row.items():
+                vec[j] += c * x
         for j in range(n):
             assignment[(i, j + 1)] = vec[j]
     return assignment

@@ -1,12 +1,20 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on nonzero entries only.
 
-Matrices are plain ``list[list[Fraction]]`` in row-major order.  Everything here
-is deterministic and exact; no floating point is used anywhere.  A subspace is
-a ``Subspace``: its RREF rows and their pivot columns, from one ``rref`` call,
-which no other module makes.  ``mat_vec`` and ``Subspace.reduce`` accept
-vectors whose entries live in any commutative ring that supports ``+``, ``*``
-and scalar multiplication by ``Fraction`` (polynomial-valued vectors, in
-practice).
+A matrix is a list of sparse rows, and a row is a ``{column: Fraction}`` dict
+that holds only the row's nonzero entries, in ascending column order.  Every
+matrix here stays in that form: elimination (``rref``), products, transposes,
+inverses and projectors never build or scan a zero entry.  A row handed to
+``rref`` or ``Subspace.from_vectors`` may hold explicit zeros (so
+``dict(enumerate(v))`` turns a dense vector into one); they are dropped.
+
+Everything here is deterministic and exact; no floating point is used
+anywhere.  A subspace is a ``Subspace``: its RREF rows and their pivot
+columns, from one ``rref`` call, which no other module makes.
+
+Vectors stay dense: ``mat_vec`` and ``Subspace.reduce`` take a sequence with
+one entry per column and return a list.  Those entries may live in any
+commutative ring that supports ``+``, ``*`` and scalar multiplication by
+``Fraction`` (polynomial-valued vectors, in practice).
 """
 
 from __future__ import annotations
@@ -14,131 +22,130 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
-Matrix = list[list[Fraction]]
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
+Row = dict[int, Fraction]
+Matrix = list[Row]
 
 
 def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    return [{i: Fraction(1)} for i in range(n)]
 
 
-def transpose(a: Sequence[Sequence[Fraction]]) -> Matrix:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return []
-    n, k, m = len(a), len(b), len(b[0])
-    out = zeros(n, m)
-    for i in range(n):
-        row = a[i]
-        out_i = out[i]
-        for t in range(k):
-            c = row[t]
-            if not c:
-                continue
-            b_t = b[t]
-            for j in range(m):
-                if b_t[j]:
-                    out_i[j] += c * b_t[j]
+def transpose(a: Sequence[Row], ncols: int) -> Matrix:
+    """The transpose of ``a``, whose columns are ``0..ncols-1``."""
+    out: Matrix = [{} for _ in range(ncols)]
+    for i, row in enumerate(a):
+        for j, x in row.items():
+            out[j][i] = x
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence, zero=Fraction(0)) -> list:
-    """Matrix times vector; entries of ``v`` may be any ring elements."""
+def mat_mul(a: Sequence[Row], b: Sequence[Row]) -> Matrix:
+    out = []
+    for row in a:
+        acc: Row = {}
+        for t, c in row.items():
+            for j, y in b[t].items():
+                acc[j] = acc.get(j, 0) + c * y
+        out.append({j: x for j, x in sorted(acc.items()) if x})
+    return out
+
+
+def mat_vec(a: Sequence[Row], v: Sequence, zero=Fraction(0)) -> list:
+    """Matrix times dense vector; entries of ``v`` may be any ring elements."""
     out = []
     for row in a:
         acc = zero
-        for c, x in zip(row, v):
-            if c:
+        for j, c in row.items():
+            x = v[j]
+            if x:
                 acc = acc + x * c
         out.append(acc)
     return out
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.
+def _subtract(row: Row, f, pivot_row: Row) -> None:
+    """``row -= f * pivot_row`` in place, dropping entries that cancel."""
+    for j, y in pivot_row.items():
+        x = row.get(j, 0) - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+
+
+def rref(a: Iterable[Row]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form of the rows ``a``, which are not modified.
 
     Returns ``(rows, pivots)`` where ``rows`` contains only the nonzero rows and
     ``pivots[i]`` is the column of the leading 1 in ``rows[i]``.
+
+    The rows are taken one at a time and kept fully reduced: a new row is
+    cleared at every pivot it meets (the reduced rows vanish at each other's
+    pivots, so one pass suffices), scaled at its leading column, and that
+    column is then cleared from the rows already kept.
     """
-    m = [row[:] for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    reduced: dict[int, Row] = {}  # pivot column -> row with a 1 there
+    for source in a:
+        row = {j: x for j, x in source.items() if x}
+        for p, f in [(p, row[p]) for p in row if p in reduced]:
+            _subtract(row, f, reduced[p])
+        if not row:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m[:r], pivots
+        c = min(row)
+        lead = row[c]
+        if lead != 1:
+            inv = Fraction(1) / lead
+            row = {j: x * inv for j, x in row.items()}
+        for other in reduced.values():
+            f = other.get(c)
+            if f:
+                _subtract(other, f, row)
+        reduced[c] = row
+    pivots = sorted(reduced)
+    return [dict(sorted(reduced[p].items())) for p in pivots], pivots
 
 
-def rank(a: Matrix) -> int:
-    return len(rref(a)[0])
+def rank(a: Iterable[Row]) -> int:
+    return len(rref(a)[1])
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^ambient_dim: its RREF rows and their pivot columns,
-    ``pivots[i]`` being the column of the leading 1 in ``rows[i]``.
+    """A subspace of Q^ambient_dim: its RREF rows (sparse) and their pivot
+    columns, ``pivots[i]`` being the column of the leading 1 in ``rows[i]``.
 
     The RREF of a spanning set is unique, so equal subspaces have equal rows.
     """
 
     ambient_dim: int
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[Row, ...]
     pivots: tuple[int, ...]
 
     @staticmethod
-    def from_vectors(ambient_dim: int, vectors) -> "Subspace":
-        """The span of ``vectors``, each of length ``ambient_dim``."""
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
+    def from_vectors(ambient_dim: int, vectors: Iterable[Row]) -> "Subspace":
+        """The span of ``vectors``, sparse rows over columns ``0..ambient_dim-1``."""
+        vecs = list(vectors)
+        if any(not 0 <= j < ambient_dim for v in vecs for j in v):
+            raise ValueError("vector entry outside the ambient dimension")
         rows, pivots = rref(vecs)
-        return Subspace(ambient_dim, tuple(tuple(r) for r in rows), tuple(pivots))
+        return Subspace(ambient_dim, tuple(rows), tuple(pivots))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def basis(self) -> Matrix:
-        return [list(r) for r in self.rows]
-
     def reduce(self, v: Sequence) -> list:
-        """``v`` with the span of the rows eliminated at their pivot columns;
-        zero iff ``v`` lies in the subspace.  Entries may come from any ring
-        containing Q (they are combined with rational coefficients)."""
+        """Dense ``v`` with the span of the rows eliminated at their pivot
+        columns; zero iff ``v`` lies in the subspace.  Entries may come from
+        any ring containing Q (they are combined with rational coefficients)."""
         w = list(v)
         for row, pc in zip(self.rows, self.pivots):
             c = w[pc]
             if c:
-                w = [x - y * c for x, y in zip(w, row)]
+                for j, y in row.items():
+                    w[j] = w[j] - y * c
         return w
 
     def contains(self, v: Sequence) -> bool:
@@ -152,40 +159,30 @@ class Subspace:
         matrix.  For the rows R it is ``R^T (R R^T)^{-1} R``; exact over Q
         because ``R R^T`` is a Gram matrix, invertible for independent rows."""
         if not self.rows:
-            return zeros(self.ambient_dim, self.ambient_dim)
-        r = self.basis()
-        rt = transpose(r)
+            return [{} for _ in range(self.ambient_dim)]
+        r = self.rows
+        rt = transpose(r, self.ambient_dim)
         return mat_mul(mat_mul(rt, invert(mat_mul(r, rt))), r)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> Subspace:
-    """The right kernel of ``a``."""
-    if ncols is None:
-        if not a:
-            raise ValueError("ncols required for empty matrix")
-        ncols = len(a[0])
-    if not a:
-        return Subspace.from_vectors(ncols, identity(ncols))
+def nullspace(a: Iterable[Row], ncols: int) -> Subspace:
+    """The right kernel of ``a``, whose columns are ``0..ncols-1``."""
     rows, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return Subspace.from_vectors(ncols, basis)
+    pivot_set = set(pivots)
+    basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(rows, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return Subspace.from_vectors(ncols, basis.values())
 
 
 def invert(a: Matrix) -> Matrix:
     n = len(a)
-    eye = identity(n)
-    aug = [a[i] + eye[i] for i in range(n)]
-    rows, pivots = rref(aug)
+    rows, pivots = rref({**row, n + i: Fraction(1)} for i, row in enumerate(a))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in rows]

@@ -203,7 +203,7 @@ def test_criterion_7_structural_properties():
             nxt = dec.d_matrices.get(q + 1)
             cur = dec.d_matrices[q]
             if nxt and cur:
-                assert all(not x for row in mat_mul(nxt, cur) for x in row), \
+                assert all(not x for row in mat_mul(nxt, cur) for x in row.values()), \
                     entry.name
 
         series = phi_recursion(dec)
@@ -290,7 +290,7 @@ def test_criterion_7_structural_properties():
         nxt = tdec.d_matrices.get(q + 1)
         cur = tdec.d_matrices[q]
         if nxt and cur:
-            assert all(not x for row in mat_mul(nxt, cur) for x in row)
+            assert all(not x for row in mat_mul(nxt, cur) for x in row.values())
     for mi, (j, barred) in tdec.cells(2):
         cell = VectorForm.single(
             csa, ExteriorForm(csa, {mi: Polynomial.one()}), j, barred)

@@ -251,7 +251,7 @@ def test_complex_structure_brackets_match_stated_example():
 
 
 def test_subspace_membership_api():
-    rows = [[Fraction(1), Fraction(0), Fraction(1)]]
+    rows = [{0: Fraction(1), 2: Fraction(1)}]
     space = Subspace.from_vectors(3, rows)
     assert space.dim == 1
     assert space.contains([Fraction(2), Fraction(0), Fraction(2)])

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, output formats, input resolution."""
 
+import io
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
+import kuranil
 from kuranil import catalog, groebner
 from kuranil.algebra import ComplexStructureAlgebra, LieAlgebra, parse_salamon
 from kuranil.cli import (
@@ -294,3 +300,45 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
     assert all(r.status == "PASS" for r in results)
     assert {"component-containment", "intersection"} <= {r.check for r in results}
     assert inputs and len(set(inputs)) == len(inputs)
+
+
+# -- a reader that closes the pipe ---------------------------------------------
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write raises ``BrokenPipeError``."""
+
+    def __init__(self, fd):
+        self._fd = fd
+
+    def fileno(self):
+        return self._fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_verify_quietly(tmp_path, monkeypatch, capsys):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["verify", "general7"]) == 1
+    finally:
+        os.close(fd)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_without_traceback():
+    """The reader's end is closed before the process starts, so the first
+    write fails whatever the timing."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(kuranil.__file__).parents[1]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "kuranil.cli", "catalog"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

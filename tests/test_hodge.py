@@ -16,6 +16,7 @@ from kuranil.exterior import Cov, ExteriorForm, VectorForm
 from kuranil.hodge import (
     DegreeMismatch,
     HodgeDecomposition,
+    NotALieAlgebra,
     PreimageError,
     build_decomposition,
     build_theta_decomposition,
@@ -30,6 +31,17 @@ ALGEBRAS = ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13+24)",
 
 def _mixed7():
     return parse_complex_structure_file("dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n")
+
+
+def _add(a, b):
+    """Sum of two sparse matrices, zeros dropped."""
+    out = []
+    for r1, r2 in zip(a, b):
+        row = dict(r1)
+        for j, y in r2.items():
+            row[j] = row.get(j, 0) + y
+        out.append({j: x for j, x in sorted(row.items()) if x})
+    return out
 
 
 # -- scalar complex ----------------------------------------------------------
@@ -69,10 +81,31 @@ def test_projectors_are_idempotent_orthogonal_and_complete():
         for which in ("B", "H", "V"):
             p = dec.projector(q, which)
             assert mat_mul(p, p) == p
-            assert transpose(p) == p
-            total = p if total is None else [
-                [x + y for x, y in zip(r1, r2)] for r1, r2 in zip(total, p)]
+            assert transpose(p, dec.dim(q)) == p
+            total = p if total is None else _add(total, p)
         assert total == identity(dec.dim(q))
+
+
+def test_theta_projectors_are_idempotent_orthogonal_and_complete():
+    L = parse_salamon("(0,0,12,13,14+23)")
+    dec = build_theta_decomposition(to_complex_structure(L))
+    for q in range(3):
+        total = None
+        for which in ("B", "H", "V"):
+            p = dec.projector(q, which)
+            assert mat_mul(p, p) == p
+            assert transpose(p, dec.dim(q)) == p
+            total = p if total is None else _add(total, p)
+        assert total == identity(dec.dim(q))
+    # δ∘∂̄ is the identity on V¹
+    p_v = dec.projector(1, "V")
+    assert any(p_v)
+    assert mat_mul(dec.delta_matrix(), mat_mul(dec.d_matrices[1], p_v)) == p_v
+
+
+def test_scalar_decomposition_rejects_a_complex_structure():
+    with pytest.raises(NotALieAlgebra, match="build_theta_decomposition"):
+        build_decomposition(_mixed7())
 
 
 def test_projection_splits_form_exactly():
@@ -157,7 +190,7 @@ def test_d_squared_is_zero_matrixwise():
             if not d_q or not d_next:
                 continue
             product = mat_mul(d_next, d_q)
-            assert all(all(x == 0 for x in row) for row in product)
+            assert all(all(x == 0 for x in row.values()) for row in product)
 
 
 def test_harmonic_pivot_cells_match_basis_count():
