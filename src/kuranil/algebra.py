@@ -13,8 +13,11 @@ Two kinds of ambient object live here:
   part (``cw^a ∧ w^b``, with ``cw`` the conjugated covector).  Conjugate
   equations are implied (all coefficients are rational).
 
-Both implement the ambient protocol consumed by the exterior-algebra module:
-``complex_dim``, ``covector_differential``, ``vector_bracket``, ``vector_delbar``.
+Both build one table at construction: the brackets of the complexified frame
+``X_1..X_n, X̄_1..X̄_n``, with vectors keyed by ``(index, barred)``.  Their
+shared base reads the ambient protocol of the exterior-algebra module off
+that table: ``complex_dim``, ``covector_differential`` (by the duality above),
+``vector_bracket`` and ``vector_delbar``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import vector_key_str
+from .exterior import VectorKey, vector_key_str
 from .linalg import Subspace
 
 
@@ -54,12 +57,56 @@ class StructureParseError(ValueError):
 Brackets = dict[tuple[int, int], dict[int, Fraction]]
 
 
-class LieAlgebra:
-    """Complex Lie algebra ``[X_i, X_j] = Σ_k c^k_ij X_k`` with ``i < j`` stored."""
+class _FrameAlgebra:
+    """The ambient protocol, read off one table: the brackets of the
+    complexified frame, each pair of frame vectors stored under one order
+    ``(x, y)`` as ``{(x, y): {z: c}}`` with ``[x, y] = Σ c z``."""
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise ValueError("dimension must be positive")
+        self.complex_dim = n
+        self._table: dict[tuple[VectorKey, VectorKey], dict[VectorKey, Fraction]] = {}
+
+    def _add(self, x: VectorKey, y: VectorKey, z: VectorKey, c: Fraction) -> None:
+        """Record ``c·z`` as a term of ``[x, y]``."""
+        self._table.setdefault((x, y), {})[z] = c
+
+    def covector_differential(self, index: int, barred: bool) -> list[tuple[int, bool, int, bool, Fraction]]:
+        """d of the covector as triples (a, barred_a, b, barred_b, coeff).
+
+        ``dα(x, y) = −α([x, y])`` gives each stored pair ``[x, y]`` the term
+        ``−c·ω^x∧ω^y``, with ``c`` the covector's component of ``[x, y]``.
+        """
+        key = (index, barred)
+        return [(a, ba, b, bb, -comp[key])
+                for ((a, ba), (b, bb)), comp in self._table.items() if key in comp]
+
+    def vector_bracket(self, i: int, bi: bool, j: int, bj: bool) -> dict[VectorKey, Fraction]:
+        """Bracket of frame vectors, complexified: [X_i, X_j], [X̄_i, X_j], etc."""
+        comp = self._table.get(((i, bi), (j, bj)))
+        if comp is not None:
+            return dict(comp)
+        return {key: -c for key, c in self._table.get(((j, bj), (i, bi)), {}).items()}
+
+    def vector_delbar(self, j: int) -> dict[tuple[int, VectorKey], Fraction]:
+        """∂̄X_j = Σ_a cw^a ⊗ pr^{1,0}[X̄_a, X_j], as {(a, vector_key): coeff}."""
+        out: dict[tuple[int, VectorKey], Fraction] = {}
+        for a in range(1, self.complex_dim + 1):
+            for (k, barred), c in self.vector_bracket(a, True, j, False).items():
+                if not barred:
+                    out[(a, (k, False))] = c
+        return out
+
+
+class LieAlgebra(_FrameAlgebra):
+    """Complex Lie algebra ``[X_i, X_j] = Σ_k c^k_ij X_k`` with ``i < j`` stored.
+
+    Its complexified frame brackets are these and their conjugates, with
+    ``[g, ḡ] = 0``: the algebra viewed as parallelisable."""
 
     def __init__(self, dim: int, brackets: Brackets, name: str | None = None):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
+        super().__init__(dim)
         clean: Brackets = {}
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= dim):
@@ -70,48 +117,17 @@ class LieAlgebra:
                     raise ValueError(f"bracket target X{k} out of range")
             if entries:
                 clean[(i, j)] = entries
+            for k, c in entries.items():
+                for barred in (False, True):
+                    self._add((i, barred), (j, barred), (k, barred), c)
         self.dim = dim
         self.brackets = clean
         self.name = name or f"lie-algebra-dim-{dim}"
         self._central_series: list[Subspace] | None = None
 
-    # -- basic bracket access ------------------------------------------------
-
     def bracket(self, i: int, j: int) -> dict[int, Fraction]:
         """[X_i, X_j] as a sparse coefficient vector."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self.brackets.get((i, j), {}))
-        return {k: -c for k, c in self.brackets.get((j, i), {}).items()}
-
-    # -- ambient protocol ----------------------------------------------------
-
-    @property
-    def complex_dim(self) -> int:
-        return self.dim
-
-    def covector_differential(self, index: int, barred: bool) -> list[tuple[int, bool, int, bool, Fraction]]:
-        """d of the covector as triples (a, barred_a, b, barred_b, coeff).
-
-        ``dα(x, y) = −α([x, y])`` gives ``dw^k = −Σ_{i<j} c^k_ij w^i ∧ w^j``;
-        the barred equation is its conjugate (rational coefficients).
-        """
-        out = []
-        for (i, j), comp in self.brackets.items():
-            c = comp.get(index)
-            if c:
-                out.append((i, barred, j, barred, -c))
-        return out
-
-    def vector_bracket(self, i: int, bi: bool, j: int, bj: bool) -> dict[tuple[int, bool], Fraction]:
-        """Lie bracket of frame vectors, allowing conjugated arguments."""
-        if bi != bj:
-            return {}  # [g, ḡ] = 0 for a complex Lie algebra viewed as parallelisable
-        return {(k, bi): c for k, c in self.bracket(i, j).items()}
-
-    def vector_delbar(self, j: int) -> dict[tuple[int, tuple[int, bool]], Fraction]:
-        return {}
+        return {k: c for (k, _), c in self.vector_bracket(i, False, j, False).items()}
 
     # -- validation ----------------------------------------------------------
 
@@ -371,11 +387,16 @@ D20 = dict[int, dict[tuple[int, int], Fraction]]   # k -> {(a,b) a<b: coeff of w
 D11 = dict[int, dict[tuple[int, int], Fraction]]   # k -> {(a,b): coeff of cw^a∧w^b}
 
 
-class ComplexStructureAlgebra:
+class ComplexStructureAlgebra(_FrameAlgebra):
     """Real Lie algebra with integrable complex structure, given by the
-    differentials of the (1,0)-coframe.  Conjugate equations implied."""
+    differentials of the (1,0)-coframe.  Conjugate equations implied.
+
+    With ``dw^k = Σ A^k_ab w^a∧w^b + Σ B^k_ab cw^a∧w^b`` its complexified
+    frame brackets are ``[X_a, X_b] = −Σ_k A^k_ab X_k`` (a < b),
+    ``[X̄_a, X_b] = −Σ_k B^k_ab X_k + Σ_k B^k_ba X̄_k`` and their conjugates."""
 
     def __init__(self, n: int, d20: D20, d11: D11, name: str | None = None):
+        super().__init__(n)
         self.n = n
         self.d20 = {
             k: {pair: Fraction(c) for pair, c in comp.items() if c}
@@ -394,85 +415,35 @@ class ComplexStructureAlgebra:
                 if not (1 <= a <= n and 1 <= b <= n):
                     raise ValueError(f"wedge indices ({a},{b}) out of range")
         for k, comp in self.d20.items():
-            for (a, b) in comp:
+            for (a, b), c in comp.items():
                 if a >= b:
                     raise ValueError("(2,0) wedge pairs must have a < b")
-        self.name = name or f"complex-structure-dim-{n}"
-
-    # -- ambient protocol ----------------------------------------------------
-
-    @property
-    def complex_dim(self) -> int:
-        return self.n
-
-    def covector_differential(self, index: int, barred: bool) -> list[tuple[int, bool, int, bool, Fraction]]:
-        """dw^k (or its conjugate): (2,0) terms w^a∧w^b plus (1,1) terms cw^a∧w^b."""
-        out = []
-        for (a, b), c in self.d20.get(index, {}).items():
-            out.append((a, barred, b, barred, c))
-        for (a, b), c in self.d11.get(index, {}).items():
-            out.append((a, not barred, b, barred, c))
-        return out
-
-    def vector_bracket(self, i: int, bi: bool, j: int, bj: bool) -> dict[tuple[int, bool], Fraction]:
-        """Bracket of frame vectors, complexified: [X_i, X_j], [X̄_i, X_j], etc."""
-        out: dict[tuple[int, bool], Fraction] = {}
-        if bi == bj:
-            # [X_i, X_j] = −Σ A^k_ij X_k (conjugate everything if both barred)
-            if i == j:
-                return {}
-            sign = Fraction(1)
-            a, b = i, j
-            if a > b:
-                a, b = b, a
-                sign = Fraction(-1)
-            for k, comp in self.d20.items():
-                c = comp.get((a, b))
-                if c:
-                    out[(k, bi)] = out.get((k, bi), Fraction(0)) - sign * c
-            return {key: c for key, c in out.items() if c}
-        # mixed: [X̄_a, X_b] = −Σ_k B^k_ab X_k + Σ_k B^k_ba X̄_k
-        if bi and not bj:
-            a, b = i, j
-            flip = False
-        else:
-            a, b = j, i
-            flip = True
+                for barred in (False, True):
+                    self._add((a, barred), (b, barred), (k, barred), -c)
         for k, comp in self.d11.items():
-            c = comp.get((a, b))
-            if c:
-                out[(k, False)] = out.get((k, False), Fraction(0)) - c
-            c2 = comp.get((b, a))
-            if c2:
-                out[(k, True)] = out.get((k, True), Fraction(0)) + c2
-        if flip:
-            out = {key: -c for key, c in out.items()}
-        return {key: c for key, c in out.items() if c}
-
-    def vector_delbar(self, j: int) -> dict[tuple[int, tuple[int, bool]], Fraction]:
-        """∂̄X_j = Σ_a cw^a ⊗ pr^{1,0}[X̄_a, X_j], as {(a, vector_key): coeff}."""
-        out: dict[tuple[int, tuple[int, bool]], Fraction] = {}
-        for a in range(1, self.n + 1):
-            for (k, barred), c in self.vector_bracket(a, True, j, False).items():
-                if not barred:
-                    out[(a, (k, False))] = c
-        return out
+            # a mixed bracket lists X_k before X̄_k, for each k
+            for (a, b), c in comp.items():
+                self._add((a, True), (b, False), (k, False), -c)
+            for (a, b), c in comp.items():
+                self._add((b, True), (a, False), (k, True), c)
+        self.name = name or f"complex-structure-dim-{n}"
 
     def validate(self) -> None:
         """Raise ``JacobiViolation`` (d² ≠ 0) or ``NotNilpotent`` unless the
         structure is a nilpotent Lie algebra, checked on its complexification:
-        the ``LieAlgebra`` of ``vector_bracket`` on X_1..X_n, X̄_1..X̄_n, where
-        X̄_k is basis vector n + k and the error message calls it ``cX<k>``."""
+        the ``LieAlgebra`` of the frame bracket table on X_1..X_n, X̄_1..X̄_n,
+        where X̄_k is basis vector n + k and the error message calls it ``cX<k>``."""
         n = self.n
-        keys = [(k, barred) for barred in (False, True) for k in range(1, n + 1)]
         brackets: Brackets = {}
-        for (a, key_a), (b, key_b) in itertools.combinations(enumerate(keys, start=1), 2):
-            brackets[(a, b)] = {k + n * barred: c for (k, barred), c
-                                in self.vector_bracket(*key_a, *key_b).items()}
+        for ((i, bi), (j, bj)), comp in self._table.items():
+            a, b, sign = i + n * bi, j + n * bj, 1
+            if a > b:
+                a, b, sign = b, a, -1
+            brackets[(a, b)] = {k + n * barred: sign * c for (k, barred), c in comp.items()}
         try:
             LieAlgebra(2 * n, brackets, name=self.name).validate()
         except JacobiViolation as exc:
-            names = [vector_key_str(keys[i - 1]) for i in exc.triple]
+            names = [vector_key_str(((i - 1) % n + 1, i > n)) for i in exc.triple]
             raise JacobiViolation(exc.triple, exc.defect, names) from None
 
     def classify(self) -> str:

@@ -8,7 +8,10 @@ constants), letting the same machinery serve constant-coefficient cohomology
 and the parameter-dependent deformation recursion.
 
 The ambient object must provide ``complex_dim``, ``covector_differential``,
-``vector_bracket`` and ``vector_delbar`` (see the algebra module).
+``vector_bracket`` and ``vector_delbar``; the algebra module reads all four
+off one table of frame brackets.  d, ∂ and ∂̄ are one Leibniz-rule kernel that
+keeps the terms of each ``covector_differential`` raising the barred degree
+by the wanted amount.
 """
 
 from __future__ import annotations
@@ -123,14 +126,6 @@ class ExteriorForm:
     def degrees(self) -> set[int]:
         return {len(mi) for mi in self.terms}
 
-    def bidegree_part(self, p: int, q: int) -> "ExteriorForm":
-        picked = {}
-        for mi, c in self.terms.items():
-            nq = sum(1 for cv in mi if cv.barred)
-            if nq == q and len(mi) - nq == p:
-                picked[mi] = c
-        return ExteriorForm(self.ambient, picked)
-
     def _check_ambient(self, other: "ExteriorForm") -> None:
         if self.ambient is not other.ambient:
             raise AmbientMismatch("forms live over different ambient algebras")
@@ -178,39 +173,36 @@ class ExteriorForm:
 
     # -- differential operators ----------------------------------------------
 
-    def ce_differential(self) -> "ExteriorForm":
-        """Full d, extended from the structure equations by the graded Leibniz rule."""
-        total = ExteriorForm(self.ambient)
+    def _d(self, dq: int | None) -> "ExteriorForm":
+        """d by the graded Leibniz rule from the structure equations, keeping
+        only the terms ω^a∧ω^b of each covector's differential that raise the
+        barred degree by ``dq`` (all of them when ``dq`` is None)."""
+        out: dict[MultiIndex, Polynomial] = {}
         for mi, coeff in self.terms.items():
             for pos, cv in enumerate(mi):
                 sign = -1 if pos % 2 else 1
                 rest = mi[:pos] + mi[pos + 1:]
                 for (a, ba, b, bb, c) in self.ambient.covector_differential(cv.index, cv.barred):
+                    if dq is not None and ba + bb - cv.barred != dq:
+                        continue
                     canon = _canonical((Cov(a, ba), Cov(b, bb)) + rest)
                     if canon is None:
                         continue
                     new_mi, s2 = canon
-                    contrib = coeff * (c * sign * s2)
-                    total = total + ExteriorForm(self.ambient, {new_mi: contrib})
-        return total
+                    out[new_mi] = out.get(new_mi, Polynomial.zero()) + coeff * (c * sign * s2)
+        return ExteriorForm(self.ambient, out)
 
-    def _d_part(self, dp: int, dq: int) -> "ExteriorForm":
-        """(p, q) → (p+dp, q+dq) component of d, per input term."""
-        out = ExteriorForm(self.ambient)
-        for mi, c in self.terms.items():
-            q = sum(1 for cv in mi if cv.barred)
-            p = len(mi) - q
-            single = ExteriorForm(self.ambient, {mi: c})
-            out = out + single.ce_differential().bidegree_part(p + dp, q + dq)
-        return out
+    def ce_differential(self) -> "ExteriorForm":
+        """Full d, extended from the structure equations by the graded Leibniz rule."""
+        return self._d(None)
 
     def delbar(self) -> "ExteriorForm":
-        """(p, q) → (p, q+1) component of d, per input term."""
-        return self._d_part(0, 1)
+        """(p, q) → (p, q+1) component of d."""
+        return self._d(1)
 
     def del_(self) -> "ExteriorForm":
-        """(p, q) → (p+1, q) component of d, per input term."""
-        return self._d_part(1, 0)
+        """(p, q) → (p+1, q) component of d."""
+        return self._d(0)
 
     def contract(self, index: int, barred: bool = False) -> "ExteriorForm":
         """Interior product with the frame vector X_index (or its conjugate)."""
@@ -223,11 +215,6 @@ class ExteriorForm:
                     rest = mi[:pos] + mi[pos + 1:]
                     out[rest] = out.get(rest, Polynomial.zero()) + c * sign
         return ExteriorForm(self.ambient, out)
-
-    def lie_derivative(self, index: int, barred: bool = False) -> "ExteriorForm":
-        """Cartan formula L_X = i_X ∘ d + d ∘ i_X."""
-        return self.ce_differential().contract(index, barred) + \
-            self.contract(index, barred).ce_differential()
 
     # -- rendering -----------------------------------------------------------
 

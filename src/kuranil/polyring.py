@@ -414,14 +414,16 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+(?:/\d+)?)"
     r"|(?P<tvar>t(?P<ti>\d+)_(?P<tj>\d+))"
     r"|(?P<uvar>u\b)"
-    r"|(?P<minor2>delta\[(?P<m2low>\d+);(?P<m2up>\d+)\])"
-    r"|(?P<minor3>Delta\[(?P<m3low>\d+);(?P<m3up>\d+)\])"
+    r"|(?P<minor>(?P<mname>delta|Delta)\[(?P<mlow>\d+);(?P<mup>\d+)\])"
     r"|(?P<op>[-+*^()]))"
 )
 
 
 class PolynomialParseError(ValueError):
     pass
+
+
+_MINORS = {"delta": (2, minor2), "Delta": (3, minor3)}
 
 
 def _tokenize(text: str) -> list:
@@ -436,26 +438,24 @@ def _tokenize(text: str) -> list:
             raise PolynomialParseError(f"cannot tokenize {rest[:20]!r}")
         pos = m.end()
         if m.group("number"):
-            if "/" in m.group("number"):
-                p, q = m.group("number").split("/")
-                tokens.append(("num", Fraction(int(p), int(q))))
-            else:
-                tokens.append(("num", Fraction(int(m.group("number")))))
+            p, _, q = m.group("number").partition("/")
+            if q and not int(q):
+                raise PolynomialParseError(f"zero denominator in {m.group('number')!r}")
+            tokens.append(("num", Fraction(int(p), int(q or 1))))
         elif m.group("tvar"):
             tokens.append(("var", (int(m.group("ti")), int(m.group("tj")))))
         elif m.group("uvar"):
             tokens.append(("var", UVAR))
-        elif m.group("minor2"):
-            low, up = m.group("m2low"), m.group("m2up")
-            if len(low) != 2 or len(up) != 2:
-                raise PolynomialParseError(f"delta needs two lower and two upper digits: {m.group(0)}")
-            tokens.append(("poly", minor2(int(low[0]), int(low[1]), int(up[0]), int(up[1]))))
-        elif m.group("minor3"):
-            low, up = m.group("m3low"), m.group("m3up")
-            if len(low) != 3 or len(up) != 3:
-                raise PolynomialParseError(f"Delta needs three lower and three upper digits: {m.group(0)}")
-            tokens.append(("poly", minor3(int(low[0]), int(low[1]), int(low[2]),
-                                          int(up[0]), int(up[1]), int(up[2]))))
+        elif m.group("minor"):
+            size, minor = _MINORS[m.group("mname")]
+            low, up = m.group("mlow"), m.group("mup")
+            if len(low) != size or len(up) != size:
+                raise PolynomialParseError(
+                    f"{m.group('mname')} needs {size} lower and {size} upper digits: {m.group(0)}")
+            try:
+                tokens.append(("poly", minor(*(int(d) for d in low + up))))
+            except ValueError as exc:  # a repeated index
+                raise PolynomialParseError(f"{m.group(0)}: {exc}") from None
         else:
             tokens.append(("op", m.group("op")))
     return tokens

@@ -1,5 +1,6 @@
 """Nilpotent Lie algebras: parsing, structural invariants, complex structures."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from kuranil.algebra import (
     parse_structure_file,
     to_complex_structure,
 )
+from kuranil.exterior import Cov, ExteriorForm
 
 
 HEISENBERG = "(0,0,12)"
@@ -248,6 +250,95 @@ def test_complex_structure_brackets_match_stated_example():
     csa = parse_complex_structure_file("dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n")
     out = csa.vector_bracket(5, True, 1, False)
     assert out == {(7, True): Fraction(1)}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_constructors_reject_nonpositive_dimension(n):
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        LieAlgebra(n, {})
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        ComplexStructureAlgebra(n, {}, {})
+
+
+# -- the ambient protocol against the structure constants --------------------
+
+
+def _form(ambient, terms) -> ExteriorForm:
+    """Σ c·ω^x∧ω^y over ``(a, barred_a, b, barred_b, c)`` terms."""
+    total = ExteriorForm.zero(ambient)
+    for a, ba, b, bb, c in terms:
+        total = total + ExteriorForm.basis_form(ambient, [Cov(a, ba), Cov(b, bb)], c)
+    return total
+
+
+def _frame_keys(n):
+    return [(k, barred) for barred in (False, True) for k in range(1, n + 1)]
+
+
+LIE_ENTRIES = [e.name for e in catalog.entries() if e.kind != "general"]
+
+
+@pytest.mark.parametrize("name", LIE_ENTRIES)
+def test_protocol_of_a_lie_algebra_is_its_structure_constants(name):
+    L = catalog.get(name).build()
+    n = L.dim
+    csa = to_complex_structure(L)
+    for k, barred in _frame_keys(n):
+        # dω^k = −Σ_{i<j} c^k_ij ω^i∧ω^j, conjugated for ω̄^k
+        expected = _form(L, [(i, barred, j, barred, -comp[k])
+                             for (i, j), comp in L.brackets.items() if k in comp])
+        assert _form(L, L.covector_differential(k, barred)) == expected
+        assert _form(L, csa.covector_differential(k, barred)) == expected
+    for (i, bi), (j, bj) in itertools.product(_frame_keys(n), repeat=2):
+        # [X_i, X_j] = Σ c^k_ij X_k, conjugated for barred pairs; [g, ḡ] = 0
+        expected = {}
+        if bi == bj and i != j:
+            comp = L.brackets.get((min(i, j), max(i, j)), {})
+            expected = {(k, bi): c if i < j else -c for k, c in comp.items()}
+        assert L.vector_bracket(i, bi, j, bj) == expected
+        assert csa.vector_bracket(i, bi, j, bj) == expected
+        if not bi and not bj:
+            assert L.bracket(i, j) == {k: c for (k, _), c in expected.items()}
+    for j in range(1, n + 1):
+        assert L.vector_delbar(j) == csa.vector_delbar(j) == {}
+    assert L.complex_dim == csa.complex_dim == n
+
+
+@pytest.mark.parametrize("text", [
+    "dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n",
+    # the (1,1) part holds cw1∧w2 and cw2∧w1, and [X̄1, X2] has terms from two k
+    "dim 4\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + 3*cw1^w2 - 1/2*cw1^w1\n",
+], ids=["general7", "mixed-pairs"])
+def test_protocol_of_a_complex_structure_is_its_coframe_differentials(text):
+    csa = parse_complex_structure_file(text)
+    csa.validate()
+    n = csa.n
+    A = {(k, a, b): c for k, comp in csa.d20.items() for (a, b), c in comp.items()}
+    B = {(k, a, b): c for k, comp in csa.d11.items() for (a, b), c in comp.items()}
+    pairs = list(itertools.product(range(1, n + 1), repeat=2))
+    for k in range(1, n + 1):
+        # dw^k = Σ A^k_ab w^a∧w^b + Σ B^k_ab cw^a∧w^b, and its conjugate
+        dw = _form(csa, [(a, False, b, False, A.get((k, a, b), 0)) for a, b in pairs]
+                   + [(a, True, b, False, B.get((k, a, b), 0)) for a, b in pairs])
+        dcw = _form(csa, [(a, True, b, True, A.get((k, a, b), 0)) for a, b in pairs]
+                    + [(a, False, b, True, B.get((k, a, b), 0)) for a, b in pairs])
+        assert _form(csa, csa.covector_differential(k, False)) == dw
+        assert _form(csa, csa.covector_differential(k, True)) == dcw
+    ks = range(1, n + 1)
+    for a, b in pairs:
+        # [X_a, X_b] = −Σ A^k_ab X_k for a < b, and its conjugate
+        holo = {(k, False): -A.get((k, a, b), 0) + A.get((k, b, a), 0) for k in ks}
+        mixed = {**{(k, False): -B.get((k, a, b), 0) for k in ks},
+                 **{(k, True): B.get((k, b, a), 0) for k in ks}}
+        holo = {key: c for key, c in holo.items() if c}
+        mixed = {key: c for key, c in mixed.items() if c}
+        assert csa.vector_bracket(a, False, b, False) == holo
+        assert csa.vector_bracket(a, True, b, True) == {(k, True): c for (k, _), c in holo.items()}
+        # [X̄_a, X_b] = −Σ B^k_ab X_k + Σ B^k_ba X̄_k, and [X_b, X̄_a] = −[X̄_a, X_b]
+        assert csa.vector_bracket(a, True, b, False) == mixed
+        assert csa.vector_bracket(b, False, a, True) == {key: -c for key, c in mixed.items()}
+    for j in range(1, n + 1):
+        assert csa.vector_delbar(j) == {(a, (k, False)): -c for (k, a, b), c in B.items() if b == j}
 
 
 def test_subspace_membership_api():

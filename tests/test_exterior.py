@@ -151,7 +151,7 @@ def test_delbar_squares_to_zero_on_mixed():
         assert not w(csa, index, barred).delbar().delbar()
 
 
-# -- contraction and Lie derivative ------------------------------------------
+# -- contraction -------------------------------------------------------------
 
 
 def test_contract_sign_depends_on_position():
@@ -168,19 +168,6 @@ def test_contract_barred_and_unbarred_are_independent():
     assert mixed.contract(1) == w(csa, 2, barred=True)
     assert mixed.contract(2) == ExteriorForm.zero(csa)
     assert mixed.contract(2, barred=True) == -(w(csa, 1))
-
-
-def test_cartan_formula_on_invariant_forms():
-    # L_X = i_X d + d i_X on left-invariant forms
-    rng = random.Random(75)
-    csa = _csa("(0,0,12,13)")
-    for _ in range(10):
-        form = _random_form(rng, csa)
-        for index in range(1, 5):
-            lie = form.lie_derivative(index)
-            cartan = form.contract(index).ce_differential() \
-                + form.ce_differential().contract(index)
-            assert lie == cartan
 
 
 # -- vector-valued forms -----------------------------------------------------

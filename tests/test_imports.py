@@ -1,9 +1,11 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name (``_x``) it defines is referenced in it,
-it reads private attributes only through ``self`` or ``cls``, and no module
-but ``linalg`` calls ``rref``."""
+it reads private attributes only through ``self`` or ``cls``, no module
+but ``linalg`` calls ``rref``, and each ambient protocol method is defined
+once in the package."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,3 +120,35 @@ def test_rref_calls_are_found():
 def test_module_leaves_rref_to_linalg(module):
     """Only ``linalg`` echelonises; every other module holds a ``Subspace``."""
     assert _rref_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")
+
+
+def _protocol_definitions(source: str) -> list[str]:
+    """``line:name`` for each function or method defining an ambient protocol name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in PROTOCOL:
+            found.append((node.lineno, f"{node.lineno}:{node.name}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_protocol_definitions_are_found():
+    source = ("class A:\n"
+              "    def vector_bracket(self, i, bi, j, bj):\n"
+              "        return {}\n"
+              "class B(A):\n"
+              "    def vector_bracket(self, i, bi, j, bj):\n"
+              "        return self.covector_differential(i, bi)\n"
+              "def vector_delbar(j):\n"
+              "    pass\n")
+    assert _protocol_definitions(source) == ["2:vector_bracket", "5:vector_bracket",
+                                             "7:vector_delbar"]
+
+
+def test_protocol_methods_are_defined_once():
+    """The ambient protocol is read off one bracket table, by one class."""
+    counts = Counter(text.split(":")[1] for path in PACKAGE.glob("*.py")
+                     for text in _protocol_definitions(path.read_text(encoding="utf-8")))
+    assert {name: counts[name] for name in PROTOCOL} == dict.fromkeys(PROTOCOL, 1)

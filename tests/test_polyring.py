@@ -221,7 +221,9 @@ def test_parse_juxtaposition_multiplies():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("t1", "delta[1;12]", "1 +", "delta[12;123]", "(t1_1", ""):
+    for bad in ("t1", "delta[1;12]", "1 +", "delta[12;123]", "(t1_1", "",
+                "1/0", "t1_1 + 2/0", "delta[11;12]", "delta[12;33]",
+                "Delta[112;123]", "Delta[123;121]"):
         with pytest.raises(PolynomialParseError):
             parse_polynomial(bad)
 
