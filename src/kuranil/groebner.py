@@ -10,11 +10,37 @@ elimination.  Generator lists are put into one canonical form by
 The pair-selection strategy is fixed so results are byte-for-byte reproducible:
 pairs pop from a heap keyed (lcm total degree, i, j), so they are processed in
 ascending key order, with the coprime-leading-monomial and chain criteria
-applied at selection time.  Each basis keeps one prepped divisor list of
-``(g, leading monomial, leading coefficient)`` entries, built once and
-extended as elements are added; division works on one mutable term dict.
-Intermediate polynomials are rescaled to integer-primitive form with positive
-leading coefficient to control coefficient growth.
+applied at selection time.
+
+Packed monomials.  Each computation fixes the sorted variables of its inputs
+(``u`` included) and packs every monomial into one Python int on entry,
+unpacking on exit.  The int is a row of ``w``-bit fields, most significant
+first; ``e_0`` is the exponent of the lowest-ranked variable:
+
+* grevlex: the degree, the partial degrees ``s_k = e_(k+1) + … + e_(n-1)``
+  for ``k = 0 … n-2``, then the exponents ``e_0 … e_(n-1)``;
+* lex: the exponents ``e_(n-1) … e_0``, then the degree.
+
+Every field is linear in the exponents and never negative, so native int
+comparison is the monomial order (the lex degree field, below every exponent,
+never decides), a product of monomials is ``a + b`` and a quotient ``b - a``.
+The top bit of each field is a guard bit that no monomial sets, so ``a``
+divides ``b`` exactly when ``(b - a) & guards == 0``.  The degree field bounds
+every other field, so a new monomial overflows a field exactly when its degree
+reaches the guard bit.  That is checked wherever monomials are made (products
+in a division step, S-polynomials, lcms); an overflow repacks the inputs with
+fields twice as wide and restarts the computation.
+
+Division.  Each divisor is prepped once, as ``(leading monomial, slack,
+tail)``: the tail is divided by the leading coefficient, and the slack (the
+tail's largest degree minus the leading degree) bounds the degree of every
+product a reduction step makes.  The working terms live in a dict, their
+monomials in a heap of negated ints with lazy deletion: a cancelled term's
+entry stays in the heap and is skipped when popped.  The first divisor in
+list order whose leading monomial divides wins.  The deadline is read before
+every pair and every live reduction step.  Basis elements stay monic inside
+a computation and leave it normalised by
+:func:`~kuranil.polyring.primitive_scale`; a normal form leaves as it is.
 """
 
 from __future__ import annotations
@@ -30,14 +56,16 @@ from .polyring import (
     UVAR,
     MonomialOrder,
     Polynomial,
-    mono_coprime,
-    mono_degree,
     mono_div,
-    mono_divides,
     mono_lcm,
-    mono_mul,
     parse_polynomial,
+    primitive_scale,
+    var_rank,
 )
+
+# Field width of a computation's first packing (degrees up to 127); each
+# overflow doubles it.
+_FIRST_WIDTH = 8
 
 
 class GroebnerTimeout(RuntimeError):
@@ -85,39 +113,93 @@ def _check_deadline(deadline: float | None) -> None:
         raise GroebnerTimeout("Gröbner computation reached its deadline")
 
 
-def _prep(g: Polynomial, order: MonomialOrder) -> tuple:
-    """Divisor entry ``(g, leading monomial, leading coefficient)`` of nonzero ``g``."""
-    return (g, *g.leading_term(order))
+class _Overflow(Exception):
+    """A new monomial's degree reached the guard bit of its field."""
 
 
-def _reduce_full(p: Polynomial, prepped, order: MonomialOrder,
-                 deadline: float | None = None) -> Polynomial:
-    """Full multivariate division remainder of ``p`` by the prepped basis; the
-    first divisor in list order wins."""
-    remainder: dict = {}
-    work = dict(p.terms)
-    while work:
-        _check_deadline(deadline)
-        lm = order.max(work)
-        lc = work.pop(lm)
-        for g, glm, glc in prepped:
-            if mono_divides(glm, lm):
-                q = mono_div(lm, glm)
-                factor = lc / glc
-                # work -= factor·q·g; g's leading term cancels lm exactly.
-                for m, c in g.terms.items():
-                    if m == glm:
-                        continue
-                    m = mono_mul(q, m)
-                    c = work.get(m, 0) - factor * c
-                    if c:
-                        work[m] = c
-                    else:
-                        del work[m]
-                break
+class _Packing:
+    """Monomials over fixed variables in one order, packed into ints of
+    ``width``-bit fields as the module docstring lays out."""
+
+    __slots__ = ("variables", "guards", "limit", "_width", "_field", "_block",
+                 "_x_mask", "_ones", "_x_guards", "_x_shift", "_deg_shift", "_shifts",
+                 "_grevlex", "_units")
+
+    def __init__(self, variables: list, order: MonomialOrder, width: int):
+        n = len(variables)
+        self.variables = variables
+        self._width = width
+        self._field = (1 << width) - 1
+        self.limit = 1 << (width - 1)
+        # The exponent block is the n fields of e_0 … e_(n-1): e_k sits in
+        # its field n-1-k for grevlex (e_0 on top), in field k for lex.
+        self._block = n * width
+        self._x_mask = (1 << self._block) - 1
+        self._ones = sum(1 << (f * width) for f in range(n))
+        self._x_guards = self._ones << (width - 1)
+        self._grevlex = order == GREVLEX
+        if self._grevlex:
+            fields, self._x_shift, self._deg_shift = 2 * n, 0, max(2 * n - 1, 0) * width
+            self._shifts = [(n - 1 - k) * width for k in range(n)]
         else:
-            remainder[lm] = lc
-    return Polynomial(remainder)
+            fields, self._x_shift, self._deg_shift = n + 1, width, 0
+            self._shifts = [k * width for k in range(n)]
+        self.guards = sum(1 << (f * width + width - 1) for f in range(fields))
+        self._units = {v: self._from_exponents(1 << s)
+                       for v, s in zip(variables, self._shifts)}
+
+    def _from_exponents(self, x: int) -> int:
+        """The monomial with exponent block ``x``; its degree must be below
+        ``limit``, so that no field of ``sums`` carries."""
+        sums = x * self._ones  # field j holds the sum of exponent fields 0 … j
+        if self._grevlex:  # fields 0 … n-1 of sums are s_(n-2) … s_0, degree
+            return ((sums & self._x_mask) << self._block) | x
+        top = sums >> (self._block - self._width)  # field n-1: the degree
+        return (x << self._x_shift) | (top & self._field)
+
+    def degree(self, m: int) -> int:
+        return (m >> self._deg_shift) & self._field
+
+    def pack(self, p: Polynomial) -> dict[int, Fraction]:
+        """The terms of ``p``, whose variables are among ``variables``, packed."""
+        units = self._units
+        return {sum(e * units[v] for v, e in mono): c for mono, c in p.terms.items()}
+
+    def polynomial(self, terms: dict[int, Fraction]) -> Polynomial:
+        """The polynomial of the packed ``terms``, in their order."""
+        field, pairs = self._field, list(zip(self.variables, self._shifts))
+        out = {}
+        for m, c in terms.items():
+            x = m >> self._x_shift
+            out[tuple((v, e) for v, s in pairs if (e := (x >> s) & field))] = c
+        return Polynomial(out)
+
+    def gcd(self, a: int, b: int) -> int:
+        """Greatest common divisor of monomials ``a`` and ``b``; 0 when coprime."""
+        xa = (a >> self._x_shift) & self._x_mask
+        xb = (b >> self._x_shift) & self._x_mask
+        # SWAR minimum: a field of (xa | guards) - xb keeps its guard bit
+        # exactly where xa's exponent is at least xb's, and never borrows.
+        ge = (((xa | self._x_guards) - xb) & self._x_guards) >> (self._width - 1)
+        ge = (ge << self._width) - ge  # all ones in those fields
+        x = (xb & ge) | (xa & ~ge)
+        return self._from_exponents(x) if x else 0
+
+    def lcm(self, a: int, b: int) -> int:
+        """Least common multiple of monomials ``a`` and ``b``; raises
+        :class:`_Overflow` when its degree reaches the guard bit."""
+        lcm = a + b - self.gcd(a, b)
+        if self.degree(lcm) >= self.limit:
+            raise _Overflow
+        return lcm
+
+    def prep(self, terms: dict[int, Fraction]) -> tuple:
+        """Divisor entry ``(leading monomial, slack, monic tail)`` of nonzero ``terms``."""
+        lm = max(terms)
+        lc = terms[lm]
+        tail = [(m, c / lc) for m, c in terms.items() if m != lm]
+        slack = max((self.degree(m) for m, _ in tail), default=0) - self.degree(lm)
+        return lm, slack, tail
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
@@ -138,6 +220,80 @@ def canonical_generators(polys: Iterable[Polynomial],
     return out
 
 
+def _packed(polys: Sequence[Polynomial], order: MonomialOrder, compute):
+    """``compute(packing)`` on a packing of the variables of ``polys``: at the
+    first width their degrees fit, doubled after each overflow."""
+    variables = sorted({v for p in polys for v in p.variables()}, key=var_rank)
+    degree = max((p.total_degree() for p in polys), default=0)
+    width = _FIRST_WIDTH
+    while True:
+        if degree < 1 << (width - 1):
+            try:
+                return compute(_Packing(variables, order, width))
+            except _Overflow:
+                pass
+        width *= 2
+
+
+def _divide(work: dict[int, Fraction], divisors: list[tuple], packing: _Packing,
+            deadline: float | None = None) -> dict[int, Fraction]:
+    """Full division remainder of the packed terms ``work`` (consumed) by the
+    prepped ``divisors``; the first divisor in list order wins.  The
+    remainder's keys are in descending order."""
+    guards, limit, degree = packing.guards, packing.limit, packing.degree
+    heap = [-m for m in work]
+    heapify(heap)
+    remainder: dict[int, Fraction] = {}
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, None)
+        if c is None:  # cancelled after it was pushed
+            continue
+        _check_deadline(deadline)
+        for lm, slack, tail in divisors:
+            if (m - lm) & guards:
+                continue
+            if degree(m) + slack >= limit:
+                raise _Overflow
+            # work -= c·(m/lm)·tail; the leading term cancels m exactly.
+            q = m - lm
+            for t, tc in tail:
+                t += q
+                old = work.get(t)
+                if old is None:
+                    work[t] = -c * tc
+                    heappush(heap, -t)
+                else:
+                    old -= c * tc
+                    if old:
+                        work[t] = old
+                    else:
+                        del work[t]
+            break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _s_polynomial(f: tuple, g: tuple, lcm: int, packing: _Packing) -> dict[int, Fraction]:
+    """Packed S-polynomial of the prepped (monic) divisors ``f`` and ``g``
+    whose leading monomials have lcm ``lcm``: the leading terms cancel, so
+    only the tails are multiplied."""
+    (lf, sf, tf), (lg, sg, tg) = f, g
+    if packing.degree(lcm) + max(sf, sg) >= packing.limit:
+        raise _Overflow
+    qf, qg = lcm - lf, lcm - lg
+    work = {m + qf: c for m, c in tf}
+    for m, c in tg:
+        m += qg
+        c = work.get(m, 0) - c
+        if c:
+            work[m] = c
+        else:
+            del work[m]
+    return work
+
+
 def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
                deadline: float | None = None) -> GroebnerBasis:
     """Reduced Gröbner basis of the ideal generated by ``gens``.
@@ -145,62 +301,74 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
     ``deadline`` is a ``time.monotonic()`` timestamp, checked before every
     pair and every reduction step; reaching it raises :class:`GroebnerTimeout`.
     """
-    prepped = [_prep(g, order) for g in canonical_generators(gens, order)]
-    if not prepped:
-        return GroebnerBasis(order, ())
-    lms = [lm for _, lm, _ in prepped]
+    gens = canonical_generators(gens, order)
+    return GroebnerBasis(order, _packed(
+        gens, order, lambda packing: _buchberger(gens, packing, deadline)))
+
+
+def _buchberger(gens: list[Polynomial], packing: _Packing,
+                deadline: float | None) -> list[Polynomial]:
+    prepped = [packing.prep(packing.pack(g)) for g in gens]
+    lms = [lm for lm, _, _ in prepped]
     # Keys are unique, so pairs pop in ascending (lcm degree, i, j) order.
-    pairs = [(mono_degree(mono_lcm(lms[i], lms[j])), i, j)
+    pairs = [(packing.degree(packing.lcm(lms[i], lms[j])), i, j)
              for j in range(len(lms)) for i in range(j)]
     heapify(pairs)
     treated: set[tuple[int, int]] = set()
+    guards = packing.guards
 
     while pairs:
         _check_deadline(deadline)
         _, i, j = heappop(pairs)
         treated.add((i, j))
-        if mono_coprime(lms[i], lms[j]):
+        gcd = packing.gcd(lms[i], lms[j])
+        if not gcd:  # coprime leading monomials
             continue
-        lcm_ij = mono_lcm(lms[i], lms[j])
-        chained = False
-        for k in range(len(lms)):
-            if k in (i, j) or not mono_divides(lms[k], lcm_ij):
-                continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in treated and p2 in treated:
-                chained = True
-                break
-        if chained:
+        lcm = lms[i] + lms[j] - gcd
+        if any(k != i and k != j and not (lcm - lm) & guards
+               and (min(i, k), max(i, k)) in treated
+               and (min(j, k), max(j, k)) in treated
+               for k, lm in enumerate(lms)):
             continue
-        rem = _reduce_full(s_polynomial(prepped[i][0], prepped[j][0], order),
-                           prepped, order, deadline)
+        rem = _divide(_s_polynomial(prepped[i], prepped[j], lcm, packing),
+                      prepped, packing, deadline)
         if rem:
-            prepped.append(_prep(rem.normalized(order), order))
-            lms.append(prepped[-1][1])
+            prepped.append(packing.prep(rem))
+            lms.append(prepped[-1][0])
             t = len(lms) - 1
             for k in range(t):
-                heappush(pairs, (mono_degree(mono_lcm(lms[k], lms[t])), k, t))
-    return GroebnerBasis(order, _reduce_basis(prepped, order, deadline))
+                heappush(pairs, (packing.degree(packing.lcm(lms[k], lms[t])), k, t))
+    return _reduce_basis(prepped, packing, deadline)
 
 
-def _reduce_basis(prepped: list[tuple], order: MonomialOrder,
+def _reduce_basis(prepped: list[tuple], packing: _Packing,
                   deadline: float | None = None) -> list[Polynomial]:
-    """Minimalize, then inter-reduce tails; output sorted ascending by leading monomial."""
+    """Minimalize, then inter-reduce tails; output normalized, sorted
+    ascending by leading monomial."""
+    guards = packing.guards
     kept: list[tuple] = []
-    for entry in sorted(prepped, key=lambda e: order.key(e[1])):
-        if not any(mono_divides(other[1], entry[1]) for other in kept):
+    for entry in sorted(prepped, key=lambda e: e[0]):
+        if all((entry[0] - other[0]) & guards for other in kept):
             kept.append(entry)
-    for idx, (g, _, _) in enumerate(kept):
-        g = _reduce_full(g, kept[:idx] + kept[idx + 1:], order, deadline)
-        kept[idx] = _prep(g.normalized(order), order)
-    return [g for g, _, _ in kept]
+    out = []
+    for idx, (lm, _, tail) in enumerate(kept):
+        terms = _divide({lm: Fraction(1), **dict(tail)},
+                        kept[:idx] + kept[idx + 1:], packing, deadline)
+        kept[idx] = packing.prep(terms)
+        scale = primitive_scale(terms.values(), terms[lm])
+        out.append(packing.polynomial({m: c * scale for m, c in terms.items()}))
+    return out
 
 
 def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
-    """Division remainder of ``p`` by ``G`` in ``G``'s order; zero iff ``p``
-    lies in the ideal."""
-    return _reduce_full(p, [_prep(g, G.order) for g in G.polys], G.order)
+    """Division remainder of ``p`` by ``G`` in ``G``'s order, dividing by
+    ``G.polys`` in list order; zero iff ``p`` lies in the ideal when ``G`` is
+    a Gröbner basis."""
+    def remainder(packing: _Packing) -> Polynomial:
+        divisors = [packing.prep(packing.pack(g)) for g in G.polys]
+        return packing.polynomial(_divide(packing.pack(p), divisors, packing))
+
+    return _packed([p, *G.polys], G.order, remainder)
 
 
 def _as_basis(I, deadline: float | None) -> GroebnerBasis:
@@ -220,7 +388,11 @@ def ideal_equal(I, J, deadline: float | None = None) -> bool:
 def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
                     deadline: float | None = None) -> list[Polynomial]:
     """Generators of I ∩ J by elimination: GB of u·I + (1−u)·J in lex with u
-    greatest, keeping the u-free polynomials."""
+    greatest, keeping the u-free polynomials.  Raises :class:`ValueError`
+    when an input contains ``u`` itself."""
+    if any(UVAR in g.variables() for g in (*I, *J)):
+        raise ValueError("ideal_intersect eliminates the variable u; "
+                         "its inputs must not contain u")
     gens_i = [g for g in I if g]
     gens_j = [g for g in J if g]
     if not gens_i or not gens_j:

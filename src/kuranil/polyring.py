@@ -80,11 +80,6 @@ def mono_lcm(a: Mono, b: Mono) -> Mono:
     return mono_from_dict(d)
 
 
-def mono_coprime(a: Mono, b: Mono) -> bool:
-    vb = {v for v, _ in b}
-    return all(v not in vb for v, _ in a)
-
-
 def mono_str(m: Mono) -> str:
     if not m:
         return "1"
@@ -296,18 +291,7 @@ class Polynomial:
         """Integer-primitive scalar multiple with positive leading coefficient."""
         if not self.terms:
             return self
-        coeffs = list(self.terms.values())
-        denom_lcm = 1
-        for c in coeffs:
-            denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-        num_gcd = 0
-        for c in coeffs:
-            num_gcd = _gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
-        scale = Fraction(denom_lcm, num_gcd)
-        _, lead = self.leading_term(order)
-        if lead * scale < 0:
-            scale = -scale
-        return self * scale
+        return self * primitive_scale(self.terms.values(), self.leading_term(order)[1])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -354,6 +338,21 @@ def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return abs(a)
+
+
+def primitive_scale(coeffs, lead: Fraction) -> Fraction:
+    """The scale that turns the nonzero ``Fraction`` values ``coeffs`` into
+    coprime integers, with ``lead`` (one of them, the leading coefficient)
+    positive: the one generator normalisation of :meth:`Polynomial.normalized`
+    and the Gröbner engine."""
+    denom_lcm = 1
+    for c in coeffs:
+        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
+    num_gcd = 0
+    for c in coeffs:
+        num_gcd = _gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+    scale = Fraction(denom_lcm, num_gcd)
+    return -scale if lead < 0 else scale
 
 
 def _coerce(x) -> Polynomial | None:

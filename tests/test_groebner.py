@@ -5,6 +5,7 @@ import math
 import random
 import time
 
+from hypothesis import given, settings, strategies as st
 import pytest
 import sympy
 
@@ -24,13 +25,18 @@ from kuranil.groebner import (
 from kuranil.polyring import (
     GREVLEX,
     LEX,
+    UVAR,
     Polynomial,
     minor2,
+    mono_degree,
     mono_div,
     mono_divides,
+    mono_lcm,
+    mono_mul,
     parse_polynomial,
     var_name,
     var_poly,
+    var_rank,
 )
 
 
@@ -125,6 +131,19 @@ def test_ideal_intersect_with_sum_decomposition():
     assert ideal_equal(inter, [t(1, 1)])
 
 
+@pytest.mark.parametrize("I, J", [
+    ([Polynomial.variable(UVAR)], [t(1, 1)]),
+    ([Polynomial.variable(UVAR) - t(1, 1)], [t(1, 2)]),
+    ([t(1, 1)], [t(1, 2) * Polynomial.variable(UVAR)]),
+    ([Polynomial.variable(UVAR)], []),
+], ids=["u", "u-t11", "u-in-second", "u-against-empty"])
+def test_ideal_intersect_rejects_inputs_with_the_elimination_variable(I, J):
+    # u is the elimination variable: (u) ∩ (t1_1) is (u*t1_1), which the
+    # elimination would have answered with (t1_1).
+    with pytest.raises(ValueError, match=r"\bu\b"):
+        ideal_intersect(I, J)
+
+
 def test_timeout_raises():
     gens = [t(1, 1) ** 3 * t(1, 2) - t(2, 1) ** 2,
             t(1, 2) ** 3 * t(2, 1) - t(1, 1) ** 2,
@@ -167,16 +186,96 @@ def test_ideal_equal_bases_share_one_deadline(monkeypatch):
 def test_deadline_stops_a_single_division(monkeypatch):
     # t1_2^6 reduces by t1_2 - t1_1 one power at a time: six reduction steps,
     # then one step moving t1_1^6 into the remainder.
-    prepped = [groebner._prep(t(1, 2) - t(1, 1), GREVLEX)]
+    assert normal_form(t(1, 2) ** 6, GroebnerBasis(GREVLEX, [t(1, 2) - t(1, 1)])) \
+        == t(1, 1) ** 6
+    # normal_form takes no deadline; buchberger divides under one.  Its one
+    # S-polynomial here is -t1_1*t1_2^6: seven steps as above.  Around them:
+    # one read for that pair, two for the coprime pairs of t1_1^7, and three
+    # steps inter-reducing the basis.
+    gens = [t(1, 2) - t(1, 1), t(1, 2) ** 7]
     clock = _CountingClock()
     monkeypatch.setattr(groebner, "monotonic", clock)
-    assert groebner._reduce_full(t(1, 2) ** 6, prepped, GREVLEX,
-                                 deadline=math.inf) == t(1, 1) ** 6
-    assert clock.reads == 7
+    assert buchberger(gens, deadline=math.inf).polys == (t(1, 2) - t(1, 1), t(1, 1) ** 7)
+    assert clock.reads == 1 + 7 + 2 + 3
     clock.reads = 0
     with pytest.raises(GroebnerTimeout):
-        groebner._reduce_full(t(1, 2) ** 6, prepped, GREVLEX, deadline=3)
-    assert clock.reads == 3
+        buchberger(gens, deadline=3)
+    assert clock.reads == 3  # the division's second step
+
+
+# -- packed monomials against polyring ---------------------------------------
+
+_ORACLE = settings(derandomize=True, deadline=None, max_examples=300)
+_VARIABLES = [UVAR] + [(i, j) for i in range(1, 4) for j in range(1, 6)]
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """``(packing, order, a, b)``: monomials over up to 12 variables, ``u``
+    among them at times, packed in either order at a narrow or the first
+    width; ``b`` is a multiple of ``a`` half the time."""
+    variables = sorted(draw(st.lists(st.sampled_from(_VARIABLES), min_size=1,
+                                     max_size=12, unique=True)), key=var_rank)
+    order = draw(st.sampled_from((GREVLEX, LEX)))
+    width = draw(st.sampled_from((8, groebner._FIRST_WIDTH)))
+    exponents = st.lists(st.integers(0, 5), min_size=len(variables),
+                         max_size=len(variables))
+    a, b = (tuple((v, e) for v, e in zip(variables, draw(exponents)) if e)
+            for _ in range(2))
+    if draw(st.booleans()):
+        b = mono_mul(a, b)
+    return groebner._Packing(variables, order, width), order, a, b
+
+
+def _pack(packing, mono):
+    (packed,) = packing.pack(Polynomial({mono: 1}))
+    return packed
+
+
+def _unpack(packing, packed):
+    (mono,) = packing.polynomial({packed: Fraction(1)}).terms
+    return mono
+
+
+@_ORACLE
+@given(_monomial_pairs())
+def test_packed_monomials_match_polyring(case):
+    packing, order, a, b = case
+    pa, pb = _pack(packing, a), _pack(packing, b)
+    assert _unpack(packing, pa) == a and _unpack(packing, pb) == b
+    assert packing.degree(pa) == mono_degree(a)
+    assert (pa < pb) == (order.key(a) < order.key(b))
+    assert (pa == pb) == (a == b)
+    assert pa + pb == _pack(packing, mono_mul(a, b))
+    divides = not (pb - pa) & packing.guards
+    assert divides == mono_divides(a, b)
+    if divides:
+        assert pb - pa == _pack(packing, mono_div(b, a))
+    assert packing.lcm(pa, pb) == _pack(packing, mono_lcm(a, b))
+    assert (packing.gcd(pa, pb) == 0) == (mono_lcm(a, b) == mono_mul(a, b))
+
+
+# t1_1^k fits the first field width, t1_1^(2k) does not: results past it
+# must come out exact, not wrapped into a neighbouring field.
+_PAST_FIRST_WIDTH = 1 << (groebner._FIRST_WIDTH - 2)
+
+
+def test_normal_form_widens_overflowing_fields():
+    k = _PAST_FIRST_WIDTH
+    basis = GroebnerBasis(LEX, [t(1, 2) - t(1, 1) ** k])
+    assert normal_form(t(1, 2) ** 3, basis) == t(1, 1) ** (3 * k)
+
+
+def test_buchberger_widens_overflowing_fields():
+    k = _PAST_FIRST_WIDTH
+    x, y = t(1, 1), t(1, 2)
+    # lex: reducing the S-polynomial makes x^(2k).
+    assert buchberger([y - x ** k, y ** 2 - y], order=LEX).polys == (
+        x ** (2 * k) - x ** k, y - x ** k)
+    # grevlex: the pair's lcm x^k*y^k has degree 2k.
+    basis = buchberger([x ** k * y, x * y ** k])
+    assert basis.polys == (x ** k * y, x * y ** k)
+    assert not normal_form(x ** k * y ** k, basis)
 
 
 # -- reduced-basis postconditions on random ideals ---------------------------
@@ -254,8 +353,7 @@ def test_division_remainder_matches_textbook_division(order):
         p = sum(_random_ideal(rng, nvars=4, ngens=4, max_deg=4), Polynomial.zero())
         remainders = []
         for divs in (divisors, divisors[::-1]):
-            prepped = [groebner._prep(g, order) for g in divs]
-            remainder = groebner._reduce_full(p, prepped, order)
+            remainder = normal_form(p, GroebnerBasis(order, divs))
             assert remainder == _textbook_remainder(p, divs, order)
             remainders.append(remainder)
         order_sensitive += remainders[0] != remainders[1]

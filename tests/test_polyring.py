@@ -16,7 +16,6 @@ from kuranil.polyring import (
     all_parameters,
     minor2,
     minor3,
-    mono_coprime,
     mono_degree,
     mono_divides,
     mono_lcm,
@@ -121,8 +120,6 @@ def test_monomial_helpers():
     assert mono_divides((t(1, 1)).leading_monomial(GREVLEX), m2)
     assert not mono_divides(m1, m2)
     assert mono_lcm(m1, m2) == (t(1, 1) ** 2 * t(1, 2)).leading_monomial(GREVLEX)
-    assert mono_coprime((t(1, 1)).leading_monomial(GREVLEX),
-                        (t(1, 2)).leading_monomial(GREVLEX))
 
 
 def test_grevlex_degree_dominates():
