@@ -16,7 +16,6 @@ by the wanted amount.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .polyring import Polynomial
@@ -309,20 +308,26 @@ class VectorForm:
 
     def delbar_theta(self) -> "VectorForm":
         """∂̄ on vector-valued forms: ∂̄(α⊗X) = ∂̄α⊗X + (−1)^{|α|} α∧∂̄X."""
-        total = VectorForm.zero(self.ambient)
+        out: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
+
+        def add(key: VectorKey, mi: MultiIndex, coeff: Polynomial) -> None:
+            terms = out.setdefault(key, {})
+            terms[mi] = terms.get(mi, Polynomial.zero()) + coeff
+
         for (j, barred), form in self.components.items():
             if barred:
                 raise BarredVectorError("differential of a barred vector component is out of scope")
-            total = total + VectorForm.single(self.ambient, form.delbar(), j, False)
-            for degree in form.degrees():
-                part = ExteriorForm(self.ambient, {mi: c for mi, c in form.terms.items()
-                                                   if len(mi) == degree})
-                sign = -1 if degree % 2 else 1
-                for (a, vec_key), c in self.ambient.vector_delbar(j).items():
-                    wprod = part.wedge(ExteriorForm.covector(self.ambient, a, barred=True))
-                    contrib = wprod.scale(Fraction(c) * sign)
-                    total = total + VectorForm.single(self.ambient, contrib, vec_key[0], vec_key[1])
-        return total
+            for mi, coeff in form.delbar().terms.items():
+                add((j, False), mi, coeff)
+            for (a, vec_key), c in self.ambient.vector_delbar(j).items():
+                for mi, coeff in form.terms.items():
+                    canon = _canonical(mi + (Cov(a, True),))
+                    if canon is None:
+                        continue
+                    new_mi, sign = canon
+                    add(vec_key, new_mi, coeff * (c * (-sign if len(mi) % 2 else sign)))
+        return VectorForm(self.ambient, {key: ExteriorForm(self.ambient, terms)
+                                         for key, terms in out.items()})
 
     def to_str(self) -> str:
         if not self.components:

@@ -21,12 +21,19 @@ Two complexes are supported through one engine:
 all the deformation recursion reads.  A decomposition carries its ambient and
 its kind, so it is the one input of every deformation stage.
 
+The ∂̄ matrices are read off the structure constants: the all-barred terms of
+the ambient's ``covector_differential`` and, on Θ, its ``vector_delbar``, with
+``Fraction`` arithmetic on barred index tuples.  The form-level ``delbar`` and
+``delbar_theta`` of ``kuranil.exterior`` compute the same maps on
+polynomial-coefficient forms and are their test oracle.
+
 δ inverts P∘∂̄ between V¹ and B² and is precomputed as a rational matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 
 from . import linalg
 from .algebra import LieAlgebra
@@ -61,10 +68,15 @@ class HodgeDecomposition:
             self._cells[q] = self._make_cells(q) if q <= n else []
         self._index = {q: {c: i for i, c in enumerate(cells)}
                        for q, cells in self._cells.items()}
+        # ∂̄ω̄^i = Σ c·ω̄^a∧ω̄^b and, on Θ, ∂̄X_j = Σ c·ω̄^a⊗X_k, as (a, b, c)
+        # and (a, k, c) triples read once off the ambient
+        dbar_cov = {i: [(a, b, c) for a, ba, b, bb, c in ambient.covector_differential(i, True)
+                        if ba and bb] for i in range(1, n + 1)}
+        dbar_vec = {j: [(a, k, c) for (a, (k, _)), c in ambient.vector_delbar(j).items()]
+                    for j in range(1, n + 1)} if kind == "theta" else {}
         # D[q]: matrix of ∂̄ from degree q to q+1 (rows = target cells)
-        self.d_matrices: dict[int, linalg.Matrix] = {}
-        for q in range(max_degree + 1):
-            self.d_matrices[q] = self._build_d(q)
+        self.d_matrices: dict[int, linalg.Matrix] = {
+            q: self._build_d(q, dbar_cov, dbar_vec) for q in range(max_degree + 1)}
         self._spaces = {q: self._decompose(q) for q in range(max_degree + 1)}
         self._delta_matrix: linalg.Matrix | None = None
 
@@ -128,19 +140,43 @@ class HodgeDecomposition:
 
     # -- construction --------------------------------------------------------
 
-    def _apply_d(self, obj):
+    def _index_key(self, cell) -> tuple[tuple[int, ...], int | None]:
+        """The sorted barred indices of a cell, and its vector index (None on
+        the scalar complex)."""
         if self.kind == "scalar":
-            return obj.delbar()
-        return obj.delbar_theta()
+            return tuple(cv.index for cv in cell), None
+        mi, (j, _) = cell
+        return tuple(cv.index for cv in mi), j
 
-    def _build_d(self, q: int) -> linalg.Matrix:
-        src = self._cells[q]
-        tgt_index = self._index[q + 1]
+    def _build_d(self, q: int, dbar_cov, dbar_vec) -> linalg.Matrix:
+        """∂̄ from degree q to q+1 by the Leibniz rule on sorted barred index
+        tuples I: ∂̄ω̄^I = Σ_pos (−1)^pos ∂̄ω̄^{i_pos} ∧ ω̄^{I∖i_pos}, and on Θ
+        ∂̄(ω̄^I⊗X_j) = ∂̄ω̄^I⊗X_j + (−1)^q ω̄^I∧∂̄X_j.  The form-level
+        ``delbar``/``delbar_theta`` compute the same map and are its oracle."""
+        tgt_index = {self._index_key(cell): r for r, cell in enumerate(self._cells[q + 1])}
         mat: linalg.Matrix = [{} for _ in tgt_index]
-        for col, cell in enumerate(src):
-            image = self._apply_d(self._from_cell_items([(cell, Polynomial.one())]))
-            for tcell, coeff in self._cell_items(image):
-                mat[tgt_index[tcell]][col] = coeff.constant_value()
+        for col, cell in enumerate(self._cells[q]):
+            idx, j = self._index_key(cell)
+            image: dict = {}
+            for pos, i in enumerate(idx):
+                rest = idx[:pos] + idx[pos + 1:]
+                for a, b, c in dbar_cov[i]:
+                    if a in rest or b in rest:
+                        continue
+                    # transpositions sorting (a, b, *rest), plus pos
+                    swaps = pos + (a > b) + bisect_left(rest, a) + bisect_left(rest, b)
+                    key = (tuple(sorted(rest + (a, b))), j)
+                    image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
+            for a, k, c in dbar_vec.get(j, ()):
+                if a in idx:
+                    continue
+                # (−1)^q, and the transpositions moving ω̄^a into place
+                swaps = q + len(idx) - bisect_left(idx, a)
+                key = (tuple(sorted(idx + (a,))), k)
+                image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
+            for key, x in image.items():
+                if x:
+                    mat[tgt_index[key]][col] = x
         return mat
 
     def _decompose(self, q: int) -> dict[str, linalg.Subspace]:

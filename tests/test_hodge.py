@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+from kuranil import catalog
 from kuranil.algebra import (
+    LieAlgebra,
     abelian,
     parse_complex_structure_file,
     parse_salamon,
@@ -31,6 +33,33 @@ ALGEBRAS = ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13+24)",
 
 def _mixed7():
     return parse_complex_structure_file("dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n")
+
+
+def _swapped5():
+    """A (1,1) part holding both cw1∧w2 and cw2∧w1: [X̄1, X2] and [X̄2, X1]
+    each have a (1,0) and a (0,1) part."""
+    return parse_complex_structure_file(
+        "dim 5\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + cw1^w1\ndw5 = w1^w2 + cw2^w2\n")
+
+
+LIE_ENTRIES = [e.name for e in catalog.entries() if isinstance(e.build(), LieAlgebra)]
+COMPLEXES = ([(name, "scalar") for name in LIE_ENTRIES]
+             + [(name, "theta") for name in LIE_ENTRIES]
+             + [("general7", "theta"), ("mixed7", "theta"), ("swapped5", "theta")])
+
+
+def _decomposition(name: str, kind: str):
+    """The scalar or Θ decomposition of a catalog entry, ``mixed7`` or ``swapped5``."""
+    if name == "mixed7":
+        return build_theta_decomposition(_mixed7())
+    if name == "swapped5":
+        return build_theta_decomposition(_swapped5())
+    ambient = catalog.get(name).build()
+    if kind == "scalar":
+        return build_decomposition(ambient)
+    if isinstance(ambient, LieAlgebra):
+        ambient = to_complex_structure(ambient)
+    return build_theta_decomposition(ambient)
 
 
 def _add(a, b):
@@ -180,17 +209,55 @@ def test_degree_mismatch_on_inhomogeneous_input():
         dec.project_harmonic(mixed)
 
 
+def _assert_d_squared_vanishes(dec):
+    for q in range(dec.max_degree):
+        product = mat_mul(dec.d_matrices[q + 1], dec.d_matrices[q])
+        assert all(all(x == 0 for x in row.values()) for row in product), q
+
+
 def test_d_squared_is_zero_matrixwise():
-    for text in ALGEBRAS:
-        dec = build_decomposition(parse_salamon(text))
-        n = dec.ambient.complex_dim
-        for q in range(n - 1):
-            d_q = dec.d_matrices[q]
-            d_next = dec.d_matrices[q + 1]
-            if not d_q or not d_next:
-                continue
-            product = mat_mul(d_next, d_q)
-            assert all(all(x == 0 for x in row.values()) for row in product)
+    for name in LIE_ENTRIES:
+        _assert_d_squared_vanishes(_decomposition(name, "scalar"))
+
+
+@pytest.mark.parametrize("name", [*LIE_ENTRIES, "general7", "mixed7", "swapped5"])
+def test_theta_d_squared_is_zero_matrixwise(name):
+    """∂̄² = 0 on the Θ complex, read off the matrices alone."""
+    dec = _decomposition(name, "theta")
+    assert dec.max_degree == 2
+    _assert_d_squared_vanishes(dec)
+
+
+def _cell_form(dec, cell):
+    """The cell as a one-term form (scalar) or vector form (Θ), coefficient 1."""
+    if dec.kind == "scalar":
+        return ExteriorForm(dec.ambient, {cell: 1})
+    mi, (j, _) = cell
+    return VectorForm.single(dec.ambient, ExteriorForm(dec.ambient, {mi: 1}), j)
+
+
+def _cell_coefficients(dec, obj) -> dict:
+    """``{cell: rational coefficient}`` of a constant-coefficient form or vector form."""
+    if dec.kind == "scalar":
+        return {mi: c.constant_value() for mi, c in obj.terms.items()}
+    return {(mi, key): c.constant_value()
+            for key, form in obj.components.items() for mi, c in form.terms.items()}
+
+
+@pytest.mark.parametrize("name, kind", COMPLEXES)
+def test_delbar_matrices_match_form_level_operators(name, kind):
+    """Each column of each ∂̄ matrix, read off the structure constants, is the
+    form-level ``delbar`` (scalar) or ``delbar_theta`` (Θ) of its cell."""
+    dec = _decomposition(name, kind)
+    assert dec.kind == kind
+    for q, mat in dec.d_matrices.items():
+        targets = dec.cells(q + 1)
+        columns = transpose(mat, dec.dim(q))
+        for cell, column in zip(dec.cells(q), columns, strict=True):
+            assert all(type(x) is Fraction for x in column.values())
+            form = _cell_form(dec, cell)
+            image = form.delbar() if kind == "scalar" else form.delbar_theta()
+            assert {targets[r]: x for r, x in column.items()} == _cell_coefficients(dec, image)
 
 
 def test_harmonic_pivot_cells_match_basis_count():

@@ -1,8 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
-but ``linalg`` calls ``rref``, and each ambient protocol method is defined
-once in the package."""
+but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential,
+and each ambient protocol method is defined once in the package."""
 
 import ast
 from collections import Counter
@@ -120,6 +120,39 @@ def test_rref_calls_are_found():
 def test_module_leaves_rref_to_linalg(module):
     """Only ``linalg`` echelonises; every other module holds a ``Subspace``."""
     assert _rref_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+FORM_DIFFERENTIALS = ("delbar", "delbar_theta", "del_", "ce_differential")
+
+
+def _form_differential_calls(source: str) -> list[str]:
+    """``line:call`` for each method call of a form-level differential."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in FORM_DIFFERENTIALS):
+            found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_form_differential_calls_are_found():
+    source = ("def apply(obj, kind):\n"
+              "    if kind == 'scalar':\n"
+              "        return obj.delbar()\n"
+              "    return obj.delbar_theta()\n"
+              "image = form.del_() + form.ce_differential()\n"
+              "delbar(form)\n"
+              "op = form.delbar\n"
+              "dec.vector_delbar(2)\n")
+    assert _form_differential_calls(source) == [
+        "3:obj.delbar()", "4:obj.delbar_theta()",
+        "5:form.ce_differential()", "5:form.del_()"]
+
+
+def test_hodge_applies_no_form_level_differential():
+    """The ∂̄ matrices come from the structure constants; the form-level
+    operators are their test oracle, never their source."""
+    assert _form_differential_calls((PACKAGE / "hodge.py").read_text(encoding="utf-8")) == []
 
 
 PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")
