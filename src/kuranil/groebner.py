@@ -41,6 +41,15 @@ list order whose leading monomial divides wins.  The deadline is read before
 every pair and every live reduction step.  Basis elements stay monic inside
 a computation and leave it normalised by
 :func:`~kuranil.polyring.primitive_scale`; a normal form leaves as it is.
+
+Coefficients.  Inside a computation a coefficient is a Python ``int`` while
+it is integral.  Packing turns integral coefficients into ints, and prepping
+a divisor whose leading coefficient is not 1 divides its tail exactly, as
+``Fraction(c) / lc``, keeping integral quotients as ints.  That is the
+engine's only division of coefficients, so no float arises.  Division,
+S-polynomials and inter-reduction then multiply and subtract ints unless a
+non-integral input or quotient takes part.  Polynomials leave with
+``Fraction`` coefficients, as they came in.
 """
 
 from __future__ import annotations
@@ -117,6 +126,11 @@ class _Overflow(Exception):
     """A new monomial's degree reached the guard bit of its field."""
 
 
+def _coefficient(c: int | Fraction) -> int | Fraction:
+    """``c`` as an int when it is integral, else as it is."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class _Packing:
     """Monomials over fixed variables in one order, packed into ints of
     ``width``-bit fields as the module docstring lays out."""
@@ -160,13 +174,16 @@ class _Packing:
     def degree(self, m: int) -> int:
         return (m >> self._deg_shift) & self._field
 
-    def pack(self, p: Polynomial) -> dict[int, Fraction]:
-        """The terms of ``p``, whose variables are among ``variables``, packed."""
+    def pack(self, p: Polynomial) -> dict[int, int | Fraction]:
+        """The terms of ``p``, whose variables are among ``variables``,
+        packed; integral coefficients become ints."""
         units = self._units
-        return {sum(e * units[v] for v, e in mono): c for mono, c in p.terms.items()}
+        return {sum(e * units[v] for v, e in mono): _coefficient(c)
+                for mono, c in p.terms.items()}
 
-    def polynomial(self, terms: dict[int, Fraction]) -> Polynomial:
-        """The polynomial of the packed ``terms``, in their order."""
+    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
+        """The polynomial of the packed ``terms``, in their order, with
+        ``Fraction`` coefficients."""
         field, pairs = self._field, list(zip(self.variables, self._shifts))
         out = {}
         for m, c in terms.items():
@@ -193,11 +210,14 @@ class _Packing:
             raise _Overflow
         return lcm
 
-    def prep(self, terms: dict[int, Fraction]) -> tuple:
+    def prep(self, terms: dict[int, int | Fraction]) -> tuple:
         """Divisor entry ``(leading monomial, slack, monic tail)`` of nonzero ``terms``."""
         lm = max(terms)
         lc = terms[lm]
-        tail = [(m, c / lc) for m, c in terms.items() if m != lm]
+        if lc == 1:
+            tail = [(m, c) for m, c in terms.items() if m != lm]
+        else:
+            tail = [(m, _coefficient(Fraction(c) / lc)) for m, c in terms.items() if m != lm]
         slack = max((self.degree(m) for m, _ in tail), default=0) - self.degree(lm)
         return lm, slack, tail
 
@@ -235,15 +255,15 @@ def _packed(polys: Sequence[Polynomial], order: MonomialOrder, compute):
         width *= 2
 
 
-def _divide(work: dict[int, Fraction], divisors: list[tuple], packing: _Packing,
-            deadline: float | None = None) -> dict[int, Fraction]:
+def _divide(work: dict[int, int | Fraction], divisors: list[tuple], packing: _Packing,
+            deadline: float | None = None) -> dict[int, int | Fraction]:
     """Full division remainder of the packed terms ``work`` (consumed) by the
     prepped ``divisors``; the first divisor in list order wins.  The
     remainder's keys are in descending order."""
     guards, limit, degree = packing.guards, packing.limit, packing.degree
     heap = [-m for m in work]
     heapify(heap)
-    remainder: dict[int, Fraction] = {}
+    remainder: dict[int, int | Fraction] = {}
     while heap:
         m = -heappop(heap)
         c = work.pop(m, None)
@@ -275,7 +295,8 @@ def _divide(work: dict[int, Fraction], divisors: list[tuple], packing: _Packing,
     return remainder
 
 
-def _s_polynomial(f: tuple, g: tuple, lcm: int, packing: _Packing) -> dict[int, Fraction]:
+def _s_polynomial(f: tuple, g: tuple, lcm: int,
+                  packing: _Packing) -> dict[int, int | Fraction]:
     """Packed S-polynomial of the prepped (monic) divisors ``f`` and ``g``
     whose leading monomials have lcm ``lcm``: the leading terms cancel, so
     only the tails are multiplied."""
@@ -352,7 +373,7 @@ def _reduce_basis(prepped: list[tuple], packing: _Packing,
             kept.append(entry)
     out = []
     for idx, (lm, _, tail) in enumerate(kept):
-        terms = _divide({lm: Fraction(1), **dict(tail)},
+        terms = _divide({lm: 1, **dict(tail)},
                         kept[:idx] + kept[idx + 1:], packing, deadline)
         kept[idx] = packing.prep(terms)
         scale = primitive_scale(terms.values(), terms[lm])

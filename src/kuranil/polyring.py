@@ -20,6 +20,7 @@ positive.  ``Polynomial`` is immutable and hashable.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from fractions import Fraction
 
@@ -291,7 +292,8 @@ class Polynomial:
         """Integer-primitive scalar multiple with positive leading coefficient."""
         if not self.terms:
             return self
-        return self * primitive_scale(self.terms.values(), self.leading_term(order)[1])
+        scale = primitive_scale(self.terms.values(), self.leading_term(order)[1])
+        return self if scale == 1 else self * scale
 
     # -- evaluation ---------------------------------------------------------
 
@@ -334,23 +336,13 @@ class Polynomial:
         return f"Polynomial({self.to_str()!r})"
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def primitive_scale(coeffs, lead: Fraction) -> Fraction:
-    """The scale that turns the nonzero ``Fraction`` values ``coeffs`` into
-    coprime integers, with ``lead`` (one of them, the leading coefficient)
-    positive: the one generator normalisation of :meth:`Polynomial.normalized`
-    and the Gröbner engine."""
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    num_gcd = 0
-    for c in coeffs:
-        num_gcd = _gcd(num_gcd, abs(c.numerator * (denom_lcm // c.denominator)))
+def primitive_scale(coeffs, lead: int | Fraction) -> Fraction:
+    """The scale that turns the nonzero rational values ``coeffs`` (each an
+    ``int`` or a ``Fraction``) into coprime integers, with ``lead`` (one of
+    them, the leading coefficient) positive: the one generator normalisation
+    of :meth:`Polynomial.normalized` and the Gröbner engine."""
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in coeffs))
     scale = Fraction(denom_lcm, num_gcd)
     return -scale if lead < 0 else scale
 

@@ -362,6 +362,50 @@ def test_division_remainder_matches_textbook_division(order):
     assert order_sensitive > 0
 
 
+# -- rational inputs ----------------------------------------------------------
+
+# Inside a computation a coefficient is an int while it is integral; these
+# inputs force non-integral ones, and every result must still be exact and
+# carry Fraction coefficients only.
+_RATIONALS = [Fraction(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)]
+
+
+def _random_rational_ideal(rng, order, nvars=3, ngens=3, max_deg=2):
+    """:func:`_random_ideal` with each coefficient scaled by a random p/q,
+    and every leading coefficient in ``order`` other than 1 and -1."""
+    gens = []
+    for g in _random_ideal(rng, nvars, ngens, max_deg):
+        g = Polynomial({m: c * rng.choice(_RATIONALS) for m, c in g.terms.items()})
+        if abs(g.leading_term(order)[1]) == 1:
+            g = g * Fraction(2, 3)
+        gens.append(g)
+    return gens
+
+
+def _all_fractions(polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+def _has_non_integral(polys):
+    return any(c.denominator != 1 for p in polys for c in p.terms.values())
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+def test_rational_division_matches_textbook_division(order):
+    rng = random.Random(47)
+    non_integral = 0
+    for _ in range(30):
+        divisors = _random_rational_ideal(rng, order, nvars=4, ngens=3)
+        p = sum(_random_rational_ideal(rng, order, nvars=4, ngens=4, max_deg=4),
+                Polynomial.zero())
+        for divs in (divisors, divisors[::-1]):
+            remainder = normal_form(p, GroebnerBasis(order, divs))
+            assert remainder == _textbook_remainder(p, divs, order)
+            assert _all_fractions([remainder])
+            non_integral += _has_non_integral([remainder])
+    assert non_integral > 0
+
+
 # -- sympy oracle ------------------------------------------------------------
 
 
@@ -407,6 +451,40 @@ def test_reduced_basis_matches_sympy(order, sympy_order):
                 lc.numerator, lc.denominator)))
         theirs = {sympy.expand(sympy.sympify(e)) for e in reference.exprs}
         assert mine == theirs
+
+
+@pytest.mark.parametrize("order,sympy_order",
+                         [(GREVLEX, "grevlex"), (LEX, "lex")],
+                         ids=["grevlex", "lex"])
+def test_rational_reduced_basis_matches_sympy(order, sympy_order):
+    rng = random.Random(59)
+    non_integral = 0
+    for _ in range(20):
+        gens = _random_rational_ideal(rng, order)
+        assert _has_non_integral(gens)
+        basis = buchberger(gens, order=order)
+        assert _all_fractions(basis.polys)
+        table, sgens = _sympy_env(gens)
+        reference = sympy.groebner([_to_sympy(g, table) for g in gens],
+                                   *sgens, order=sympy_order, field=True)
+        theirs = {sympy.expand(sympy.sympify(e)) for e in reference.exprs}
+        monic = [p * (1 / p.leading_term(order)[1]) for p in basis.polys]
+        assert {_to_sympy(p, table) for p in monic} == theirs
+        # the monic tails the engine divides by are not all integral
+        non_integral += _has_non_integral(monic)
+    assert non_integral > 0
+
+
+def test_rational_intersection_returns_fractions():
+    rng = random.Random(61)
+    for _ in range(5):
+        I = _random_rational_ideal(rng, LEX, ngens=2)
+        J = _random_rational_ideal(rng, LEX, ngens=2)
+        inter = ideal_intersect(I, J)
+        assert _all_fractions(inter)
+        bi, bj = buchberger(I), buchberger(J)
+        for p in inter:
+            assert not normal_form(p, bi) and not normal_form(p, bj)
 
 
 def test_minor_ideal_matches_sympy_grevlex():

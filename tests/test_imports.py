@@ -2,7 +2,8 @@
 every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential,
-and each ambient protocol method is defined once in the package."""
+each ambient protocol method is defined once in the package, and every ``/``
+in ``groebner`` divides a ``Fraction``."""
 
 import ast
 from collections import Counter
@@ -185,3 +186,34 @@ def test_protocol_methods_are_defined_once():
     counts = Counter(text.split(":")[1] for path in PACKAGE.glob("*.py")
                      for text in _protocol_definitions(path.read_text(encoding="utf-8")))
     assert {name: counts[name] for name in PROTOCOL} == dict.fromkeys(PROTOCOL, 1)
+
+
+def _divisions_without_fraction(source: str) -> list[str]:
+    """``line:expression`` for each ``/`` whose left operand is not a
+    ``Fraction(…)`` call, ``/=`` included."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)):
+            continue
+        left = getattr(node, "left", None)
+        if (isinstance(left, ast.Call) and isinstance(left.func, ast.Name)
+                and left.func.id == "Fraction"):
+            continue
+        found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_divisions_without_fraction_are_found():
+    source = ("q = c / lc\n"
+              "r = Fraction(c) / lc\n"
+              "s = Fraction(1) / fc + a.b / 2\n"
+              "n = m // k\n"
+              "x /= y\n")
+    assert _divisions_without_fraction(source) == ["1:c / lc", "3:a.b / 2", "5:x /= y"]
+
+
+def test_groebner_divides_only_fractions():
+    """Coefficients inside the engine are ints while they are integral, and
+    an int divided by an int is a float: every division must be exact."""
+    source = (PACKAGE / "groebner.py").read_text(encoding="utf-8")
+    assert _divisions_without_fraction(source) == []

@@ -1,8 +1,10 @@
 """Multivariate polynomials over ℚ: arithmetic, orders, parsing, minors."""
 
 from fractions import Fraction
+import math
 import random
 
+from hypothesis import given, settings, strategies as st
 import pytest
 import sympy
 
@@ -20,6 +22,7 @@ from kuranil.polyring import (
     mono_divides,
     mono_lcm,
     parse_polynomial,
+    primitive_scale,
     var_name,
     var_poly,
     var_rank,
@@ -184,6 +187,34 @@ def test_normalized_is_primitive_integer_positive_leading():
     assert gcd(*(abs(int(c)) for c in coeffs)) == 1
     assert q == (-p).normalized(GREVLEX)
     assert Polynomial.zero().normalized(GREVLEX) == Polynomial.zero()
+    assert q.normalized(GREVLEX) is q  # already primitive: nothing to scale
+
+
+@st.composite
+def _mixed_values(draw):
+    """``(fractions, mixed, lead)``: nonzero ``Fraction`` values, the same
+    values with some integral ones as ``int``, and the index of the lead."""
+    values = draw(st.lists(
+        st.one_of(st.integers(-40, 40).map(Fraction),
+                  st.fractions(min_value=-40, max_value=40, max_denominator=12))
+        .filter(bool), min_size=1, max_size=8))
+    as_int = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    mixed = [v.numerator if v.denominator == 1 and flag else v
+             for v, flag in zip(values, as_int)]
+    return values, mixed, draw(st.integers(0, len(values) - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_mixed_values())
+def test_primitive_scale_takes_ints_and_fractions_alike(case):
+    values, mixed, lead = case
+    scale = primitive_scale(mixed, mixed[lead])
+    assert type(scale) is Fraction
+    assert scale == primitive_scale(values, values[lead])
+    scaled = [v * scale for v in mixed]
+    assert all(c.denominator == 1 for c in scaled)
+    assert math.gcd(*(c.numerator for c in scaled)) == 1
+    assert scaled[lead] > 0
 
 
 # -- parsing and printing ----------------------------------------------------
