@@ -17,7 +17,9 @@ Both build one table at construction: the brackets of the complexified frame
 ``X_1..X_n, X̄_1..X̄_n``, with vectors keyed by ``(index, barred)``.  Their
 shared base reads the ambient protocol of the exterior-algebra module off
 that table: ``complex_dim``, ``covector_differential`` (by the duality above),
-``vector_bracket`` and ``vector_delbar``.
+``vector_bracket`` and ``vector_delbar``.  Every structure constant is stored
+as :func:`~kuranil.polyring.rational` makes it, an ``int`` while it is
+integral, and so are the ∂̄ matrices read off the table.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from fractions import Fraction
 from . import linalg
 from .exterior import VectorKey, vector_key_str
 from .linalg import Subspace
+from .polyring import rational
 
 
 class JacobiViolation(ValueError):
@@ -54,7 +57,7 @@ class StructureParseError(ValueError):
     pass
 
 
-Brackets = dict[tuple[int, int], dict[int, Fraction]]
+Brackets = dict[tuple[int, int], dict[int, int | Fraction]]
 
 
 class _FrameAlgebra:
@@ -66,13 +69,13 @@ class _FrameAlgebra:
         if n < 1:
             raise ValueError("dimension must be positive")
         self.complex_dim = n
-        self._table: dict[tuple[VectorKey, VectorKey], dict[VectorKey, Fraction]] = {}
+        self._table: dict[tuple[VectorKey, VectorKey], dict[VectorKey, int | Fraction]] = {}
 
-    def _add(self, x: VectorKey, y: VectorKey, z: VectorKey, c: Fraction) -> None:
+    def _add(self, x: VectorKey, y: VectorKey, z: VectorKey, c: int | Fraction) -> None:
         """Record ``c·z`` as a term of ``[x, y]``."""
         self._table.setdefault((x, y), {})[z] = c
 
-    def covector_differential(self, index: int, barred: bool) -> list[tuple[int, bool, int, bool, Fraction]]:
+    def covector_differential(self, index: int, barred: bool) -> list[tuple[int, bool, int, bool, int | Fraction]]:
         """d of the covector as triples (a, barred_a, b, barred_b, coeff).
 
         ``dα(x, y) = −α([x, y])`` gives each stored pair ``[x, y]`` the term
@@ -82,16 +85,16 @@ class _FrameAlgebra:
         return [(a, ba, b, bb, -comp[key])
                 for ((a, ba), (b, bb)), comp in self._table.items() if key in comp]
 
-    def vector_bracket(self, i: int, bi: bool, j: int, bj: bool) -> dict[VectorKey, Fraction]:
+    def vector_bracket(self, i: int, bi: bool, j: int, bj: bool) -> dict[VectorKey, int | Fraction]:
         """Bracket of frame vectors, complexified: [X_i, X_j], [X̄_i, X_j], etc."""
         comp = self._table.get(((i, bi), (j, bj)))
         if comp is not None:
             return dict(comp)
         return {key: -c for key, c in self._table.get(((j, bj), (i, bi)), {}).items()}
 
-    def vector_delbar(self, j: int) -> dict[tuple[int, VectorKey], Fraction]:
+    def vector_delbar(self, j: int) -> dict[tuple[int, VectorKey], int | Fraction]:
         """∂̄X_j = Σ_a cw^a ⊗ pr^{1,0}[X̄_a, X_j], as {(a, vector_key): coeff}."""
-        out: dict[tuple[int, VectorKey], Fraction] = {}
+        out: dict[tuple[int, VectorKey], int | Fraction] = {}
         for a in range(1, self.complex_dim + 1):
             for (k, barred), c in self.vector_bracket(a, True, j, False).items():
                 if not barred:
@@ -111,7 +114,7 @@ class LieAlgebra(_FrameAlgebra):
         for (i, j), comp in brackets.items():
             if not (1 <= i < j <= dim):
                 raise ValueError(f"bracket key ({i},{j}) out of range for dim {dim}")
-            entries = {k: Fraction(c) for k, c in comp.items() if c}
+            entries = {k: rational(c) for k, c in comp.items() if c}
             for k in entries:
                 if not 1 <= k <= dim:
                     raise ValueError(f"bracket target X{k} out of range")
@@ -125,7 +128,7 @@ class LieAlgebra(_FrameAlgebra):
         self.name = name or f"lie-algebra-dim-{dim}"
         self._central_series: list[Subspace] | None = None
 
-    def bracket(self, i: int, j: int) -> dict[int, Fraction]:
+    def bracket(self, i: int, j: int) -> dict[int, int | Fraction]:
         """[X_i, X_j] as a sparse coefficient vector."""
         return {k: c for (k, _), c in self.vector_bracket(i, False, j, False).items()}
 
@@ -134,7 +137,7 @@ class LieAlgebra(_FrameAlgebra):
     def validate(self, require_nilpotent: bool = True) -> None:
         n = self.dim
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
-            acc = [Fraction(0)] * n
+            acc = [0] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, inner in self.bracket(a, b).items():
                     for r, outer in self.bracket(m, c).items():
@@ -218,7 +221,7 @@ class LieAlgebra(_FrameAlgebra):
         free_coords = [c for c in range(self.dim) if c not in c1.pivots]
         images = []
         for a, b in itertools.combinations(free_coords, 2):
-            image = [Fraction(0)] * self.dim
+            image = [0] * self.dim
             for k, c in self.bracket(a + 1, b + 1).items():
                 image[k - 1] = c
             images.append(dict(enumerate(c2.reduce(image))))
@@ -254,7 +257,7 @@ def free_two_step(m: int) -> LieAlgebra:
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     brackets: Brackets = {}
     for idx, (a, b) in enumerate(pairs):
-        brackets[(a, b)] = {m + 1 + idx: Fraction(1)}
+        brackets[(a, b)] = {m + 1 + idx: 1}
     return LieAlgebra(m + len(pairs), brackets, name=f"b_{m}")
 
 
@@ -383,8 +386,16 @@ def parse_structure_file(text: str, name: str | None = None) -> LieAlgebra:
 
 # -- complex structures ------------------------------------------------------
 
-D20 = dict[int, dict[tuple[int, int], Fraction]]   # k -> {(a,b) a<b: coeff of w^a∧w^b}
-D11 = dict[int, dict[tuple[int, int], Fraction]]   # k -> {(a,b): coeff of cw^a∧w^b}
+D20 = dict[int, dict[tuple[int, int], int | Fraction]]   # k -> {(a,b) a<b: coeff of w^a∧w^b}
+D11 = dict[int, dict[tuple[int, int], int | Fraction]]   # k -> {(a,b): coeff of cw^a∧w^b}
+
+
+def _canonical_differentials(diffs: D20) -> D20:
+    """``diffs`` with each coefficient made :func:`~kuranil.polyring.rational`
+    and zero coefficients and empty differentials dropped."""
+    out = {k: {pair: rational(c) for pair, c in comp.items() if c}
+           for k, comp in diffs.items()}
+    return {k: comp for k, comp in out.items() if comp}
 
 
 class ComplexStructureAlgebra(_FrameAlgebra):
@@ -398,16 +409,8 @@ class ComplexStructureAlgebra(_FrameAlgebra):
     def __init__(self, n: int, d20: D20, d11: D11, name: str | None = None):
         super().__init__(n)
         self.n = n
-        self.d20 = {
-            k: {pair: Fraction(c) for pair, c in comp.items() if c}
-            for k, comp in d20.items()
-        }
-        self.d20 = {k: comp for k, comp in self.d20.items() if comp}
-        self.d11 = {
-            k: {pair: Fraction(c) for pair, c in comp.items() if c}
-            for k, comp in d11.items()
-        }
-        self.d11 = {k: comp for k, comp in self.d11.items() if comp}
+        self.d20 = _canonical_differentials(d20)
+        self.d11 = _canonical_differentials(d11)
         for k, comp in itertools.chain(self.d20.items(), self.d11.items()):
             if not 1 <= k <= n:
                 raise ValueError(f"covector index {k} out of range")

@@ -35,7 +35,7 @@ class CatalogError(Exception):
 
 
 def _data_text(filename: str) -> str:
-    return (resources.files("kuranil") / "data" / filename).read_text()
+    return resources.files("kuranil").joinpath("data").joinpath(filename).read_text()
 
 
 @dataclass(frozen=True)

@@ -42,14 +42,15 @@ every pair and every live reduction step.  Basis elements stay monic inside
 a computation and leave it normalised by
 :func:`~kuranil.polyring.primitive_scale`; a normal form leaves as it is.
 
-Coefficients.  Inside a computation a coefficient is a Python ``int`` while
-it is integral.  Packing turns integral coefficients into ints, and prepping
-a divisor whose leading coefficient is not 1 divides its tail exactly, as
-``Fraction(c) / lc``, keeping integral quotients as ints.  That is the
+Coefficients.  A coefficient is a canonical rational value, as everywhere in
+the package (:func:`~kuranil.polyring.rational`): an ``int`` while it is
+integral, else a ``Fraction``.  Packing keeps the coefficients as they are,
+and prepping a divisor whose leading coefficient is not 1 divides its tail
+exactly, as ``Fraction(c) / lc``, canonicalising the quotients.  That is the
 engine's only division of coefficients, so no float arises.  Division,
 S-polynomials and inter-reduction then multiply and subtract ints unless a
-non-integral input or quotient takes part.  Polynomials leave with
-``Fraction`` coefficients, as they came in.
+non-integral input or quotient takes part, and the ``Polynomial`` constructor
+canonicalises what leaves.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .polyring import (
     mono_lcm,
     parse_polynomial,
     primitive_scale,
+    rational,
     var_rank,
 )
 
@@ -126,11 +128,6 @@ class _Overflow(Exception):
     """A new monomial's degree reached the guard bit of its field."""
 
 
-def _coefficient(c: int | Fraction) -> int | Fraction:
-    """``c`` as an int when it is integral, else as it is."""
-    return c.numerator if c.denominator == 1 else c
-
-
 class _Packing:
     """Monomials over fixed variables in one order, packed into ints of
     ``width``-bit fields as the module docstring lays out."""
@@ -175,15 +172,12 @@ class _Packing:
         return (m >> self._deg_shift) & self._field
 
     def pack(self, p: Polynomial) -> dict[int, int | Fraction]:
-        """The terms of ``p``, whose variables are among ``variables``,
-        packed; integral coefficients become ints."""
+        """The terms of ``p``, whose variables are among ``variables``, packed."""
         units = self._units
-        return {sum(e * units[v] for v, e in mono): _coefficient(c)
-                for mono, c in p.terms.items()}
+        return {sum(e * units[v] for v, e in mono): c for mono, c in p.terms.items()}
 
     def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
-        """The polynomial of the packed ``terms``, in their order, with
-        ``Fraction`` coefficients."""
+        """The polynomial of the packed ``terms``, in their order."""
         field, pairs = self._field, list(zip(self.variables, self._shifts))
         out = {}
         for m, c in terms.items():
@@ -217,7 +211,7 @@ class _Packing:
         if lc == 1:
             tail = [(m, c) for m, c in terms.items() if m != lm]
         else:
-            tail = [(m, _coefficient(Fraction(c) / lc)) for m, c in terms.items() if m != lm]
+            tail = [(m, rational(Fraction(c) / lc)) for m, c in terms.items() if m != lm]
         slack = max((self.degree(m) for m, _ in tail), default=0) - self.degree(lm)
         return lm, slack, tail
 

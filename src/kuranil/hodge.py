@@ -23,11 +23,15 @@ its kind, so it is the one input of every deformation stage.
 
 The ∂̄ matrices are read off the structure constants: the all-barred terms of
 the ambient's ``covector_differential`` and, on Θ, its ``vector_delbar``, with
-``Fraction`` arithmetic on barred index tuples.  The form-level ``delbar`` and
-``delbar_theta`` of ``kuranil.exterior`` compute the same maps on
+exact rational arithmetic on barred index tuples.  The form-level ``delbar``
+and ``delbar_theta`` of ``kuranil.exterior`` compute the same maps on
 polynomial-coefficient forms and are their test oracle.
 
 δ inverts P∘∂̄ between V¹ and B² and is precomputed as a rational matrix.
+Every entry of a ∂̄ matrix, a projector or δ is a canonical rational value
+(:func:`~kuranil.polyring.rational`): an ``int`` while it is integral, else
+a ``Fraction``, so projections and δ multiply polynomials by ints wherever
+they can.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from bisect import bisect_left
 from . import linalg
 from .algebra import LieAlgebra
 from .exterior import Cov, ExteriorForm, MultiIndex, VectorForm, VectorKey
-from .polyring import Polynomial
+from .polyring import Polynomial, rational
 
 
 class PreimageError(ValueError):
@@ -176,7 +180,7 @@ class HodgeDecomposition:
                 image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
             for key, x in image.items():
                 if x:
-                    mat[tgt_index[key]][col] = x
+                    mat[tgt_index[key]][col] = rational(x)
         return mat
 
     def _decompose(self, q: int) -> dict[str, linalg.Subspace]:

@@ -29,7 +29,14 @@ from fractions import Fraction
 
 from . import groebner, hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra
-from .exterior import AmbientMismatch, BarredVectorError, VectorForm
+from .exterior import (
+    AmbientMismatch,
+    BarredVectorError,
+    ExteriorForm,
+    MultiIndex,
+    VectorForm,
+    VectorKey,
+)
 from .polyring import GREVLEX, Polynomial, Var, var_poly
 
 
@@ -317,7 +324,7 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
     L = decomposition.ambient
     hbasis = decomposition.basis(1, "H")
     n = L.complex_dim
-    total = VectorForm.zero(L)
+    out: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
     for i in range(1, len(hbasis) + 1):
         for j in range(i + 1, len(hbasis) + 1):
             wij = hbasis[i - 1].wedge(hbasis[j - 1])
@@ -330,8 +337,11 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
                         continue
                     coeff = minor2(i, j, k, l) * 2
                     for key, c in br.items():
-                        total = total + VectorForm.single(
-                            L, wij.scale(coeff * c), key[0], key[1])
+                        terms = out.setdefault(key, {})
+                        scaled = coeff * c
+                        for mi, w in wij.terms.items():
+                            terms[mi] = terms.get(mi, Polynomial.zero()) + w * scaled
+    total = VectorForm(L, {key: ExteriorForm(L, terms) for key, terms in out.items()})
     h_part = decomposition.project_harmonic(total, 2)
     return ObstructionResult(decomposition.harmonic_coefficients(h_part))
 

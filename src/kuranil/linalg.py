@@ -1,11 +1,17 @@
 """Exact linear algebra over the rationals, on nonzero entries only.
 
-A matrix is a list of sparse rows, and a row is a ``{column: Fraction}`` dict
+A matrix is a list of sparse rows, and a row is a ``{column: rational}`` dict
 that holds only the row's nonzero entries, in ascending column order.  Every
 matrix here stays in that form: elimination (``rref``), products, transposes,
 inverses and projectors never build or scan a zero entry.  A row handed to
 ``rref`` or ``Subspace.from_vectors`` may hold explicit zeros (so
 ``dict(enumerate(v))`` turns a dense vector into one); they are dropped.
+
+Each entry is a rational value in the package's canonical form (see
+:func:`kuranil.polyring.rational`): an ``int`` while it is integral, else a
+``Fraction``.  ``rref`` and ``mat_mul`` canonicalise what they store, so
+every matrix built here, projectors and inverses included, holds ints
+wherever its entries are integral.
 
 Everything here is deterministic and exact; no floating point is used
 anywhere.  A subspace is a ``Subspace``: its RREF rows and their pivot
@@ -13,8 +19,8 @@ columns, from one ``rref`` call, which no other module makes.
 
 Vectors stay dense: ``mat_vec`` and ``Subspace.reduce`` take a sequence with
 one entry per column and return a list.  Those entries may live in any
-commutative ring that supports ``+``, ``*`` and scalar multiplication by
-``Fraction`` (polynomial-valued vectors, in practice).
+commutative ring that supports ``+``, ``*`` and scalar multiplication by a
+rational value (polynomial-valued vectors, in practice).
 """
 
 from __future__ import annotations
@@ -24,12 +30,14 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-Row = dict[int, Fraction]
+from .polyring import rational
+
+Row = dict[int, int | Fraction]
 Matrix = list[Row]
 
 
 def identity(n: int) -> Matrix:
-    return [{i: Fraction(1)} for i in range(n)]
+    return [{i: 1} for i in range(n)]
 
 
 def transpose(a: Sequence[Row], ncols: int) -> Matrix:
@@ -48,11 +56,11 @@ def mat_mul(a: Sequence[Row], b: Sequence[Row]) -> Matrix:
         for t, c in row.items():
             for j, y in b[t].items():
                 acc[j] = acc.get(j, 0) + c * y
-        out.append({j: x for j, x in sorted(acc.items()) if x})
+        out.append({j: rational(x) for j, x in sorted(acc.items()) if x})
     return out
 
 
-def mat_vec(a: Sequence[Row], v: Sequence, zero=Fraction(0)) -> list:
+def mat_vec(a: Sequence[Row], v: Sequence, zero=0) -> list:
     """Matrix times dense vector; entries of ``v`` may be any ring elements."""
     out = []
     for row in a:
@@ -70,7 +78,7 @@ def _subtract(row: Row, f, pivot_row: Row) -> None:
     for j, y in pivot_row.items():
         x = row.get(j, 0) - f * y
         if x:
-            row[j] = x
+            row[j] = rational(x)
         else:
             del row[j]
 
@@ -88,7 +96,7 @@ def rref(a: Iterable[Row]) -> tuple[Matrix, list[int]]:
     """
     reduced: dict[int, Row] = {}  # pivot column -> row with a 1 there
     for source in a:
-        row = {j: x for j, x in source.items() if x}
+        row = {j: rational(x) for j, x in source.items() if x}
         for p, f in [(p, row[p]) for p in row if p in reduced]:
             _subtract(row, f, reduced[p])
         if not row:
@@ -97,7 +105,7 @@ def rref(a: Iterable[Row]) -> tuple[Matrix, list[int]]:
         lead = row[c]
         if lead != 1:
             inv = Fraction(1) / lead
-            row = {j: x * inv for j, x in row.items()}
+            row = {j: rational(x * inv) for j, x in row.items()}
         for other in reduced.values():
             f = other.get(c)
             if f:
@@ -172,7 +180,7 @@ def nullspace(a: Iterable[Row], ncols: int) -> Subspace:
     """The right kernel of ``a``, whose columns are ``0..ncols-1``."""
     rows, pivots = rref(a)
     pivot_set = set(pivots)
-    basis = {fc: {fc: Fraction(1)} for fc in range(ncols) if fc not in pivot_set}
+    basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(rows, pivots):
         for j, x in row.items():
             if j != pc:
@@ -182,7 +190,7 @@ def nullspace(a: Iterable[Row], ncols: int) -> Subspace:
 
 def invert(a: Matrix) -> Matrix:
     n = len(a)
-    rows, pivots = rref({**row, n + i: Fraction(1)} for i, row in enumerate(a))
+    rows, pivots = rref({**row, n + i: 1} for i, row in enumerate(a))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [{j - n: x for j, x in row.items() if j >= n} for row in rows]

@@ -15,6 +15,13 @@ with ``u`` ranked above every ``t`` variable.  Two monomial orders are provided:
 
 Monomials are tuples ``((var, exp), ...)`` sorted by variable rank, exponents
 positive.  ``Polynomial`` is immutable and hashable.
+
+Rational values.  Throughout the package a rational value is an ``int`` while
+it is integral and a ``Fraction`` otherwise; :func:`rational` is the one
+canonicaliser.  Polynomial coefficients, structure constants and matrix
+entries are all stored in that form, so integral arithmetic runs on native
+ints.  A ``float`` is never a rational value here: :func:`rational` rejects
+it, and with it every ``Polynomial`` built from one.
 """
 
 from __future__ import annotations
@@ -30,6 +37,18 @@ Mono = tuple[tuple[Var, int], ...]
 UVAR: Var = (0, 0)
 
 EMPTY_MONO: Mono = ()
+
+
+def rational(c) -> int | Fraction:
+    """``c`` in canonical form: an ``int`` when integral, else a ``Fraction``.
+
+    Raises :class:`TypeError` on anything but an ``int`` or a ``Fraction``
+    (a ``float`` included, whose binary expansion is not the value meant)."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"not an exact rational value: {c!r}")
 
 
 def var_rank(v: Var) -> tuple[bool, int, int]:
@@ -137,16 +156,19 @@ LEX = MonomialOrder("lex")
 
 
 class Polynomial:
-    """Immutable sparse polynomial with ``Fraction`` coefficients."""
+    """Immutable sparse polynomial with rational coefficients, each stored in
+    the canonical form of :func:`rational`."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: dict[Mono, Fraction] | None = None):
-        clean: dict[Mono, Fraction] = {}
+    def __init__(self, terms: dict[Mono, int | Fraction] | None = None):
+        clean: dict[Mono, int | Fraction] = {}
         if terms:
             for m, c in terms.items():
+                if type(c) is not int:
+                    c = rational(c)
                 if c:
-                    clean[m] = c if isinstance(c, Fraction) else Fraction(c)
+                    clean[m] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
 
@@ -165,11 +187,11 @@ class Polynomial:
 
     @staticmethod
     def constant(c) -> "Polynomial":
-        return Polynomial({EMPTY_MONO: Fraction(c)})
+        return Polynomial({EMPTY_MONO: rational(c)})
 
     @staticmethod
     def variable(v: Var) -> "Polynomial":
-        return Polynomial({((v, 1),): Fraction(1)})
+        return Polynomial({((v, 1),): 1})
 
     # -- basic queries ------------------------------------------------------
 
@@ -183,10 +205,10 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(m == EMPTY_MONO for m in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(EMPTY_MONO, Fraction(0))
+        return self.terms.get(EMPTY_MONO, 0)
 
     def total_degree(self) -> int:
         """Maximum monomial degree; -1 for the zero polynomial."""
@@ -212,7 +234,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(terms)
 
     __radd__ = __add__
@@ -223,7 +245,7 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = terms.get(m, Fraction(0)) - c
+            terms[m] = terms.get(m, 0) - c
         return Polynomial(terms)
 
     def __rsub__(self, other) -> "Polynomial":
@@ -239,15 +261,15 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return _ZERO
-            f = Fraction(other)
+            f = rational(other)
             return Polynomial({m: c * f for m, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
-        terms: dict[Mono, Fraction] = {}
+        terms: dict[Mono, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
-                terms[m] = terms.get(m, Fraction(0)) + c1 * c2
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(terms)
 
     __rmul__ = __mul__
@@ -279,7 +301,7 @@ class Polynomial:
 
     # -- order-dependent operations -----------------------------------------
 
-    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Mono, Fraction]:
+    def leading_term(self, order: MonomialOrder = GREVLEX) -> tuple[Mono, int | Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = order.max(self.terms)
@@ -297,16 +319,16 @@ class Polynomial:
 
     # -- evaluation ---------------------------------------------------------
 
-    def evaluate(self, assignment: dict[Var, Fraction]) -> Fraction:
-        total = Fraction(0)
+    def evaluate(self, assignment: dict[Var, int | Fraction]) -> int | Fraction:
+        total = 0
         for m, c in self.terms.items():
             prod = c
             for v, e in m:
                 if v not in assignment:
                     raise KeyError(f"no value supplied for variable {var_name(v)}")
-                prod *= Fraction(assignment[v]) ** e
+                prod *= rational(assignment[v]) ** e
             total += prod
-        return total
+        return rational(total)
 
     # -- rendering ----------------------------------------------------------
 
@@ -356,7 +378,7 @@ def _coerce(x) -> Polynomial | None:
 
 
 _ZERO = Polynomial()
-_ONE = Polynomial({EMPTY_MONO: Fraction(1)})
+_ONE = Polynomial({EMPTY_MONO: 1})
 
 
 def var_poly(i: int, j: int) -> Polynomial:

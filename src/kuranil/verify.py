@@ -143,23 +143,27 @@ def _parallelisable_checks(entry: catalog.CatalogEntry,
         results.append(_reducibility_check(entry, ideals))
 
     if entry.ideal_file:
-        results.append(_containment_check(entry, ideals))
-        results.append(_intersection_check(entry, ideals, timeout))
+        readings = _readings(entry)
+        results.append(_containment_check(entry, ideals, readings))
+        results.append(_intersection_check(entry, ideals, readings, timeout))
     return results
 
 
-def _readings(entry: catalog.CatalogEntry):
-    yield "main", entry.published_components()
+def _readings(entry: catalog.CatalogEntry) -> list[tuple[str, list[list[Polynomial]]]]:
+    """``(label, components)`` of each stored reading of the entry's ideal,
+    parsed once for both checks that read them."""
+    readings = [("main", entry.published_components())]
     if entry.has_variant:
-        yield "variant", entry.published_components(variant=True)
+        readings.append(("variant", entry.published_components(variant=True)))
+    return readings
 
 
-def _containment_check(entry: catalog.CatalogEntry,
-                       ideals: _EntryIdeals) -> CheckResult:
+def _containment_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
+                       readings: list) -> CheckResult:
     """The computed ideal must lie in every stored component (I ⊆ ∩ Qᵢ)."""
     started = time.monotonic()
     failure = ""
-    for label, components in _readings(entry):
+    for label, components in readings:
         escape = ideals.escape(label, components)
         if escape is None:
             return CheckResult(entry.name, "component-containment", "PASS",
@@ -170,12 +174,12 @@ def _containment_check(entry: catalog.CatalogEntry,
 
 
 def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
-                        timeout: float) -> CheckResult:
+                        readings: list, timeout: float) -> CheckResult:
     """The stored components must intersect exactly to the computed ideal."""
     started = time.monotonic()
     deadline = started + timeout
     failure = ""
-    for label, components in _readings(entry):
+    for label, components in readings:
         # Equality forces the computed ideal into every component, so a
         # reading that fails containment cannot match; its containment
         # verdict settles it without the elimination fold.

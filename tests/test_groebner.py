@@ -336,7 +336,7 @@ def _textbook_remainder(p, divisors, order):
         for g in divisors:
             glm, glc = g.leading_term(order)
             if mono_divides(glm, lm):
-                work = work - Polynomial({mono_div(lm, glm): lc / glc}) * g
+                work = work - Polynomial({mono_div(lm, glm): Fraction(lc) / glc}) * g
                 break
         else:
             remainder = remainder + Polynomial({lm: lc})
@@ -364,9 +364,9 @@ def test_division_remainder_matches_textbook_division(order):
 
 # -- rational inputs ----------------------------------------------------------
 
-# Inside a computation a coefficient is an int while it is integral; these
-# inputs force non-integral ones, and every result must still be exact and
-# carry Fraction coefficients only.
+# A coefficient is an int while it is integral; these inputs force
+# non-integral ones, and every result must still be exact and carry each
+# coefficient in canonical form: an int when integral, else a Fraction.
 _RATIONALS = [Fraction(p, q) for p in range(-4, 5) if p for q in (1, 2, 3)]
 
 
@@ -382,8 +382,9 @@ def _random_rational_ideal(rng, order, nvars=3, ngens=3, max_deg=2):
     return gens
 
 
-def _all_fractions(polys):
-    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+def _all_canonical(polys):
+    return all(type(c) is (int if c.denominator == 1 else Fraction)
+               for p in polys for c in p.terms.values())
 
 
 def _has_non_integral(polys):
@@ -401,7 +402,7 @@ def test_rational_division_matches_textbook_division(order):
         for divs in (divisors, divisors[::-1]):
             remainder = normal_form(p, GroebnerBasis(order, divs))
             assert remainder == _textbook_remainder(p, divs, order)
-            assert _all_fractions([remainder])
+            assert _all_canonical([remainder])
             non_integral += _has_non_integral([remainder])
     assert non_integral > 0
 
@@ -463,12 +464,12 @@ def test_rational_reduced_basis_matches_sympy(order, sympy_order):
         gens = _random_rational_ideal(rng, order)
         assert _has_non_integral(gens)
         basis = buchberger(gens, order=order)
-        assert _all_fractions(basis.polys)
+        assert _all_canonical(basis.polys)
         table, sgens = _sympy_env(gens)
         reference = sympy.groebner([_to_sympy(g, table) for g in gens],
                                    *sgens, order=sympy_order, field=True)
         theirs = {sympy.expand(sympy.sympify(e)) for e in reference.exprs}
-        monic = [p * (1 / p.leading_term(order)[1]) for p in basis.polys]
+        monic = [p * (Fraction(1) / p.leading_term(order)[1]) for p in basis.polys]
         assert {_to_sympy(p, table) for p in monic} == theirs
         # the monic tails the engine divides by are not all integral
         non_integral += _has_non_integral(monic)
@@ -481,7 +482,7 @@ def test_rational_intersection_returns_fractions():
         I = _random_rational_ideal(rng, LEX, ngens=2)
         J = _random_rational_ideal(rng, LEX, ngens=2)
         inter = ideal_intersect(I, J)
-        assert _all_fractions(inter)
+        assert _all_canonical(inter)
         bi, bj = buchberger(I), buchberger(J)
         for p in inter:
             assert not normal_form(p, bi) and not normal_form(p, bj)

@@ -42,19 +42,23 @@ def _swapped5():
         "dim 5\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + cw1^w1\ndw5 = w1^w2 + cw2^w2\n")
 
 
+# A solvable algebra whose ∂̄ matrices sum two halves into an integral entry
+# (∂̄ω̄^23 = ½ω̄^123 + ½ω̄^123), which must be stored as an int.
+HALVES = "(0,1/2*12,1/2*13)"
 LIE_ENTRIES = [e.name for e in catalog.entries() if isinstance(e.build(), LieAlgebra)]
-COMPLEXES = ([(name, "scalar") for name in LIE_ENTRIES]
-             + [(name, "theta") for name in LIE_ENTRIES]
+COMPLEXES = ([(name, "scalar") for name in LIE_ENTRIES + [HALVES]]
+             + [(name, "theta") for name in LIE_ENTRIES + [HALVES]]
              + [("general7", "theta"), ("mixed7", "theta"), ("swapped5", "theta")])
 
 
 def _decomposition(name: str, kind: str):
-    """The scalar or Θ decomposition of a catalog entry, ``mixed7`` or ``swapped5``."""
+    """The scalar or Θ decomposition of a catalog entry, ``mixed7``,
+    ``swapped5`` or ``HALVES``."""
     if name == "mixed7":
         return build_theta_decomposition(_mixed7())
     if name == "swapped5":
         return build_theta_decomposition(_swapped5())
-    ambient = catalog.get(name).build()
+    ambient = parse_salamon(name) if name == HALVES else catalog.get(name).build()
     if kind == "scalar":
         return build_decomposition(ambient)
     if isinstance(ambient, LieAlgebra):
@@ -254,7 +258,8 @@ def test_delbar_matrices_match_form_level_operators(name, kind):
         targets = dec.cells(q + 1)
         columns = transpose(mat, dec.dim(q))
         for cell, column in zip(dec.cells(q), columns, strict=True):
-            assert all(type(x) is Fraction for x in column.values())
+            assert all(type(x) is (int if x.denominator == 1 else Fraction)
+                       for x in column.values())
             form = _cell_form(dec, cell)
             image = form.delbar() if kind == "scalar" else form.delbar_theta()
             assert {targets[r]: x for r, x in column.items()} == _cell_coefficients(dec, image)

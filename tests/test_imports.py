@@ -3,7 +3,7 @@ every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential,
 each ambient protocol method is defined once in the package, and every ``/``
-in ``groebner`` divides a ``Fraction``."""
+in the package divides a ``Fraction``."""
 
 import ast
 from collections import Counter
@@ -212,8 +212,9 @@ def test_divisions_without_fraction_are_found():
     assert _divisions_without_fraction(source) == ["1:c / lc", "3:a.b / 2", "5:x /= y"]
 
 
-def test_groebner_divides_only_fractions():
-    """Coefficients inside the engine are ints while they are integral, and
-    an int divided by an int is a float: every division must be exact."""
-    source = (PACKAGE / "groebner.py").read_text(encoding="utf-8")
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_module_divides_only_fractions(module):
+    """Rational values are ints while they are integral, and an int divided
+    by an int is a float: every division in the package must be exact."""
+    source = (PACKAGE / module).read_text(encoding="utf-8")
     assert _divisions_without_fraction(source) == []

@@ -298,3 +298,37 @@ def test_sparse_invert_matches_sympy(case, rng):
     if n and rank(square) < n:
         with pytest.raises(ValueError):
             invert(square)
+
+
+
+def _mixed(rows, rng):
+    """``rows`` with each integral entry, at random, as an ``int``."""
+    return [{j: x.numerator if x.denominator == 1 and rng.random() < 0.5 else x
+             for j, x in row.items()} for row in rows]
+
+
+def _all_canonical(rows):
+    return all(type(x) is (int if x.denominator == 1 else Fraction)
+               for row in rows for x in row.values())
+
+
+@_ORACLE
+@given(_sparse_matrices(max_dim=12), st.randoms(use_true_random=False))
+def test_mixed_int_and_fraction_entries_give_canonical_results(case, rng):
+    """Entries given as ints where integral, or as Fractions, mixed at random:
+    each result holds an int exactly where an entry is integral, and equals
+    the same computation on ``Fraction`` entries only."""
+    a, ncols = case
+    rows = rref(a)[0]
+    gram = [{j: Fraction(x) for j, x in row.items()}
+            for row in mat_mul(rows, transpose(rows, ncols))]
+    for name, op, m in (
+        ("rref", lambda m: rref(m)[0], a),
+        ("mat_mul", lambda m: mat_mul(m, transpose(m, ncols)), a),
+        ("nullspace", lambda m: list(nullspace(m, ncols).rows), a),
+        ("projector", lambda m: Subspace.from_vectors(ncols, m).projector, a),
+        ("invert", invert, gram),
+    ):
+        expected, result = op(m), op(_mixed(m, rng))
+        assert result == expected, name
+        assert _all_canonical(result) and _all_canonical(expected), name

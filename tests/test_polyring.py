@@ -21,8 +21,10 @@ from kuranil.polyring import (
     mono_degree,
     mono_divides,
     mono_lcm,
+    mono_mul,
     parse_polynomial,
     primitive_scale,
+    rational,
     var_name,
     var_poly,
     var_rank,
@@ -215,6 +217,81 @@ def test_primitive_scale_takes_ints_and_fractions_alike(case):
     assert all(c.denominator == 1 for c in scaled)
     assert math.gcd(*(c.numerator for c in scaled)) == 1
     assert scaled[lead] > 0
+
+
+def _canonical(c) -> bool:
+    return type(c) is (int if c.denominator == 1 else Fraction)
+
+
+def _fraction_terms(monos, values):
+    """A reference polynomial: ``{monomial: Fraction}`` without zeros."""
+    out = {}
+    for m, c in zip(monos, values):
+        out[m] = out.get(m, Fraction(0)) + Fraction(c)
+    return {m: c for m, c in out.items() if c}
+
+
+@st.composite
+def _mixed_polynomials(draw):
+    """``(monomials, fractions, mixed)``: terms in t1_1, t1_2 whose
+    coefficients are ``Fraction`` values, and the same values with some
+    integral ones as ``int``."""
+    values, mixed, _ = draw(_mixed_values())
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    monos = [tuple(((1, j + 1), e) for j, e in enumerate(exp) if e)
+             for exp in draw(st.lists(exps, min_size=len(values), max_size=len(values),
+                                      unique=True))]
+    return monos, values, mixed
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_mixed_polynomials(), _mixed_polynomials(), _mixed_values())
+def test_arithmetic_on_mixed_coefficients_is_canonical(a, b, scalars):
+    """Mixed int and Fraction inputs give every coefficient in canonical form,
+    equal to the same computation on ``Fraction`` values only."""
+    (ma, fa, xa), (mb, fb, xb) = a, b
+    p, q = Polynomial(dict(zip(ma, xa))), Polynomial(dict(zip(mb, xb)))
+    ra, rb = _fraction_terms(ma, fa), _fraction_terms(mb, fb)
+    (fs, *_), (s, *_), _ = scalars
+    expected = {
+        "+": _fraction_terms([*ra, *rb], [*ra.values(), *rb.values()]),
+        "-": _fraction_terms([*ra, *rb], [*ra.values(), *(-c for c in rb.values())]),
+        "*": _fraction_terms([mono_mul(m1, m2) for m1 in ra for m2 in rb],
+                             [c1 * c2 for c1 in ra.values() for c2 in rb.values()]),
+        "scalar": {m: c * fs for m, c in ra.items()},
+    }
+    for op, result in (("+", p + q), ("-", p - q), ("*", p * q), ("scalar", p * s)):
+        assert result.terms == expected[op], op
+        assert all(_canonical(c) for c in result.terms.values()), op
+    scale = primitive_scale(ra.values(), Polynomial(ra).leading_term(GREVLEX)[1])
+    normalized = p.normalized(GREVLEX)
+    assert normalized.terms == {m: c * scale for m, c in ra.items()}
+    assert all(type(c) is int for c in normalized.terms.values())
+    assert _canonical((p * q).evaluate({(1, 1): 2, (1, 2): Fraction(1, 3)}))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rational(0.5),
+    lambda: rational("1/2"),
+    lambda: Polynomial({(): 0.5}),
+    lambda: Polynomial({((UVAR, 1),): 0.0}),
+    lambda: Polynomial.constant(0.1),
+    lambda: t(1, 1) * 0.5,
+    lambda: t(1, 1) + 0.5,
+    lambda: t(1, 1).evaluate({(1, 1): 0.5}),
+], ids=["rational", "rational-str", "constructor", "constructor-zero", "constant",
+        "scalar", "sum", "evaluate"])
+def test_floats_are_not_rational_values(make):
+    """A float's binary expansion is not the rational value meant, so exact
+    arithmetic refuses it instead of storing it."""
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_rational_is_canonical():
+    assert type(rational(Fraction(4, 2))) is int and rational(Fraction(4, 2)) == 2
+    assert rational(Fraction(1, 2)) == Fraction(1, 2)
+    assert rational(-3) == -3
 
 
 # -- parsing and printing ----------------------------------------------------
