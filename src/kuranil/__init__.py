@@ -67,7 +67,6 @@ from .kuranishi import (
     ClosednessViolation,
     KuranishiReport,
     MissingDegreeCap,
-    NonParallelisableAmbient,
     ObstructionResult,
     PhiSeries,
     analyze,
@@ -80,7 +79,6 @@ from .kuranishi import (
     quadratic_obstruction_closed_form,
     random_central_assignment,
     schouten_general,
-    schouten_parallelisable,
     smoothness_tests,
 )
 from .linalg import Subspace
@@ -119,7 +117,6 @@ __all__ = [
     "LieAlgebra",
     "MissingDegreeCap",
     "MonomialOrder",
-    "NonParallelisableAmbient",
     "NotALieAlgebra",
     "NotIntegrable",
     "NotNilpotent",
@@ -163,7 +160,6 @@ __all__ = [
     "random_central_assignment",
     "s_polynomial",
     "schouten_general",
-    "schouten_parallelisable",
     "smoothness_tests",
     "theta_cohomology_dims",
     "to_complex_structure",

@@ -8,6 +8,7 @@ code 1, as Python itself exits on a broken pipe.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -144,7 +145,10 @@ def _degree(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kuranil`` parser, built once per process: it depends on nothing
+    per call, and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="kuranil",
         description="Kuranishi obstruction ideals of nilpotent Lie algebras "

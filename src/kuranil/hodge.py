@@ -12,14 +12,17 @@ rationals because x·Δx = |∂̄x|² + |∂̄*x|².
 Two complexes are supported through one engine:
 
 * ``scalar`` — Λ^{0,k}, cells are barred multi-indices; used for parallelisable
-  algebras where the vector-valued complex is the scalar one tensored with g.
+  algebras where the vector-valued complex is the scalar one tensored with g,
+  so one scalar block serves every frame component of a ``VectorForm``.
 * ``theta``  — Λ^{0,k} ⊗ (1,0)-vectors, cells are (multi-index, vector) pairs;
   used when the ambient has a non-trivial (1,1) structure part.
 
 ``build_decomposition`` covers every degree of the scalar complex;
 ``build_theta_decomposition`` covers degrees 0..2 of the Θ complex, which is
-all the deformation recursion reads.  A decomposition carries its ambient and
-its kind, so it is the one input of every deformation stage.
+all the deformation recursion reads.  A decomposition carries its ambient, so
+it is the one input of every deformation stage, and only this module reads
+its kind: the deformation layer sees Θ in both, through ``h1_theta_basis``
+and the projections of ``VectorForm``s.
 
 The ∂̄ matrices are read off the structure constants: the all-barred terms of
 the ambient's ``covector_differential`` and, on Θ, its ``vector_delbar``, with
@@ -219,6 +222,24 @@ class HodgeDecomposition:
 
     def harmonic_pivot_cells(self, q: int) -> list:
         return [self._cells[q][p] for p in self._spaces[q]["H"].pivots]
+
+    def h1_theta_basis(self) -> list[tuple[tuple[int, int], VectorForm]]:
+        """The RREF harmonic basis of Θ in degree 1, each element named
+        ``(a, b)`` by its pivot cell ω̄^a ⊗ X_b.
+
+        On the scalar complex Θ is n copies of it, one per frame vector, so
+        the harmonic 1-form h with pivot ω̄^a gives h ⊗ X_b for b = 1..n, in
+        the order the Θ complex's own RREF lists them."""
+        named = []
+        for h, cell in zip(self.basis(1, "H"), self.harmonic_pivot_cells(1)):
+            if self.kind == "scalar":
+                (cov,) = cell
+                named += [((cov.index, b), VectorForm.single(self.ambient, h, b))
+                          for b in range(1, self.ambient.complex_dim + 1)]
+            else:
+                (cov,), (b, _) = cell
+                named.append(((cov.index, b), h))
+        return named
 
     def pivot_columns(self, q: int, which: str) -> list[int]:
         """Pivot coordinates of the RREF basis of B/H/V in degree q.

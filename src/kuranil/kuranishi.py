@@ -1,8 +1,9 @@
-"""Deformation core: Schouten brackets, the degree-by-degree Maurer-Cartan
+"""Deformation core: the Schouten bracket, the degree-by-degree Maurer-Cartan
 solution, obstruction ideals, and structural smoothness certificates.
 
-The generic first-order deformation Φ₁ = Σ t_i^j ω̄^i ⊗ X_j (harmonic basis ⊗
-frame vectors) is extended degree by degree via
+The generic first-order deformation Φ₁ = Σ t_a^b h_a^b over the degree-1
+harmonic basis of the complex Λ^{0,•} ⊗ T^{1,0} (named by RREF pivot cells
+ω̄^a ⊗ X_b) is extended degree by degree via
 
     Φ_k = −δ ∘ P ( Σ_{0<i<k} [Φ_i, Φ_{k−i}] ),
 
@@ -11,15 +12,18 @@ of ∂̄ from exact 2-forms back to coexact 1-forms.  The harmonic parts of the
 bracket sums — the parts the correction terms cannot absorb — accumulate into
 the obstruction ideal; its vanishing locus is the local deformation space.
 
-For a complex-parallelisable structure the recursion terminates at the
-nilpotency index ν and the obstruction coefficients are polynomials of degree
-at most ν.  For general integrable structures the recursion need not
-terminate, so a degree cap is mandatory and results are truncations.
+For a nilpotent Lie algebra (a complex-parallelisable structure) the
+recursion terminates at the nilpotency index ν and the obstruction
+coefficients are polynomials of degree at most ν.  For general integrable
+structures the recursion need not terminate, so a degree cap is mandatory and
+results are truncations.
 
 Every stage takes the one object it reads: a Hodge decomposition (which
-carries its ambient algebra and its complex kind) → the series Φ → the
-obstruction.  The decomposition's kind selects the path: ``scalar`` for
-parallelisable algebras, ``theta`` for general structures.
+carries its ambient) → the series Φ → the obstruction.  There is one bracket,
+the three-term Schouten formula, and one recursion; on a parallelisable
+structure ∂̄ kills every frame vector, the ∂-terms of the bracket vanish, and
+the Hodge layer stores Θ as copies of the scalar complex.  Which complex a
+decomposition stores is for ``kuranil.hodge`` alone.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ from .exterior import (
     VectorKey,
 )
 from .polyring import GREVLEX, Polynomial, Var, var_poly
-
-
-class NonParallelisableAmbient(ValueError):
-    """The wedge-and-bracket Schouten shortcut needs a parallelisable ambient."""
 
 
 class MissingDegreeCap(ValueError):
@@ -63,39 +63,6 @@ class ClosednessViolation(RuntimeError):
             f"coefficients outside the obstruction ideal found so far: {polys}")
 
 
-def _is_parallelisable(ambient) -> bool:
-    if isinstance(ambient, LieAlgebra):
-        return True
-    if isinstance(ambient, ComplexStructureAlgebra):
-        return ambient.classify() == "parallelisable"
-    return False
-
-
-def schouten_parallelisable(a: VectorForm, b: VectorForm) -> VectorForm:
-    """[ᾱ⊗X, β̄⊗Y] = ᾱ∧β̄⊗[X,Y], valid when ∂̄ kills every frame vector."""
-    if a.ambient is not b.ambient:
-        raise AmbientMismatch("Schouten bracket of forms over different ambients")
-    if not _is_parallelisable(a.ambient):
-        raise NonParallelisableAmbient(
-            "ambient has a (1,1) structure part; use schouten_general")
-    if a.has_barred_vectors() or b.has_barred_vectors():
-        raise BarredVectorError("Schouten bracket inputs must have (1,0) vector parts")
-    ambient = a.ambient
-    out: dict = {}
-    for (i, bi), alpha in a.components.items():
-        for (j, bj), beta in b.components.items():
-            br = ambient.vector_bracket(i, bi, j, bj)
-            if not br:
-                continue
-            w = alpha.wedge(beta)
-            if not w:
-                continue
-            for key, c in br.items():
-                cur = out.get(key)
-                out[key] = w.scale(c) if cur is None else cur + w.scale(c)
-    return VectorForm(ambient, out)
-
-
 def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     """Three-term Schouten bracket on Λ^{0,•} ⊗ (1,0)-vectors:
 
@@ -104,9 +71,11 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     The Lie-derivative terms reduce to contractions of ∂-parts because frame
     coefficients are constant and (1,0)-vectors contract (0,q)-forms to zero.
     On a parallelisable ambient ∂ of a (0,q)-form vanishes and the formula
-    degenerates to the wedge-and-bracket shortcut."""
+    is the wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone."""
     if a.ambient is not b.ambient:
         raise AmbientMismatch("Schouten bracket of forms over different ambients")
+    if a.has_barred_vectors() or b.has_barred_vectors():
+        raise BarredVectorError("Schouten bracket inputs must have (1,0) vector parts")
     ambient = a.ambient
     out: dict = {}
 
@@ -154,23 +123,8 @@ class PhiSeries:
     def ambient(self):
         return self.decomposition.ambient
 
-    @property
-    def kind(self) -> str:
-        return self.decomposition.kind
-
     def phi(self, k: int) -> VectorForm:
         return self.terms.get(k, VectorForm.zero(self.ambient))
-
-    def full(self) -> VectorForm:
-        total = VectorForm.zero(self.ambient)
-        for k in sorted(self.terms):
-            total = total + self.terms[k]
-        return total
-
-    def bracket(self, x: VectorForm, y: VectorForm) -> VectorForm:
-        if self.kind == "scalar":
-            return schouten_parallelisable(x, y)
-        return schouten_general(x, y)
 
     def bracket_sum(self, k: int) -> VectorForm:
         """Σ_{0<i<k} [Φ_i, Φ_{k−i}] over the terms found so far."""
@@ -178,39 +132,23 @@ class PhiSeries:
         for i in range(1, k):
             lo, hi = self.phi(i), self.phi(k - i)
             if lo and hi:
-                total = total + self.bracket(lo, hi)
+                total = total + schouten_general(lo, hi)
         return total
 
 
 def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
-    """Σ t_i^j ω̄^i⊗X_j over the harmonic basis.
+    """Σ t_a^b h_a^b over the degree-1 harmonic basis of Θ, and its variables.
 
-    Scalar complex: variable t_i^j pairs the i-th harmonic 1-form with the j-th
-    frame vector.  Vector-valued complex: each harmonic basis vector is indexed
-    by its RREF pivot cell (ω̄^a, X_b) → variable t_a^b.  On a parallelisable
-    structure the two schemes name the same variables exactly when the RREF
-    pivots of H¹ are the first h^{0,1} covectors ω̄^1, …, ω̄^{h^{0,1}}, as in
-    every published frame; otherwise the names differ (for [X_3, X_4] = X_1
-    the harmonic 1-forms are ω̄^2, ω̄^3, ω̄^4, so t_1^j here is t_2^j there)."""
-    ambient = decomposition.ambient
+    Variable t_a^b names the basis element whose RREF pivot cell is ω̄^a ⊗ X_b
+    (``HodgeDecomposition.h1_theta_basis``).  In every published frame the
+    pivots are the first h^{0,1} covectors; otherwise they are not: on
+    (34,0,0,0), where [X_3, X_4] = −X_1, the harmonic 1-forms are ω̄^2, ω̄^3,
+    ω̄^4, so a runs over 2, 3, 4."""
     variables: list[Var] = []
-    total = VectorForm.zero(ambient)
-    if decomposition.kind == "scalar":
-        hbasis = decomposition.basis(1, "H")
-        n = ambient.complex_dim
-        for i, h in enumerate(hbasis, start=1):
-            for j in range(1, n + 1):
-                v = (i, j)
-                variables.append(v)
-                total = total + VectorForm.single(ambient, h.scale(var_poly(i, j)), j)
-    else:
-        hbasis = decomposition.basis(1, "H")
-        pivots = decomposition.harmonic_pivot_cells(1)
-        for h, cell in zip(hbasis, pivots):
-            (mi, (b, _barred)) = cell
-            a = mi[0].index
-            variables.append((a, b))
-            total = total + h.scale(var_poly(a, b))
+    total = VectorForm.zero(decomposition.ambient)
+    for name, h in decomposition.h1_theta_basis():
+        variables.append(name)
+        total = total + h.scale(var_poly(*name))
     return total, variables
 
 
@@ -228,21 +166,21 @@ def phi_recursion(decomposition, max_degree: int | None = None,
                   initial: VectorForm | None = None) -> PhiSeries:
     """Solve the Maurer-Cartan equation degree by degree up to ``max_degree``.
 
-    A ``scalar`` decomposition (of a nilpotent Lie algebra) takes the
-    parallelisable path, capped at the nilpotency index by default; a
-    ``theta`` decomposition takes the vector-valued path, where
-    ``max_degree`` is mandatory.  ``initial`` overrides the generic Φ₁ with a
-    specific harmonic element over the decomposition's ambient.
+    Over a nilpotent Lie algebra the cap defaults to the nilpotency index,
+    and every bracket sum is checked to descend the central series; over any
+    other ambient ``max_degree`` is mandatory.  ``initial`` overrides the
+    generic Φ₁ with a specific harmonic element over the decomposition's
+    ambient.
     """
     L = decomposition.ambient
-    if decomposition.kind == "scalar":
+    if isinstance(L, LieAlgebra):
         cap = L.nilpotency_index() if max_degree is None else max_degree
         central = L.descending_central_series()
+    elif max_degree is None:
+        raise MissingDegreeCap(
+            "general structures need an explicit max_degree: the recursion "
+            "need not terminate")
     else:
-        if max_degree is None:
-            raise MissingDegreeCap(
-                "general structures need an explicit max_degree: the recursion "
-                "need not terminate")
         cap = max_degree
         central = None
 
@@ -303,7 +241,7 @@ class ObstructionResult:
 
 
 def obstruction_map(series: PhiSeries) -> ObstructionResult:
-    """Total obstruction Σ_k H(bracket sum at degree k) of a scalar series."""
+    """Total obstruction Σ_k H(bracket sum at degree k) of a series."""
     dec = series.decomposition
     total: dict = {}
     for k in sorted(series.harmonic_parts):
@@ -319,15 +257,18 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
         H[Φ₁,Φ₁] = H( 2 Σ_{i<j} Σ_{k<l} (t_i^k t_j^l − t_i^l t_j^k) ω̄^i∧ω̄^j ⊗ [X_k,X_l] ),
 
     built directly from minors and structure constants — an independent code
-    path from the recursion, used for cross-validation."""
+    path from the recursion, used for cross-validation.  The lower indices
+    i, j are the pivot covectors of the harmonic 1-forms, as in
+    ``generic_harmonic_element``."""
     from .polyring import minor2
     L = decomposition.ambient
-    hbasis = decomposition.basis(1, "H")
+    # h_a⊗X_b → h_a, keyed by pivot a in basis order
+    hforms = list({a: h.component(b) for (a, b), h in decomposition.h1_theta_basis()}.items())
     n = L.complex_dim
     out: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
-    for i in range(1, len(hbasis) + 1):
-        for j in range(i + 1, len(hbasis) + 1):
-            wij = hbasis[i - 1].wedge(hbasis[j - 1])
+    for pos, (i, hi) in enumerate(hforms):
+        for j, hj in hforms[pos + 1:]:
+            wij = hi.wedge(hj)
             if not wij:
                 continue
             for k in range(1, n + 1):
@@ -350,17 +291,10 @@ def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm
     """∂̄Φ + [Φ,Φ] − H[Φ,Φ] (the defining identity of the construction).
 
     With ``subtract_harmonic=False`` the plain defect ∂̄Φ + [Φ,Φ] is returned
-    instead — nonzero exactly in the obstructed directions.  For capped series
-    over general ambients the brackets are assembled degree by degree and
-    truncated at the cap."""
-    if series.kind == "scalar":
-        phi = series.full()
-        residual = phi.delbar_theta()
-        full_bracket = series.bracket(phi, phi)
-        residual = residual + full_bracket
-        if subtract_harmonic:
-            residual = residual - series.decomposition.project_harmonic(full_bracket, 2)
-        return residual
+    instead — nonzero exactly in the obstructed directions.  The brackets are
+    assembled degree by degree and truncated at the series' cap; on a
+    nilpotent Lie algebra capped at ν every higher degree vanishes, so the
+    truncation is the full bracket."""
     residual = series.phi(1).delbar_theta()
     for k in range(2, series.max_degree + 1):
         s_k = series.bracket_sum(k)
@@ -419,20 +353,19 @@ def parallelisable_directions(decomposition) -> dict:
 
 
 def random_central_assignment(decomposition, rng: random.Random) -> dict:
-    """A random rational t-grid point supported on H¹ ⊗ z(g)."""
+    """A random rational t-grid point supported on H¹ ⊗ z(g), keyed by the
+    variables of ``generic_harmonic_element``."""
     L = decomposition.ambient
     z = L.center()
-    m = decomposition.harmonic_dim(1)
-    n = L.dim
-    assignment = {(i, j): Fraction(0) for i in range(1, m + 1) for j in range(1, n + 1)}
-    for i in range(1, m + 1):
-        vec = [Fraction(0)] * n
+    assignment = {}
+    for a in dict.fromkeys(a for (a, _), _ in decomposition.h1_theta_basis()):
+        vec = [Fraction(0)] * L.dim
         for row in z.rows:
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
             for j, x in row.items():
                 vec[j] += c * x
-        for j in range(n):
-            assignment[(i, j + 1)] = vec[j]
+        for j, x in enumerate(vec, start=1):
+            assignment[(a, j)] = x
     return assignment
 
 

@@ -37,6 +37,7 @@ from kuranil.kuranishi import (
     phi_recursion,
     quadratic_obstruction_closed_form,
     random_central_assignment,
+    schouten_general,
     smoothness_tests,
 )
 from kuranil.linalg import mat_mul
@@ -236,7 +237,7 @@ def test_criterion_7_structural_properties():
                 if not series.phi(k) or not series.phi(l):
                     continue
                 stage = central[min(k + l - 1, len(central) - 1)]
-                bracket = series.bracket(series.phi(k), series.phi(l))
+                bracket = schouten_general(series.phi(k), series.phi(l))
                 assert _vector_in_subspace(bracket, stage), \
                     (entry.name, k, l)
 

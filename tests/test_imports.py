@@ -2,6 +2,7 @@
 every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential,
+``kuranishi`` reads no complex ``kind``,
 each ambient protocol method is defined once in the package, and every ``/``
 in the package divides a ``Fraction``."""
 
@@ -154,6 +155,31 @@ def test_hodge_applies_no_form_level_differential():
     """The ∂̄ matrices come from the structure constants; the form-level
     operators are their test oracle, never their source."""
     assert _form_differential_calls((PACKAGE / "hodge.py").read_text(encoding="utf-8")) == []
+
+
+def _kind_reads(source: str) -> list[str]:
+    """``line:expression`` for each read of an attribute named ``kind``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr == "kind"):
+            found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_kind_reads_are_found():
+    source = ("if dec.kind == 'scalar':\n"
+              "    pass\n"
+              "kind = series.decomposition.kind\n"
+              "report['kind'] = csa.classify()\n"
+              "self.kind = kind\n")
+    assert _kind_reads(source) == ["1:dec.kind", "3:series.decomposition.kind"]
+
+
+def test_kuranishi_reads_no_complex_kind():
+    """One recursion serves both complexes; which complex a decomposition
+    stores is for ``hodge`` alone."""
+    assert _kind_reads((PACKAGE / "kuranishi.py").read_text(encoding="utf-8")) == []
 
 
 PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import json
 import random
+import re
 
 import pytest
 
@@ -21,7 +22,6 @@ from kuranil.kuranishi import (
     ClosednessViolation,
     KuranishiReport,
     MissingDegreeCap,
-    NonParallelisableAmbient,
     ObstructionResult,
     analyze,
     analyze_general,
@@ -33,12 +33,14 @@ from kuranil.kuranishi import (
     quadratic_obstruction_closed_form,
     random_central_assignment,
     schouten_general,
-    schouten_parallelisable,
     smoothness_tests,
 )
 from kuranil.polyring import parse_polynomial
 
 P = parse_polynomial
+
+# Frames whose harmonic 1-forms are not the first h^{0,1} covectors.
+NON_ADAPTED = ("(34,0,0,0)", "(45,0,0,0,0)", "(0,35,0,0,0)")
 
 
 def _mixed7():
@@ -59,11 +61,22 @@ def _cw(ambient, *indices):
 # -- Schouten bracket --------------------------------------------------------
 
 
+def _wedge_and_bracket(a, b):
+    """ᾱ∧β̄⊗[X,Y] summed over the components of ``a`` and ``b``."""
+    L = a.ambient
+    out = VectorForm.zero(L)
+    for (i, _), alpha in a.components.items():
+        for (j, _), beta in b.components.items():
+            for (k, _), c in L.vector_bracket(i, False, j, False).items():
+                out = out + VectorForm.single(L, alpha.wedge(beta).scale(c), k)
+    return out
+
+
 def test_schouten_parallelisable_is_wedge_tensor_bracket():
     L = parse_salamon("(0,0,12)")
     a = VectorForm.single(L, _cw(L, 1), 1)
     b = VectorForm.single(L, _cw(L, 2), 2)
-    out = schouten_parallelisable(a, b)
+    out = schouten_general(a, b)
     # cw1^cw2 (x) [X1, X2] = cw1^cw2 (x) (-X3)
     assert out == VectorForm.single(L, _cw(L, 1, 2).scale(Fraction(-1)), 3)
 
@@ -72,14 +85,7 @@ def test_schouten_parallelisable_symmetric_on_one_forms():
     L = parse_salamon("(0,0,12,13)")
     a = VectorForm.single(L, _cw(L, 1), 1)
     b = VectorForm.single(L, _cw(L, 2), 2)
-    assert schouten_parallelisable(a, b) == schouten_parallelisable(b, a)
-
-
-def test_schouten_parallelisable_rejects_mixed_structure():
-    csa = _mixed7()
-    a = VectorForm.single(csa, _cw(csa, 3), 1)
-    with pytest.raises(NonParallelisableAmbient):
-        schouten_parallelisable(a, a)
+    assert schouten_general(a, b) == schouten_general(b, a)
 
 
 def test_schouten_parallelisable_rejects_barred_vectors():
@@ -87,7 +93,9 @@ def test_schouten_parallelisable_rejects_barred_vectors():
     a = VectorForm.single(L, _cw(L, 1), 1, barred=True)
     b = VectorForm.single(L, _cw(L, 2), 2)
     with pytest.raises(BarredVectorError):
-        schouten_parallelisable(a, b)
+        schouten_general(a, b)
+    with pytest.raises(BarredVectorError):
+        schouten_general(b, a)
 
 
 def test_schouten_general_reduces_to_parallelisable():
@@ -101,7 +109,7 @@ def test_schouten_general_reduces_to_parallelisable():
                 L, _cw(L, rng.randint(1, 4)).scale(Fraction(rng.randint(-2, 2))), j)
             b = b + VectorForm.single(
                 L, _cw(L, rng.randint(1, 4)).scale(Fraction(rng.randint(-2, 2))), j)
-        assert schouten_general(a, b) == schouten_parallelisable(a, b)
+        assert schouten_general(a, b) == _wedge_and_bracket(a, b)
 
 
 def test_schouten_general_matches_stated_first_bracket():
@@ -191,6 +199,30 @@ def test_phi_recursion_rejects_initial_over_another_ambient():
         phi_recursion(dec, initial=phi1)
 
 
+def test_generic_harmonic_element_names_pivot_covectors():
+    # [X3, X4] = -X1: the harmonic 1-forms are cw2, cw3, cw4, not cw1..cw3
+    L = parse_salamon("(34,0,0,0)")
+    dec = build_decomposition(L)
+    _, variables = generic_harmonic_element(dec)
+    assert variables == [(a, b) for a in (2, 3, 4) for b in (1, 2, 3, 4)]
+    report = analyze(L)
+    names = {name for field in ("obstruction_generators", "quadratic_generators")
+             for g in report[field] for name in re.findall(r"t(\d)_\d", g)}
+    assert names == {"2", "3", "4"}
+    assert report["obstruction_generators"][0] == "t2_4*t3_3 - t2_3*t3_4"
+
+
+def test_h1_theta_basis_of_scalar_blocks_matches_theta_complex():
+    """The scalar complex's expansion h⊗X_b equals the Θ complex's own RREF
+    harmonic basis, names and order included."""
+    for text in ("(0,0,12)", "(34,0,0,0)", "(0,35,0,0,0)", "(0,0,12,13,14+23)"):
+        L = parse_salamon(text)
+        scalar = build_decomposition(L).h1_theta_basis()
+        theta = build_theta_decomposition(to_complex_structure(L)).h1_theta_basis()
+        assert [(name, str(h)) for name, h in scalar] == \
+            [(name, str(h)) for name, h in theta], text
+
+
 def test_phi_recursion_theta_path_requires_degree_cap():
     csa = _mixed7()
     dec = build_theta_decomposition(csa)
@@ -243,7 +275,7 @@ def test_obstruction_generators_are_normalized_and_sorted():
 
 def test_quadratic_closed_form_equals_degree_two_truncation():
     for text in ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13)",
-                 "(0,0,0,12,13+24)", "(0,0,12,13,14)"):
+                 "(0,0,0,12,13+24)", "(0,0,12,13,14)", *NON_ADAPTED):
         L = parse_salamon(text)
         dec = build_decomposition(L)
         series = phi_recursion(dec)
@@ -318,12 +350,14 @@ def test_parallelisable_directions_span_center_tensor_harmonics():
 
 def test_random_central_assignment_annihilates_all_generators():
     rng = random.Random(2024)
-    for text in ("(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13)"):
+    for text in ("(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13)", *NON_ADAPTED):
         L = parse_salamon(text)
         dec = build_decomposition(L)
         gens = obstruction_map(phi_recursion(dec)).generators
+        _, variables = generic_harmonic_element(dec)
         for _ in range(5):
             point = random_central_assignment(dec, rng)
+            assert list(point) == variables
             for g in gens:
                 assert g.evaluate(point) == 0
 
