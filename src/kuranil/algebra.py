@@ -134,7 +134,8 @@ class LieAlgebra(_FrameAlgebra):
 
     # -- validation ----------------------------------------------------------
 
-    def validate(self, require_nilpotent: bool = True) -> None:
+    def validate(self) -> None:
+        """Raise unless the brackets satisfy Jacobi and the algebra is nilpotent."""
         n = self.dim
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             acc = [0] * n
@@ -144,12 +145,10 @@ class LieAlgebra(_FrameAlgebra):
                         acc[r - 1] += inner * outer
             if any(acc):
                 raise JacobiViolation((i, j, k), acc, [f"X{i}", f"X{j}", f"X{k}"])
-        if require_nilpotent:
-            series = self.descending_central_series()
-            if series[-1].dim != 0:
-                raise NotNilpotent(
-                    f"descending central series stabilizes at dimension {series[-1].dim}"
-                )
+        series = self.descending_central_series()
+        if series[-1].dim != 0:
+            raise NotNilpotent(
+                f"descending central series stabilizes at dimension {series[-1].dim}")
 
     # -- structural invariants ----------------------------------------------
 

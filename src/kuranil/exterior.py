@@ -7,6 +7,11 @@ syntactic.  Coefficients live in the polynomial ring (rationals embed as
 constants), letting the same machinery serve constant-coefficient cohomology
 and the parameter-dependent deformation recursion.
 
+Both form types are one sparse map ``terms`` from keys to nonzero
+coefficients, with one shared linear structure.  An ``ExteriorForm`` is keyed
+by multi-index; a ``VectorForm`` by ``(multi-index, vector key)``, which on
+Θ-valued (0,q)-forms are the cells ω̄^I ⊗ X_j of the Θ complex.
+
 The ambient object must provide ``complex_dim``, ``covector_differential``,
 ``vector_bracket`` and ``vector_delbar``; the algebra module reads all four
 off one table of frame brackets.  d, ∂ and ∂̄ are one Leibniz-rule kernel that
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .polyring import Polynomial
+from .polyring import Polynomial, rational
 
 
 class AmbientMismatch(ValueError):
@@ -74,26 +79,77 @@ def _coerce_poly(c) -> Polynomial:
     return Polynomial.constant(c)
 
 
-class ExteriorForm:
-    """Element of the exterior algebra with ``Polynomial`` coefficients."""
+class _TermMap:
+    """The linear structure both form types share: ``terms``, a sparse map
+    from keys to nonzero ``Polynomial`` coefficients over one ambient."""
 
     __slots__ = ("ambient", "terms")
 
-    def __init__(self, ambient, terms: dict[MultiIndex, Polynomial] | None = None):
+    def __init__(self, ambient, terms: dict | None = None):
         self.ambient = ambient
-        clean: dict[MultiIndex, Polynomial] = {}
+        clean: dict = {}
         if terms:
-            for mi, c in terms.items():
+            for key, c in terms.items():
                 c = _coerce_poly(c)
                 if c:
-                    clean[mi] = c
+                    clean[key] = c
         self.terms = clean
 
-    # -- constructors --------------------------------------------------------
+    @classmethod
+    def zero(cls, ambient):
+        return cls(ambient)
 
-    @staticmethod
-    def zero(ambient) -> "ExteriorForm":
-        return ExteriorForm(ambient)
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def _check_ambient(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        if self.ambient is not other.ambient:
+            raise AmbientMismatch("forms live over different ambient algebras")
+
+    def __add__(self, other):
+        self._check_ambient(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, Polynomial.zero()) + c
+        return type(self)(self.ambient, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.ambient, {key: -c for key, c in self.terms.items()})
+
+    def scale(self, c):
+        """Every coefficient times ``c``: a polynomial or a rational value."""
+        if not isinstance(c, Polynomial):
+            c = rational(c)
+        return type(self)(self.ambient, {key: co * c for key, co in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.ambient is other.ambient and self.terms == other.terms
+
+    def __str__(self) -> str:
+        return self.to_str()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.to_str()!r})"
+
+
+class ExteriorForm(_TermMap):
+    """Element of the exterior algebra: ``terms`` maps sorted multi-indices
+    to ``Polynomial`` coefficients."""
+
+    __slots__ = ()
+
+    # -- constructors --------------------------------------------------------
 
     @staticmethod
     def covector(ambient, index: int, barred: bool = False) -> "ExteriorForm":
@@ -113,45 +169,8 @@ class ExteriorForm:
     def constant(ambient, coeff) -> "ExteriorForm":
         return ExteriorForm(ambient, {(): _coerce_poly(coeff)})
 
-    # -- structure -----------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def degrees(self) -> set[int]:
         return {len(mi) for mi in self.terms}
-
-    def _check_ambient(self, other: "ExteriorForm") -> None:
-        if self.ambient is not other.ambient:
-            raise AmbientMismatch("forms live over different ambient algebras")
-
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "ExteriorForm") -> "ExteriorForm":
-        self._check_ambient(other)
-        terms = dict(self.terms)
-        for mi, c in other.terms.items():
-            terms[mi] = terms.get(mi, Polynomial.zero()) + c
-        return ExteriorForm(self.ambient, terms)
-
-    def __sub__(self, other: "ExteriorForm") -> "ExteriorForm":
-        return self + (-other)
-
-    def __neg__(self) -> "ExteriorForm":
-        return ExteriorForm(self.ambient, {mi: -c for mi, c in self.terms.items()})
-
-    def scale(self, c) -> "ExteriorForm":
-        c = _coerce_poly(c)
-        return ExteriorForm(self.ambient, {mi: co * c for mi, co in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExteriorForm):
-            return NotImplemented
-        return self.ambient is other.ambient and self.terms == other.terms
 
     def __hash__(self):
         return hash((id(self.ambient), frozenset(self.terms.items())))
@@ -234,111 +253,57 @@ class ExteriorForm:
                 parts.append(f"({c})*{mono}")
         return " + ".join(parts)
 
-    def __str__(self) -> str:
-        return self.to_str()
 
-    def __repr__(self) -> str:
-        return f"ExteriorForm({self.to_str()!r})"
+class VectorForm(_TermMap):
+    """Form with values in the frame, ``Σ c·ω^I ⊗ X_j`` (vectors may be barred).
 
+    ``terms`` maps ``(multi-index, vector key)`` pairs to ``Polynomial``
+    coefficients; on (0,q)-forms with (1,0) vectors these keys are exactly the
+    cells of the Θ complex."""
 
-class VectorForm:
-    """Form with values in the frame: ``Σ_j (form_j) ⊗ X_j`` (vectors may be barred)."""
-
-    __slots__ = ("ambient", "components")
-
-    def __init__(self, ambient, components: dict[VectorKey, ExteriorForm] | None = None):
-        self.ambient = ambient
-        clean: dict[VectorKey, ExteriorForm] = {}
-        if components:
-            for key, form in components.items():
-                if form.ambient is not ambient:
-                    raise AmbientMismatch("component form over a different ambient")
-                if form:
-                    clean[key] = form
-        self.components = clean
-
-    @staticmethod
-    def zero(ambient) -> "VectorForm":
-        return VectorForm(ambient)
+    __slots__ = ()
 
     @staticmethod
     def single(ambient, form: ExteriorForm, index: int, barred: bool = False) -> "VectorForm":
-        return VectorForm(ambient, {(index, barred): form})
+        if form.ambient is not ambient:
+            raise AmbientMismatch("component form over a different ambient")
+        key = (index, barred)
+        return VectorForm(ambient, {(mi, key): c for mi, c in form.terms.items()})
 
     @property
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __bool__(self) -> bool:
-        return bool(self.components)
+    def components(self) -> dict[VectorKey, ExteriorForm]:
+        """``{vector key: form}``, the terms grouped by frame vector."""
+        grouped: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
+        for (mi, key), c in self.terms.items():
+            grouped.setdefault(key, {})[mi] = c
+        return {key: ExteriorForm(self.ambient, terms) for key, terms in grouped.items()}
 
     def component(self, index: int, barred: bool = False) -> ExteriorForm:
-        return self.components.get((index, barred), ExteriorForm.zero(self.ambient))
+        key = (index, barred)
+        return ExteriorForm(self.ambient, {mi: c for (mi, k), c in self.terms.items() if k == key})
 
     def has_barred_vectors(self) -> bool:
-        return any(barred for (_, barred) in self.components)
+        return any(barred for _, (_, barred) in self.terms)
 
     def degrees(self) -> set[int]:
-        out = set()
-        for form in self.components.values():
-            out |= form.degrees()
-        return out
-
-    def __add__(self, other: "VectorForm") -> "VectorForm":
-        if self.ambient is not other.ambient:
-            raise AmbientMismatch("vector forms over different ambient algebras")
-        comps = dict(self.components)
-        for key, form in other.components.items():
-            comps[key] = comps.get(key, ExteriorForm.zero(self.ambient)) + form
-        return VectorForm(self.ambient, comps)
-
-    def __sub__(self, other: "VectorForm") -> "VectorForm":
-        return self + (-other)
-
-    def __neg__(self) -> "VectorForm":
-        return VectorForm(self.ambient, {k: -f for k, f in self.components.items()})
-
-    def scale(self, c) -> "VectorForm":
-        return VectorForm(self.ambient, {k: f.scale(c) for k, f in self.components.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorForm):
-            return NotImplemented
-        return self.ambient is other.ambient and self.components == other.components
+        return {len(mi) for mi, _ in self.terms}
 
     def delbar_theta(self) -> "VectorForm":
-        """∂̄ on vector-valued forms: ∂̄(α⊗X) = ∂̄α⊗X + (−1)^{|α|} α∧∂̄X."""
-        out: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
-
-        def add(key: VectorKey, mi: MultiIndex, coeff: Polynomial) -> None:
-            terms = out.setdefault(key, {})
-            terms[mi] = terms.get(mi, Polynomial.zero()) + coeff
-
-        for (j, barred), form in self.components.items():
-            if barred:
-                raise BarredVectorError("differential of a barred vector component is out of scope")
-            for mi, coeff in form.delbar().terms.items():
-                add((j, False), mi, coeff)
+        """∂̄ on vector-valued forms: ∂̄(α⊗X) = ∂̄α⊗X + (−1)^{|α|} α∧∂̄X, and
+        (−1)^{|α|} α∧ω̄^a = ω̄^a∧α."""
+        if self.has_barred_vectors():
+            raise BarredVectorError("differential of a barred vector component is out of scope")
+        out = VectorForm.zero(self.ambient)
+        for (j, _), form in self.components.items():
+            out = out + VectorForm.single(self.ambient, form.delbar(), j)
             for (a, vec_key), c in self.ambient.vector_delbar(j).items():
-                for mi, coeff in form.terms.items():
-                    canon = _canonical(mi + (Cov(a, True),))
-                    if canon is None:
-                        continue
-                    new_mi, sign = canon
-                    add(vec_key, new_mi, coeff * (c * (-sign if len(mi) % 2 else sign)))
-        return VectorForm(self.ambient, {key: ExteriorForm(self.ambient, terms)
-                                         for key, terms in out.items()})
+                cov = ExteriorForm.covector(self.ambient, a, barred=True)
+                out = out + VectorForm.single(self.ambient, cov.wedge(form).scale(c), *vec_key)
+        return out
 
     def to_str(self) -> str:
-        if not self.components:
+        if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.components, key=lambda k: (k[1], k[0])):
-            parts.append(f"({self.components[key].to_str()})*{vector_key_str(key)}")
-        return " + ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"VectorForm({self.to_str()!r})"
+        components = self.components
+        return " + ".join(f"({components[key].to_str()})*{vector_key_str(key)}"
+                          for key in sorted(components, key=lambda k: (k[1], k[0])))

@@ -17,6 +17,11 @@ Two complexes are supported through one engine:
 * ``theta``  — Λ^{0,k} ⊗ (1,0)-vectors, cells are (multi-index, vector) pairs;
   used when the ambient has a non-trivial (1,1) structure part.
 
+On both complexes a cell is a key of a form's ``terms``: the multi-index of
+an ``ExteriorForm``, or the (multi-index, vector key) of a ``VectorForm``.
+Over the scalar complex a ``VectorForm``'s terms are split by frame key into
+scalar coordinate lists, one per frame vector.
+
 ``build_decomposition`` covers every degree of the scalar complex;
 ``build_theta_decomposition`` covers degrees 0..2 of the Θ complex, which is
 all the deformation recursion reads.  A decomposition carries its ambient, so
@@ -44,7 +49,7 @@ from bisect import bisect_left
 
 from . import linalg
 from .algebra import LieAlgebra
-from .exterior import Cov, ExteriorForm, MultiIndex, VectorForm, VectorKey
+from .exterior import Cov, ExteriorForm, VectorForm
 from .polyring import Polynomial, rational
 
 
@@ -97,53 +102,37 @@ class HodgeDecomposition:
             return multis
         return [(mi, (j, False)) for mi in multis for j in range(1, n + 1)]
 
-    def _cell_items(self, obj):
-        """``(cell, coefficient)`` pairs of a form (scalar) or vector form (theta)."""
-        if self.kind == "scalar":
-            return obj.terms.items()
-        return [((mi, key), coeff) for key, form in obj.components.items()
-                for mi, coeff in form.terms.items()]
-
-    def _from_cell_items(self, items):
-        """The form (scalar) or vector form (theta) with these ``(cell, coefficient)`` pairs."""
-        if self.kind == "scalar":
-            return ExteriorForm(self.ambient, dict(items))
-        comps: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
-        for (mi, key), coeff in items:
-            comps.setdefault(key, {})[mi] = coeff
-        return VectorForm(self.ambient,
-                          {key: ExteriorForm(self.ambient, terms) for key, terms in comps.items()})
-
-    def _coords(self, q: int, obj) -> list[Polynomial]:
-        index = self._index[q]
-        coords = [Polynomial.zero()] * len(index)
-        for cell, coeff in self._cell_items(obj):
-            if cell not in index:
-                raise DegreeMismatch(f"cell {cell} is not a degree-{q} cell")
-            coords[index[cell]] = coeff
-        return coords
-
-    def _from_coords(self, q: int, coords):
-        return self._from_cell_items((cell, c) for cell, c in zip(self._cells[q], coords) if c)
-
     def _per_component(self, obj, q: int, fn):
         """``(frame key, fn(degree-q coordinates))`` pairs, lazily.
 
-        A VectorForm over the scalar complex is handled frame component by
-        frame component; any other object is one part with key None."""
-        if self.kind == "scalar" and isinstance(obj, VectorForm):
-            parts = obj.components.items()
-        else:
-            parts = [(None, obj)]
-        return ((key, fn(self._coords(q, part))) for key, part in parts)
+        A cell is a key of ``obj.terms``, except that a VectorForm over the
+        scalar complex is split by frame key, its multi-indices being the
+        cells; any other object is one part with key None."""
+        index = self._index[q]
+        zeros = [Polynomial.zero()] * len(index)
+        split = self.kind == "scalar" and isinstance(obj, VectorForm)
+        parts: dict = {} if split else {None: list(zeros)}
+        for cell, coeff in obj.terms.items():
+            key = None
+            if split:
+                cell, key = cell
+            if cell not in index:
+                raise DegreeMismatch(f"cell {cell} is not a degree-{q} cell")
+            coords = parts.get(key)
+            if coords is None:
+                coords = parts[key] = list(zeros)
+            coords[index[cell]] = coeff
+        return ((key, fn(coords)) for key, coords in parts.items())
 
     def _map(self, obj, q: int, fn, q_out: int):
         """``obj`` with its degree-q coordinates sent by ``fn`` to degree ``q_out``."""
-        parts = {key: self._from_coords(q_out, image)
-                 for key, image in self._per_component(obj, q, fn)}
-        if None in parts:
-            return parts[None]
-        return VectorForm(self.ambient, parts)
+        cells = self._cells[q_out]
+        terms = {}
+        for key, image in self._per_component(obj, q, fn):
+            for cell, coeff in zip(cells, image):
+                if coeff:
+                    terms[cell if key is None else (cell, key)] = coeff
+        return type(obj)(self.ambient, terms)
 
     # -- construction --------------------------------------------------------
 
@@ -216,8 +205,9 @@ class HodgeDecomposition:
 
     def basis(self, q: int, which: str):
         """Basis of B/H/V in degree q, as forms (scalar) or vector forms (theta)."""
+        form_type = ExteriorForm if self.kind == "scalar" else VectorForm
         cells = self._cells[q]
-        return [self._from_cell_items((cells[j], Polynomial.constant(x)) for j, x in row.items())
+        return [form_type(self.ambient, {cells[j]: Polynomial.constant(x) for j, x in row.items()})
                 for row in self._spaces[q][which].rows]
 
     def harmonic_pivot_cells(self, q: int) -> list:

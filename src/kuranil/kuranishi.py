@@ -36,7 +36,6 @@ from .algebra import ComplexStructureAlgebra, LieAlgebra
 from .exterior import (
     AmbientMismatch,
     BarredVectorError,
-    ExteriorForm,
     MultiIndex,
     VectorForm,
     VectorKey,
@@ -80,10 +79,9 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     out: dict = {}
 
     def add(key, form):
-        if not form:
-            return
-        cur = out.get(key)
-        out[key] = form if cur is None else cur + form
+        for mi, x in form.terms.items():
+            cell = (mi, key)
+            out[cell] = out.get(cell, Polynomial.zero()) + x
 
     items_a = [(key, alpha, alpha.del_()) for key, alpha in a.components.items()]
     items_b = [(key, beta, beta.del_()) for key, beta in b.components.items()]
@@ -96,9 +94,8 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
             br = ambient.vector_bracket(i, bi, j, bj)
             if br:
                 w = alpha.wedge(beta)
-                if w:
-                    for key, c in br.items():
-                        add(key, w.scale(c))
+                for key, c in br.items():
+                    add(key, w.scale(c))
     return VectorForm(ambient, out)
 
 
@@ -127,12 +124,16 @@ class PhiSeries:
         return self.terms.get(k, VectorForm.zero(self.ambient))
 
     def bracket_sum(self, k: int) -> VectorForm:
-        """Σ_{0<i<k} [Φ_i, Φ_{k−i}] over the terms found so far."""
+        """Σ_{0<i<k} [Φ_i, Φ_{k−i}] over the terms found so far.
+
+        The bracket is symmetric on Θ-valued 1-forms, so each unordered pair
+        is bracketed once and counted twice when i ≠ k−i."""
         total = VectorForm.zero(self.ambient)
-        for i in range(1, k):
+        for i in range(1, k // 2 + 1):
             lo, hi = self.phi(i), self.phi(k - i)
             if lo and hi:
-                total = total + schouten_general(lo, hi)
+                bracket = schouten_general(lo, hi)
+                total = total + (bracket if 2 * i == k else bracket.scale(2))
         return total
 
 
@@ -156,9 +157,8 @@ def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
     """Whether every frame-vector coefficient vector of ``vf`` lies in ``sub``
     (its polynomial coefficients reduce against the RREF rows)."""
     by_cell: dict = {}
-    for (j, _barred), form in vf.components.items():
-        for mi, c in form.terms.items():
-            by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
+    for (mi, (j, _barred)), c in vf.terms.items():
+        by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
     return all(sub.contains(vec) for vec in by_cell.values())
 
 
@@ -215,8 +215,7 @@ def phi_recursion(decomposition, max_degree: int | None = None,
                     p for part in (*series.harmonic_parts.values(), harmonic_part)
                     for p in decomposition.harmonic_coefficients(part).values()]
                 obstruction_gb = groebner.buchberger(obstruction_so_far, GREVLEX)
-                bad = [c for form in coexact_part.components.values()
-                       for c in form.terms.values()
+                bad = [c for c in coexact_part.terms.values()
                        if not obstruction_gb.contains(c)]
                 if bad:
                     raise ClosednessViolation(k, coexact_part, bad)
@@ -265,7 +264,7 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
     # h_a⊗X_b → h_a, keyed by pivot a in basis order
     hforms = list({a: h.component(b) for (a, b), h in decomposition.h1_theta_basis()}.items())
     n = L.complex_dim
-    out: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
+    out: dict[tuple[MultiIndex, VectorKey], Polynomial] = {}
     for pos, (i, hi) in enumerate(hforms):
         for j, hj in hforms[pos + 1:]:
             wij = hi.wedge(hj)
@@ -278,11 +277,11 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
                         continue
                     coeff = minor2(i, j, k, l) * 2
                     for key, c in br.items():
-                        terms = out.setdefault(key, {})
                         scaled = coeff * c
                         for mi, w in wij.terms.items():
-                            terms[mi] = terms.get(mi, Polynomial.zero()) + w * scaled
-    total = VectorForm(L, {key: ExteriorForm(L, terms) for key, terms in out.items()})
+                            cell = (mi, key)
+                            out[cell] = out.get(cell, Polynomial.zero()) + w * scaled
+    total = VectorForm(L, out)
     h_part = decomposition.project_harmonic(total, 2)
     return ObstructionResult(decomposition.harmonic_coefficients(h_part))
 
@@ -337,14 +336,10 @@ def parallelisable_directions(decomposition) -> dict:
     L = decomposition.ambient
     z = L.center()
     m = decomposition.harmonic_dim(1)
-    hbasis = decomposition.basis(1, "H")
-    vectors = []
-    for h in hbasis:
-        for row in z.rows:
-            vf = VectorForm.zero(L)
-            for j, c in row.items():
-                vf = vf + VectorForm.single(L, h.scale(c), j + 1)
-            vectors.append(vf)
+    # h ⊗ Σ_j c_j X_j for each harmonic 1-form h and each basis row c of z
+    vectors = [VectorForm(L, {(mi, (j + 1, False)): x * c for j, c in row.items()
+                              for mi, x in h.terms.items()})
+               for h in decomposition.basis(1, "H") for row in z.rows]
     return {
         "subspace": vectors,
         "subspace_dim": m * z.dim,

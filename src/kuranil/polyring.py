@@ -71,10 +71,28 @@ def mono_degree(m: Mono) -> int:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) + e
-    return mono_from_dict(d)
+    """The product of two monomials, by merging their variable-sorted terms."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        # var_rank order: u above every t, the t's in tuple order
+        elif vb == UVAR or (va != UVAR and va < vb):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return (*out, *a[i:], *b[j:])
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:

@@ -82,7 +82,6 @@ def test_validate_rejects_non_nilpotent():
     # [X1,X2] = X2 is solvable but not nilpotent
     with pytest.raises(NotNilpotent):
         LieAlgebra(2, {(1, 2): {2: Fraction(1)}}).validate()
-    LieAlgebra(2, {(1, 2): {2: Fraction(1)}}).validate(require_nilpotent=False)
 
 
 def test_every_catalog_entry_validates_as_both_kinds():

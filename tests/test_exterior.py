@@ -193,6 +193,31 @@ def test_vector_form_linear_structure():
     assert bool(a) and not bool(a - a)
 
 
+def test_vector_form_terms_are_theta_cells():
+    csa = _csa()
+    vf = VectorForm.single(csa, w(csa, 1, barred=True), 2) + VectorForm.single(
+        csa, w(csa, 3, barred=True).scale(Fraction(-2)), 1)
+    cw1, cw3 = (Cov(1, True),), (Cov(3, True),)
+    assert vf.terms == {(cw1, (2, False)): Polynomial.one(),
+                        (cw3, (1, False)): Polynomial.constant(-2)}
+    assert vf == VectorForm(csa, {(cw3, (1, False)): -2, (cw1, (2, False)): 1, (cw1, (3, False)): 0})
+    assert vf.components == {(2, False): w(csa, 1, barred=True),
+                             (1, False): w(csa, 3, barred=True).scale(Fraction(-2))}
+    with pytest.raises(AmbientMismatch):
+        VectorForm.single(_csa(), w(csa, 1, barred=True), 1)
+
+
+def test_form_types_do_not_mix():
+    csa = _csa()
+    form = w(csa, 1, barred=True)
+    vf = VectorForm.single(csa, form, 1)
+    assert form != vf and not vf.is_zero
+    with pytest.raises(TypeError):
+        form + vf
+    with pytest.raises(TypeError):
+        vf - form
+
+
 def test_delbar_theta_on_parallelisable_acts_on_form_part():
     csa = _csa()  # d cw3 = cw1^cw2, X-part untouched
     vf = VectorForm.single(csa, w(csa, 3, barred=True), 1)

@@ -26,6 +26,7 @@ from kuranil.hodge import (
     theta_cohomology_dims,
 )
 from kuranil.linalg import identity, mat_mul, transpose
+from kuranil.polyring import parse_polynomial
 
 ALGEBRAS = ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13+24)",
             "(0,0,12,13,14+23)")
@@ -313,3 +314,80 @@ def test_scalar_and_theta_harmonic_dims_consistent_on_parallelisable():
     L = parse_salamon("(0,0,12,13)")
     dec_theta = build_theta_decomposition(to_complex_structure(L))
     assert dec_theta.harmonic_dim(1) == hodge_numbers(L)[1] * L.dim
+
+
+# -- the scalar block path against the full Θ matrices ---------------------------
+
+SMALL_LIE_ENTRIES = [e.name for e in catalog.entries()
+                     if isinstance(e.build(), LieAlgebra) and e.build().dim <= 5]
+_COEFFICIENTS = ("t1_1", "2*t1_2 - 1/3", "t2_1*t1_1 + 5", "-t2_2^2", "7/2")
+
+
+def _random_frame(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
+    """``L`` in the frame of two random operations X_i += c·X_j, any i ≠ j."""
+    n = L.dim
+    p = [[int(r == c) for c in range(n)] for r in range(n)]
+    p_inv = [row[:] for row in p]
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in p:
+            row[i] += c * row[j]
+        p_inv[j] = [x - c * y for x, y in zip(p_inv[j], p_inv[i])]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            v = [0] * n
+            for r in range(n):
+                for s in range(n):
+                    for k, c in L.bracket(r + 1, s + 1).items():
+                        v[k - 1] += p[r][a] * p[s][b] * c
+            brackets[(a + 1, b + 1)] = {k + 1: sum(x * y for x, y in zip(p_inv[k], v))
+                                        for k in range(n)}
+    return LieAlgebra(n, brackets)
+
+
+def _random_theta_form(L, q: int, rng: random.Random) -> VectorForm:
+    """A Θ-valued (0,q)-form of a few cells with polynomial coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mi = tuple(Cov(i, True) for i in sorted(rng.sample(range(1, L.dim + 1), q)))
+        terms[(mi, (rng.randint(1, L.dim), False))] = parse_polynomial(rng.choice(_COEFFICIENTS))
+    return VectorForm(L, terms)
+
+
+@pytest.mark.parametrize("name", SMALL_LIE_ENTRIES)
+@pytest.mark.parametrize("frame", ["published", "random"])
+def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
+    """On a Lie algebra the scalar complex serves Θ frame vector by frame
+    vector; every projection, membership test, closedness test and δ must
+    agree with the Θ complex built as one full matrix."""
+    rng = random.Random(f"{name}/{frame}")
+    L = catalog.get(name).build()
+    if frame == "random" and L.dim > 1:
+        L = _random_frame(L, rng)
+        L.validate()
+    scalar, theta = build_decomposition(L), build_theta_decomposition(L)
+    for q in (1, 2):
+        if q > L.dim:
+            continue
+        for _ in range(4):
+            form = _random_theta_form(L, q, rng)
+            parts = [form]
+            for project in ("project_exact", "project_harmonic", "project_coexact"):
+                part = getattr(scalar, project)(form)
+                assert part == getattr(theta, project)(form)
+                parts.append(part)
+            parts.append(parts[1] + parts[2])  # closed: exact plus harmonic
+            for part in parts:
+                assert scalar.is_closed(part, q) == theta.is_closed(part, q)
+                for which in ("B", "H", "V"):
+                    assert scalar.in_space(part, which, q) == theta.in_space(part, which, q)
+            assert theta.is_closed(parts[4], q)
+            if q == 2:
+                exact = parts[1]
+                assert scalar.delta_op(exact) == theta.delta_op(exact)
+                if form != exact:
+                    for dec in (scalar, theta):
+                        with pytest.raises(PreimageError):
+                            dec.delta_op(form)

@@ -157,14 +157,19 @@ def test_hodge_applies_no_form_level_differential():
     assert _form_differential_calls((PACKAGE / "hodge.py").read_text(encoding="utf-8")) == []
 
 
-def _kind_reads(source: str) -> list[str]:
-    """``line:expression`` for each read of an attribute named ``kind``."""
+def _attribute_reads(source: str, attr: str) -> list[str]:
+    """``line:expression`` for each read of an attribute named ``attr``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-                and node.attr == "kind"):
+                and node.attr == attr):
             found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
     return [text for _, text in sorted(found)]
+
+
+def _kind_reads(source: str) -> list[str]:
+    """``line:expression`` for each read of an attribute named ``kind``."""
+    return _attribute_reads(source, "kind")
 
 
 def test_kind_reads_are_found():
@@ -180,6 +185,23 @@ def test_kuranishi_reads_no_complex_kind():
     """One recursion serves both complexes; which complex a decomposition
     stores is for ``hodge`` alone."""
     assert _kind_reads((PACKAGE / "kuranishi.py").read_text(encoding="utf-8")) == []
+
+
+def test_components_reads_are_found():
+    source = ("for key, form in vf.components.items():\n"
+              "    pass\n"
+              "cells = vf.terms\n"
+              "self.components = {}\n"
+              "first = series.phi(1).components[(1, False)]\n")
+    assert _attribute_reads(source, "components") == ["1:vf.components",
+                                                      "5:series.phi(1).components"]
+
+
+def test_hodge_reads_no_components():
+    """A cell is a key of a form's ``terms`` on both complexes, so the Hodge
+    layer never regroups a ``VectorForm`` by frame vector."""
+    assert _attribute_reads((PACKAGE / "hodge.py").read_text(encoding="utf-8"),
+                            "components") == []
 
 
 PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from kuranil import catalog
 from kuranil.algebra import (
     abelian,
     direct_sum,
@@ -41,6 +42,10 @@ P = parse_polynomial
 
 # Frames whose harmonic 1-forms are not the first h^{0,1} covectors.
 NON_ADAPTED = ("(34,0,0,0)", "(45,0,0,0,0)", "(0,35,0,0,0)")
+
+
+# A (1,1) part holding both cw1∧w2 and cw2∧w1, so ∂ of a (0,1)-form is live.
+SWAPPED5 = "dim 5\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + cw1^w1\ndw5 = w1^w2 + cw2^w2\n"
 
 
 def _mixed7():
@@ -86,6 +91,50 @@ def test_schouten_parallelisable_symmetric_on_one_forms():
     a = VectorForm.single(L, _cw(L, 1), 1)
     b = VectorForm.single(L, _cw(L, 2), 2)
     assert schouten_general(a, b) == schouten_general(b, a)
+
+
+def _live_del_structure(which):
+    if which == "general7":
+        return catalog.get("general7").build()
+    return parse_complex_structure_file(SWAPPED5)
+
+
+@pytest.mark.parametrize("which", ["general7", "swapped5"])
+def test_schouten_general_symmetric_on_generic_one_forms(which):
+    """[a, b] = [b, a] on Θ-valued 1-forms with polynomial coefficients, over
+    structures whose ∂-terms are live: ``bracket_sum`` brackets each pair once."""
+    csa = _live_del_structure(which)
+    series = phi_recursion(build_theta_decomposition(csa), 3)
+    phi1 = series.phi(1)
+    rng = random.Random(56)
+    coeffs = [P("t1_1 + 2"), P("t2_1*t1_2 - 1/3"), P("-3*t1_2^2"), P("t3_3")]
+    others = [series.phi(2), series.phi(3)]
+    for _ in range(3):
+        other = VectorForm.zero(csa)
+        for _ in range(6):
+            other = other + VectorForm.single(
+                csa, _cw(csa, rng.randint(1, csa.n)).scale(rng.choice(coeffs)),
+                rng.randint(1, csa.n))
+        others.append(other)
+    for other in others:
+        assert schouten_general(phi1, other) == schouten_general(other, phi1)
+    assert any(schouten_general(phi1, other) != _wedge_and_bracket(phi1, other)
+               for other in others[:2])
+
+
+@pytest.mark.parametrize("which", ["general7", "swapped5", "(0,0,12,13,14)", "(0,0,0,12,13+24)"])
+def test_bracket_sum_equals_sum_over_ordered_pairs(which):
+    if which.startswith("("):
+        decomposition = build_decomposition(parse_salamon(which))
+        series = phi_recursion(decomposition)
+    else:
+        decomposition = build_theta_decomposition(_live_del_structure(which))
+        series = phi_recursion(decomposition, 4)
+    for k in range(2, series.max_degree + 1):
+        ordered = VectorForm.zero(decomposition.ambient)
+        for i in range(1, k):
+            ordered = ordered + schouten_general(series.phi(i), series.phi(k - i))
+        assert series.bracket_sum(k) == ordered
 
 
 def test_schouten_parallelisable_rejects_barred_vectors():

@@ -127,6 +127,23 @@ def test_monomial_helpers():
     assert mono_lcm(m1, m2) == (t(1, 1) ** 2 * t(1, 2)).leading_monomial(GREVLEX)
 
 
+_MONOMIALS = st.dictionaries(
+    st.one_of(st.just(UVAR), st.tuples(st.integers(1, 4), st.integers(1, 4))),
+    st.integers(1, 3), max_size=6,
+).map(lambda d: tuple(sorted(d.items(), key=lambda p: var_rank(p[0]))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_MONOMIALS, _MONOMIALS)
+def test_mono_mul_merge_equals_dict_product(a, b):
+    """The merged product equals the exponent-sum dict sorted by rank, u included."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    expected = tuple(sorted(exps.items(), key=lambda p: var_rank(p[0])))
+    assert mono_mul(a, b) == expected == mono_mul(b, a)
+
+
 def test_grevlex_degree_dominates():
     assert (GREVLEX.key((t(1, 1) ** 3).leading_monomial(GREVLEX))
             > GREVLEX.key((t(2, 2) * t(1, 1)).leading_monomial(GREVLEX)))
