@@ -19,8 +19,11 @@ Two complexes are supported through one engine:
 
 On both complexes a cell is a key of a form's ``terms``: the multi-index of
 an ``ExteriorForm``, or the (multi-index, vector key) of a ``VectorForm``.
-Over the scalar complex a ``VectorForm``'s terms are split by frame key into
-scalar coordinate lists, one per frame vector.
+Over the scalar complex a ``VectorForm``'s multi-indices are the cells, and
+its frame keys ride along.  Every operator acts on ``terms`` through its
+columns, ``columns[i]`` being the image ``{target index: rational}`` of cell
+i, and sums each image coefficient once.  A projector is symmetric, so its
+rows are its columns; the columns of ∂̄ and δ are transposed once and kept.
 
 ``build_decomposition`` covers every degree of the scalar complex;
 ``build_theta_decomposition`` covers degrees 0..2 of the Θ complex, which is
@@ -46,11 +49,12 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from functools import cached_property
 
 from . import linalg
 from .algebra import LieAlgebra
 from .exterior import Cov, ExteriorForm, VectorForm
-from .polyring import Polynomial, rational
+from .polyring import Polynomial, linear_combination, rational
 
 
 class PreimageError(ValueError):
@@ -89,6 +93,8 @@ class HodgeDecomposition:
         # D[q]: matrix of ∂̄ from degree q to q+1 (rows = target cells)
         self.d_matrices: dict[int, linalg.Matrix] = {
             q: self._build_d(q, dbar_cov, dbar_vec) for q in range(max_degree + 1)}
+        self._d_columns = {q: linalg.transpose(d, self.dim(q))
+                           for q, d in self.d_matrices.items()}
         self._spaces = {q: self._decompose(q) for q in range(max_degree + 1)}
         self._delta_matrix: linalg.Matrix | None = None
 
@@ -102,37 +108,31 @@ class HodgeDecomposition:
             return multis
         return [(mi, (j, False)) for mi in multis for j in range(1, n + 1)]
 
-    def _per_component(self, obj, q: int, fn):
-        """``(frame key, fn(degree-q coordinates))`` pairs, lazily.
-
-        A cell is a key of ``obj.terms``, except that a VectorForm over the
-        scalar complex is split by frame key, its multi-indices being the
-        cells; any other object is one part with key None."""
+    def _coordinates(self, obj, q: int):
+        """``(cell index, frame key, coefficient)`` per term of ``obj``; the
+        frame key is None unless ``obj`` is a VectorForm over the scalar complex."""
         index = self._index[q]
-        zeros = [Polynomial.zero()] * len(index)
         split = self.kind == "scalar" and isinstance(obj, VectorForm)
-        parts: dict = {} if split else {None: list(zeros)}
         for cell, coeff in obj.terms.items():
             key = None
             if split:
                 cell, key = cell
             if cell not in index:
                 raise DegreeMismatch(f"cell {cell} is not a degree-{q} cell")
-            coords = parts.get(key)
-            if coords is None:
-                coords = parts[key] = list(zeros)
-            coords[index[cell]] = coeff
-        return ((key, fn(coords)) for key, coords in parts.items())
+            yield index[cell], key, coeff
 
-    def _map(self, obj, q: int, fn, q_out: int):
-        """``obj`` with its degree-q coordinates sent by ``fn`` to degree ``q_out``."""
+    def _apply(self, obj, q: int, columns: linalg.Matrix, q_out: int):
+        """``obj`` sent from degree q to ``q_out`` by the operator with these
+        columns; terms come out by frame key, then by target cell."""
+        images: dict = {}
+        for i, key, coeff in self._coordinates(obj, q):
+            image = images.setdefault(key, {})
+            for r, c in columns[i].items():
+                image.setdefault(r, []).append((coeff, c))
         cells = self._cells[q_out]
-        terms = {}
-        for key, image in self._per_component(obj, q, fn):
-            for cell, coeff in zip(cells, image):
-                if coeff:
-                    terms[cell if key is None else (cell, key)] = coeff
-        return type(obj)(self.ambient, terms)
+        return type(obj)(self.ambient, {
+            cells[r] if key is None else (cells[r], key): linear_combination(image[r])
+            for key, image in images.items() for r in sorted(image)})
 
     # -- construction --------------------------------------------------------
 
@@ -179,7 +179,7 @@ class HodgeDecomposition:
         """B, H and V in degree q."""
         dim_q = self.dim(q)
         d_out = self.d_matrices[q]
-        d_in_t = linalg.transpose(self.d_matrices[q - 1], self.dim(q - 1)) if q else []
+        d_in_t = self._d_columns[q - 1] if q else []
         return {
             # B = image of the incoming ∂̄ = row space of its transpose
             "B": linalg.Subspace.from_vectors(dim_q, d_in_t),
@@ -231,70 +231,66 @@ class HodgeDecomposition:
                 named.append(((cov.index, b), h))
         return named
 
-    def pivot_columns(self, q: int, which: str) -> list[int]:
-        """Pivot coordinates of the RREF basis of B/H/V in degree q.
-
-        Because the basis is RREF, the coefficient of an element of the space
-        against basis row r is its coordinate at pivot column r."""
-        return list(self._spaces[q][which].pivots)
-
     def projector(self, q: int, which: str) -> linalg.Matrix:
         return self._spaces[q][which].projector
 
     # -- projections and membership -------------------------------------------
 
-    def _single_degree(self, obj) -> int:
-        degs = obj.degrees()
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            raise DegreeMismatch(f"form mixes degrees {sorted(degs)}")
-        (q,) = degs
-        if q > self.max_degree:
-            raise DegreeMismatch(f"degree {q} exceeds decomposition cap {self.max_degree}")
+    def _degree(self, obj, q: int | None) -> int:
+        """``q``, else the one degree of ``obj``'s terms (0 if none); a nonzero
+        ``obj`` must lie in a degree the decomposition covers."""
+        if q is None:
+            degs = obj.degrees()
+            if len(degs) > 1:
+                raise DegreeMismatch(f"form mixes degrees {sorted(degs)}")
+            q = min(degs, default=0)
+        if obj and not 0 <= q <= self.max_degree:
+            raise DegreeMismatch(f"degree {q} is outside the decomposition's "
+                                 f"degrees 0..{self.max_degree}")
         return q
 
-    def _project_obj(self, obj, which: str, q: int | None = None):
-        if q is None:
-            q = self._single_degree(obj)
-        return self._map(obj, q, lambda coords: linalg.mat_vec(
-            self.projector(q, which), coords, zero=Polynomial.zero()), q)
+    def _project(self, obj, which: str, q: int | None):
+        if which not in ("B", "H", "V"):
+            raise ValueError(f"unknown space {which!r}: expected 'B', 'H' or 'V'")
+        q = self._degree(obj, q)
+        # an orthogonal projector is symmetric, so its rows are its columns;
+        # the zero form lies in every degree, with spaces or without
+        return self._apply(obj, q, self.projector(q, which), q) if obj else type(obj)(self.ambient)
 
     def project_exact(self, obj, q: int | None = None):
         """P of the decomposition: orthogonal projection onto B ⊗ (vectors)."""
-        return self._project_obj(obj, "B", q)
+        return self._project(obj, "B", q)
 
     def project_harmonic(self, obj, q: int | None = None):
         """H of the decomposition: orthogonal projection onto the harmonic part."""
-        return self._project_obj(obj, "H", q)
+        return self._project(obj, "H", q)
 
     def project_coexact(self, obj, q: int | None = None):
-        return self._project_obj(obj, "V", q)
+        return self._project(obj, "V", q)
 
     def in_space(self, obj, which: str, q: int | None = None) -> bool:
-        if q is None:
-            q = self._single_degree(obj)
-        space = self._spaces[q][which]
-        return all(not any(reduced) for _, reduced in self._per_component(obj, q, space.reduce))
+        """Whether ``obj`` lies in B, H or V: whether the projector fixes it."""
+        return self._project(obj, which, q).terms == obj.terms
 
     def is_closed(self, obj, q: int | None = None) -> bool:
-        if q is None:
-            q = self._single_degree(obj)
-        return all(not any(image) for _, image in self._per_component(
-            obj, q, lambda coords: linalg.mat_vec(
-                self.d_matrices[q], coords, zero=Polynomial.zero())))
+        q = self._degree(obj, q)
+        return not obj or not self._apply(obj, q, self._d_columns[q], q + 1)
 
     def harmonic_coefficients(self, obj, q: int = 2) -> dict:
         """Nonzero coefficients of a harmonic element against the RREF harmonic
-        basis of degree q (see ``pivot_columns``), keyed ``(basis row, frame
-        key)``: over the scalar complex a VectorForm is split frame vector by
-        frame vector, and otherwise the frame key is None."""
+        basis of degree q, read at its pivot cells and keyed ``(basis row,
+        frame key)`` as in ``_coordinates``: frame keys in order of first
+        appearance, then basis rows ascending."""
+        q = self._degree(obj, q)
         if not obj:
             return {}
-        pivots = self.pivot_columns(q, "H")
-        return {(r, key): coords[p]
-                for key, coords in self._per_component(obj, q, lambda coords: coords)
-                for r, p in enumerate(pivots) if coords[p]}
+        row_of = {p: r for r, p in enumerate(self._spaces[q]["H"].pivots)}
+        found: dict = {}
+        for i, key, coeff in self._coordinates(obj, q):
+            rows = found.setdefault(key, {})
+            if i in row_of:
+                rows[row_of[i]] = coeff
+        return {(r, key): rows[r] for key, rows in found.items() for r in sorted(rows)}
 
     # -- the δ operator -------------------------------------------------------
 
@@ -318,14 +314,20 @@ class HodgeDecomposition:
                 self._delta_matrix = linalg.mat_mul(vt, linalg.mat_mul(gram_inv, mt))
         return self._delta_matrix
 
+    @cached_property
+    def _delta_columns(self) -> linalg.Matrix:
+        return linalg.transpose(self.delta_matrix(), self.dim(2))
+
     def delta_op(self, obj):
-        """Unique ∂̄-preimage in V¹ of an element of B² (⊗ vectors)."""
+        """Unique ∂̄-preimage in V¹ of an element of B² (⊗ vectors).  ∂̄∘δ is
+        the orthogonal projection onto B², so ∂̄(δx) = x exactly on B²."""
         if not obj:
             return obj
-        if not self.in_space(obj, "B", 2):
+        self._degree(obj, 2)
+        pre = self._apply(obj, 2, self._delta_columns, 1)
+        if self._apply(pre, 1, self._d_columns[1], 2).terms != obj.terms:
             raise PreimageError("delta_op input has a component outside the exact part")
-        return self._map(obj, 2, lambda coords: linalg.mat_vec(
-            self.delta_matrix(), coords, zero=Polynomial.zero()), 1)
+        return pre
 
 
 def build_decomposition(L) -> HodgeDecomposition:

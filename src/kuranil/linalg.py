@@ -17,10 +17,8 @@ Everything here is deterministic and exact; no floating point is used
 anywhere.  A subspace is a ``Subspace``: its RREF rows and their pivot
 columns, from one ``rref`` call, which no other module makes.
 
-Vectors stay dense: ``mat_vec`` and ``Subspace.reduce`` take a sequence with
-one entry per column and return a list.  Those entries may live in any
-commutative ring that supports ``+``, ``*`` and scalar multiplication by a
-rational value (polynomial-valued vectors, in practice).
+``Subspace.reduce`` takes and returns a dense vector, whose entries may lie in
+any ring containing Q (polynomials, in practice).
 """
 
 from __future__ import annotations
@@ -57,19 +55,6 @@ def mat_mul(a: Sequence[Row], b: Sequence[Row]) -> Matrix:
             for j, y in b[t].items():
                 acc[j] = acc.get(j, 0) + c * y
         out.append({j: rational(x) for j, x in sorted(acc.items()) if x})
-    return out
-
-
-def mat_vec(a: Sequence[Row], v: Sequence, zero=0) -> list:
-    """Matrix times dense vector; entries of ``v`` may be any ring elements."""
-    out = []
-    for row in a:
-        acc = zero
-        for j, c in row.items():
-            x = v[j]
-            if x:
-                acc = acc + x * c
-        out.append(acc)
     return out
 
 

@@ -387,6 +387,15 @@ def primitive_scale(coeffs, lead: int | Fraction) -> Fraction:
     return -scale if lead < 0 else scale
 
 
+def linear_combination(pairs) -> Polynomial:
+    """Σ c·p over ``(Polynomial, rational)`` pairs, added up in one term dict."""
+    terms: dict[Mono, int | Fraction] = {}
+    for p, c in pairs:
+        for m, x in p.terms.items():
+            terms[m] = terms.get(m, 0) + x * c
+    return Polynomial(terms)
+
+
 def _coerce(x) -> Polynomial | None:
     if isinstance(x, Polynomial):
         return x

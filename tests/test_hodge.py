@@ -214,6 +214,37 @@ def test_degree_mismatch_on_inhomogeneous_input():
         dec.project_harmonic(mixed)
 
 
+def test_explicit_degree_outside_the_decomposition_is_a_degree_mismatch():
+    L = parse_salamon("(0,0,12)")
+    dec = build_decomposition(L)
+    f = ExteriorForm.covector(L, 1, True)
+    for call in (lambda: dec.project_harmonic(f, 7), lambda: dec.in_space(f, "B", 7),
+                 lambda: dec.is_closed(f, -1), lambda: dec.harmonic_coefficients(f, 9)):
+        with pytest.raises(DegreeMismatch):
+            call()
+    theta = build_theta_decomposition(to_complex_structure(L))
+    v = VectorForm.single(theta.ambient, ExteriorForm.covector(theta.ambient, 1, True), 2)
+    with pytest.raises(DegreeMismatch):
+        theta.in_space(v, "B", 3)
+
+
+def test_unknown_space_is_a_value_error():
+    dec = build_decomposition(parse_salamon("(0,0,12)"))
+    f = ExteriorForm.covector(dec.ambient, 1, True)
+    for obj in (f, ExteriorForm.zero(dec.ambient)):
+        with pytest.raises(ValueError, match="unknown space 'X'"):
+            dec.in_space(obj, "X", 1)
+
+
+def test_zero_form_projects_to_zero_in_a_degree_without_spaces():
+    """a_1 has no degree-2 spaces; the zero form still lies in every degree."""
+    dec = build_decomposition(catalog.get("a_1").build())
+    zero = VectorForm.zero(dec.ambient)
+    assert not dec.project_harmonic(zero, 2)
+    assert dec.in_space(zero, "B", 2) and dec.is_closed(zero, 2)
+    assert dec.harmonic_coefficients(zero) == {}
+
+
 def _assert_d_squared_vanishes(dec):
     for q in range(dec.max_degree):
         product = mat_mul(dec.d_matrices[q + 1], dec.d_matrices[q])
@@ -271,7 +302,29 @@ def test_harmonic_pivot_cells_match_basis_count():
     dec = build_decomposition(L)
     for q in range(L.dim + 1):
         assert len(dec.harmonic_pivot_cells(q)) == dec.harmonic_dim(q)
-        assert len(dec.pivot_columns(q, "H")) == dec.harmonic_dim(q)
+
+
+def test_harmonic_coefficients_key_order():
+    """Keys run by frame key in order of first appearance in the terms, then
+    by basis row; ``canonical_generators`` keeps this order on ties, so it
+    reaches the report."""
+    L = parse_salamon("(0,0,0,12,13)")
+    dec = build_decomposition(L)
+    assert [str(h) for h in dec.basis(2, "H")] == [
+        "cw1^cw4", "cw1^cw5", "cw2^cw3", "cw2^cw4", "cw2^cw5 + cw3^cw4", "cw3^cw5"]
+
+    def cell(a, b):
+        return (Cov(a, True), Cov(b, True))
+
+    x1, x2 = (1, False), (2, False)
+    # (cw2^cw5 + cw3^cw4)⊗X2 + cw1^cw4⊗X1 + 3·cw1^cw4⊗X2: X2 appears first,
+    # at a cell that is no pivot, and its rows appear out of order
+    form = VectorForm(L, {(cell(3, 4), x2): 1, (cell(1, 4), x1): 1,
+                          (cell(2, 5), x2): 1, (cell(1, 4), x2): 3})
+    assert dec.in_space(form, "H", 2)
+    coefficients = dec.harmonic_coefficients(form)
+    assert list(coefficients) == [(0, x2), (4, x2), (0, x1)]
+    assert [p.constant_value() for p in coefficients.values()] == [3, 1, 1]
 
 
 # -- theta complex of the mixed structure ------------------------------------
@@ -391,3 +444,95 @@ def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
                     for dec in (scalar, theta):
                         with pytest.raises(PreimageError):
                             dec.delta_op(form)
+
+
+# -- sparse operators on polynomial coefficients against dense products ---------
+
+ORACLE_COMPLEXES = ([(name, kind) for kind in ("scalar", "theta") for name in SMALL_LIE_ENTRIES]
+                    + [("general7", "theta"), ("swapped5", "theta")])
+
+
+def _random_form(dec, q: int, rng: random.Random, vector: bool):
+    """A few cells of degree q with polynomial coefficients: a VectorForm on
+    Θ, and on the scalar complex an ExteriorForm or (``vector``) a
+    VectorForm whose frame keys the complex does not see."""
+    terms = {}
+    for cell in rng.sample(dec.cells(q), min(dec.dim(q), rng.randint(1, 5))):
+        if dec.kind == "scalar" and vector:
+            cell = (cell, (rng.randint(1, dec.ambient.complex_dim), False))
+        terms[cell] = parse_polynomial(rng.choice(_COEFFICIENTS))
+    if dec.kind == "theta" or vector:
+        return VectorForm(dec.ambient, terms)
+    return ExteriorForm(dec.ambient, terms)
+
+
+def _monomial_vectors(dec, obj, q: int) -> dict:
+    """``{(frame key, monomial): dense Fraction coordinates}`` of ``obj`` in
+    degree q, zero vectors left out; the frame key is None unless ``obj`` is
+    a VectorForm over the scalar complex."""
+    index = {cell: i for i, cell in enumerate(dec.cells(q))}
+    split = dec.kind == "scalar" and isinstance(obj, VectorForm)
+    out: dict = {}
+    for cell, coeff in obj.terms.items():
+        key = None
+        if split:
+            cell, key = cell
+        for m, c in coeff.terms.items():
+            out.setdefault((key, m), [Fraction(0)] * dec.dim(q))[index[cell]] = Fraction(c)
+    return out
+
+
+def _dense(rows, ncols: int) -> list[list[Fraction]]:
+    return [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+
+
+def _dense_product(dense, vectors: dict) -> dict:
+    """Each vector of ``vectors`` times the dense matrix ``dense``, zero
+    results left out."""
+    out = {}
+    for key, v in vectors.items():
+        support = [j for j, y in enumerate(v) if y]
+        image = [sum((row[j] * v[j] for j in support), Fraction(0)) for row in dense]
+        if any(image):
+            out[key] = image
+    return out
+
+
+@pytest.mark.parametrize("name, kind", ORACLE_COMPLEXES)
+def test_operators_match_dense_products_monomial_by_monomial(name, kind):
+    """Projections and δ on polynomial coefficients equal the dense products of
+    ``projector()`` and ``delta_matrix()`` with each monomial's coefficient
+    vector; ``is_closed`` agrees with the form-level ∂̄ and with the dense
+    ``d_matrices`` product, and ``delta_op`` raises ``PreimageError`` exactly
+    off B²."""
+    rng = random.Random(f"{name}/{kind}/dense")
+    dec = _decomposition(name, kind)
+    for q in (1, 2):
+        if q > dec.max_degree or not dec.dim(q):
+            continue
+        projectors = {which: _dense(dec.projector(q, which), dec.dim(q)) for which in "BHV"}
+        delbar = _dense(dec.d_matrices[q], dec.dim(q))
+        delta = _dense(dec.delta_matrix(), dec.dim(2)) if q == 2 else None
+        for vector in ((False, True) if kind == "scalar" else (True,)):
+            for _ in range(3):
+                form = _random_form(dec, q, rng, vector)
+                vectors = _monomial_vectors(dec, form, q)
+                for which, project in (("B", dec.project_exact), ("H", dec.project_harmonic),
+                                       ("V", dec.project_coexact)):
+                    assert _monomial_vectors(dec, project(form, q), q) == _dense_product(
+                        projectors[which], vectors), (q, which)
+                closed = dec.project_exact(form, q) + dec.project_harmonic(form, q)
+                for x in (form, closed):
+                    image = x.delbar_theta() if isinstance(x, VectorForm) else x.delbar()
+                    dense_image = _dense_product(delbar, _monomial_vectors(dec, x, q))
+                    assert dec.is_closed(x, q) == (not image) == (not dense_image)
+                if q != 2:
+                    continue
+                for x in (form, dec.project_exact(form, 2)):
+                    x_vectors = _monomial_vectors(dec, x, 2)
+                    if _dense_product(projectors["B"], x_vectors) != x_vectors:
+                        with pytest.raises(PreimageError):
+                            dec.delta_op(x)
+                        continue
+                    assert _monomial_vectors(dec, dec.delta_op(x), 1) == _dense_product(
+                        delta, x_vectors)

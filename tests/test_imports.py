@@ -1,10 +1,10 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
-but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential,
-``kuranishi`` reads no complex ``kind``,
-each ambient protocol method is defined once in the package, and every ``/``
-in the package divides a ``Fraction``."""
+but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential
+and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
+``kind``, each ambient protocol method is defined once in the package, and
+every ``/`` in the package divides a ``Fraction``."""
 
 import ast
 from collections import Counter
@@ -202,6 +202,31 @@ def test_hodge_reads_no_components():
     layer never regroups a ``VectorForm`` by frame vector."""
     assert _attribute_reads((PACKAGE / "hodge.py").read_text(encoding="utf-8"),
                             "components") == []
+
+
+def _polynomial_zero_calls(source: str) -> list[str]:
+    """``line:call`` for each ``Polynomial.zero()`` call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "zero" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "Polynomial"):
+            found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_polynomial_zero_calls_are_found():
+    source = ("zeros = [Polynomial.zero()] * n\n"
+              "form = VectorForm.zero(ambient)\n"
+              "acc = out.get(cell, Polynomial.zero()) + x\n"
+              "make = Polynomial.zero\n")
+    assert _polynomial_zero_calls(source) == ["1:Polynomial.zero()", "3:Polynomial.zero()"]
+
+
+def test_hodge_builds_no_dense_coordinate_vector():
+    """Projections, ∂̄ and δ act on a form's terms; a zero-filled list of
+    polynomial coordinates is the dense round trip they replace."""
+    assert _polynomial_zero_calls((PACKAGE / "hodge.py").read_text(encoding="utf-8")) == []
 
 
 PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")

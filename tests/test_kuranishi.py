@@ -14,6 +14,7 @@ from kuranil.algebra import (
     free_two_step,
     parse_complex_structure_file,
     parse_salamon,
+    parse_structure_file,
     to_complex_structure,
 )
 from kuranil.exterior import AmbientMismatch, BarredVectorError, ExteriorForm, VectorForm
@@ -429,6 +430,30 @@ def test_analyze_report_content_and_round_trip():
     assert round_tripped == report
     text = report.to_text()
     assert "nu" in text and "h^1(Theta)" in text
+
+
+# (0,0,0,12,13,14+23) in a frame with X1 replaced: [X1, X2] has two terms.
+FRAME_14_23 = ("dim 6\nbracket 1 2 = -1*4 - 1*5\nbracket 1 3 = -1*5\n"
+               "bracket 1 4 = -1*6\nbracket 2 3 = -1*6\n")
+
+
+def test_analyze_pins_generator_order_in_a_random_frame():
+    """``canonical_generators`` keeps first-occurrence order among generators
+    with equal leading monomials, so the order of ``harmonic_coefficients``
+    reaches the report: listing them in term order swaps two generators here."""
+    report = analyze(parse_structure_file(FRAME_14_23))
+    assert report["obstruction_generators"] == [
+        "t2_2*t3_1 - t2_1*t3_2",
+        "t2_3*t3_1 + t2_2*t3_1 - t2_1*t3_3 - t2_1*t3_2",
+        "2*t1_1*t1_2*t3_1 - 2*t1_1*t1_2*t2_1 - 2*t1_1^2*t3_2 + 2*t1_1^2*t2_2"
+        " + t2_4*t3_1 + t2_3*t3_2 - t2_2*t3_3 - t2_1*t3_4",
+        "t1_1*t1_2*t3_1 - t1_1^2*t3_2",
+        "t1_1*t2_2*t3_1 - t1_1*t2_1*t3_2",
+        "t1_2*t2_1*t3_1 - t1_2*t2_1^2 - t1_1*t2_1*t3_2 + t1_1*t2_1*t2_2",
+        "8*t1_2*t2_1*t3_1 - t1_1*t2_2*t3_1 - 7*t1_1*t2_1*t3_2",
+        "8*t1_2*t3_1^2 - 8*t1_2*t2_1*t3_1 - 8*t1_1*t3_1*t3_2 + 7*t1_1*t2_2*t3_1"
+        " + t1_1*t2_1*t3_2",
+    ]
 
 
 def test_analyze_smooth_row_reports_kuranishi_dimension():
