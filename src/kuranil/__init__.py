@@ -41,7 +41,7 @@ from .algebra import (
     to_complex_structure,
 )
 from .catalog import CatalogEntry, CatalogError
-from .exterior import AmbientMismatch, BarredVectorError, ExteriorForm, VectorForm
+from .exterior import AmbientMismatch, ExteriorForm, VectorForm
 from .groebner import (
     GroebnerBasis,
     GroebnerTimeout,
@@ -99,7 +99,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbientMismatch",
-    "BarredVectorError",
     "CatalogEntry",
     "CatalogError",
     "ClosednessViolation",

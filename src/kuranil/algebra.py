@@ -14,10 +14,11 @@ Two kinds of ambient object live here:
   equations are implied (all coefficients are rational).
 
 Both build one table at construction: the brackets of the complexified frame
-``X_1..X_n, X̄_1..X̄_n``, with vectors keyed by ``(index, barred)``.  Their
-shared base reads the ambient protocol of the exterior-algebra module off
-that table: ``complex_dim``, ``covector_differential`` (by the duality above),
-``vector_bracket`` and ``vector_delbar``.  Every structure constant is stored
+``X_1..X_n, X̄_1..X̄_n``, with vectors keyed by ``VectorKey``, ``(index,
+barred)``.  Their shared base reads the ambient protocol of the
+exterior-algebra module off that table: ``complex_dim``,
+``covector_differential`` (by the duality above), ``vector_bracket`` and
+``vector_delbar``.  Every structure constant is stored
 as :func:`~kuranil.polyring.rational` makes it, an ``int`` while it is
 integral, and so are the ∂̄ matrices read off the table.
 """
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .exterior import VectorKey, vector_key_str
 from .linalg import Subspace
 from .polyring import rational
 
@@ -58,6 +58,13 @@ class StructureParseError(ValueError):
 
 
 Brackets = dict[tuple[int, int], dict[int, int | Fraction]]
+
+VectorKey = tuple[int, bool]  # (frame index, barred)
+
+
+def vector_key_str(key: VectorKey) -> str:
+    idx, barred = key
+    return f"cX{idx}" if barred else f"X{idx}"
 
 
 class _FrameAlgebra:
@@ -92,13 +99,13 @@ class _FrameAlgebra:
             return dict(comp)
         return {key: -c for key, c in self._table.get(((j, bj), (i, bi)), {}).items()}
 
-    def vector_delbar(self, j: int) -> dict[tuple[int, VectorKey], int | Fraction]:
-        """∂̄X_j = Σ_a cw^a ⊗ pr^{1,0}[X̄_a, X_j], as {(a, vector_key): coeff}."""
-        out: dict[tuple[int, VectorKey], int | Fraction] = {}
+    def vector_delbar(self, j: int) -> dict[tuple[int, int], int | Fraction]:
+        """∂̄X_j = Σ_a cw^a ⊗ pr^{1,0}[X̄_a, X_j], as {(a, k): coeff} for cw^a ⊗ X_k."""
+        out: dict[tuple[int, int], int | Fraction] = {}
         for a in range(1, self.complex_dim + 1):
             for (k, barred), c in self.vector_bracket(a, True, j, False).items():
                 if not barred:
-                    out[(a, (k, False))] = c
+                    out[(a, k)] = c
         return out
 
 

@@ -9,8 +9,9 @@ and the parameter-dependent deformation recursion.
 
 Both form types are one sparse map ``terms`` from keys to nonzero
 coefficients, with one shared linear structure.  An ``ExteriorForm`` is keyed
-by multi-index; a ``VectorForm`` by ``(multi-index, vector key)``, which on
-Θ-valued (0,q)-forms are the cells ω̄^I ⊗ X_j of the Θ complex.
+by multi-index; a ``VectorForm`` takes its values in Θ, the (1,0) frame
+``X_1..X_n``, and is keyed by ``(multi-index, frame index)``, which on
+(0,q)-forms are the cells ω̄^I ⊗ X_j of the Θ complex.
 
 The ambient object must provide ``complex_dim``, ``covector_differential``,
 ``vector_bracket`` and ``vector_delbar``; the algebra module reads all four
@@ -30,10 +31,6 @@ class AmbientMismatch(ValueError):
     pass
 
 
-class BarredVectorError(ValueError):
-    """Raised by operations defined only for (1,0) vector parts."""
-
-
 class Cov(NamedTuple):
     index: int
     barred: bool
@@ -47,14 +44,6 @@ class Cov(NamedTuple):
 
 
 MultiIndex = tuple[Cov, ...]
-
-VectorKey = tuple[int, bool]  # (frame index, barred)
-
-
-def vector_key_str(key: VectorKey) -> str:
-    idx, barred = key
-    return f"cX{idx}" if barred else f"X{idx}"
-
 
 def _canonical(covs: Iterable[Cov]) -> tuple[MultiIndex, int] | None:
     """Sort a covector list, returning (sorted tuple, Koszul sign); None if repeated."""
@@ -255,35 +244,30 @@ class ExteriorForm(_TermMap):
 
 
 class VectorForm(_TermMap):
-    """Form with values in the frame, ``Σ c·ω^I ⊗ X_j`` (vectors may be barred).
+    """Form with values in Θ, ``Σ c·ω^I ⊗ X_j`` over the (1,0) frame.
 
-    ``terms`` maps ``(multi-index, vector key)`` pairs to ``Polynomial``
-    coefficients; on (0,q)-forms with (1,0) vectors these keys are exactly the
-    cells of the Θ complex."""
+    ``terms`` maps ``(multi-index, frame index)`` pairs to ``Polynomial``
+    coefficients; on (0,q)-forms these keys are exactly the cells of the Θ
+    complex."""
 
     __slots__ = ()
 
     @staticmethod
-    def single(ambient, form: ExteriorForm, index: int, barred: bool = False) -> "VectorForm":
+    def single(ambient, form: ExteriorForm, index: int) -> "VectorForm":
         if form.ambient is not ambient:
             raise AmbientMismatch("component form over a different ambient")
-        key = (index, barred)
-        return VectorForm(ambient, {(mi, key): c for mi, c in form.terms.items()})
+        return VectorForm(ambient, {(mi, index): c for mi, c in form.terms.items()})
 
     @property
-    def components(self) -> dict[VectorKey, ExteriorForm]:
-        """``{vector key: form}``, the terms grouped by frame vector."""
-        grouped: dict[VectorKey, dict[MultiIndex, Polynomial]] = {}
-        for (mi, key), c in self.terms.items():
-            grouped.setdefault(key, {})[mi] = c
-        return {key: ExteriorForm(self.ambient, terms) for key, terms in grouped.items()}
+    def components(self) -> dict[int, ExteriorForm]:
+        """``{frame index: form}``, the terms grouped by frame vector."""
+        grouped: dict[int, dict[MultiIndex, Polynomial]] = {}
+        for (mi, j), c in self.terms.items():
+            grouped.setdefault(j, {})[mi] = c
+        return {j: ExteriorForm(self.ambient, terms) for j, terms in grouped.items()}
 
-    def component(self, index: int, barred: bool = False) -> ExteriorForm:
-        key = (index, barred)
-        return ExteriorForm(self.ambient, {mi: c for (mi, k), c in self.terms.items() if k == key})
-
-    def has_barred_vectors(self) -> bool:
-        return any(barred for _, (_, barred) in self.terms)
+    def component(self, index: int) -> ExteriorForm:
+        return ExteriorForm(self.ambient, {mi: c for (mi, j), c in self.terms.items() if j == index})
 
     def degrees(self) -> set[int]:
         return {len(mi) for mi, _ in self.terms}
@@ -291,19 +275,16 @@ class VectorForm(_TermMap):
     def delbar_theta(self) -> "VectorForm":
         """∂̄ on vector-valued forms: ∂̄(α⊗X) = ∂̄α⊗X + (−1)^{|α|} α∧∂̄X, and
         (−1)^{|α|} α∧ω̄^a = ω̄^a∧α."""
-        if self.has_barred_vectors():
-            raise BarredVectorError("differential of a barred vector component is out of scope")
         out = VectorForm.zero(self.ambient)
-        for (j, _), form in self.components.items():
+        for j, form in self.components.items():
             out = out + VectorForm.single(self.ambient, form.delbar(), j)
-            for (a, vec_key), c in self.ambient.vector_delbar(j).items():
+            for (a, k), c in self.ambient.vector_delbar(j).items():
                 cov = ExteriorForm.covector(self.ambient, a, barred=True)
-                out = out + VectorForm.single(self.ambient, cov.wedge(form).scale(c), *vec_key)
+                out = out + VectorForm.single(self.ambient, cov.wedge(form).scale(c), k)
         return out
 
     def to_str(self) -> str:
         if not self.terms:
             return "0"
         components = self.components
-        return " + ".join(f"({components[key].to_str()})*{vector_key_str(key)}"
-                          for key in sorted(components, key=lambda k: (k[1], k[0])))
+        return " + ".join(f"({components[j].to_str()})*X{j}" for j in sorted(components))

@@ -14,13 +14,13 @@ Two complexes are supported through one engine:
 * ``scalar`` — Λ^{0,k}, cells are barred multi-indices; used for parallelisable
   algebras where the vector-valued complex is the scalar one tensored with g,
   so one scalar block serves every frame component of a ``VectorForm``.
-* ``theta``  — Λ^{0,k} ⊗ (1,0)-vectors, cells are (multi-index, vector) pairs;
-  used when the ambient has a non-trivial (1,1) structure part.
+* ``theta``  — Λ^{0,k} ⊗ (1,0)-vectors, cells are (multi-index, frame index)
+  pairs; used when the ambient has a non-trivial (1,1) structure part.
 
 On both complexes a cell is a key of a form's ``terms``: the multi-index of
-an ``ExteriorForm``, or the (multi-index, vector key) of a ``VectorForm``.
+an ``ExteriorForm``, or the (multi-index, frame index) of a ``VectorForm``.
 Over the scalar complex a ``VectorForm``'s multi-indices are the cells, and
-its frame keys ride along.  Every operator acts on ``terms`` through its
+its frame indices ride along.  Every operator acts on ``terms`` through its
 columns, ``columns[i]`` being the image ``{target index: rational}`` of cell
 i, and sums each image coefficient once.  A projector is symmetric, so its
 rows are its columns; the columns of ∂̄ and δ are transposed once and kept.
@@ -53,7 +53,7 @@ from functools import cached_property
 
 from . import linalg
 from .algebra import LieAlgebra
-from .exterior import Cov, ExteriorForm, VectorForm
+from .exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from .polyring import Polynomial, linear_combination, rational
 
 
@@ -88,7 +88,7 @@ class HodgeDecomposition:
         # and (a, k, c) triples read once off the ambient
         dbar_cov = {i: [(a, b, c) for a, ba, b, bb, c in ambient.covector_differential(i, True)
                         if ba and bb] for i in range(1, n + 1)}
-        dbar_vec = {j: [(a, k, c) for (a, (k, _)), c in ambient.vector_delbar(j).items()]
+        dbar_vec = {j: [(a, k, c) for (a, k), c in ambient.vector_delbar(j).items()]
                     for j in range(1, n + 1)} if kind == "theta" else {}
         # D[q]: matrix of ∂̄ from degree q to q+1 (rows = target cells)
         self.d_matrices: dict[int, linalg.Matrix] = {
@@ -106,11 +106,11 @@ class HodgeDecomposition:
                   for combo in itertools.combinations(range(1, n + 1), q)]
         if self.kind == "scalar":
             return multis
-        return [(mi, (j, False)) for mi in multis for j in range(1, n + 1)]
+        return [(mi, j) for mi in multis for j in range(1, n + 1)]
 
     def _coordinates(self, obj, q: int):
-        """``(cell index, frame key, coefficient)`` per term of ``obj``; the
-        frame key is None unless ``obj`` is a VectorForm over the scalar complex."""
+        """``(cell index, frame index, coefficient)`` per term of ``obj``; the
+        frame index is None unless ``obj`` is a VectorForm over the scalar complex."""
         index = self._index[q]
         split = self.kind == "scalar" and isinstance(obj, VectorForm)
         for cell, coeff in obj.terms.items():
@@ -123,7 +123,7 @@ class HodgeDecomposition:
 
     def _apply(self, obj, q: int, columns: linalg.Matrix, q_out: int):
         """``obj`` sent from degree q to ``q_out`` by the operator with these
-        columns; terms come out by frame key, then by target cell."""
+        columns; terms come out by frame index, then by target cell."""
         images: dict = {}
         for i, key, coeff in self._coordinates(obj, q):
             image = images.setdefault(key, {})
@@ -141,7 +141,7 @@ class HodgeDecomposition:
         the scalar complex)."""
         if self.kind == "scalar":
             return tuple(cv.index for cv in cell), None
-        mi, (j, _) = cell
+        mi, j = cell
         return tuple(cv.index for cv in mi), j
 
     def _build_d(self, q: int, dbar_cov, dbar_vec) -> linalg.Matrix:
@@ -197,21 +197,31 @@ class HodgeDecomposition:
     def cells(self, q: int) -> list:
         return list(self._cells[q])
 
+    def _space(self, q: int, which: str) -> linalg.Subspace:
+        """The space B, H or V of degree q, for q in 0..max_degree."""
+        if q not in self._spaces:
+            raise DegreeMismatch(f"degree {q} is outside the decomposition's "
+                                 f"degrees 0..{self.max_degree}")
+        if which not in ("B", "H", "V"):
+            raise ValueError(f"unknown space {which!r}: expected 'B', 'H' or 'V'")
+        return self._spaces[q][which]
+
     def space_dims(self, q: int) -> dict[str, int]:
-        return {which: space.dim for which, space in self._spaces[q].items()}
+        return {which: self._space(q, which).dim for which in ("B", "H", "V")}
 
     def harmonic_dim(self, q: int) -> int:
-        return self._spaces[q]["H"].dim
+        return self._space(q, "H").dim
 
     def basis(self, q: int, which: str):
         """Basis of B/H/V in degree q, as forms (scalar) or vector forms (theta)."""
+        rows = self._space(q, which).rows
         form_type = ExteriorForm if self.kind == "scalar" else VectorForm
         cells = self._cells[q]
         return [form_type(self.ambient, {cells[j]: Polynomial.constant(x) for j, x in row.items()})
-                for row in self._spaces[q][which].rows]
+                for row in rows]
 
     def harmonic_pivot_cells(self, q: int) -> list:
-        return [self._cells[q][p] for p in self._spaces[q]["H"].pivots]
+        return [self._cells[q][p] for p in self._space(q, "H").pivots]
 
     def h1_theta_basis(self) -> list[tuple[tuple[int, int], VectorForm]]:
         """The RREF harmonic basis of Θ in degree 1, each element named
@@ -227,35 +237,37 @@ class HodgeDecomposition:
                 named += [((cov.index, b), VectorForm.single(self.ambient, h, b))
                           for b in range(1, self.ambient.complex_dim + 1)]
             else:
-                (cov,), (b, _) = cell
+                (cov,), b = cell
                 named.append(((cov.index, b), h))
         return named
 
     def projector(self, q: int, which: str) -> linalg.Matrix:
-        return self._spaces[q][which].projector
+        return self._space(q, which).projector
 
     # -- projections and membership -------------------------------------------
 
     def _degree(self, obj, q: int | None) -> int:
-        """``q``, else the one degree of ``obj``'s terms (0 if none); a nonzero
-        ``obj`` must lie in a degree the decomposition covers."""
+        """``q``, else the one degree of ``obj``'s terms (0 if none); ``obj``
+        must live over the decomposition's ambient and, when nonzero, lie in
+        a degree the decomposition covers."""
+        if obj.ambient is not self.ambient:
+            raise AmbientMismatch("form lives over a different ambient than the decomposition")
         if q is None:
             degs = obj.degrees()
             if len(degs) > 1:
                 raise DegreeMismatch(f"form mixes degrees {sorted(degs)}")
             q = min(degs, default=0)
-        if obj and not 0 <= q <= self.max_degree:
-            raise DegreeMismatch(f"degree {q} is outside the decomposition's "
-                                 f"degrees 0..{self.max_degree}")
+        if obj:
+            self._space(q, "H")  # raises outside degrees 0..max_degree
         return q
 
     def _project(self, obj, which: str, q: int | None):
-        if which not in ("B", "H", "V"):
-            raise ValueError(f"unknown space {which!r}: expected 'B', 'H' or 'V'")
         q = self._degree(obj, q)
-        # an orthogonal projector is symmetric, so its rows are its columns;
-        # the zero form lies in every degree, with spaces or without
-        return self._apply(obj, q, self.projector(q, which), q) if obj else type(obj)(self.ambient)
+        # the zero form lies in every degree, with spaces or without: only
+        # the name of its space is checked, against degree 0
+        space = self._space(q if obj else 0, which)
+        # an orthogonal projector is symmetric, so its rows are its columns
+        return self._apply(obj, q, space.projector, q) if obj else type(obj)(self.ambient)
 
     def project_exact(self, obj, q: int | None = None):
         """P of the decomposition: orthogonal projection onto B ⊗ (vectors)."""
@@ -284,7 +296,7 @@ class HodgeDecomposition:
         q = self._degree(obj, q)
         if not obj:
             return {}
-        row_of = {p: r for r, p in enumerate(self._spaces[q]["H"].pivots)}
+        row_of = {p: r for r, p in enumerate(self._space(q, "H").pivots)}
         found: dict = {}
         for i, key, coeff in self._coordinates(obj, q):
             rows = found.setdefault(key, {})
@@ -321,9 +333,9 @@ class HodgeDecomposition:
     def delta_op(self, obj):
         """Unique ∂̄-preimage in V¹ of an element of B² (⊗ vectors).  ∂̄∘δ is
         the orthogonal projection onto B², so ∂̄(δx) = x exactly on B²."""
+        self._degree(obj, 2)
         if not obj:
             return obj
-        self._degree(obj, 2)
         pre = self._apply(obj, 2, self._delta_columns, 1)
         if self._apply(pre, 1, self._d_columns[1], 2).terms != obj.terms:
             raise PreimageError("delta_op input has a component outside the exact part")

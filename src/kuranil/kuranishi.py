@@ -33,14 +33,8 @@ from fractions import Fraction
 
 from . import groebner, hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra
-from .exterior import (
-    AmbientMismatch,
-    BarredVectorError,
-    MultiIndex,
-    VectorForm,
-    VectorKey,
-)
-from .polyring import GREVLEX, Polynomial, Var, var_poly
+from .exterior import AmbientMismatch, MultiIndex, VectorForm
+from .polyring import GREVLEX, Polynomial, Var, linear_combination, var_poly
 
 
 class MissingDegreeCap(ValueError):
@@ -73,29 +67,29 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     is the wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone."""
     if a.ambient is not b.ambient:
         raise AmbientMismatch("Schouten bracket of forms over different ambients")
-    if a.has_barred_vectors() or b.has_barred_vectors():
-        raise BarredVectorError("Schouten bracket inputs must have (1,0) vector parts")
     ambient = a.ambient
     out: dict = {}
 
-    def add(key, form):
+    def add(j, form):
         for mi, x in form.terms.items():
-            cell = (mi, key)
+            cell = (mi, j)
             out[cell] = out.get(cell, Polynomial.zero()) + x
 
-    items_a = [(key, alpha, alpha.del_()) for key, alpha in a.components.items()]
-    items_b = [(key, beta, beta.del_()) for key, beta in b.components.items()]
-    for (i, bi), alpha, del_alpha in items_a:
-        for (j, bj), beta, del_beta in items_b:
+    items_a = [(i, alpha, alpha.del_()) for i, alpha in a.components.items()]
+    items_b = [(j, beta, beta.del_()) for j, beta in b.components.items()]
+    for i, alpha, del_alpha in items_a:
+        for j, beta, del_beta in items_b:
             if del_alpha:
-                add((i, bi), beta.wedge(del_alpha.contract(j, bj)))
+                add(i, beta.wedge(del_alpha.contract(j)))
             if del_beta:
-                add((j, bj), alpha.wedge(del_beta.contract(i, bi)))
-            br = ambient.vector_bracket(i, bi, j, bj)
+                add(j, alpha.wedge(del_beta.contract(i)))
+            # [X_i, X_j] is unbarred by integrability, [T^{1,0}, T^{1,0}] ⊂ T^{1,0}: both
+            # ambients build their tables so, and the dw reader rejects (0,2) terms
+            br = ambient.vector_bracket(i, False, j, False)
             if br:
                 w = alpha.wedge(beta)
-                for key, c in br.items():
-                    add(key, w.scale(c))
+                for (k, _), c in br.items():
+                    add(k, w.scale(c))
     return VectorForm(ambient, out)
 
 
@@ -146,10 +140,14 @@ def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
     (34,0,0,0), where [X_3, X_4] = −X_1, the harmonic 1-forms are ω̄^2, ω̄^3,
     ω̄^4, so a runs over 2, 3, 4."""
     variables: list[Var] = []
-    total = VectorForm.zero(decomposition.ambient)
+    pairs: dict = {}  # (t, c) per cell; each h has its own t, so nothing cancels
     for name, h in decomposition.h1_theta_basis():
         variables.append(name)
-        total = total + h.scale(var_poly(*name))
+        t = var_poly(*name)
+        for cell, c in h.terms.items():
+            pairs.setdefault(cell, []).append((t, c.constant_value()))
+    total = VectorForm(decomposition.ambient,
+                       {cell: linear_combination(p) for cell, p in pairs.items()})
     return total, variables
 
 
@@ -157,7 +155,7 @@ def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
     """Whether every frame-vector coefficient vector of ``vf`` lies in ``sub``
     (its polynomial coefficients reduce against the RREF rows)."""
     by_cell: dict = {}
-    for (mi, (j, _barred)), c in vf.terms.items():
+    for (mi, j), c in vf.terms.items():
         by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
     return all(sub.contains(vec) for vec in by_cell.values())
 
@@ -264,7 +262,7 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
     # h_a⊗X_b → h_a, keyed by pivot a in basis order
     hforms = list({a: h.component(b) for (a, b), h in decomposition.h1_theta_basis()}.items())
     n = L.complex_dim
-    out: dict[tuple[MultiIndex, VectorKey], Polynomial] = {}
+    out: dict[tuple[MultiIndex, int], Polynomial] = {}
     for pos, (i, hi) in enumerate(hforms):
         for j, hj in hforms[pos + 1:]:
             wij = hi.wedge(hj)
@@ -272,14 +270,15 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
                 continue
             for k in range(1, n + 1):
                 for l in range(k + 1, n + 1):
+                    # unbarred by integrability, as in ``schouten_general``
                     br = L.vector_bracket(k, False, l, False)
                     if not br:
                         continue
                     coeff = minor2(i, j, k, l) * 2
-                    for key, c in br.items():
+                    for (m, _), c in br.items():
                         scaled = coeff * c
                         for mi, w in wij.terms.items():
-                            cell = (mi, key)
+                            cell = (mi, m)
                             out[cell] = out.get(cell, Polynomial.zero()) + w * scaled
     total = VectorForm(L, out)
     h_part = decomposition.project_harmonic(total, 2)
@@ -337,7 +336,7 @@ def parallelisable_directions(decomposition) -> dict:
     z = L.center()
     m = decomposition.harmonic_dim(1)
     # h ⊗ Σ_j c_j X_j for each harmonic 1-form h and each basis row c of z
-    vectors = [VectorForm(L, {(mi, (j + 1, False)): x * c for j, c in row.items()
+    vectors = [VectorForm(L, {(mi, j + 1): x * c for j, c in row.items()
                               for mi, x in h.terms.items()})
                for h in decomposition.basis(1, "H") for row in z.rows]
     return {
@@ -464,7 +463,7 @@ class KuranishiReport:
         return "\n".join(lines)
 
 
-def analyze(L: LieAlgebra, name: str | None = None) -> KuranishiReport:
+def analyze(L: LieAlgebra) -> KuranishiReport:
     """Full parallelisable-path analysis of a validated nilpotent Lie algebra."""
     L.validate()
     decomposition = hodge.build_decomposition(L)
@@ -477,7 +476,7 @@ def analyze(L: LieAlgebra, name: str | None = None) -> KuranishiReport:
     h1 = hodge_nums[1] * L.dim
     smooth = tests["obs_identically_zero"]
     data = {
-        "algebra": name or L.name or f"dim-{L.dim} algebra",
+        "algebra": L.name,
         "dim": L.dim,
         "nu": L.nilpotency_index(),
         "hodge_numbers": hodge_nums,
@@ -501,8 +500,7 @@ def analyze(L: LieAlgebra, name: str | None = None) -> KuranishiReport:
 
 
 def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
-                    initial: VectorForm | None = None,
-                    name: str | None = None) -> KuranishiReport:
+                    initial: VectorForm | None = None) -> KuranishiReport:
     """Capped analysis over a general integrable structure (vector-valued complex)."""
     decomposition = hodge.build_theta_decomposition(csa)
     series = phi_recursion(decomposition, max_degree, initial)
@@ -516,7 +514,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
             generators.extend(coeffs.values())
     gens = groebner.canonical_generators(generators)
     data = {
-        "algebra": name or csa.name or f"dim-{csa.n} structure",
+        "algebra": csa.name,
         "dim": csa.n,
         "kind": csa.classify(),
         "max_degree": max_degree,

@@ -220,8 +220,8 @@ def test_criterion_7_structural_properties():
                 dropped = dropped + vf
             assert residual == dropped, entry.name
             basis = buchberger(obstruction.generators)
-            for j, barred in residual.components:
-                for coeff in residual.component(j, barred).terms.values():
+            for j in residual.components:
+                for coeff in residual.component(j).terms.values():
                     assert not normal_form(coeff, basis), entry.name
         else:
             assert residual.is_zero, entry.name
@@ -292,9 +292,9 @@ def test_criterion_7_structural_properties():
         cur = tdec.d_matrices[q]
         if nxt and cur:
             assert all(not x for row in mat_mul(nxt, cur) for x in row.values())
-    for mi, (j, barred) in tdec.cells(2):
+    for mi, j in tdec.cells(2):
         cell = VectorForm.single(
-            csa, ExteriorForm(csa, {mi: Polynomial.one()}), j, barred)
+            csa, ExteriorForm(csa, {mi: Polynomial.one()}), j)
         assert not cell.delbar_theta().delbar_theta()
     initial = (
         VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)

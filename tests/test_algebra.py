@@ -337,7 +337,7 @@ def test_protocol_of_a_complex_structure_is_its_coframe_differentials(text):
         assert csa.vector_bracket(a, True, b, False) == mixed
         assert csa.vector_bracket(b, False, a, True) == {key: -c for key, c in mixed.items()}
     for j in range(1, n + 1):
-        assert csa.vector_delbar(j) == {(a, (k, False)): -c for (k, a, b), c in B.items() if b == j}
+        assert csa.vector_delbar(j) == {(a, k): -c for (k, a, b), c in B.items() if b == j}
 
 
 def test_subspace_membership_api():

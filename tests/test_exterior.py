@@ -178,9 +178,6 @@ def test_vector_form_single_component_round_trip():
     vf = VectorForm.single(csa, w(csa, 1, barred=True), 2)
     assert vf.component(2) == w(csa, 1, barred=True)
     assert not vf.component(1)
-    assert not vf.has_barred_vectors()
-    barred = VectorForm.single(csa, w(csa, 1), 2, barred=True)
-    assert barred.has_barred_vectors()
 
 
 def test_vector_form_linear_structure():
@@ -198,11 +195,11 @@ def test_vector_form_terms_are_theta_cells():
     vf = VectorForm.single(csa, w(csa, 1, barred=True), 2) + VectorForm.single(
         csa, w(csa, 3, barred=True).scale(Fraction(-2)), 1)
     cw1, cw3 = (Cov(1, True),), (Cov(3, True),)
-    assert vf.terms == {(cw1, (2, False)): Polynomial.one(),
-                        (cw3, (1, False)): Polynomial.constant(-2)}
-    assert vf == VectorForm(csa, {(cw3, (1, False)): -2, (cw1, (2, False)): 1, (cw1, (3, False)): 0})
-    assert vf.components == {(2, False): w(csa, 1, barred=True),
-                             (1, False): w(csa, 3, barred=True).scale(Fraction(-2))}
+    assert vf.terms == {(cw1, 2): Polynomial.one(),
+                        (cw3, 1): Polynomial.constant(-2)}
+    assert vf == VectorForm(csa, {(cw3, 1): -2, (cw1, 2): 1, (cw1, 3): 0})
+    assert vf.components == {2: w(csa, 1, barred=True),
+                             1: w(csa, 3, barred=True).scale(Fraction(-2))}
     with pytest.raises(AmbientMismatch):
         VectorForm.single(_csa(), w(csa, 1, barred=True), 1)
 

@@ -1,12 +1,14 @@
 """Exact decompositions image ⊕ harmonic ⊕ coimage with explicit preimages."""
 
 from fractions import Fraction
+from functools import cache
+import itertools
 from math import comb
 import random
 
 import pytest
 
-from kuranil import catalog
+from kuranil import catalog, linalg
 from kuranil.algebra import (
     LieAlgebra,
     abelian,
@@ -14,7 +16,7 @@ from kuranil.algebra import (
     parse_salamon,
     to_complex_structure,
 )
-from kuranil.exterior import Cov, ExteriorForm, VectorForm
+from kuranil.exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from kuranil.hodge import (
     DegreeMismatch,
     HodgeDecomposition,
@@ -245,6 +247,44 @@ def test_zero_form_projects_to_zero_in_a_degree_without_spaces():
     assert dec.harmonic_coefficients(zero) == {}
 
 
+def test_accessors_reject_a_degree_outside_and_an_unknown_space():
+    dec = build_decomposition(parse_salamon("(0,0,12)"))
+    outside = "degree {} is outside the decomposition's degrees 0..3"
+    for q, call in ((7, lambda: dec.projector(7, "B")), (9, lambda: dec.harmonic_dim(9)),
+                    (5, lambda: dec.space_dims(5)), (4, lambda: dec.harmonic_pivot_cells(4)),
+                    (-1, lambda: dec.basis(-1, "H"))):
+        with pytest.raises(DegreeMismatch, match=outside.format(q)):
+            call()
+    for call in (lambda: dec.basis(1, "X"), lambda: dec.projector(1, "X")):
+        with pytest.raises(ValueError, match="unknown space 'X'"):
+            call()
+    # dim and cells read one degree past the decomposition, where ∂̄ lands
+    assert dec.dim(4) == 0 and dec.cells(4) == []
+
+
+@pytest.mark.parametrize("kind", ["scalar", "theta"])
+def test_form_operators_reject_a_form_over_another_ambient(kind):
+    """Every public form operator, zero forms included, raises before it
+    reads a form over an equal but distinct ambient."""
+    def ambient():
+        L = parse_salamon("(0,0,12)")
+        return L if kind == "scalar" else to_complex_structure(L)
+
+    mine, other = ambient(), ambient()
+    dec = (build_decomposition if kind == "scalar" else build_theta_decomposition)(mine)
+    cw1, cw2, cw3 = (ExteriorForm.covector(other, i, True) for i in (1, 2, 3))
+    one, two = cw3, cw1.wedge(cw2)  # harmonic in degree 1, exact in degree 2
+    if kind == "theta":
+        one, two = VectorForm.single(other, one, 1), VectorForm.single(other, two, 3)
+    calls = [(one, dec.project_exact), (one, dec.project_harmonic),
+             (one, dec.project_coexact), (one, lambda f: dec.in_space(f, "H")),
+             (one, dec.is_closed), (two, dec.harmonic_coefficients), (two, dec.delta_op)]
+    for form, call in calls:
+        for obj in (form, type(form).zero(other)):
+            with pytest.raises(AmbientMismatch):
+                call(obj)
+
+
 def _assert_d_squared_vanishes(dec):
     for q in range(dec.max_degree):
         product = mat_mul(dec.d_matrices[q + 1], dec.d_matrices[q])
@@ -268,7 +308,7 @@ def _cell_form(dec, cell):
     """The cell as a one-term form (scalar) or vector form (Θ), coefficient 1."""
     if dec.kind == "scalar":
         return ExteriorForm(dec.ambient, {cell: 1})
-    mi, (j, _) = cell
+    mi, j = cell
     return VectorForm.single(dec.ambient, ExteriorForm(dec.ambient, {mi: 1}), j)
 
 
@@ -316,7 +356,7 @@ def test_harmonic_coefficients_key_order():
     def cell(a, b):
         return (Cov(a, True), Cov(b, True))
 
-    x1, x2 = (1, False), (2, False)
+    x1, x2 = 1, 2
     # (cw2^cw5 + cw3^cw4)⊗X2 + cw1^cw4⊗X1 + 3·cw1^cw4⊗X2: X2 appears first,
     # at a cell that is no pivot, and its rows appear out of order
     form = VectorForm(L, {(cell(3, 4), x2): 1, (cell(1, 4), x1): 1,
@@ -405,21 +445,14 @@ def _random_theta_form(L, q: int, rng: random.Random) -> VectorForm:
     terms = {}
     for _ in range(rng.randint(1, 6)):
         mi = tuple(Cov(i, True) for i in sorted(rng.sample(range(1, L.dim + 1), q)))
-        terms[(mi, (rng.randint(1, L.dim), False))] = parse_polynomial(rng.choice(_COEFFICIENTS))
+        terms[(mi, rng.randint(1, L.dim))] = parse_polynomial(rng.choice(_COEFFICIENTS))
     return VectorForm(L, terms)
 
 
-@pytest.mark.parametrize("name", SMALL_LIE_ENTRIES)
-@pytest.mark.parametrize("frame", ["published", "random"])
-def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
-    """On a Lie algebra the scalar complex serves Θ frame vector by frame
-    vector; every projection, membership test, closedness test and δ must
-    agree with the Θ complex built as one full matrix."""
-    rng = random.Random(f"{name}/{frame}")
-    L = catalog.get(name).build()
-    if frame == "random" and L.dim > 1:
-        L = _random_frame(L, rng)
-        L.validate()
+def _assert_scalar_blocks_match(L: LieAlgebra, rng: random.Random) -> None:
+    """Every projection, membership test, closedness test and δ of the
+    scalar decomposition of ``L`` agrees with the full Θ decomposition on
+    random Θ-valued forms."""
     scalar, theta = build_decomposition(L), build_theta_decomposition(L)
     for q in (1, 2):
         if q > L.dim:
@@ -446,6 +479,87 @@ def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
                             dec.delta_op(form)
 
 
+@pytest.mark.parametrize("name", SMALL_LIE_ENTRIES)
+@pytest.mark.parametrize("frame", ["published", "random"])
+def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
+    """On a Lie algebra the scalar complex serves Θ frame vector by frame
+    vector; every projection, membership test, closedness test and δ must
+    agree with the Θ complex built as one full matrix."""
+    rng = random.Random(f"{name}/{frame}")
+    L = catalog.get(name).build()
+    if frame == "random" and L.dim > 1:
+        L = _random_frame(L, rng)
+        L.validate()
+    _assert_scalar_blocks_match(L, rng)
+
+
+# -- random nilpotent algebras ----------------------------------------------------
+
+RANDOM_NILPOTENT_COUNT = 30
+
+
+def _central_extension(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
+    """``L`` extended by one vector X_{n+1} (Skjelbred–Sund): dw^{n+1} is a
+    random {−2, …, 2} combination of a basis of the closed 2-forms of ``L``."""
+    n = L.dim
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    triples = {t: r for r, t in enumerate(itertools.combinations(range(1, n + 1), 3))}
+    d = [{} for _ in triples]  # d on Λ², one column per pair
+    for col, (a, b) in enumerate(pairs):
+        image = ExteriorForm.basis_form(L, [Cov(a, False), Cov(b, False)]).ce_differential()
+        for mi, c in image.terms.items():
+            d[triples[tuple(cv.index for cv in mi)]][col] = c.constant_value()
+    dw = {}
+    for row in linalg.nullspace(d, len(pairs)).rows:
+        r = rng.randint(-2, 2)
+        for col, x in row.items():
+            dw[col] = dw.get(col, 0) + r * x
+    brackets = {key: dict(comp) for key, comp in L.brackets.items()}
+    for col, x in dw.items():
+        if x:
+            # dw^k = Σ x·w^a∧w^b  ⟹  [X_a, X_b] = −Σ x·X_k
+            brackets.setdefault(pairs[col], {})[n + 1] = -x
+    return LieAlgebra(n + 1, brackets)
+
+
+@cache
+def _random_nilpotent_algebras() -> list[LieAlgebra]:
+    """Nilpotent Lie algebras of dimension 3..6, central extensions of a_2
+    from a fixed seed; ``validate`` is their oracle, not their filter."""
+    rng = random.Random(19)
+    algebras = []
+    for _ in range(RANDOM_NILPOTENT_COUNT):
+        L = abelian(2)
+        for _ in range(rng.randint(1, 4)):
+            L = _central_extension(L, rng)
+        L.validate()
+        algebras.append(L)
+    return algebras
+
+
+def test_random_nilpotent_algebras_span_dimensions_3_to_6():
+    algebras = _random_nilpotent_algebras()
+    assert {L.dim for L in algebras} == {3, 4, 5, 6}
+    assert max(L.nilpotency_index() for L in algebras) >= 4
+
+
+@pytest.mark.parametrize("index", range(RANDOM_NILPOTENT_COUNT))
+def test_h1_theta_basis_agrees_on_both_complexes_of_random_algebras(index):
+    """The scalar complex names and lists Θ's degree-1 harmonic basis
+    exactly as the Θ complex built from the same brackets does."""
+    L = _random_nilpotent_algebras()[index]
+    scalar = build_decomposition(L).h1_theta_basis()
+    theta = build_theta_decomposition(to_complex_structure(L)).h1_theta_basis()
+    assert [(name, str(h)) for name, h in scalar] == [(name, str(h)) for name, h in theta], \
+        L.brackets
+
+
+@pytest.mark.parametrize("index", range(0, RANDOM_NILPOTENT_COUNT, 6))
+def test_scalar_blocks_match_the_full_theta_matrices_on_random_algebras(index):
+    L = _random_nilpotent_algebras()[index]
+    _assert_scalar_blocks_match(L, random.Random(index))
+
+
 # -- sparse operators on polynomial coefficients against dense products ---------
 
 ORACLE_COMPLEXES = ([(name, kind) for kind in ("scalar", "theta") for name in SMALL_LIE_ENTRIES]
@@ -459,7 +573,7 @@ def _random_form(dec, q: int, rng: random.Random, vector: bool):
     terms = {}
     for cell in rng.sample(dec.cells(q), min(dec.dim(q), rng.randint(1, 5))):
         if dec.kind == "scalar" and vector:
-            cell = (cell, (rng.randint(1, dec.ambient.complex_dim), False))
+            cell = (cell, rng.randint(1, dec.ambient.complex_dim))
         terms[cell] = parse_polynomial(rng.choice(_COEFFICIENTS))
     if dec.kind == "theta" or vector:
         return VectorForm(dec.ambient, terms)

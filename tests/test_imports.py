@@ -3,8 +3,9 @@ every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential
 and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
-``kind``, each ambient protocol method is defined once in the package, and
-every ``/`` in the package divides a ``Fraction``."""
+``kind``, ``algebra`` imports nothing from ``exterior``, each ambient
+protocol method is defined once in the package, and every ``/`` in the
+package divides a ``Fraction``."""
 
 import ast
 from collections import Counter
@@ -227,6 +228,46 @@ def test_hodge_builds_no_dense_coordinate_vector():
     """Projections, ∂̄ and δ act on a form's terms; a zero-filled list of
     polynomial coordinates is the dense round trip they replace."""
     assert _polynomial_zero_calls((PACKAGE / "hodge.py").read_text(encoding="utf-8")) == []
+
+
+def _imports_of(source: str, module: str) -> list[str]:
+    """``line:statement`` for each import of the package module ``module``
+    or of a name in it, relative or through ``kuranil``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == f"kuranil.{module}" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = (node.level == 1 and node.module is None) or node.module == "kuranil"
+            hit = (node.module == f"kuranil.{module}"
+                   or (node.level == 1 and node.module == module)
+                   or (package and any(a.name == module for a in node.names)))
+        else:
+            continue
+        if hit:
+            found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
+    return [text for _, text in sorted(found)]
+
+
+def test_imports_of_a_module_are_found():
+    source = ("from .exterior import VectorKey\n"
+              "from . import exterior, linalg\n"
+              "from kuranil.exterior import Cov\n"
+              "import kuranil.exterior\n"
+              "from kuranil import exterior as ext\n"
+              "from .linalg import Subspace\n"
+              "from exterior import Cov\n"
+              "from ..exterior import Cov\n"
+              "import exterior\n")
+    assert _imports_of(source, "exterior") == [
+        "1:from .exterior import VectorKey", "2:from . import exterior, linalg",
+        "3:from kuranil.exterior import Cov", "4:import kuranil.exterior",
+        "5:from kuranil import exterior as ext"]
+
+
+def test_algebra_imports_nothing_from_exterior():
+    """The ambient is read by forms and must not depend on them."""
+    assert _imports_of((PACKAGE / "algebra.py").read_text(encoding="utf-8"), "exterior") == []
 
 
 PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")

@@ -17,7 +17,7 @@ from kuranil.algebra import (
     parse_structure_file,
     to_complex_structure,
 )
-from kuranil.exterior import AmbientMismatch, BarredVectorError, ExteriorForm, VectorForm
+from kuranil.exterior import AmbientMismatch, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
@@ -71,8 +71,8 @@ def _wedge_and_bracket(a, b):
     """ᾱ∧β̄⊗[X,Y] summed over the components of ``a`` and ``b``."""
     L = a.ambient
     out = VectorForm.zero(L)
-    for (i, _), alpha in a.components.items():
-        for (j, _), beta in b.components.items():
+    for i, alpha in a.components.items():
+        for j, beta in b.components.items():
             for (k, _), c in L.vector_bracket(i, False, j, False).items():
                 out = out + VectorForm.single(L, alpha.wedge(beta).scale(c), k)
     return out
@@ -136,16 +136,6 @@ def test_bracket_sum_equals_sum_over_ordered_pairs(which):
         for i in range(1, k):
             ordered = ordered + schouten_general(series.phi(i), series.phi(k - i))
         assert series.bracket_sum(k) == ordered
-
-
-def test_schouten_parallelisable_rejects_barred_vectors():
-    L = parse_salamon("(0,0,12)")
-    a = VectorForm.single(L, _cw(L, 1), 1, barred=True)
-    b = VectorForm.single(L, _cw(L, 2), 2)
-    with pytest.raises(BarredVectorError):
-        schouten_general(a, b)
-    with pytest.raises(BarredVectorError):
-        schouten_general(b, a)
 
 
 def test_schouten_general_reduces_to_parallelisable():
