@@ -61,11 +61,9 @@ from .hodge import (
     build_decomposition,
     build_theta_decomposition,
     hodge_numbers,
-    theta_cohomology_dims,
 )
 from .kuranishi import (
     ClosednessViolation,
-    KuranishiReport,
     MissingDegreeCap,
     ObstructionResult,
     PhiSeries,
@@ -88,7 +86,6 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     PolynomialParseError,
-    all_parameters,
     minor2,
     minor3,
     parse_polynomial,
@@ -111,7 +108,6 @@ __all__ = [
     "GroebnerTimeout",
     "HodgeDecomposition",
     "JacobiViolation",
-    "KuranishiReport",
     "LEX",
     "LieAlgebra",
     "MissingDegreeCap",
@@ -129,7 +125,6 @@ __all__ = [
     "Subspace",
     "VectorForm",
     "abelian",
-    "all_parameters",
     "analyze",
     "analyze_general",
     "buchberger",
@@ -160,7 +155,6 @@ __all__ = [
     "s_polynomial",
     "schouten_general",
     "smoothness_tests",
-    "theta_cohomology_dims",
     "to_complex_structure",
     "var_poly",
     "__version__",

@@ -207,10 +207,6 @@ class LieAlgebra(_FrameAlgebra):
         spans = [{k - 1: c for k, c in comp.items()} for comp in self.brackets.values()]
         return Subspace.from_vectors(self.dim, spans)
 
-    def derived_annihilator(self) -> Subspace:
-        """Ann([g,g]) inside the dual space; its dimension is h^{0,1}."""
-        return linalg.nullspace(self.derived_algebra().rows, self.dim)
-
     def is_abelian(self) -> bool:
         return not self.brackets
 

@@ -77,11 +77,45 @@ def cmd_analyze(args) -> int:
             report = analyze(algebra)  # validates the algebra itself
     except (JacobiViolation, NotNilpotent) as exc:
         raise InputError(f"{args.algebra!r} is not a nilpotent Lie algebra: {exc}") from None
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.to_text())
+    print(json.dumps(report, indent=2) if args.json else report_text(report))
     return EXIT_OK
+
+
+def report_text(report: dict) -> str:
+    """The text layout of an ``analyze`` report; a general-path report is
+    the one with a ``kind``."""
+    if "kind" in report:
+        lines = [
+            f"algebra        {report['algebra']}",
+            f"dim            {report['dim']}",
+            f"kind           {report['kind']}",
+            f"max degree     {report['max_degree']}",
+            f"h^1(Theta)     {report['h1_theta']}",
+            f"generators     {len(report['obstruction_generators'])}",
+        ]
+        lines += [f"    {g}" for g in report["obstruction_generators"]]
+        for k in sorted(report["phi"], key=int):
+            lines.append(f"phi_{k}          {report['phi'][k]}")
+        for k in sorted(report["dropped_coexact"], key=int):
+            lines.append(f"dropped[{k}]     {report['dropped_coexact'][k]}")
+    else:
+        lines = [
+            f"algebra        {report['algebra']}",
+            f"dim            {report['dim']}",
+            f"nu             {report['nu']}",
+            f"h^1(Theta)     {report['h1_theta']}",
+            f"hodge h^{{0,q}}  {report['hodge_numbers']}",
+            f"free verdict   {report['free_verdict']}",
+            f"smooth         {'yes' if report['smooth'] else 'no'}",
+            f"generators     {len(report['obstruction_generators'])}",
+        ]
+        lines += [f"    {g}" for g in report["obstruction_generators"]]
+        lines.append(f"cylinder dim d {report['cylinder_dim']}")
+        lines.append(f"central subspace dim {report['parallelisable_subspace']['dim']}")
+        if report["kuranishi_dim"] is not None:
+            lines.append(f"Kuranishi dim  {report['kuranishi_dim']} (smooth)")
+    lines += [f"[{note['tag']}] {note['note']}" for note in report["annotations"]]
+    return "\n".join(lines)
 
 
 def cmd_catalog(args) -> int:

@@ -254,6 +254,8 @@ class VectorForm(_TermMap):
 
     @staticmethod
     def single(ambient, form: ExteriorForm, index: int) -> "VectorForm":
+        if not 1 <= index <= ambient.complex_dim:
+            raise ValueError(f"frame index {index} out of range")
         if form.ambient is not ambient:
             raise AmbientMismatch("component form over a different ambient")
         return VectorForm(ambient, {(mi, index): c for mi, c in form.terms.items()})

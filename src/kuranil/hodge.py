@@ -110,10 +110,15 @@ class HodgeDecomposition:
 
     def _coordinates(self, obj, q: int):
         """``(cell index, frame index, coefficient)`` per term of ``obj``; the
-        frame index is None unless ``obj`` is a VectorForm over the scalar complex."""
+        frame index is None unless ``obj`` is a VectorForm over the scalar
+        complex.  A VectorForm's frame indices must lie in 1..n."""
         index = self._index[q]
-        split = self.kind == "scalar" and isinstance(obj, VectorForm)
+        vector = isinstance(obj, VectorForm)
+        split = self.kind == "scalar" and vector
+        n = self.ambient.complex_dim
         for cell, coeff in obj.terms.items():
+            if vector and not 1 <= cell[1] <= n:
+                raise ValueError(f"frame index {cell[1]} is outside 1..{n}")
             key = None
             if split:
                 cell, key = cell
@@ -367,8 +372,3 @@ def hodge_numbers(L) -> list[int]:
     dec = build_decomposition(L)
     return [dec.harmonic_dim(q) for q in range(L.complex_dim + 1)]
 
-
-def theta_cohomology_dims(L) -> list[int]:
-    """h^q(Θ) = h^{0,q} · dim g for q = 0..n."""
-    n = L.complex_dim
-    return [h * n for h in hodge_numbers(L)]

@@ -24,6 +24,9 @@ the three-term Schouten formula, and one recursion; on a parallelisable
 structure ∂̄ kills every frame vector, the ∂-terms of the bracket vanish, and
 the Hodge layer stores Θ as copies of the scalar complex.  Which complex a
 decomposition stores is for ``kuranil.hodge`` alone.
+
+``analyze`` and ``analyze_general`` return their result as a plain dict of
+JSON values, the report that ``kuranil analyze`` prints as JSON or as text.
 """
 
 from __future__ import annotations
@@ -401,70 +404,9 @@ def _overview_annotations(L, report: dict) -> list[dict]:
     return notes
 
 
-class KuranishiReport:
-    """Aggregated analysis of one algebra, JSON-serializable and stable."""
-
-    def __init__(self, data: dict):
-        self.data = data
-
-    def __getitem__(self, key):
-        return self.data[key]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, KuranishiReport):
-            return self.data == other.data
-        return NotImplemented
-
-    def to_dict(self) -> dict:
-        return self.data
-
-    @staticmethod
-    def from_dict(data: dict) -> "KuranishiReport":
-        return KuranishiReport(data)
-
-    def to_text(self) -> str:
-        d = self.data
-        if "kind" in d:
-            lines = [
-                f"algebra        {d['algebra']}",
-                f"dim            {d['dim']}",
-                f"kind           {d['kind']}",
-                f"max degree     {d['max_degree']}",
-                f"h^1(Theta)     {d['h1_theta']}",
-                f"generators     {len(d['obstruction_generators'])}",
-            ]
-            for g in d["obstruction_generators"]:
-                lines.append(f"    {g}")
-            for k in sorted(d["phi"], key=int):
-                lines.append(f"phi_{k}          {d['phi'][k]}")
-            for k in sorted(d["dropped_coexact"], key=int):
-                lines.append(f"dropped[{k}]     {d['dropped_coexact'][k]}")
-            for note in d["annotations"]:
-                lines.append(f"[{note['tag']}] {note['note']}")
-            return "\n".join(lines)
-        lines = [
-            f"algebra        {d['algebra']}",
-            f"dim            {d['dim']}",
-            f"nu             {d['nu']}",
-            f"h^1(Theta)     {d['h1_theta']}",
-            f"hodge h^{{0,q}}  {d['hodge_numbers']}",
-            f"free verdict   {d['free_verdict']}",
-            f"smooth         {'yes' if d['smooth'] else 'no'}",
-            f"generators     {len(d['obstruction_generators'])}",
-        ]
-        for g in d["obstruction_generators"]:
-            lines.append(f"    {g}")
-        lines.append(f"cylinder dim d {d['cylinder_dim']}")
-        lines.append(f"central subspace dim {d['parallelisable_subspace']['dim']}")
-        if d["kuranishi_dim"] is not None:
-            lines.append(f"Kuranishi dim  {d['kuranishi_dim']} (smooth)")
-        for note in d["annotations"]:
-            lines.append(f"[{note['tag']}] {note['note']}")
-        return "\n".join(lines)
-
-
-def analyze(L: LieAlgebra) -> KuranishiReport:
-    """Full parallelisable-path analysis of a validated nilpotent Lie algebra."""
+def analyze(L: LieAlgebra) -> dict:
+    """Full parallelisable-path analysis of a validated nilpotent Lie algebra,
+    as the report dict that ``kuranil analyze --json`` prints."""
     L.validate()
     decomposition = hodge.build_decomposition(L)
     series = phi_recursion(decomposition)
@@ -496,14 +438,15 @@ def analyze(L: LieAlgebra) -> KuranishiReport:
         },
     }
     data["annotations"] = _overview_annotations(L, data)
-    return KuranishiReport(data)
+    return data
 
 
-def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
-                    initial: VectorForm | None = None) -> KuranishiReport:
-    """Capped analysis over a general integrable structure (vector-valued complex)."""
+def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3) -> dict:
+    """Capped analysis over a general integrable structure (vector-valued
+    complex) from the generic Φ₁, as the report dict that ``kuranil analyze
+    --general --json`` prints."""
     decomposition = hodge.build_theta_decomposition(csa)
-    series = phi_recursion(decomposition, max_degree, initial)
+    series = phi_recursion(decomposition, max_degree)
     obstruction_by_degree = {}
     generators: list[Polynomial] = []
     for k in sorted(series.harmonic_parts):
@@ -513,7 +456,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
                                              for (r, _), p in sorted(coeffs.items())}
             generators.extend(coeffs.values())
     gens = groebner.canonical_generators(generators)
-    data = {
+    return {
         "algebra": csa.name,
         "dim": csa.n,
         "kind": csa.classify(),
@@ -529,4 +472,3 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3,
                             for k, v in sorted(series.dropped_coexact.items())},
         "annotations": [],
     }
-    return KuranishiReport(data)

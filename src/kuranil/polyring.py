@@ -26,7 +26,6 @@ it, and with it every ``Polynomial`` built from one.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -409,7 +408,10 @@ _ONE = Polynomial({EMPTY_MONO: 1})
 
 
 def var_poly(i: int, j: int) -> Polynomial:
-    """The parameter ``t_i^j`` as a polynomial."""
+    """The parameter ``t_i^j`` as a polynomial; both indices count from 1,
+    since ``(0, 0)`` is the elimination variable ``u``."""
+    if i < 1 or j < 1:
+        raise ValueError(f"parameter indices count from 1, got t{i}_{j}")
     return Polynomial.variable((i, j))
 
 
@@ -483,7 +485,10 @@ def _tokenize(text: str) -> list:
                 raise PolynomialParseError(f"zero denominator in {m.group('number')!r}")
             tokens.append(("num", Fraction(int(p), int(q or 1))))
         elif m.group("tvar"):
-            tokens.append(("var", (int(m.group("ti")), int(m.group("tj")))))
+            var = (int(m.group("ti")), int(m.group("tj")))
+            if 0 in var:
+                raise PolynomialParseError(f"parameter indices count from 1: {m.group(0)}")
+            tokens.append(("var", var))
         elif m.group("uvar"):
             tokens.append(("var", UVAR))
         elif m.group("minor"):
@@ -494,7 +499,7 @@ def _tokenize(text: str) -> list:
                     f"{m.group('mname')} needs {size} lower and {size} upper digits: {m.group(0)}")
             try:
                 tokens.append(("poly", minor(*(int(d) for d in low + up))))
-            except ValueError as exc:  # a repeated index
+            except ValueError as exc:  # a repeated index or an index 0
                 raise PolynomialParseError(f"{m.group(0)}: {exc}") from None
         else:
             tokens.append(("op", m.group("op")))
@@ -589,7 +594,3 @@ def parse_polynomial(text: str) -> Polynomial:
         raise PolynomialParseError(f"trailing tokens at {parser.pos}")
     return poly
 
-
-def all_parameters(m: int, n: int) -> list[Var]:
-    """Row-major list of the parameters ``t_i^j`` for ``1 <= i <= m``, ``1 <= j <= n``."""
-    return [(i, j) for i, j in itertools.product(range(1, m + 1), range(1, n + 1))]

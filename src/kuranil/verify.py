@@ -39,10 +39,6 @@ class CheckResult:
     detail: str = ""
     seconds: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return self.status != "FAIL"
-
 
 def _timed(results: list[CheckResult], entry: str, check: str, started: float,
            passed: bool, detail: str = "") -> None:

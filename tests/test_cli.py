@@ -21,7 +21,7 @@ from kuranil.cli import (
     load_algebra,
     main,
 )
-from kuranil.kuranishi import KuranishiReport, analyze
+from kuranil.kuranishi import analyze
 from kuranil.polyring import GREVLEX
 from kuranil.verify import CheckResult, run_entry_checks
 
@@ -81,9 +81,8 @@ def test_analyze_text_report(capsys):
 def test_analyze_json_round_trips_to_equal_report(capsys):
     assert main(["analyze", "heisenberg", "--json"]) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
-    report = KuranishiReport.from_dict(payload)
-    assert report == analyze(catalog.get("heisenberg").build())
-    assert report["smooth"] is True
+    assert payload == analyze(catalog.get("heisenberg").build())
+    assert payload["smooth"] is True
 
 
 def test_analyze_file_input(tmp_path, capsys):
@@ -268,7 +267,6 @@ def test_run_entry_checks_detects_wrong_expectations():
     results = run_entry_checks(entry)
     invariants = [r for r in results if r.check == "invariants"]
     assert invariants and invariants[0].status == "FAIL"
-    assert not invariants[0].ok
 
 
 @pytest.mark.parametrize("value", [float("nan"), -1], ids=["nan", "-1"])

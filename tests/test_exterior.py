@@ -180,6 +180,13 @@ def test_vector_form_single_component_round_trip():
     assert not vf.component(1)
 
 
+@pytest.mark.parametrize("index", [0, 4, 99])
+def test_vector_form_single_rejects_a_frame_index_outside_1_to_n(index):
+    csa = _csa()
+    with pytest.raises(ValueError):
+        VectorForm.single(csa, w(csa, 1, barred=True), index)
+
+
 def test_vector_form_linear_structure():
     csa = _csa()
     a = VectorForm.single(csa, w(csa, 1, barred=True), 1)

@@ -1,14 +1,12 @@
 """Exact decompositions image ⊕ harmonic ⊕ coimage with explicit preimages."""
 
 from fractions import Fraction
-from functools import cache
-import itertools
 from math import comb
 import random
 
 import pytest
 
-from kuranil import catalog, linalg
+from kuranil import catalog
 from kuranil.algebra import (
     LieAlgebra,
     abelian,
@@ -25,10 +23,10 @@ from kuranil.hodge import (
     build_decomposition,
     build_theta_decomposition,
     hodge_numbers,
-    theta_cohomology_dims,
 )
 from kuranil.linalg import identity, mat_mul, transpose
 from kuranil.polyring import parse_polynomial
+from random_algebras import RANDOM_NILPOTENT_COUNT, random_nilpotent_algebras
 
 ALGEBRAS = ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13+24)",
             "(0,0,12,13,14+23)")
@@ -91,12 +89,6 @@ def test_hodge_numbers_of_abelian_are_binomials():
 def test_hodge_numbers_frozen_examples():
     assert hodge_numbers(parse_salamon("(0,0,12)")) == [1, 2, 2, 1]
     assert hodge_numbers(parse_salamon("(0,0,0,12)")) == [1, 3, 4, 3, 1]
-
-
-def test_theta_cohomology_is_hodge_times_dim():
-    L = parse_salamon("(0,0,0,12)")
-    assert theta_cohomology_dims(L) == [h * 4 for h in hodge_numbers(L)]
-    assert theta_cohomology_dims(L)[1] == 12
 
 
 def test_space_dims_partition_each_degree():
@@ -283,6 +275,30 @@ def test_form_operators_reject_a_form_over_another_ambient(kind):
         for obj in (form, type(form).zero(other)):
             with pytest.raises(AmbientMismatch):
                 call(obj)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "theta"])
+@pytest.mark.parametrize("index", [0, 99])
+def test_form_operators_reject_a_frame_index_outside_1_to_n(kind, index):
+    """A VectorForm built with the raw constructor and a frame index outside
+    1..n is rejected as such, not carried along or read as a wrong degree."""
+    L = parse_salamon("(0,0,12)")
+    ambient = L if kind == "scalar" else to_complex_structure(L)
+    dec = (build_decomposition if kind == "scalar" else build_theta_decomposition)(ambient)
+    cw3 = (Cov(3, True),)
+    one = VectorForm(ambient, {(cw3, index): 1})
+    two = VectorForm(ambient, {((Cov(1, True), Cov(2, True)), index): 1})
+    calls = [(one, dec.project_exact), (one, dec.project_harmonic),
+             (one, dec.project_coexact), (one, lambda f: dec.in_space(f, "H")),
+             (one, dec.is_closed), (two, dec.harmonic_coefficients), (two, dec.delta_op)]
+    for form, call in calls:
+        with pytest.raises(ValueError, match="frame index"):
+            call(form)
+    # the frame index is checked before the cell: DegreeMismatch is a ValueError too
+    with pytest.raises(ValueError, match="frame index"):
+        dec.project_exact(one, 2)
+    # a well-formed form still projects
+    assert dec.project_exact(VectorForm(ambient, {(cw3, 1): 1})).is_zero
 
 
 def _assert_d_squared_vanishes(dec):
@@ -495,50 +511,8 @@ def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
 
 # -- random nilpotent algebras ----------------------------------------------------
 
-RANDOM_NILPOTENT_COUNT = 30
-
-
-def _central_extension(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
-    """``L`` extended by one vector X_{n+1} (Skjelbred–Sund): dw^{n+1} is a
-    random {−2, …, 2} combination of a basis of the closed 2-forms of ``L``."""
-    n = L.dim
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    triples = {t: r for r, t in enumerate(itertools.combinations(range(1, n + 1), 3))}
-    d = [{} for _ in triples]  # d on Λ², one column per pair
-    for col, (a, b) in enumerate(pairs):
-        image = ExteriorForm.basis_form(L, [Cov(a, False), Cov(b, False)]).ce_differential()
-        for mi, c in image.terms.items():
-            d[triples[tuple(cv.index for cv in mi)]][col] = c.constant_value()
-    dw = {}
-    for row in linalg.nullspace(d, len(pairs)).rows:
-        r = rng.randint(-2, 2)
-        for col, x in row.items():
-            dw[col] = dw.get(col, 0) + r * x
-    brackets = {key: dict(comp) for key, comp in L.brackets.items()}
-    for col, x in dw.items():
-        if x:
-            # dw^k = Σ x·w^a∧w^b  ⟹  [X_a, X_b] = −Σ x·X_k
-            brackets.setdefault(pairs[col], {})[n + 1] = -x
-    return LieAlgebra(n + 1, brackets)
-
-
-@cache
-def _random_nilpotent_algebras() -> list[LieAlgebra]:
-    """Nilpotent Lie algebras of dimension 3..6, central extensions of a_2
-    from a fixed seed; ``validate`` is their oracle, not their filter."""
-    rng = random.Random(19)
-    algebras = []
-    for _ in range(RANDOM_NILPOTENT_COUNT):
-        L = abelian(2)
-        for _ in range(rng.randint(1, 4)):
-            L = _central_extension(L, rng)
-        L.validate()
-        algebras.append(L)
-    return algebras
-
-
 def test_random_nilpotent_algebras_span_dimensions_3_to_6():
-    algebras = _random_nilpotent_algebras()
+    algebras = random_nilpotent_algebras()
     assert {L.dim for L in algebras} == {3, 4, 5, 6}
     assert max(L.nilpotency_index() for L in algebras) >= 4
 
@@ -547,7 +521,7 @@ def test_random_nilpotent_algebras_span_dimensions_3_to_6():
 def test_h1_theta_basis_agrees_on_both_complexes_of_random_algebras(index):
     """The scalar complex names and lists Θ's degree-1 harmonic basis
     exactly as the Θ complex built from the same brackets does."""
-    L = _random_nilpotent_algebras()[index]
+    L = random_nilpotent_algebras()[index]
     scalar = build_decomposition(L).h1_theta_basis()
     theta = build_theta_decomposition(to_complex_structure(L)).h1_theta_basis()
     assert [(name, str(h)) for name, h in scalar] == [(name, str(h)) for name, h in theta], \
@@ -556,7 +530,7 @@ def test_h1_theta_basis_agrees_on_both_complexes_of_random_algebras(index):
 
 @pytest.mark.parametrize("index", range(0, RANDOM_NILPOTENT_COUNT, 6))
 def test_scalar_blocks_match_the_full_theta_matrices_on_random_algebras(index):
-    L = _random_nilpotent_algebras()[index]
+    L = random_nilpotent_algebras()[index]
     _assert_scalar_blocks_match(L, random.Random(index))
 
 

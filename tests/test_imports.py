@@ -4,8 +4,9 @@ it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential
 and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
 ``kind``, ``algebra`` imports nothing from ``exterior``, each ambient
-protocol method is defined once in the package, and every ``/`` in the
-package divides a ``Fraction``."""
+protocol method is defined once in the package, every ``/`` in the
+package divides a ``Fraction``, and every name ``kuranil`` exports is read
+by the package or the benchmark, or declared library-only."""
 
 import ast
 from collections import Counter
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kuranil"
+import kuranil
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kuranil"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -332,3 +336,38 @@ def test_module_divides_only_fractions(module):
     by an int is a float: every division in the package must be exact."""
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert _divisions_without_fraction(source) == []
+
+
+# Exports that no module of the package and no benchmark script reads: the
+# constructors and oracles that library users and the tests call.
+LIBRARY_ONLY = ("abelian", "direct_sum", "free_two_step", "hodge_numbers", "mc_residual",
+                "random_central_assignment", "s_polynomial", "__version__")
+
+
+def _unread_exports(exports, sources) -> list[str]:
+    """The names of ``exports`` that no source loads, as a name or as an
+    attribute; importing a name is not reading it."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(set(exports) - read)
+
+
+def test_unread_exports_are_found():
+    sources = ["from .m import called, imported\ncalled(obj.attr)\n",
+               "obj.stored = 1\nwritten = 2\n"]
+    exports = ["called", "attr", "imported", "stored", "written"]
+    assert _unread_exports(exports, sources) == ["imported", "stored", "written"]
+
+
+def test_every_export_is_read_or_declared_library_only():
+    """Each name in ``kuranil.__all__`` is read by a package module other
+    than ``__init__`` or by ``perfbench``, or listed in ``LIBRARY_ONLY``;
+    an export that loses its last reader shows up here."""
+    paths = [PACKAGE / m for m in MODULES] + sorted((ROOT / "perfbench").glob("*.py"))
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    assert _unread_exports(kuranil.__all__, sources) == sorted(LIBRARY_ONLY)

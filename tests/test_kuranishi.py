@@ -17,12 +17,12 @@ from kuranil.algebra import (
     parse_structure_file,
     to_complex_structure,
 )
+from kuranil.cli import report_text
 from kuranil.exterior import AmbientMismatch, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
     ClosednessViolation,
-    KuranishiReport,
     MissingDegreeCap,
     ObstructionResult,
     analyze,
@@ -416,9 +416,8 @@ def test_analyze_report_content_and_round_trip():
     assert report["hodge_numbers"] == [1, 3, 4, 3, 1]
     assert ideal_equal([P(s) for s in report["obstruction_generators"]],
                        [P("delta[13;12]"), P("delta[23;12]")])
-    round_tripped = KuranishiReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert round_tripped == report
-    text = report.to_text()
+    assert json.loads(json.dumps(report)) == report
+    text = report_text(report)
     assert "nu" in text and "h^1(Theta)" in text
 
 
@@ -469,17 +468,20 @@ def test_analyze_general_report_and_round_trip():
     csa = _mixed7()
     initial = (VectorForm.single(csa, _cw(csa, 3), 1)
                + VectorForm.single(csa, _cw(csa, 4), 2))
-    report = analyze_general(csa, max_degree=3, initial=initial)
+    dec = build_theta_decomposition(csa)
+    series = phi_recursion(dec, 3, initial)
+    assert str(series.phi(2)) == "(2*cw7)*X6"
+    assert not series.harmonic_parts[2]  # no second-order obstruction
+    assert str(series.harmonic_parts[3]) == "(4*cw3^cw5)*X6"
+    coefficients = {k: dec.harmonic_coefficients(v)
+                    for k, v in series.harmonic_parts.items()}
+    assert [k for k, c in sorted(coefficients.items()) if c] == [3]
+    assert len(coefficients[3]) == 1
+    report = analyze_general(csa, 3)
     assert report["h1_theta"] == 31
     assert report["kind"] == "generic"
-    assert report["phi"]["2"] == "(2*cw7)*X6"
-    assert "2" not in report["harmonic_parts"]  # no second-order obstruction
-    assert report["harmonic_parts"]["3"] == "(4*cw3^cw5)*X6"
-    assert list(report["obstruction_by_degree"]) == ["3"]
-    assert len(report["obstruction_by_degree"]["3"]) == 1
-    round_tripped = KuranishiReport.from_dict(json.loads(json.dumps(report.to_dict())))
-    assert round_tripped == report
-    assert "phi_2" in report.to_text()
+    assert json.loads(json.dumps(report)) == report
+    assert "phi_2" in report_text(report)
 
 
 def test_closedness_violation_carries_diagnostics():

@@ -15,7 +15,6 @@ from kuranil.polyring import (
     MonomialOrder,
     Polynomial,
     PolynomialParseError,
-    all_parameters,
     minor2,
     minor3,
     mono_degree,
@@ -350,6 +349,19 @@ def test_parse_rejects_garbage():
             parse_polynomial(bad)
 
 
+def test_parse_rejects_an_index_0_that_would_read_as_u():
+    """``UVAR`` is the pair (0, 0), so ``t0_0`` would be the elimination
+    variable ``u`` under another name; parameter indices count from 1."""
+    for bad in ("t0_0", "t0_3", "t3_0", "delta[01;12]", "t0_0 + t1_1"):
+        with pytest.raises(PolynomialParseError):
+            parse_polynomial(bad)
+    assert parse_polynomial("u") == Polynomial.variable(UVAR)
+    assert parse_polynomial("t10_1") == t(10, 1)
+    for i, j in ((0, 0), (0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            var_poly(i, j)
+
+
 def test_minor_expansions_match_sympy_determinants():
     table = _sympy_symbol_table()
     m = sympy.Matrix([[table[(1, 1)], table[(1, 2)]],
@@ -361,12 +373,6 @@ def test_minor_expansions_match_sympy_determinants():
 
 def test_minor2_antisymmetry():
     assert minor2(1, 2, 1, 2) == -minor2(2, 1, 1, 2) == -minor2(1, 2, 2, 1)
-
-
-def test_all_parameters_grid():
-    params = all_parameters(2, 3)
-    assert params == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]
-    assert params == sorted(params, key=var_rank)
 
 
 def test_str_is_order_aware_and_stable():
