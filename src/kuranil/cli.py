@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     results = run_catalog_checks(names or None, timeout=args.timeout)
     passed = skipped = 0
     for r in results:
-        line = f"[{r.status}] {r.entry} :: {r.check} ({r.seconds:.1f}s)"
+        line = f"[{r.status}] {r.entry} :: {r.check} ({r.seconds:.3f}s)"
         if r.detail:
             line += f" — {r.detail}"
         print(line)
@@ -216,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--timeout", type=_seconds, default=300.0,
                           metavar="SECONDS",
                           help="hard limit on the intersection check's "
-                               "elimination and final equality; 0 skips the "
-                               "check (default 300)")
+                               "elimination and final membership test; 0 "
+                               "skips the check (default 300)")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

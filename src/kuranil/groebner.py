@@ -1,9 +1,10 @@
 """Buchberger-based ideal arithmetic over exact rationals.
 
 Certifies that computed obstruction ideals equal published intersections of
-components: reduced Gröbner bases give canonical forms for ideal equality, and
-intersections are computed by the standard one-variable elimination trick.
-Ideal equality compares reduced grevlex bases; lex is used only inside that
+components: intersections are computed by the standard one-variable
+elimination trick, normal forms modulo a Gröbner basis decide membership, and
+reduced Gröbner bases give canonical forms for ideal equality.  Ideal
+equality compares reduced grevlex bases; lex is used only inside the
 elimination.  Generator lists are put into one canonical form by
 :func:`canonical_generators`.
 
@@ -41,6 +42,10 @@ list order whose leading monomial divides wins.  The deadline is read before
 every pair and every live reduction step.  Basis elements stay monic inside
 a computation and leave it normalised by
 :func:`~kuranil.polyring.primitive_scale`; a normal form leaves as it is.
+A :class:`GroebnerBasis` keeps the packing and prepped divisors of its last
+normal form, and the next one reuses them while the polynomial's variables
+and degree fit.  Otherwise it repacks over the union of the old variables
+and the new ones, its fields no narrower; an overflow widens them as above.
 
 Coefficients.  A coefficient is a canonical rational value, as everywhere in
 the package (:func:`~kuranil.polyring.rational`): an ``int`` while it is
@@ -88,13 +93,18 @@ class OrderMismatch(ValueError):
 
 
 class GroebnerBasis:
-    """A reduced Gröbner basis: normalized, pairwise fully reduced, sorted ascending."""
+    """A reduced Gröbner basis: normalized, pairwise fully reduced, sorted ascending.
 
-    __slots__ = ("order", "polys")
+    It keeps the packing and prepped divisors of its last normal form for
+    the next one; they take no part in ``==`` or ``hash``.
+    """
+
+    __slots__ = ("order", "polys", "_division")
 
     def __init__(self, order: MonomialOrder, polys: Sequence[Polynomial]):
         self.order = order
         self.polys = tuple(polys)
+        self._division: tuple[_Packing, list[tuple], frozenset] | None = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -112,6 +122,29 @@ class GroebnerBasis:
 
     def contains(self, p: Polynomial) -> bool:
         return normal_form(p, self).is_zero
+
+    def divisors(self, variables: set, degree: int) -> tuple[_Packing, list[tuple]]:
+        """A packing in this basis's order over ``variables`` and the basis's
+        own, whose fields hold ``degree`` and the basis's degrees, with the
+        basis prepped in it as divisors in list order.  The last one is kept
+        and returned while it fits; otherwise the next one spans the union of
+        its variables and ``variables``, its fields at least as wide."""
+        if self._division is None:
+            variables = variables.union(*(g.variables() for g in self.polys))
+            degree = max([degree, *(g.total_degree() for g in self.polys)])
+        else:
+            packing, divisors, known = self._division
+            if degree < packing.limit and variables <= known:
+                return packing, divisors
+            variables = variables | known
+            degree = max(degree, packing.limit - 1)  # the basis fits these fields
+        width = _FIRST_WIDTH
+        while degree >= 1 << (width - 1):
+            width *= 2
+        packing = _Packing(sorted(variables, key=var_rank), self.order, width)
+        divisors = [packing.prep(packing.pack(g)) for g in self.polys]
+        self._division = packing, divisors, frozenset(variables)
+        return packing, divisors
 
     def __repr__(self) -> str:
         body = ", ".join(g.to_str(self.order) for g in self.polys)
@@ -375,15 +408,19 @@ def _reduce_basis(prepped: list[tuple], packing: _Packing,
     return out
 
 
-def normal_form(p: Polynomial, G: GroebnerBasis) -> Polynomial:
+def normal_form(p: Polynomial, G: GroebnerBasis,
+                deadline: float | None = None) -> Polynomial:
     """Division remainder of ``p`` by ``G`` in ``G``'s order, dividing by
     ``G.polys`` in list order; zero iff ``p`` lies in the ideal when ``G`` is
-    a Gröbner basis."""
-    def remainder(packing: _Packing) -> Polynomial:
-        divisors = [packing.prep(packing.pack(g)) for g in G.polys]
-        return packing.polynomial(_divide(packing.pack(p), divisors, packing))
-
-    return _packed([p, *G.polys], G.order, remainder)
+    a Gröbner basis.  ``deadline`` is read before every reduction step, as
+    in :func:`buchberger`."""
+    variables, degree = p.variables(), p.total_degree()
+    while True:
+        packing, divisors = G.divisors(variables, degree)
+        try:
+            return packing.polynomial(_divide(packing.pack(p), divisors, packing, deadline))
+        except _Overflow:
+            degree = packing.limit  # the next packing has wider fields
 
 
 def _as_basis(I, deadline: float | None) -> GroebnerBasis:

@@ -4,7 +4,9 @@ Each check re-derives one stored invariant or certificate and reports PASS,
 FAIL or SKIP (the intersection check ran out of its time budget).  Every
 Gröbner basis is a grevlex basis.  Within one entry each is computed at most
 once, and each stored reading's containment verdict serves both the
-containment and the intersection check.
+containment and the intersection check: containment gives I ⊆ ∩ Qᵢ, so the
+intersection check only tests the intersection's generators for membership
+in the basis of I, which builds no basis of the intersection.
 """
 
 from __future__ import annotations
@@ -46,10 +48,12 @@ def _timed(results: list[CheckResult], entry: str, check: str, started: float,
                                detail, time.monotonic() - started))
 
 
-def _contained(gens: list[Polynomial], basis: GroebnerBasis) -> Polynomial | None:
-    """First generator not in the ideal spanned by ``basis``, or None."""
+def _contained(gens: list[Polynomial], basis: GroebnerBasis,
+               deadline: float | None = None) -> Polynomial | None:
+    """First generator not in the ideal spanned by ``basis``, or None;
+    ``deadline`` bounds the normal forms."""
     for g in gens:
-        if normal_form(g, basis):
+        if normal_form(g, basis, deadline):
             return g
     return None
 
@@ -89,9 +93,9 @@ def run_entry_checks(entry: catalog.CatalogEntry,
     """All verification checks for one catalog entry.
 
     ``timeout`` (seconds, ``>= 0``) is one hard limit on the intersection
-    check's elimination and final equality together; reaching it yields SKIP,
-    not FAIL, and ``0`` skips the certificate.  Any other value, ``nan``
-    included, raises :class:`ValueError` before a check runs.
+    check's elimination and final membership test together; reaching it
+    yields SKIP, not FAIL, and ``0`` skips the certificate.  Any other value,
+    ``nan`` included, raises :class:`ValueError` before a check runs.
     """
     if not timeout >= 0:
         raise ValueError(f"timeout must be seconds >= 0, got {timeout!r}")
@@ -189,8 +193,11 @@ def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
             for component in components[1:]:
                 intersection = ideal_intersect(intersection, component,
                                                deadline=deadline)
-            if ideal_equal(intersection, ideals.basis(ideals.gens, deadline),
-                           deadline=deadline):
+            # The containment verdict already gives I ⊆ ∩ Qᵢ, so equality
+            # is ∩ Qᵢ ⊆ I: every generator of the intersection reduces to
+            # zero modulo the basis of I.
+            if _contained(intersection, ideals.basis(ideals.gens, deadline),
+                          deadline) is None:
                 return CheckResult(entry.name, "intersection", "PASS",
                                    f"{label} reading",
                                    time.monotonic() - started)

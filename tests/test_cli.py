@@ -21,8 +21,9 @@ from kuranil.cli import (
     load_algebra,
     main,
 )
+from kuranil.groebner import canonical_generators, ideal_equal, ideal_intersect
 from kuranil.kuranishi import analyze
-from kuranil.polyring import GREVLEX
+from kuranil.polyring import GREVLEX, parse_polynomial
 from kuranil.verify import CheckResult, run_entry_checks
 
 
@@ -292,12 +293,94 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
         inputs.append((order, gens))
         return original(gens, order, deadline)
 
+    original_intersect = verify.ideal_intersect
+    intersections = []
+
+    def recording_intersect(I, J, deadline=None):
+        out = original_intersect(I, J, deadline=deadline)
+        intersections.append(tuple(out))
+        return out
+
     monkeypatch.setattr(groebner, "buchberger", recording)
     monkeypatch.setattr(verify, "buchberger", recording)
+    monkeypatch.setattr(verify, "ideal_intersect", recording_intersect)
     results = run_entry_checks(catalog.get("(0,0,0,12,13)"))
     assert all(r.status == "PASS" for r in results)
     assert {"component-containment", "intersection"} <= {r.check for r in results}
     assert inputs and len(set(inputs)) == len(inputs)
+    # The intersection is tested for membership in the basis of the computed
+    # ideal; no basis of its own generators is built.
+    assert intersections
+    grevlex_inputs = {tuple(canonical_generators(gens))
+                      for order, gens in inputs if order == GREVLEX}
+    assert not grevlex_inputs & set(intersections)
+
+
+@pytest.mark.parametrize("name, dropped", [
+    ("(0,0,0,12,13)", 0), ("(0,0,0,12,13)", 1), ("(0,0,12,13,14)", 2),
+], ids=["first-of-two", "second-of-two", "last-of-three"])
+def test_intersection_of_a_reading_missing_a_component_fails(name, dropped,
+                                                            monkeypatch, capsys):
+    from kuranil import verify
+
+    entry = catalog.get(name)
+    components = entry.published_components()
+    kept = components[:dropped] + components[dropped + 1:]
+    # Every kept component contains the computed ideal I, but the kept ones
+    # intersect to an ideal strictly larger than I.
+    gens = [parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]]
+    intersection = kept[0]
+    for component in kept[1:]:
+        intersection = ideal_intersect(intersection, component)
+    assert not ideal_equal(intersection, gens)
+
+    monkeypatch.setattr(verify, "_readings", lambda entry: [("main", kept)])
+    assert main(["verify", name]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert f"[PASS] {name} :: component-containment" in out
+    assert (f"[FAIL] {name} :: intersection" in out
+            and "— main reading: intersection differs from computed ideal\n" in out)
+
+
+class _ClockAfterFold:
+    """Stands in for ``groebner.monotonic`` while ``verify.ideal_intersect``
+    is wrapped by :meth:`fold`: no deadline has passed inside a step of the
+    elimination fold, and every deadline has passed once a step returns."""
+
+    def __init__(self, ideal_intersect):
+        self.expired = False
+        self._intersect = ideal_intersect
+
+    def __call__(self) -> float:
+        return math.inf if self.expired else -math.inf
+
+    def fold(self, I, J, deadline=None):
+        self.expired = False
+        out = self._intersect(I, J, deadline=deadline)
+        self.expired = True
+        return out
+
+
+@pytest.mark.parametrize("basis_held", [False, True],
+                         ids=["basis-after-fold", "basis-held"])
+def test_intersection_deadline_after_the_fold_reports_skip(basis_held, monkeypatch):
+    # With the basis of I not yet built, its Buchberger run meets the
+    # deadline; with it held, the membership normal forms must.
+    from kuranil import verify
+
+    entry = catalog.get("(0,0,0,12,13)")
+    ideals = verify._EntryIdeals(
+        [parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]])
+    if basis_held:
+        ideals.basis(ideals.gens)
+    readings = verify._readings(entry)
+    assert verify._containment_check(entry, ideals, readings).status == "PASS"
+    clock = _ClockAfterFold(verify.ideal_intersect)
+    monkeypatch.setattr(groebner, "monotonic", clock)
+    monkeypatch.setattr(verify, "ideal_intersect", clock.fold)
+    result = verify._intersection_check(entry, ideals, readings, timeout=300.0)
+    assert clock.expired  # the fold ran to the end
+    assert (result.status, result.detail) == ("SKIP", "timed out after 300s")
 
 
 # -- a reader that closes the pipe ---------------------------------------------

@@ -32,7 +32,7 @@ GOLDEN = DATA / "catalog_reports.json"
 GOLDEN_VERIFY = DATA / "catalog_verify.txt"
 GOLDEN_BASES = DATA / "catalog_bases.txt"
 
-_SECONDS = re.compile(r" \([0-9]+\.[0-9]s\)")
+_SECONDS = re.compile(r" \([0-9]+\.[0-9]{3}s\)")
 
 
 def _requests() -> list[list[str]]:

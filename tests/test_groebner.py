@@ -5,7 +5,7 @@ import math
 import random
 import time
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 import sympy
 
@@ -185,16 +185,24 @@ def test_ideal_equal_bases_share_one_deadline(monkeypatch):
 
 def test_deadline_stops_a_single_division(monkeypatch):
     # t1_2^6 reduces by t1_2 - t1_1 one power at a time: six reduction steps,
-    # then one step moving t1_1^6 into the remainder.
-    assert normal_form(t(1, 2) ** 6, GroebnerBasis(GREVLEX, [t(1, 2) - t(1, 1)])) \
-        == t(1, 1) ** 6
-    # normal_form takes no deadline; buchberger divides under one.  Its one
-    # S-polynomial here is -t1_1*t1_2^6: seven steps as above.  Around them:
-    # one read for that pair, two for the coprime pairs of t1_1^7, and three
-    # steps inter-reducing the basis.
-    gens = [t(1, 2) - t(1, 1), t(1, 2) ** 7]
+    # then one step moving t1_1^6 into the remainder.  Each reads the clock.
+    basis = GroebnerBasis(GREVLEX, [t(1, 2) - t(1, 1)])
     clock = _CountingClock()
     monkeypatch.setattr(groebner, "monotonic", clock)
+    assert normal_form(t(1, 2) ** 6, basis) == t(1, 1) ** 6
+    assert clock.reads == 0  # no deadline, no read
+    assert normal_form(t(1, 2) ** 6, basis, deadline=math.inf) == t(1, 1) ** 6
+    assert clock.reads == 7
+    clock.reads = 0
+    with pytest.raises(GroebnerTimeout):
+        normal_form(t(1, 2) ** 6, basis, deadline=3)
+    assert clock.reads == 3
+    # buchberger divides under its deadline too.  Its one S-polynomial here
+    # is -t1_1*t1_2^6: seven steps as above.  Around them: one read for that
+    # pair, two for the coprime pairs of t1_1^7, and three steps
+    # inter-reducing the basis.
+    gens = [t(1, 2) - t(1, 1), t(1, 2) ** 7]
+    clock.reads = 0
     assert buchberger(gens, deadline=math.inf).polys == (t(1, 2) - t(1, 1), t(1, 1) ** 7)
     assert clock.reads == 1 + 7 + 2 + 3
     clock.reads = 0
@@ -276,6 +284,77 @@ def test_buchberger_widens_overflowing_fields():
     basis = buchberger([x ** k * y, x * y ** k])
     assert basis.polys == (x ** k * y, x * y ** k)
     assert not normal_form(x ** k * y ** k, basis)
+
+
+# -- a basis keeps its packing between normal forms ---------------------------
+
+# A basis lives in the first three variables; the other two it never sees.
+_BASIS_VARIABLES = [(1, 1), (1, 2), (2, 1)]
+_OTHER_VARIABLES = [(2, 2), (3, 1)]
+
+
+def _polynomials(variables):
+    """Polynomials, zero among them, of up to three terms: each a small
+    integer times a monomial of up to two of ``variables``, squared at most."""
+    monomial = st.dictionaries(st.sampled_from(variables), st.integers(1, 2),
+                               max_size=2)
+    terms = st.lists(st.tuples(st.integers(-3, 3), monomial), min_size=1, max_size=3)
+
+    def build(pairs):
+        out = Polynomial.zero()
+        for c, mono in pairs:
+            term = Polynomial.constant(c)
+            for v, e in mono.items():
+                term = term * var_poly(*v) ** e
+            out = out + term
+        return out
+
+    return terms.map(build)
+
+
+def _probes():
+    """Polynomials to reduce: small ones over all five variables, and ones
+    of degree 128 and more through a power of a variable the basis lacks."""
+    small = _polynomials(_BASIS_VARIABLES + _OTHER_VARIABLES)
+    high = st.builds(lambda q, v, e: q * var_poly(*v) ** e,
+                     small, st.sampled_from(_OTHER_VARIABLES), st.integers(128, 130))
+    return st.lists(st.one_of(small, high), min_size=1, max_size=5)
+
+
+def _sympy_remainder(p, basis, order):
+    table, sgens = _sympy_env([p, *basis.polys])
+    if not basis.polys:
+        return _to_sympy(p, table)
+    _, remainder = sympy.reduced(_to_sympy(p, table),
+                                 [_to_sympy(g, table) for g in basis.polys],
+                                 *(sgens or [sympy.Symbol("z")]),  # constants only
+                                 order=order.kind, domain=sympy.QQ)
+    return sympy.expand(remainder)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from((GREVLEX, LEX)),
+       st.lists(_polynomials(_BASIS_VARIABLES), min_size=1, max_size=3), _probes())
+# lex: y - x^2 with y = t1_2 ranked above x = t1_1.  y^127 fits the first
+# field width, and its first reduction step makes a monomial of degree 128,
+# so the division overflows and the kept packing must widen.
+@example(LEX, [t(1, 2) - t(1, 1) ** 2], [t(1, 2) ** 127, t(1, 2) * t(2, 2)])
+# A basis of degree 130 needs wide fields from its first normal form on; the
+# repack for t2_2 must keep them, though the probe's degree would fit narrow ones.
+@example(GREVLEX, [t(1, 2) - t(1, 1) ** 130], [t(1, 1) ** 131, t(1, 1) ** 130 * t(2, 2)])
+def test_kept_packing_agrees_with_fresh_basis_and_sympy(order, gens, probes):
+    basis = buchberger(gens, order=order)
+    untouched = GroebnerBasis(order, basis.polys)
+    for p in probes:
+        remainder = normal_form(p, basis)
+        assert remainder == normal_form(p, GroebnerBasis(order, basis.polys))
+        table, _ = _sympy_env([p, *basis.polys])
+        assert _to_sympy(remainder, table) == _sympy_remainder(p, basis, order)
+    # The kept packing spans every probe's variables and degree.
+    packing, _ = basis.divisors(set(), 0)
+    assert set(packing.variables) >= set().union(*(p.variables() for p in probes))
+    assert packing.limit > max(p.total_degree() for p in probes)
+    assert basis == untouched and hash(basis) == hash(untouched)
 
 
 # -- reduced-basis postconditions on random ideals ---------------------------
