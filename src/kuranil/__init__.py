@@ -57,7 +57,6 @@ from .hodge import (
     DegreeMismatch,
     HodgeDecomposition,
     NotALieAlgebra,
-    PreimageError,
     build_decomposition,
     build_theta_decomposition,
     hodge_numbers,
@@ -65,7 +64,6 @@ from .hodge import (
 from .kuranishi import (
     ClosednessViolation,
     MissingDegreeCap,
-    ObstructionResult,
     PhiSeries,
     analyze,
     analyze_general,
@@ -115,12 +113,10 @@ __all__ = [
     "NotALieAlgebra",
     "NotIntegrable",
     "NotNilpotent",
-    "ObstructionResult",
     "OrderMismatch",
     "PhiSeries",
     "Polynomial",
     "PolynomialParseError",
-    "PreimageError",
     "StructureParseError",
     "Subspace",
     "VectorForm",

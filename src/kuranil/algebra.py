@@ -334,8 +334,9 @@ def _file_dim(dim: int | None, indices: list[int]) -> int:
     return n
 
 
-def parse_salamon(text: str) -> LieAlgebra:
-    """Parse structure strings like ``"(0,0,12,13+24)"``.
+def parse_salamon(text: str, name: str | None = None) -> LieAlgebra:
+    """Parse structure strings like ``"(0,0,12,13+24)"``; the algebra is named
+    ``name``, else the stripped string.
 
     Entry ``k`` is ``dw^k``: ``0`` or a sum of terms whose body is two distinct
     digits ``ab`` meaning ``w^a ∧ w^b``.  Digits must not exceed the dimension.
@@ -360,7 +361,7 @@ def parse_salamon(text: str) -> LieAlgebra:
             # dw^k = Σ A^k_ab w^a∧w^b  ⟹  [X_a, X_b] = −Σ_k A^k_ab X_k
             comp = brackets.setdefault((a, b), {})
             comp[k] = comp.get(k, Fraction(0)) - coef
-    return LieAlgebra(n, brackets, name=s)
+    return LieAlgebra(n, brackets, name=name or s)
 
 
 def parse_structure_file(text: str, name: str | None = None) -> LieAlgebra:

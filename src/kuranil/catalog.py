@@ -75,10 +75,7 @@ class CatalogEntry:
                                                 name=self.name)
         if self.salamon is None:
             raise CatalogError(f"{self.name}: parallelisable entry without structure string")
-        algebra = parse_salamon(self.salamon)
-        if algebra.name != self.name:
-            algebra = LieAlgebra(algebra.dim, algebra.brackets, name=self.name)
-        return algebra
+        return parse_salamon(self.salamon, name=self.name)
 
     def published_components(self, variant: bool = False) -> list[list[Polynomial]] | None:
         """Stored primary decomposition, or None when nothing is on record."""

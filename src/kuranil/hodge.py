@@ -38,7 +38,9 @@ exact rational arithmetic on barred index tuples.  The form-level ``delbar``
 and ``delbar_theta`` of ``kuranil.exterior`` compute the same maps on
 polynomial-coefficient forms and are their test oracle.
 
-δ inverts P∘∂̄ between V¹ and B² and is precomputed as a rational matrix.
+δ = ∂̄*G on degree 2: it sends a form to the ∂̄-preimage in V¹ of its exact
+part, so δ∘P = δ and ∂̄∘δ = P, and it vanishes on H² ⊕ V².  It is
+precomputed as a rational matrix and applies to every degree-2 form.
 Every entry of a ∂̄ matrix, a projector or δ is a canonical rational value
 (:func:`~kuranil.polyring.rational`): an ``int`` while it is integral, else
 a ``Fraction``, so projections and δ multiply polynomials by ints wherever
@@ -55,10 +57,6 @@ from . import linalg
 from .algebra import LieAlgebra
 from .exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from .polyring import Polynomial, linear_combination, rational
-
-
-class PreimageError(ValueError):
-    """delta_op input has a component outside B²."""
 
 
 class DegreeMismatch(ValueError):
@@ -289,9 +287,13 @@ class HodgeDecomposition:
         """Whether ``obj`` lies in B, H or V: whether the projector fixes it."""
         return self._project(obj, which, q).terms == obj.terms
 
-    def is_closed(self, obj, q: int | None = None) -> bool:
+    def delbar_op(self, obj, q: int | None = None):
+        """∂̄ of ``obj`` from degree q to q + 1, through the matrix ∂̄."""
         q = self._degree(obj, q)
-        return not obj or not self._apply(obj, q, self._d_columns[q], q + 1)
+        return self._apply(obj, q, self._d_columns[q], q + 1) if obj else type(obj)(self.ambient)
+
+    def is_closed(self, obj, q: int | None = None) -> bool:
+        return not self.delbar_op(obj, q)
 
     def harmonic_coefficients(self, obj, q: int = 2) -> dict:
         """Nonzero coefficients of a harmonic element against the RREF harmonic
@@ -312,9 +314,10 @@ class HodgeDecomposition:
     # -- the δ operator -------------------------------------------------------
 
     def delta_matrix(self) -> linalg.Matrix:
-        """Matrix of δ = (P∘∂̄)⁻¹: degree-2 coordinates → degree-1 coordinates.
+        """Matrix of δ = ∂̄*G: degree-2 coordinates → degree-1 coordinates.
 
-        Built from ∂̄ restricted to V¹, which is injective with image exactly B².
+        Built from ∂̄ restricted to V¹, which is injective with image exactly
+        B²: δ is its least-squares inverse, so δ∘P = δ and ∂̄∘δ = P exactly.
         Zero map when B² = 0.
         """
         if self._delta_matrix is None:
@@ -336,15 +339,10 @@ class HodgeDecomposition:
         return linalg.transpose(self.delta_matrix(), self.dim(2))
 
     def delta_op(self, obj):
-        """Unique ∂̄-preimage in V¹ of an element of B² (⊗ vectors).  ∂̄∘δ is
-        the orthogonal projection onto B², so ∂̄(δx) = x exactly on B²."""
+        """∂̄*G of a degree-2 form (⊗ vectors): the unique ∂̄-preimage in V¹ of
+        its exact part, zero on its harmonic and coexact parts."""
         self._degree(obj, 2)
-        if not obj:
-            return obj
-        pre = self._apply(obj, 2, self._delta_columns, 1)
-        if self._apply(pre, 1, self._d_columns[1], 2).terms != obj.terms:
-            raise PreimageError("delta_op input has a component outside the exact part")
-        return pre
+        return self._apply(obj, 2, self._delta_columns, 1) if obj else obj
 
 
 def build_decomposition(L) -> HodgeDecomposition:

@@ -5,10 +5,10 @@ The generic first-order deformation Φ₁ = Σ t_a^b h_a^b over the degree-1
 harmonic basis of the complex Λ^{0,•} ⊗ T^{1,0} (named by RREF pivot cells
 ω̄^a ⊗ X_b) is extended degree by degree via
 
-    Φ_k = −δ ∘ P ( Σ_{0<i<k} [Φ_i, Φ_{k−i}] ),
+    Φ_k = −δ ( Σ_{0<i<k} [Φ_i, Φ_{k−i}] ),
 
-where P is the orthogonal projection onto the ∂̄-exact part and δ the inverse
-of ∂̄ from exact 2-forms back to coexact 1-forms.  The harmonic parts of the
+where δ = ∂̄*G sends a 2-form to the coexact ∂̄-preimage of its exact part
+(Kuranishi's equation Φ = Φ₁ − ∂̄*G[Φ, Φ]).  The harmonic parts of the
 bracket sums — the parts the correction terms cannot absorb — accumulate into
 the obstruction ideal; its vanishing locus is the local deformation space.
 
@@ -101,9 +101,10 @@ class PhiSeries:
     with its audit trail.
 
     ``terms[k]`` is Φ_k (t-degree k); ``harmonic_parts[k]`` the harmonic
-    (obstructing) part of the bracket sum at degree k, and
-    ``dropped_coexact[k]`` any coexact component certified to vanish on the
-    obstruction locus and therefore dropped.
+    (obstructing) part of the bracket sum at degree k,
+    ``obstruction_by_degree[k]`` its coefficients as ``harmonic_coefficients``
+    reads them, and ``dropped_coexact[k]`` any coexact component certified
+    to vanish on the obstruction locus and therefore dropped.
     """
 
     def __init__(self, decomposition, max_degree: int):
@@ -111,6 +112,7 @@ class PhiSeries:
         self.max_degree = max_degree
         self.terms: dict[int, VectorForm] = {}
         self.harmonic_parts: dict[int, VectorForm] = {}
+        self.obstruction_by_degree: dict[int, dict] = {}
         self.dropped_coexact: dict[int, VectorForm] = {}
 
     @property
@@ -195,63 +197,41 @@ def phi_recursion(decomposition, max_degree: int | None = None,
 
     for k in range(2, cap + 1):
         s_k = series.bracket_sum(k)
-        if not s_k:
-            series.terms[k] = VectorForm.zero(L)
-            series.harmonic_parts[k] = VectorForm.zero(L)
-            continue
         if central is not None:
             depth = min(k - 1, len(central) - 1)
             if not _vector_in_subspace(s_k, central[depth]):
                 raise RuntimeError(
                     f"internal invariant violated: bracket sum at degree {k} "
                     f"leaves central-series stage {depth}")
-        exact_part = decomposition.project_exact(s_k, 2)
-        if decomposition.is_closed(s_k, 2):
-            harmonic_part = s_k - exact_part
-        else:
-            harmonic_part = decomposition.project_harmonic(s_k, 2)
-            coexact_part = s_k - exact_part - harmonic_part
-            if coexact_part:
-                obstruction_so_far = [
-                    p for part in (*series.harmonic_parts.values(), harmonic_part)
-                    for p in decomposition.harmonic_coefficients(part).values()]
-                obstruction_gb = groebner.buchberger(obstruction_so_far, GREVLEX)
-                bad = [c for c in coexact_part.terms.values()
-                       if not obstruction_gb.contains(c)]
-                if bad:
-                    raise ClosednessViolation(k, coexact_part, bad)
-                series.dropped_coexact[k] = coexact_part
+        phi_k = -decomposition.delta_op(s_k)
+        harmonic_part = decomposition.project_harmonic(s_k, 2)
+        series.terms[k] = phi_k
         series.harmonic_parts[k] = harmonic_part
-        series.terms[k] = -decomposition.delta_op(exact_part)
+        series.obstruction_by_degree[k] = decomposition.harmonic_coefficients(harmonic_part)
+        # ∂̄Φ_k = −P s_k, so this is the coexact part of s_k
+        coexact_part = s_k + decomposition.delbar_op(phi_k, 1) - harmonic_part
+        if coexact_part:
+            obstruction_gb = groebner.buchberger(
+                [p for coeffs in series.obstruction_by_degree.values() for p in coeffs.values()],
+                GREVLEX)
+            bad = [c for c in coexact_part.terms.values() if not obstruction_gb.contains(c)]
+            if bad:
+                raise ClosednessViolation(k, coexact_part, bad)
+            series.dropped_coexact[k] = coexact_part
     return series
 
 
-class ObstructionResult:
-    """The harmonic part of [Φ,Φ]: coefficient polynomials and the normalized
-    generator list of the obstruction ideal."""
-
-    def __init__(self, harmonic_coefficients: dict):
-        self.generators: list[Polynomial] = groebner.canonical_generators(
-            harmonic_coefficients.values())
-        self.degree_profile: list[int] = [g.total_degree() for g in self.generators]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.generators
-
-
-def obstruction_map(series: PhiSeries) -> ObstructionResult:
-    """Total obstruction Σ_k H(bracket sum at degree k) of a series."""
-    dec = series.decomposition
+def obstruction_map(series: PhiSeries) -> list[Polynomial]:
+    """Total obstruction Σ_k H(bracket sum at degree k) of a series, as the
+    canonical generator list of its ideal."""
     total: dict = {}
-    for k in sorted(series.harmonic_parts):
-        for key, p in dec.harmonic_coefficients(series.harmonic_parts[k]).items():
+    for coeffs in series.obstruction_by_degree.values():
+        for key, p in coeffs.items():
             total[key] = total.get(key, Polynomial.zero()) + p
-    total = {key: p for key, p in total.items() if p}
-    return ObstructionResult(total)
+    return groebner.canonical_generators(total.values())
 
 
-def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
+def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
     """Degree-2 obstruction from the closed determinant formula
 
         H[Φ₁,Φ₁] = H( 2 Σ_{i<j} Σ_{k<l} (t_i^k t_j^l − t_i^l t_j^k) ω̄^i∧ω̄^j ⊗ [X_k,X_l] ),
@@ -285,7 +265,7 @@ def quadratic_obstruction_closed_form(decomposition) -> ObstructionResult:
                             out[cell] = out.get(cell, Polynomial.zero()) + w * scaled
     total = VectorForm(L, out)
     h_part = decomposition.project_harmonic(total, 2)
-    return ObstructionResult(decomposition.harmonic_coefficients(h_part))
+    return groebner.canonical_generators(decomposition.harmonic_coefficients(h_part).values())
 
 
 def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm:
@@ -306,9 +286,10 @@ def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm
     return residual
 
 
-def smoothness_tests(decomposition, obstruction: ObstructionResult) -> dict:
+def smoothness_tests(decomposition, obstruction: list[Polynomial]) -> dict:
     """Structural certificates: the wedge test on harmonic 1-forms, the
-    free-2-step verdict, and polynomial vanishing of the obstruction map.
+    free-2-step verdict, and polynomial vanishing of the obstruction map,
+    given as its generator list.
 
     For a non-abelian ambient L, ``lambda2_singular`` (some product of
     harmonic 1-forms is not ∂̄-exact) is equivalent to the quotient by the
@@ -328,7 +309,7 @@ def smoothness_tests(decomposition, obstruction: ObstructionResult) -> dict:
     return {
         "lambda2_singular": (not L.is_abelian()) and not wedge_exact,
         "free_verdict": L.free_two_step_quotient_test().verdict,
-        "obs_identically_zero": obstruction.is_zero,
+        "obs_identically_zero": not obstruction,
     }
 
 
@@ -427,9 +408,9 @@ def analyze(L: LieAlgebra) -> dict:
         "free_verdict": tests["free_verdict"],
         "lambda2_singular": tests["lambda2_singular"],
         "smooth": smooth,
-        "obstruction_generators": [str(g) for g in obstruction.generators],
-        "degree_profile": obstruction.degree_profile,
-        "quadratic_generators": [str(g) for g in quadratic.generators],
+        "obstruction_generators": [str(g) for g in obstruction],
+        "degree_profile": [g.total_degree() for g in obstruction],
+        "quadratic_generators": [str(g) for g in quadratic],
         "kuranishi_dim": h1 if smooth else None,
         "cylinder_dim": directions["d"],
         "parallelisable_subspace": {
@@ -447,15 +428,9 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3) -> dict:
     --general --json`` prints."""
     decomposition = hodge.build_theta_decomposition(csa)
     series = phi_recursion(decomposition, max_degree)
-    obstruction_by_degree = {}
-    generators: list[Polynomial] = []
-    for k in sorted(series.harmonic_parts):
-        coeffs = decomposition.harmonic_coefficients(series.harmonic_parts[k])
-        if coeffs:
-            obstruction_by_degree[str(k)] = {f"h2[{r}]": str(p)
-                                             for (r, _), p in sorted(coeffs.items())}
-            generators.extend(coeffs.values())
-    gens = groebner.canonical_generators(generators)
+    by_degree = series.obstruction_by_degree
+    gens = groebner.canonical_generators(
+        p for coeffs in by_degree.values() for p in coeffs.values())
     return {
         "algebra": csa.name,
         "dim": csa.n,
@@ -466,7 +441,9 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3) -> dict:
         "phi": {str(k): str(series.phi(k)) for k in sorted(series.terms)},
         "harmonic_parts": {str(k): str(v)
                            for k, v in sorted(series.harmonic_parts.items()) if v},
-        "obstruction_by_degree": obstruction_by_degree,
+        "obstruction_by_degree": {
+            str(k): {f"h2[{r}]": str(p) for (r, _), p in sorted(coeffs.items())}
+            for k, coeffs in by_degree.items() if coeffs},
         "obstruction_generators": [str(g) for g in gens],
         "dropped_coexact": {str(k): str(v)
                             for k, v in sorted(series.dropped_coexact.items())},

@@ -58,7 +58,14 @@ def test_parse_salamon_rejects_malformed():
 
 
 def test_parse_salamon_names_algebra_after_input():
-    assert parse_salamon("(0,0,12,13)").name == "(0,0,12,13)"
+    assert parse_salamon(" (0,0,12,13) ").name == "(0,0,12,13)"
+
+
+def test_parse_salamon_takes_a_name_as_the_other_readers_do():
+    named = parse_salamon("(0,0,12)", name="heisenberg")
+    assert named.name == "heisenberg"
+    assert named.brackets == parse_salamon("(0,0,12)").brackets
+    assert catalog.get("a_3").build().name == "a_3"
 
 
 # -- validation --------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 import sympy
 
-from kuranil import groebner
+from kuranil import catalog, groebner
+from kuranil.algebra import LieAlgebra
 from kuranil.groebner import (
     GroebnerBasis,
     GroebnerTimeout,
@@ -22,6 +23,8 @@ from kuranil.groebner import (
     parse_ideal_components,
     s_polynomial,
 )
+from kuranil.hodge import build_decomposition
+from kuranil.kuranishi import obstruction_map, phi_recursion
 from kuranil.polyring import (
     GREVLEX,
     LEX,
@@ -38,6 +41,7 @@ from kuranil.polyring import (
     var_poly,
     var_rank,
 )
+from random_algebras import random_nilpotent_algebras
 
 
 def t(i, j):
@@ -579,6 +583,30 @@ def test_minor_ideal_matches_sympy_grevlex():
         mine.add(sympy.expand(
             _to_sympy(p, table) / sympy.Rational(lc.numerator, lc.denominator)))
     assert mine == {sympy.expand(sympy.sympify(e)) for e in reference.exprs}
+
+
+def test_obstruction_bases_match_sympy_grevlex():
+    """The reduced grevlex basis of each nonzero obstruction ideal of the
+    catalog and of the random algebras of dimension 3–5 is sympy's, up to
+    the primitive scaling."""
+    algebras = [e.build() for e in catalog.entries()]
+    algebras = [L for L in algebras if isinstance(L, LieAlgebra)]
+    small_random = [L for L in random_nilpotent_algebras() if L.dim <= 5]
+    ideals = [(source, gens) for source, group in (("catalog", algebras),
+                                                   ("random", small_random))
+              for L in group
+              if (gens := obstruction_map(phi_recursion(build_decomposition(L))))]
+    assert [source for source, _ in ideals].count("catalog") == 7
+    assert [source for source, _ in ideals].count("random") == 7
+    for _, gens in ideals:
+        basis = buchberger(gens)
+        table, sgens = _sympy_env(gens)
+        reference = sympy.groebner([_to_sympy(g, table) for g in gens],
+                                   *sgens, order="grevlex", domain=sympy.QQ)
+        monic = [p * (Fraction(1) / p.leading_term(GREVLEX)[1]) for p in basis.polys]
+        assert len(monic) == len(reference.exprs)
+        assert {_to_sympy(p, table) for p in monic} == \
+            {sympy.expand(e) for e in reference.exprs}
 
 
 def test_intersection_matches_sympy_product_membership():

@@ -19,7 +19,6 @@ from kuranil.hodge import (
     DegreeMismatch,
     HodgeDecomposition,
     NotALieAlgebra,
-    PreimageError,
     build_decomposition,
     build_theta_decomposition,
     hodge_numbers,
@@ -187,14 +186,17 @@ def test_delta_op_inverts_delbar_on_exact_forms():
             assert dec.in_space(pre, "V", 1)
 
 
-def test_delta_op_rejects_non_exact_input():
+def test_delta_op_is_zero_off_the_exact_part():
+    """δ = ∂̄*G takes every degree-2 form: it kills the part outside B², and
+    ∂̄ of its value is the exact part."""
     L = parse_salamon("(0,0,12)")
     dec = build_decomposition(L)
-    # degree-2 form outside B^2 = span(cw1^cw2)
-    outside = ExteriorForm.covector(dec.ambient, 1, barred=True).wedge(
-        ExteriorForm.covector(dec.ambient, 3, barred=True))
-    with pytest.raises(PreimageError):
-        dec.delta_op(outside)
+    cw1, cw2, cw3 = (ExteriorForm.covector(dec.ambient, i, barred=True) for i in (1, 2, 3))
+    # cw1^cw3 is harmonic, and B^2 = span(cw1^cw2)
+    outside, exact = cw1.wedge(cw3), cw1.wedge(cw2).scale(5)
+    assert not dec.delta_op(outside)
+    assert dec.delta_op(outside + exact) == dec.delta_op(exact) == cw3.scale(5)
+    assert dec.delbar_op(dec.delta_op(outside + exact), 1) == exact
 
 
 def test_degree_mismatch_on_inhomogeneous_input():
@@ -305,6 +307,22 @@ def _assert_d_squared_vanishes(dec):
     for q in range(dec.max_degree):
         product = mat_mul(dec.d_matrices[q + 1], dec.d_matrices[q])
         assert all(all(x == 0 for x in row.values()) for row in product), q
+
+
+def _assert_delta_inverts_delbar_on_the_exact_part(dec):
+    """∂̄∘δ = P and δ∘P = δ in degree 2, as exact sparse matrices."""
+    if dec.max_degree < 2:
+        with pytest.raises(DegreeMismatch):
+            dec.delta_matrix()
+        return
+    delta, exact = dec.delta_matrix(), dec.projector(2, "B")
+    assert mat_mul(dec.d_matrices[1], delta) == exact
+    assert mat_mul(delta, exact) == delta
+
+
+@pytest.mark.parametrize("name, kind", COMPLEXES)
+def test_delta_inverts_delbar_on_the_exact_part(name, kind):
+    _assert_delta_inverts_delbar_on_the_exact_part(_decomposition(name, kind))
 
 
 def test_d_squared_is_zero_matrixwise():
@@ -466,7 +484,7 @@ def _random_theta_form(L, q: int, rng: random.Random) -> VectorForm:
 
 
 def _assert_scalar_blocks_match(L: LieAlgebra, rng: random.Random) -> None:
-    """Every projection, membership test, closedness test and δ of the
+    """Every projection, membership test, ∂̄, closedness test and δ of the
     scalar decomposition of ``L`` agrees with the full Θ decomposition on
     random Θ-valued forms."""
     scalar, theta = build_decomposition(L), build_theta_decomposition(L)
@@ -482,25 +500,23 @@ def _assert_scalar_blocks_match(L: LieAlgebra, rng: random.Random) -> None:
                 parts.append(part)
             parts.append(parts[1] + parts[2])  # closed: exact plus harmonic
             for part in parts:
+                assert scalar.delbar_op(part, q) == theta.delbar_op(part, q)
                 assert scalar.is_closed(part, q) == theta.is_closed(part, q)
                 for which in ("B", "H", "V"):
                     assert scalar.in_space(part, which, q) == theta.in_space(part, which, q)
             assert theta.is_closed(parts[4], q)
             if q == 2:
+                # δ = ∂̄*G reads the exact part alone
                 exact = parts[1]
-                assert scalar.delta_op(exact) == theta.delta_op(exact)
-                if form != exact:
-                    for dec in (scalar, theta):
-                        with pytest.raises(PreimageError):
-                            dec.delta_op(form)
+                assert scalar.delta_op(form) == theta.delta_op(form) == theta.delta_op(exact)
 
 
 @pytest.mark.parametrize("name", SMALL_LIE_ENTRIES)
 @pytest.mark.parametrize("frame", ["published", "random"])
 def test_scalar_blocks_match_the_full_theta_matrices(name, frame):
     """On a Lie algebra the scalar complex serves Θ frame vector by frame
-    vector; every projection, membership test, closedness test and δ must
-    agree with the Θ complex built as one full matrix."""
+    vector; every projection, membership test, ∂̄, closedness test and δ
+    must agree with the Θ complex built as one full matrix."""
     rng = random.Random(f"{name}/{frame}")
     L = catalog.get(name).build()
     if frame == "random" and L.dim > 1:
@@ -526,6 +542,16 @@ def test_h1_theta_basis_agrees_on_both_complexes_of_random_algebras(index):
     theta = build_theta_decomposition(to_complex_structure(L)).h1_theta_basis()
     assert [(name, str(h)) for name, h in scalar] == [(name, str(h)) for name, h in theta], \
         L.brackets
+
+
+@pytest.mark.parametrize("index", range(RANDOM_NILPOTENT_COUNT))
+def test_theta_d_squared_and_delta_identities_on_random_algebras(index):
+    """∂̄² = 0 on the Θ complex, and ∂̄∘δ = P, δ∘P = δ on both complexes."""
+    L = random_nilpotent_algebras()[index]
+    theta = build_theta_decomposition(L)
+    _assert_d_squared_vanishes(theta)
+    for dec in (build_decomposition(L), theta):
+        _assert_delta_inverts_delbar_on_the_exact_part(dec)
 
 
 @pytest.mark.parametrize("index", range(0, RANDOM_NILPOTENT_COUNT, 6))
@@ -588,11 +614,10 @@ def _dense_product(dense, vectors: dict) -> dict:
 
 @pytest.mark.parametrize("name, kind", ORACLE_COMPLEXES)
 def test_operators_match_dense_products_monomial_by_monomial(name, kind):
-    """Projections and δ on polynomial coefficients equal the dense products of
-    ``projector()`` and ``delta_matrix()`` with each monomial's coefficient
-    vector; ``is_closed`` agrees with the form-level ∂̄ and with the dense
-    ``d_matrices`` product, and ``delta_op`` raises ``PreimageError`` exactly
-    off B²."""
+    """Projections, ∂̄ and δ on polynomial coefficients equal the dense
+    products of ``projector()``, ``d_matrices`` and ``delta_matrix()`` with
+    each monomial's coefficient vector, δ on every degree-2 form; ``delbar_op``
+    and ``is_closed`` agree with the form-level ∂̄."""
     rng = random.Random(f"{name}/{kind}/dense")
     dec = _decomposition(name, kind)
     for q in (1, 2):
@@ -613,14 +638,10 @@ def test_operators_match_dense_products_monomial_by_monomial(name, kind):
                 for x in (form, closed):
                     image = x.delbar_theta() if isinstance(x, VectorForm) else x.delbar()
                     dense_image = _dense_product(delbar, _monomial_vectors(dec, x, q))
-                    assert dec.is_closed(x, q) == (not image) == (not dense_image)
-                if q != 2:
-                    continue
-                for x in (form, dec.project_exact(form, 2)):
-                    x_vectors = _monomial_vectors(dec, x, 2)
-                    if _dense_product(projectors["B"], x_vectors) != x_vectors:
-                        with pytest.raises(PreimageError):
-                            dec.delta_op(x)
-                        continue
-                    assert _monomial_vectors(dec, dec.delta_op(x), 1) == _dense_product(
-                        delta, x_vectors)
+                    assert dec.delbar_op(x, q) == image
+                    assert _monomial_vectors(dec, image, q + 1) == dense_image
+                    assert dec.is_closed(x, q) == (not image)
+                if q == 2:
+                    for x in (form, dec.project_exact(form, 2), closed):
+                        assert _monomial_vectors(dec, dec.delta_op(x), 1) == _dense_product(
+                            delta, _monomial_vectors(dec, x, 2))

@@ -19,12 +19,11 @@ from kuranil.algebra import (
 )
 from kuranil.cli import report_text
 from kuranil.exterior import AmbientMismatch, ExteriorForm, VectorForm
-from kuranil.groebner import buchberger, ideal_equal, normal_form
+from kuranil.groebner import buchberger, canonical_generators, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
     ClosednessViolation,
     MissingDegreeCap,
-    ObstructionResult,
     analyze,
     analyze_general,
     generic_harmonic_element,
@@ -214,7 +213,7 @@ def test_phi_recursion_higher_degree_dropped_coexact_is_ideal_trivial():
     assert series.dropped_coexact[4] == expected_dropped
     # every dropped coefficient already lies in the obstruction ideal
     obstruction = obstruction_map(series)
-    basis = buchberger(obstruction.generators)
+    basis = buchberger(obstruction)
     for vf in series.dropped_coexact.values():
         for j in range(1, L.dim + 1):
             for coeff in vf.component(j).terms.values():
@@ -275,38 +274,33 @@ def test_phi_recursion_theta_path_requires_degree_cap():
 
 def test_obstruction_empty_for_unobstructed_algebras():
     for L in (abelian(3), parse_salamon("(0,0,12)"), parse_salamon("(0,0,12,13,23)")):
-        result = _obstruction(L)
-        assert result.is_zero
-        assert result.generators == []
-        assert result.degree_profile == []
+        assert _obstruction(L) == []
 
 
 def test_obstruction_known_quadratic_ideal():
     L = parse_salamon("(0,0,0,12)")
     result = _obstruction(L)
-    assert len(result.generators) == 2
-    assert result.degree_profile == [2, 2]
-    assert ideal_equal(result.generators, [P("delta[13;12]"), P("delta[23;12]")])
+    assert [g.total_degree() for g in result] == [2, 2]
+    assert ideal_equal(result, [P("delta[13;12]"), P("delta[23;12]")])
 
 
 def test_obstruction_known_cubic_ideal():
     L = parse_salamon("(0,0,12,13)")
     result = _obstruction(L)
-    assert result.degree_profile == [3]
-    assert ideal_equal(result.generators, [P("t2_1*delta[12;12]")])
+    assert [g.total_degree() for g in result] == [3]
+    assert ideal_equal(result, [P("t2_1*delta[12;12]")])
 
 
 def test_obstruction_mixed_degrees_with_inhomogeneous_generators():
     L = parse_salamon("(0,0,0,12,13+24)")
     result = _obstruction(L)
-    assert len(result.generators) == 6
-    assert sorted(result.degree_profile) == [2, 2, 2, 3, 3, 3]
-    assert any(not g.is_homogeneous() for g in result.generators)
+    assert sorted(g.total_degree() for g in result) == [2, 2, 2, 3, 3, 3]
+    assert any(not g.is_homogeneous() for g in result)
 
 
 def test_obstruction_generators_are_normalized_and_sorted():
     L = parse_salamon("(0,0,0,12,13)")
-    gens = _obstruction(L).generators
+    gens = _obstruction(L)
     for g in gens:
         assert g == g.normalized()
     degrees = [g.total_degree() for g in gens]
@@ -320,16 +314,13 @@ def test_quadratic_closed_form_equals_degree_two_truncation():
         dec = build_decomposition(L)
         series = phi_recursion(dec)
         quadratic = quadratic_obstruction_closed_form(dec)
-        truncation = ObstructionResult(
-            dec.harmonic_coefficients(series.harmonic_parts[2]))
-        assert sorted(map(str, quadratic.generators)) == \
-            sorted(map(str, truncation.generators))
+        truncation = canonical_generators(series.obstruction_by_degree[2].values())
+        assert sorted(map(str, quadratic)) == sorted(map(str, truncation))
 
 
 def test_direct_sum_of_smooth_factors_is_obstructed():
     L = direct_sum(parse_salamon("(0,0,12)"), abelian(1))
-    result = _obstruction(L)
-    assert not result.is_zero
+    assert _obstruction(L)
 
 
 # -- Maurer-Cartan residual --------------------------------------------------
@@ -393,7 +384,7 @@ def test_random_central_assignment_annihilates_all_generators():
     for text in ("(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13)", *NON_ADAPTED):
         L = parse_salamon(text)
         dec = build_decomposition(L)
-        gens = obstruction_map(phi_recursion(dec)).generators
+        gens = obstruction_map(phi_recursion(dec))
         _, variables = generic_harmonic_element(dec)
         for _ in range(5):
             point = random_central_assignment(dec, rng)
@@ -473,8 +464,9 @@ def test_analyze_general_report_and_round_trip():
     assert str(series.phi(2)) == "(2*cw7)*X6"
     assert not series.harmonic_parts[2]  # no second-order obstruction
     assert str(series.harmonic_parts[3]) == "(4*cw3^cw5)*X6"
-    coefficients = {k: dec.harmonic_coefficients(v)
-                    for k, v in series.harmonic_parts.items()}
+    coefficients = series.obstruction_by_degree
+    assert coefficients == {k: dec.harmonic_coefficients(v)
+                            for k, v in series.harmonic_parts.items()}
     assert [k for k, c in sorted(coefficients.items()) if c] == [3]
     assert len(coefficients[3]) == 1
     report = analyze_general(csa, 3)
