@@ -211,9 +211,9 @@ class ExteriorForm(_TermMap):
         """(p, q) → (p+1, q) component of d."""
         return self._d(0)
 
-    def contract(self, index: int, barred: bool = False) -> "ExteriorForm":
-        """Interior product with the frame vector X_index (or its conjugate)."""
-        target = Cov(index, barred)
+    def contract(self, index: int) -> "ExteriorForm":
+        """Interior product with the frame vector X_index."""
+        target = Cov(index, False)
         out: dict[MultiIndex, Polynomial] = {}
         for mi, c in self.terms.items():
             for pos, cv in enumerate(mi):
@@ -253,12 +253,10 @@ class VectorForm(_TermMap):
     __slots__ = ()
 
     @staticmethod
-    def single(ambient, form: ExteriorForm, index: int) -> "VectorForm":
-        if not 1 <= index <= ambient.complex_dim:
+    def single(form: ExteriorForm, index: int) -> "VectorForm":
+        if not 1 <= index <= form.ambient.complex_dim:
             raise ValueError(f"frame index {index} out of range")
-        if form.ambient is not ambient:
-            raise AmbientMismatch("component form over a different ambient")
-        return VectorForm(ambient, {(mi, index): c for mi, c in form.terms.items()})
+        return VectorForm(form.ambient, {(mi, index): c for mi, c in form.terms.items()})
 
     @property
     def components(self) -> dict[int, ExteriorForm]:
@@ -279,10 +277,10 @@ class VectorForm(_TermMap):
         (−1)^{|α|} α∧ω̄^a = ω̄^a∧α."""
         out = VectorForm.zero(self.ambient)
         for j, form in self.components.items():
-            out = out + VectorForm.single(self.ambient, form.delbar(), j)
+            out = out + VectorForm.single(form.delbar(), j)
             for (a, k), c in self.ambient.vector_delbar(j).items():
                 cov = ExteriorForm.covector(self.ambient, a, barred=True)
-                out = out + VectorForm.single(self.ambient, cov.wedge(form).scale(c), k)
+                out = out + VectorForm.single(cov.wedge(form).scale(c), k)
         return out
 
     def to_str(self) -> str:

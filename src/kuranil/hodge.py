@@ -25,12 +25,12 @@ columns, ``columns[i]`` being the image ``{target index: rational}`` of cell
 i, and sums each image coefficient once.  A projector is symmetric, so its
 rows are its columns; the columns of ∂̄ and δ are transposed once and kept.
 
-``build_decomposition`` covers every degree of the scalar complex;
-``build_theta_decomposition`` covers degrees 0..2 of the Θ complex, which is
-all the deformation recursion reads.  A decomposition carries its ambient, so
-it is the one input of every deformation stage, and only this module reads
-its kind: the deformation layer sees Θ in both, through ``h1_theta_basis``
-and the projections of ``VectorForm``s.
+A decomposition's kind fixes its degrees: 0..n on the scalar complex, 0..2
+on Θ, which is all the deformation recursion reads.  A decomposition
+carries its ambient, so it is the one input of every deformation stage, and
+only this module reads its kind: the deformation layer sees Θ in both,
+through ``h1_theta_basis`` and the projections of ``VectorForm``s.  Every
+form operator reads the degree and the ambient off the form itself.
 
 The ∂̄ matrices are read off the structure constants: the all-barred terms of
 the ambient's ``covector_differential`` and, on Θ, its ``vector_delbar``, with
@@ -70,15 +70,15 @@ class NotALieAlgebra(TypeError):
 class HodgeDecomposition:
     """Three-way orthogonal decomposition of a ∂̄-complex, all bases RREF-canonical."""
 
-    def __init__(self, ambient, kind: str, max_degree: int):
+    def __init__(self, ambient, kind: str):
         if kind not in ("scalar", "theta"):
             raise ValueError(f"unknown complex kind {kind!r}")
         self.ambient = ambient
         self.kind = kind
-        self.max_degree = max_degree
         n = ambient.complex_dim
+        self.max_degree = n if kind == "scalar" else 2
         self._cells: dict[int, list] = {}
-        for q in range(max_degree + 2):
+        for q in range(self.max_degree + 2):
             self._cells[q] = self._make_cells(q) if q <= n else []
         self._index = {q: {c: i for i, c in enumerate(cells)}
                        for q, cells in self._cells.items()}
@@ -90,10 +90,10 @@ class HodgeDecomposition:
                     for j in range(1, n + 1)} if kind == "theta" else {}
         # D[q]: matrix of ∂̄ from degree q to q+1 (rows = target cells)
         self.d_matrices: dict[int, linalg.Matrix] = {
-            q: self._build_d(q, dbar_cov, dbar_vec) for q in range(max_degree + 1)}
+            q: self._build_d(q, dbar_cov, dbar_vec) for q in range(self.max_degree + 1)}
         self._d_columns = {q: linalg.transpose(d, self.dim(q))
                            for q, d in self.d_matrices.items()}
-        self._spaces = {q: self._decompose(q) for q in range(max_degree + 1)}
+        self._spaces = {q: self._decompose(q) for q in range(self.max_degree + 1)}
         self._delta_matrix: linalg.Matrix | None = None
 
     # -- cells and coordinates -------------------------------------------------
@@ -237,7 +237,7 @@ class HodgeDecomposition:
         for h, cell in zip(self.basis(1, "H"), self.harmonic_pivot_cells(1)):
             if self.kind == "scalar":
                 (cov,) = cell
-                named += [((cov.index, b), VectorForm.single(self.ambient, h, b))
+                named += [((cov.index, b), VectorForm.single(h, b))
                           for b in range(1, self.ambient.complex_dim + 1)]
             else:
                 (cov,), b = cell
@@ -249,58 +249,56 @@ class HodgeDecomposition:
 
     # -- projections and membership -------------------------------------------
 
-    def _degree(self, obj, q: int | None) -> int:
-        """``q``, else the one degree of ``obj``'s terms (0 if none); ``obj``
-        must live over the decomposition's ambient and, when nonzero, lie in
-        a degree the decomposition covers."""
+    def _degree(self, obj) -> int:
+        """The one degree of ``obj``'s terms (0 if none), checked to lie in the
+        decomposition's degrees; ``obj`` must be a VectorForm on Θ (either
+        form type on the scalar complex) over the decomposition's ambient."""
+        if self.kind == "theta" and not isinstance(obj, VectorForm):
+            raise TypeError(f"the Θ complex acts on VectorForms, not {type(obj).__name__}")
         if obj.ambient is not self.ambient:
             raise AmbientMismatch("form lives over a different ambient than the decomposition")
-        if q is None:
-            degs = obj.degrees()
-            if len(degs) > 1:
-                raise DegreeMismatch(f"form mixes degrees {sorted(degs)}")
-            q = min(degs, default=0)
-        if obj:
-            self._space(q, "H")  # raises outside degrees 0..max_degree
+        degs = obj.degrees()
+        if len(degs) > 1:
+            raise DegreeMismatch(f"form mixes degrees {sorted(degs)}")
+        q = min(degs, default=0)
+        self._space(q, "H")  # raises outside degrees 0..max_degree
         return q
 
-    def _project(self, obj, which: str, q: int | None):
-        q = self._degree(obj, q)
-        # the zero form lies in every degree, with spaces or without: only
-        # the name of its space is checked, against degree 0
-        space = self._space(q if obj else 0, which)
+    def _project(self, obj, which: str):
+        q = self._degree(obj)
+        space = self._space(q, which)
         # an orthogonal projector is symmetric, so its rows are its columns
         return self._apply(obj, q, space.projector, q) if obj else type(obj)(self.ambient)
 
-    def project_exact(self, obj, q: int | None = None):
+    def project_exact(self, obj):
         """P of the decomposition: orthogonal projection onto B ⊗ (vectors)."""
-        return self._project(obj, "B", q)
+        return self._project(obj, "B")
 
-    def project_harmonic(self, obj, q: int | None = None):
+    def project_harmonic(self, obj):
         """H of the decomposition: orthogonal projection onto the harmonic part."""
-        return self._project(obj, "H", q)
+        return self._project(obj, "H")
 
-    def project_coexact(self, obj, q: int | None = None):
-        return self._project(obj, "V", q)
+    def project_coexact(self, obj):
+        return self._project(obj, "V")
 
-    def in_space(self, obj, which: str, q: int | None = None) -> bool:
+    def in_space(self, obj, which: str) -> bool:
         """Whether ``obj`` lies in B, H or V: whether the projector fixes it."""
-        return self._project(obj, which, q).terms == obj.terms
+        return self._project(obj, which).terms == obj.terms
 
-    def delbar_op(self, obj, q: int | None = None):
-        """∂̄ of ``obj`` from degree q to q + 1, through the matrix ∂̄."""
-        q = self._degree(obj, q)
+    def delbar_op(self, obj):
+        """∂̄ of ``obj`` from its degree q to q + 1, through the matrix ∂̄."""
+        q = self._degree(obj)
         return self._apply(obj, q, self._d_columns[q], q + 1) if obj else type(obj)(self.ambient)
 
-    def is_closed(self, obj, q: int | None = None) -> bool:
-        return not self.delbar_op(obj, q)
+    def is_closed(self, obj) -> bool:
+        return not self.delbar_op(obj)
 
-    def harmonic_coefficients(self, obj, q: int = 2) -> dict:
+    def harmonic_coefficients(self, obj) -> dict:
         """Nonzero coefficients of a harmonic element against the RREF harmonic
-        basis of degree q, read at its pivot cells and keyed ``(basis row,
+        basis of its degree, read at its pivot cells and keyed ``(basis row,
         frame key)`` as in ``_coordinates``: frame keys in order of first
         appearance, then basis rows ascending."""
-        q = self._degree(obj, q)
+        q = self._degree(obj)
         if not obj:
             return {}
         row_of = {p: r for r, p in enumerate(self._space(q, "H").pivots)}
@@ -341,7 +339,7 @@ class HodgeDecomposition:
     def delta_op(self, obj):
         """∂̄*G of a degree-2 form (⊗ vectors): the unique ∂̄-preimage in V¹ of
         its exact part, zero on its harmonic and coexact parts."""
-        self._degree(obj, 2)
+        self._degree(obj)
         return self._apply(obj, 2, self._delta_columns, 1) if obj else obj
 
 
@@ -354,7 +352,7 @@ def build_decomposition(L) -> HodgeDecomposition:
         raise NotALieAlgebra(
             f"build_decomposition needs a LieAlgebra, got {type(L).__name__}; "
             "use build_theta_decomposition for a complex structure")
-    return HodgeDecomposition(L, "scalar", L.complex_dim)
+    return HodgeDecomposition(L, "scalar")
 
 
 def build_theta_decomposition(csa) -> HodgeDecomposition:
@@ -362,7 +360,7 @@ def build_theta_decomposition(csa) -> HodgeDecomposition:
     degrees 0..2: the deformation recursion needs no more than these and the
     outgoing ∂̄ matrix in degree 2.
     """
-    return HodgeDecomposition(csa, "theta", 2)
+    return HodgeDecomposition(csa, "theta")
 
 
 def hodge_numbers(L) -> list[int]:

@@ -204,12 +204,12 @@ def phi_recursion(decomposition, max_degree: int | None = None,
                     f"internal invariant violated: bracket sum at degree {k} "
                     f"leaves central-series stage {depth}")
         phi_k = -decomposition.delta_op(s_k)
-        harmonic_part = decomposition.project_harmonic(s_k, 2)
+        harmonic_part = decomposition.project_harmonic(s_k)
         series.terms[k] = phi_k
         series.harmonic_parts[k] = harmonic_part
         series.obstruction_by_degree[k] = decomposition.harmonic_coefficients(harmonic_part)
         # ∂̄Φ_k = −P s_k, so this is the coexact part of s_k
-        coexact_part = s_k + decomposition.delbar_op(phi_k, 1) - harmonic_part
+        coexact_part = s_k + decomposition.delbar_op(phi_k) - harmonic_part
         if coexact_part:
             obstruction_gb = groebner.buchberger(
                 [p for coeffs in series.obstruction_by_degree.values() for p in coeffs.values()],
@@ -264,7 +264,7 @@ def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
                             cell = (mi, m)
                             out[cell] = out.get(cell, Polynomial.zero()) + w * scaled
     total = VectorForm(L, out)
-    h_part = decomposition.project_harmonic(total, 2)
+    h_part = decomposition.project_harmonic(total)
     return groebner.canonical_generators(decomposition.harmonic_coefficients(h_part).values())
 
 
@@ -281,7 +281,7 @@ def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm
         s_k = series.bracket_sum(k)
         term = series.phi(k).delbar_theta() + s_k
         if subtract_harmonic:
-            term = term - series.decomposition.project_harmonic(s_k, 2)
+            term = term - series.decomposition.project_harmonic(s_k)
         residual = residual + term
     return residual
 
@@ -301,7 +301,7 @@ def smoothness_tests(decomposition, obstruction: list[Polynomial]) -> dict:
     for i in range(len(hbasis)):
         for j in range(i + 1, len(hbasis)):
             w = hbasis[i].wedge(hbasis[j])
-            if w and not decomposition.in_space(w, "B", 2):
+            if w and not decomposition.in_space(w, "B"):
                 wedge_exact = False
                 break
         if not wedge_exact:

@@ -243,11 +243,11 @@ def _general_checks(entry: catalog.CatalogEntry) -> list[CheckResult]:
            f"h1={decomposition.harmonic_dim(1)}")
 
     started = time.monotonic()
-    initial = (VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
-               + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
+    initial = (VectorForm.single(ExteriorForm.covector(csa, 3, barred=True), 1)
+               + VectorForm.single(ExteriorForm.covector(csa, 4, barred=True), 2))
     series = phi_recursion(decomposition, max_degree=3, initial=initial)
     expected_phi2 = VectorForm.single(
-        csa, ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
+        ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
     second_ok = (not series.harmonic_parts[2]) and series.phi(2) == expected_phi2
     _timed(results, entry.name, "second-order", started, second_ok,
            f"phi_2 = {series.phi(2)}")
@@ -255,7 +255,7 @@ def _general_checks(entry: catalog.CatalogEntry) -> list[CheckResult]:
     started = time.monotonic()
     w3 = ExteriorForm.covector(csa, 3, barred=True)
     w5 = ExteriorForm.covector(csa, 5, barred=True)
-    expected_h3 = VectorForm.single(csa, w3.wedge(w5).scale(4), 6)
+    expected_h3 = VectorForm.single(w3.wedge(w5).scale(4), 6)
     _timed(results, entry.name, "third-order", started,
            series.harmonic_parts[3] == expected_h3,
            f"H(S_3) = {series.harmonic_parts[3]}")

@@ -1,6 +1,8 @@
 """Random nilpotent Lie algebras for property tests, built by successive
-central extensions (the Skjelbred–Sund construction) from a fixed seed."""
+central extensions (the Skjelbred–Sund construction) from a fixed seed, and
+changes of frame of a Lie algebra."""
 
+from fractions import Fraction
 from functools import cache
 import itertools
 import random
@@ -34,6 +36,33 @@ def central_extension(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
             # dw^k = Σ x·w^a∧w^b  ⟹  [X_a, X_b] = −Σ x·X_k
             brackets.setdefault(pairs[col], {})[n + 1] = -x
     return LieAlgebra(n + 1, brackets)
+
+
+def change_frame(L: LieAlgebra, operations) -> LieAlgebra:
+    """``L`` in the frame reached by the operations X_i += c·X_j in turn, each
+    an ``(i, j, c)`` with i ≠ j in 1..n; any order of i and j is allowed.
+
+    Column a of ``p`` is the new frame vector Y_a in the old frame, and
+    ``p_inv`` its inverse: [Y_a, Y_b] = Σ p_ra p_sb [X_r, X_s], read back in
+    the new frame through ``p_inv``, all in exact ``Fraction``s."""
+    n = L.dim
+    p = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    p_inv = [row[:] for row in p]
+    for i, j, c in operations:
+        i, j = i - 1, j - 1
+        for row in p:
+            row[i] += c * row[j]
+        p_inv[j] = [x - c * y for x, y in zip(p_inv[j], p_inv[i])]
+    brackets = {}
+    for a, b in itertools.combinations(range(n), 2):
+        v = [Fraction(0)] * n
+        for (r, s), comp in L.brackets.items():
+            w = p[r - 1][a] * p[s - 1][b] - p[s - 1][a] * p[r - 1][b]
+            for k, c in comp.items():
+                v[k - 1] += w * c
+        brackets[(a + 1, b + 1)] = {k + 1: sum(x * y for x, y in zip(p_inv[k], v))
+                                    for k in range(n)}
+    return LieAlgebra(n, brackets)
 
 
 @cache

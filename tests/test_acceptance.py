@@ -166,15 +166,15 @@ def test_criterion_5_mixed_structure_recursion():
     csa = catalog.get("general7").build()
     dec = build_theta_decomposition(csa)
     initial = (
-        VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
-        + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
+        VectorForm.single(ExteriorForm.covector(csa, 3, barred=True), 1)
+        + VectorForm.single(ExteriorForm.covector(csa, 4, barred=True), 2))
     series = phi_recursion(dec, max_degree=3, initial=initial)
     assert not series.harmonic_parts[2]
     assert series.phi(2) == VectorForm.single(
-        csa, ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
+        ExteriorForm.covector(csa, 7, barred=True).scale(2), 6)
     w35 = ExteriorForm.covector(csa, 3, barred=True).wedge(
         ExteriorForm.covector(csa, 5, barred=True))
-    assert series.harmonic_parts[3] == VectorForm.single(csa, w35.scale(4), 6)
+    assert series.harmonic_parts[3] == VectorForm.single(w35.scale(4), 6)
     elapsed = time.monotonic() - started
     assert elapsed < 5.0
     _report(f"[PASS] criterion 5 — dim-7 mixed structure: no second-order "
@@ -304,17 +304,17 @@ def test_criterion_7_structural_properties():
             assert all(not x for row in mat_mul(nxt, cur) for x in row.values())
     for mi, j in tdec.cells(2):
         cell = VectorForm.single(
-            csa, ExteriorForm(csa, {mi: Polynomial.one()}), j)
+            ExteriorForm(csa, {mi: Polynomial.one()}), j)
         assert not cell.delbar_theta().delbar_theta()
     initial = (
-        VectorForm.single(csa, ExteriorForm.covector(csa, 3, barred=True), 1)
-        + VectorForm.single(csa, ExteriorForm.covector(csa, 4, barred=True), 2))
+        VectorForm.single(ExteriorForm.covector(csa, 3, barred=True), 1)
+        + VectorForm.single(ExteriorForm.covector(csa, 4, barred=True), 2))
     series = phi_recursion(tdec, max_degree=3, initial=initial)
     assert mc_residual(series).is_zero
     w35 = ExteriorForm.covector(csa, 3, barred=True).wedge(
         ExteriorForm.covector(csa, 5, barred=True))
     assert mc_residual(series, subtract_harmonic=False) == \
-        VectorForm.single(csa, w35.scale(4), 6)
+        VectorForm.single(w35.scale(4), 6)
 
     elapsed = time.monotonic() - started
     _report(f"[PASS] criterion 7 — structural property suite over the full "

@@ -25,7 +25,7 @@ from kuranil.hodge import (
 )
 from kuranil.linalg import identity, mat_mul, transpose
 from kuranil.polyring import parse_polynomial
-from random_algebras import RANDOM_NILPOTENT_COUNT, random_nilpotent_algebras
+from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 
 ALGEBRAS = ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13+24)",
             "(0,0,12,13,14+23)")
@@ -146,14 +146,14 @@ def test_projection_splits_form_exactly():
             for cell in cells:
                 form = form + ExteriorForm.basis_form(
                     dec.ambient, cell, Fraction(rng.randint(-3, 3)))
-            b = dec.project_exact(form, q)
-            h = dec.project_harmonic(form, q)
-            v = dec.project_coexact(form, q)
+            b = dec.project_exact(form)
+            h = dec.project_harmonic(form)
+            v = dec.project_coexact(form)
             assert b + h + v == form
-            assert dec.in_space(b, "B", q)
-            assert dec.in_space(h, "H", q)
-            assert dec.in_space(v, "V", q)
-            assert dec.is_closed(b, q) and dec.is_closed(h, q)
+            assert dec.in_space(b, "B")
+            assert dec.in_space(h, "H")
+            assert dec.in_space(v, "V")
+            assert dec.is_closed(b) and dec.is_closed(h)
 
 
 def test_exact_forms_are_images_and_closed():
@@ -163,8 +163,8 @@ def test_exact_forms_are_images_and_closed():
         csa = dec.ambient
         for index in range(1, L.dim + 1):
             image = ExteriorForm.covector(csa, index, barred=True).delbar()
-            assert dec.in_space(image, "B", 2) or not image
-            assert dec.is_closed(image, 2) or not image
+            assert dec.in_space(image, "B") or not image
+            assert dec.is_closed(image) or not image
 
 
 def test_delta_op_inverts_delbar_on_exact_forms():
@@ -183,7 +183,7 @@ def test_delta_op_inverts_delbar_on_exact_forms():
                 continue
             pre = dec.delta_op(image)
             assert pre.delbar() == image
-            assert dec.in_space(pre, "V", 1)
+            assert dec.in_space(pre, "V")
 
 
 def test_delta_op_is_zero_off_the_exact_part():
@@ -196,7 +196,7 @@ def test_delta_op_is_zero_off_the_exact_part():
     outside, exact = cw1.wedge(cw3), cw1.wedge(cw2).scale(5)
     assert not dec.delta_op(outside)
     assert dec.delta_op(outside + exact) == dec.delta_op(exact) == cw3.scale(5)
-    assert dec.delbar_op(dec.delta_op(outside + exact), 1) == exact
+    assert dec.delbar_op(dec.delta_op(outside + exact)) == exact
 
 
 def test_degree_mismatch_on_inhomogeneous_input():
@@ -210,18 +210,36 @@ def test_degree_mismatch_on_inhomogeneous_input():
         dec.project_harmonic(mixed)
 
 
-def test_explicit_degree_outside_the_decomposition_is_a_degree_mismatch():
-    L = parse_salamon("(0,0,12)")
-    dec = build_decomposition(L)
-    f = ExteriorForm.covector(L, 1, True)
-    for call in (lambda: dec.project_harmonic(f, 7), lambda: dec.in_space(f, "B", 7),
-                 lambda: dec.is_closed(f, -1), lambda: dec.harmonic_coefficients(f, 9)):
-        with pytest.raises(DegreeMismatch):
-            call()
-    theta = build_theta_decomposition(to_complex_structure(L))
-    v = VectorForm.single(theta.ambient, ExteriorForm.covector(theta.ambient, 1, True), 2)
-    with pytest.raises(DegreeMismatch):
-        theta.in_space(v, "B", 3)
+def _form_operators(dec):
+    """Every public form operator of ``dec``, each taking the form alone."""
+    return [dec.project_exact, dec.project_harmonic, dec.project_coexact,
+            lambda f: dec.in_space(f, "H"), dec.delbar_op, dec.is_closed,
+            dec.harmonic_coefficients, dec.delta_op]
+
+
+def test_form_outside_the_decomposition_degrees_is_a_degree_mismatch():
+    """The Θ decomposition covers degrees 0..2; a (0,3)-form reads as its own
+    degree and is rejected as outside them by every form operator."""
+    csa = to_complex_structure(parse_salamon("(0,0,12)"))
+    theta = build_theta_decomposition(csa)
+    cw1, cw2, cw3 = (ExteriorForm.covector(csa, i, True) for i in (1, 2, 3))
+    three = VectorForm.single(cw1.wedge(cw2).wedge(cw3), 2)
+    for call in _form_operators(theta):
+        with pytest.raises(DegreeMismatch,
+                           match="degree 3 is outside the decomposition's degrees 0..2"):
+            call(three)
+
+
+def test_theta_form_operators_reject_an_exterior_form_by_its_type():
+    """The Θ complex acts on VectorForms: an ExteriorForm, zero or not, is a
+    TypeError naming its type before any cell is read."""
+    csa = to_complex_structure(parse_salamon("(0,0,12)"))
+    theta = build_theta_decomposition(csa)
+    cw1, cw2 = (ExteriorForm.covector(csa, i, True) for i in (1, 2))
+    for call in _form_operators(theta):
+        for obj in (cw1, cw1.wedge(cw2), ExteriorForm.zero(csa)):
+            with pytest.raises(TypeError, match="not ExteriorForm"):
+                call(obj)
 
 
 def test_unknown_space_is_a_value_error():
@@ -229,15 +247,16 @@ def test_unknown_space_is_a_value_error():
     f = ExteriorForm.covector(dec.ambient, 1, True)
     for obj in (f, ExteriorForm.zero(dec.ambient)):
         with pytest.raises(ValueError, match="unknown space 'X'"):
-            dec.in_space(obj, "X", 1)
+            dec.in_space(obj, "X")
 
 
 def test_zero_form_projects_to_zero_in_a_degree_without_spaces():
-    """a_1 has no degree-2 spaces; the zero form still lies in every degree."""
+    """a_1 has no degree-2 spaces; the zero form, read in degree 0, still
+    lies in every space."""
     dec = build_decomposition(catalog.get("a_1").build())
     zero = VectorForm.zero(dec.ambient)
-    assert not dec.project_harmonic(zero, 2)
-    assert dec.in_space(zero, "B", 2) and dec.is_closed(zero, 2)
+    assert not dec.project_harmonic(zero)
+    assert dec.in_space(zero, "B") and dec.is_closed(zero)
     assert dec.harmonic_coefficients(zero) == {}
 
 
@@ -269,10 +288,11 @@ def test_form_operators_reject_a_form_over_another_ambient(kind):
     cw1, cw2, cw3 = (ExteriorForm.covector(other, i, True) for i in (1, 2, 3))
     one, two = cw3, cw1.wedge(cw2)  # harmonic in degree 1, exact in degree 2
     if kind == "theta":
-        one, two = VectorForm.single(other, one, 1), VectorForm.single(other, two, 3)
+        one, two = VectorForm.single(one, 1), VectorForm.single(two, 3)
     calls = [(one, dec.project_exact), (one, dec.project_harmonic),
              (one, dec.project_coexact), (one, lambda f: dec.in_space(f, "H")),
-             (one, dec.is_closed), (two, dec.harmonic_coefficients), (two, dec.delta_op)]
+             (one, dec.delbar_op), (one, dec.is_closed), (two, dec.harmonic_coefficients),
+             (two, dec.delta_op)]
     for form, call in calls:
         for obj in (form, type(form).zero(other)):
             with pytest.raises(AmbientMismatch):
@@ -292,13 +312,15 @@ def test_form_operators_reject_a_frame_index_outside_1_to_n(kind, index):
     two = VectorForm(ambient, {((Cov(1, True), Cov(2, True)), index): 1})
     calls = [(one, dec.project_exact), (one, dec.project_harmonic),
              (one, dec.project_coexact), (one, lambda f: dec.in_space(f, "H")),
-             (one, dec.is_closed), (two, dec.harmonic_coefficients), (two, dec.delta_op)]
+             (one, dec.delbar_op), (one, dec.is_closed), (two, dec.harmonic_coefficients),
+             (two, dec.delta_op)]
     for form, call in calls:
         with pytest.raises(ValueError, match="frame index"):
             call(form)
-    # the frame index is checked before the cell: DegreeMismatch is a ValueError too
+    # the frame index is checked before the cell: δ reads the degree-1 form
+    # at degree-2 cells, and DegreeMismatch is a ValueError too
     with pytest.raises(ValueError, match="frame index"):
-        dec.project_exact(one, 2)
+        dec.delta_op(one)
     # a well-formed form still projects
     assert dec.project_exact(VectorForm(ambient, {(cw3, 1): 1})).is_zero
 
@@ -343,7 +365,7 @@ def _cell_form(dec, cell):
     if dec.kind == "scalar":
         return ExteriorForm(dec.ambient, {cell: 1})
     mi, j = cell
-    return VectorForm.single(dec.ambient, ExteriorForm(dec.ambient, {mi: 1}), j)
+    return VectorForm.single(ExteriorForm(dec.ambient, {mi: 1}), j)
 
 
 def _cell_coefficients(dec, obj) -> dict:
@@ -395,7 +417,7 @@ def test_harmonic_coefficients_key_order():
     # at a cell that is no pivot, and its rows appear out of order
     form = VectorForm(L, {(cell(3, 4), x2): 1, (cell(1, 4), x1): 1,
                           (cell(2, 5), x2): 1, (cell(1, 4), x2): 3})
-    assert dec.in_space(form, "H", 2)
+    assert dec.in_space(form, "H")
     coefficients = dec.harmonic_coefficients(form)
     assert list(coefficients) == [(0, x2), (4, x2), (0, x1)]
     assert [p.constant_value() for p in coefficients.values()] == [3, 1, 1]
@@ -419,22 +441,21 @@ def test_theta_complex_dimensions_and_h1():
 def test_theta_complex_exactness_of_known_image():
     csa = _mixed7()
     dec = build_theta_decomposition(csa)
-    image = VectorForm.single(csa, ExteriorForm.constant(csa, 1), 5).delbar_theta()
-    assert dec.in_space(image, "B", 1)
-    assert dec.is_closed(image, 1)
+    image = VectorForm.single(ExteriorForm.constant(csa, 1), 5).delbar_theta()
+    assert dec.in_space(image, "B")
+    assert dec.is_closed(image)
 
 
 def test_theta_delta_op_round_trip():
     csa = _mixed7()
     dec = build_theta_decomposition(csa)
     # delbar(cw3 ⊗ X5) = -cw1^cw3 ⊗ X7 is a nonzero element of B^2
-    source = VectorForm.single(
-        csa, ExteriorForm.covector(csa, 3, barred=True), 5)
+    source = VectorForm.single(ExteriorForm.covector(csa, 3, barred=True), 5)
     image = source.delbar_theta()
-    assert image and dec.in_space(image, "B", 2)
+    assert image and dec.in_space(image, "B")
     pre = dec.delta_op(image)
     assert pre.delbar_theta() == image
-    assert dec.in_space(pre, "V", 1)
+    assert dec.in_space(pre, "V")
 
 
 def test_scalar_and_theta_harmonic_dims_consistent_on_parallelisable():
@@ -452,26 +473,11 @@ _COEFFICIENTS = ("t1_1", "2*t1_2 - 1/3", "t2_1*t1_1 + 5", "-t2_2^2", "7/2")
 
 def _random_frame(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
     """``L`` in the frame of two random operations X_i += c·X_j, any i ≠ j."""
-    n = L.dim
-    p = [[int(r == c) for c in range(n)] for r in range(n)]
-    p_inv = [row[:] for row in p]
+    operations = []
     for _ in range(2):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        for row in p:
-            row[i] += c * row[j]
-        p_inv[j] = [x - c * y for x, y in zip(p_inv[j], p_inv[i])]
-    brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            v = [0] * n
-            for r in range(n):
-                for s in range(n):
-                    for k, c in L.bracket(r + 1, s + 1).items():
-                        v[k - 1] += p[r][a] * p[s][b] * c
-            brackets[(a + 1, b + 1)] = {k + 1: sum(x * y for x, y in zip(p_inv[k], v))
-                                        for k in range(n)}
-    return LieAlgebra(n, brackets)
+        i, j = rng.sample(range(1, L.dim + 1), 2)
+        operations.append((i, j, rng.choice((-2, -1, 1, 2))))
+    return change_frame(L, operations)
 
 
 def _random_theta_form(L, q: int, rng: random.Random) -> VectorForm:
@@ -500,11 +506,11 @@ def _assert_scalar_blocks_match(L: LieAlgebra, rng: random.Random) -> None:
                 parts.append(part)
             parts.append(parts[1] + parts[2])  # closed: exact plus harmonic
             for part in parts:
-                assert scalar.delbar_op(part, q) == theta.delbar_op(part, q)
-                assert scalar.is_closed(part, q) == theta.is_closed(part, q)
+                assert scalar.delbar_op(part) == theta.delbar_op(part)
+                assert scalar.is_closed(part) == theta.is_closed(part)
                 for which in ("B", "H", "V"):
-                    assert scalar.in_space(part, which, q) == theta.in_space(part, which, q)
-            assert theta.is_closed(parts[4], q)
+                    assert scalar.in_space(part, which) == theta.in_space(part, which)
+            assert theta.is_closed(parts[4])
             if q == 2:
                 # δ = ∂̄*G reads the exact part alone
                 exact = parts[1]
@@ -632,16 +638,16 @@ def test_operators_match_dense_products_monomial_by_monomial(name, kind):
                 vectors = _monomial_vectors(dec, form, q)
                 for which, project in (("B", dec.project_exact), ("H", dec.project_harmonic),
                                        ("V", dec.project_coexact)):
-                    assert _monomial_vectors(dec, project(form, q), q) == _dense_product(
+                    assert _monomial_vectors(dec, project(form), q) == _dense_product(
                         projectors[which], vectors), (q, which)
-                closed = dec.project_exact(form, q) + dec.project_harmonic(form, q)
+                closed = dec.project_exact(form) + dec.project_harmonic(form)
                 for x in (form, closed):
                     image = x.delbar_theta() if isinstance(x, VectorForm) else x.delbar()
                     dense_image = _dense_product(delbar, _monomial_vectors(dec, x, q))
-                    assert dec.delbar_op(x, q) == image
+                    assert dec.delbar_op(x) == image
                     assert _monomial_vectors(dec, image, q + 1) == dense_image
-                    assert dec.is_closed(x, q) == (not image)
+                    assert dec.is_closed(x) == (not image)
                 if q == 2:
-                    for x in (form, dec.project_exact(form, 2), closed):
+                    for x in (form, dec.project_exact(form), closed):
                         assert _monomial_vectors(dec, dec.delta_op(x), 1) == _dense_product(
                             delta, _monomial_vectors(dec, x, 2))

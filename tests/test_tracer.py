@@ -4,6 +4,7 @@ edited."""
 
 import contextlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -26,16 +27,24 @@ def test_every_span_target_resolves(module_name, attr, span):
     assert callable(vars(owner)[leaf]), span
 
 
+# the per-check seconds of ``verify``, as ``tests/test_golden.py`` strips them
+_SECONDS = re.compile(r" \([0-9]+\.[0-9]{3}s\)")
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = kuranil.cli.main(argv)
-    return code, out.getvalue()
+    return code, _SECONDS.sub("", out.getvalue())
 
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "(0,0,12,13,14)", "--json"],
     ["analyze", "(0,0,0,12,13+24)", "--general", "--max-degree", "3", "--json"],
+    # normal_form, ideal_intersect and buchberger on a tuple with deadline=
+    ["verify", "(0,0,0,12,13)"],
+    # phi_recursion(..., initial=) on the mixed structure
+    ["verify", "general7"],
 ])
 def test_traced_run_prints_the_untraced_output(argv):
     plain = _run(argv)
