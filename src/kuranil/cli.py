@@ -66,13 +66,18 @@ def load_algebra(target: str) -> LieAlgebra | ComplexStructureAlgebra:
 
 def cmd_analyze(args) -> int:
     algebra = load_algebra(args.algebra)
+    if args.max_degree is not None and not (
+            args.general or isinstance(algebra, ComplexStructureAlgebra)):
+        raise InputError("--max-degree truncates the general recursion; "
+                         "a Lie algebra takes it only with --general")
+    max_degree = args.max_degree or 3
     try:
         if isinstance(algebra, ComplexStructureAlgebra):
             algebra.validate()
-            report = analyze_general(algebra, max_degree=args.max_degree)
+            report = analyze_general(algebra, max_degree=max_degree)
         elif args.general:
             algebra.validate()
-            report = analyze_general(to_complex_structure(algebra), max_degree=args.max_degree)
+            report = analyze_general(to_complex_structure(algebra), max_degree=max_degree)
         else:
             report = analyze(algebra)  # validates the algebra itself
     except (JacobiViolation, NotNilpotent) as exc:
@@ -199,9 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--general", action="store_true",
                            help="use the complex-structure recursion even for "
                                 "parallelisable input")
-    p_analyze.add_argument("--max-degree", type=_degree, default=3, metavar="N",
+    p_analyze.add_argument("--max-degree", type=_degree, metavar="N",
                            help="truncation degree for the general recursion "
-                                "(default 3)")
+                                "(default 3); a Lie algebra takes it only "
+                                "with --general")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_catalog = sub.add_parser("catalog", help="list the built-in algebras")

@@ -47,6 +47,14 @@ normal form, and the next one reuses them while the polynomial's variables
 and degree fit.  Otherwise it repacks over the union of the old variables
 and the new ones, its fields no narrower; an overflow widens them as above.
 
+Membership.  :func:`non_members` divides each polynomial by the canonical
+generators of the ideal first: a zero remainder on division by any
+generating set proves membership (Becker & Weispfenning, *Gröbner Bases*,
+GTM 141, 1993).  A nonzero one proves nothing, so only the polynomials that
+leave one are reduced modulo the reduced grevlex basis, which is built just
+when some polynomial needs it.  A list of generators is never wrapped in a
+:class:`GroebnerBasis`, which promises a reduced basis.
+
 Coefficients.  A coefficient is a canonical rational value, as everywhere in
 the package (:func:`~kuranil.polyring.rational`): an ``int`` while it is
 integral, else a ``Fraction``.  Packing keeps the coefficients as they are,
@@ -119,9 +127,6 @@ class GroebnerBasis:
 
     def __hash__(self) -> int:
         return hash((self.order, self.polys))
-
-    def contains(self, p: Polynomial) -> bool:
-        return normal_form(p, self).is_zero
 
     def divisors(self, variables: set, degree: int) -> tuple[_Packing, list[tuple]]:
         """A packing in this basis's order over ``variables`` and the basis's
@@ -421,6 +426,29 @@ def normal_form(p: Polynomial, G: GroebnerBasis,
             return packing.polynomial(_divide(packing.pack(p), divisors, packing, deadline))
         except _Overflow:
             degree = packing.limit  # the next packing has wider fields
+
+
+def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
+                deadline: float | None = None) -> list[Polynomial]:
+    """The ``polys`` outside the ideal ``gens`` generate, in input order.
+
+    Each poly is first divided by ``canonical_generators(gens)`` in list
+    order; a zero remainder proves membership.  Only the polys that leave a
+    remainder are tested against the reduced grevlex basis, built just when
+    one does.  ``deadline`` bounds the division and the basis."""
+    gens = canonical_generators(gens)
+    polys = list(polys)
+
+    def remainders(packing: _Packing) -> list[dict]:
+        divisors = [packing.prep(packing.pack(g)) for g in gens]
+        return [_divide(packing.pack(p), divisors, packing, deadline) for p in polys]
+
+    left = [p for p, rem in zip(polys, _packed([*gens, *polys], GREVLEX, remainders))
+            if rem]
+    if not left:
+        return []
+    basis = buchberger(gens, GREVLEX, deadline)
+    return [p for p in left if normal_form(p, basis, deadline)]
 
 
 def _as_basis(I, deadline: float | None) -> GroebnerBasis:

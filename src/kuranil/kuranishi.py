@@ -37,7 +37,7 @@ from fractions import Fraction
 from . import groebner, hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra
 from .exterior import AmbientMismatch, MultiIndex, VectorForm
-from .polyring import GREVLEX, Polynomial, Var, linear_combination, var_poly
+from .polyring import Polynomial, Var, linear_combination, var_poly
 
 
 class MissingDegreeCap(ValueError):
@@ -211,10 +211,9 @@ def phi_recursion(decomposition, max_degree: int | None = None,
         # ∂̄Φ_k = −P s_k, so this is the coexact part of s_k
         coexact_part = s_k + decomposition.delbar_op(phi_k) - harmonic_part
         if coexact_part:
-            obstruction_gb = groebner.buchberger(
-                [p for coeffs in series.obstruction_by_degree.values() for p in coeffs.values()],
-                GREVLEX)
-            bad = [c for c in coexact_part.terms.values() if not obstruction_gb.contains(c)]
+            bad = groebner.non_members(
+                coexact_part.terms.values(),
+                [p for coeffs in series.obstruction_by_degree.values() for p in coeffs.values()])
             if bad:
                 raise ClosednessViolation(k, coexact_part, bad)
             series.dropped_coexact[k] = coexact_part

@@ -2,11 +2,15 @@
 
 Each check re-derives one stored invariant or certificate and reports PASS,
 FAIL or SKIP (the intersection check ran out of its time budget).  Every
-Gröbner basis is a grevlex basis.  Within one entry each is computed at most
-once, and each stored reading's containment verdict serves both the
-containment and the intersection check: containment gives I ⊆ ∩ Qᵢ, so the
-intersection check only tests the intersection's generators for membership
-in the basis of I, which builds no basis of the intersection.
+Gröbner basis is a grevlex basis.  The basis of the computed ideal I is
+computed at most once per entry.  A containment I ⊆ Q (of a stored
+component, or of the reducibility check's linear and rank ideals) divides
+I's generators by Q's first, and builds a basis of Q only when division
+leaves a remainder (:func:`~kuranil.groebner.non_members`).  Each stored
+reading's containment verdict serves both the containment and the
+intersection check: containment gives I ⊆ ∩ Qᵢ, so the intersection check
+only tests the intersection's generators for membership in the basis of I,
+which builds no basis of the intersection.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .groebner import (
     buchberger,
     ideal_equal,
     ideal_intersect,
+    non_members,
     normal_form,
 )
 from .hodge import build_theta_decomposition
@@ -48,41 +53,31 @@ def _timed(results: list[CheckResult], entry: str, check: str, started: float,
                                detail, time.monotonic() - started))
 
 
-def _contained(gens: list[Polynomial], basis: GroebnerBasis,
-               deadline: float | None = None) -> Polynomial | None:
-    """First generator not in the ideal spanned by ``basis``, or None;
-    ``deadline`` bounds the normal forms."""
-    for g in gens:
-        if normal_form(g, basis, deadline):
-            return g
-    return None
-
-
 class _EntryIdeals:
     """The computed ideal of one entry and the Gröbner work its checks share."""
 
     def __init__(self, gens: list[Polynomial]):
         self.gens = gens
-        self._bases: dict[tuple[Polynomial, ...], GroebnerBasis] = {}
+        self._basis: GroebnerBasis | None = None
         self._escapes: dict[str, tuple[int, Polynomial] | None] = {}
 
-    def basis(self, polys, deadline: float | None = None) -> GroebnerBasis:
-        """Reduced basis of the ideal ``polys`` generate, computed once;
-        ``deadline`` bounds the computation when it is not cached yet."""
-        key = tuple(polys)
-        if key not in self._bases:
-            self._bases[key] = buchberger(key, deadline=deadline)
-        return self._bases[key]
+    def basis(self, deadline: float | None = None) -> GroebnerBasis:
+        """Reduced basis of the computed ideal, computed once; ``deadline``
+        bounds the computation when it is not cached yet."""
+        if self._basis is None:
+            self._basis = buchberger(self.gens, deadline=deadline)
+        return self._basis
 
     def escape(self, label: str, components) -> tuple[int, Polynomial] | None:
         """The first component (1-based) of reading ``label`` that misses a
-        computed generator, with that generator; None when none does."""
+        computed generator, with the first generator it misses; None when
+        none does."""
         if label not in self._escapes:
             escape = None
             for idx, component in enumerate(components, start=1):
-                bad = _contained(self.gens, self.basis(component))
-                if bad is not None:
-                    escape = idx, bad
+                bad = non_members(self.gens, component)
+                if bad:
+                    escape = idx, bad[0]
                     break
             self._escapes[label] = escape
         return self._escapes[label]
@@ -136,7 +131,7 @@ def _parallelisable_checks(entry: catalog.CatalogEntry,
     if entry.expected_generators:
         started = time.monotonic()
         _timed(results, entry.name, "expected-generators", started,
-               ideal_equal(ideals.basis(ideals.gens), entry.expected_ideal()),
+               ideal_equal(ideals.basis(), entry.expected_ideal()),
                f"{len(ideals.gens)} generators")
 
     if entry.reducibility:
@@ -196,8 +191,8 @@ def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
             # The containment verdict already gives I ⊆ ∩ Qᵢ, so equality
             # is ∩ Qᵢ ⊆ I: every generator of the intersection reduces to
             # zero modulo the basis of I.
-            if _contained(intersection, ideals.basis(ideals.gens, deadline),
-                          deadline) is None:
+            basis = ideals.basis(deadline)
+            if not any(normal_form(g, basis, deadline) for g in intersection):
                 return CheckResult(entry.name, "intersection", "PASS",
                                    f"{label} reading",
                                    time.monotonic() - started)
@@ -217,12 +212,12 @@ def _reducibility_check(entry: catalog.CatalogEntry,
     started = time.monotonic()
     families = {key: [parse_polynomial(s) for s in group]
                 for key, group in entry.reducibility.items()}
-    ideal_basis = ideals.basis(ideals.gens)
+    ideal_basis = ideals.basis()
     problems = []
     for key in ("linear", "rank"):
-        bad = _contained(ideals.gens, ideals.basis(families[key]))
-        if bad is not None:
-            problems.append(f"{bad} not in ({key})")
+        bad = non_members(ideals.gens, families[key])
+        if bad:
+            problems.append(f"{bad[0]} not in ({key})")
     for product in families["products"]:
         if normal_form(product, ideal_basis):
             problems.append(f"{product} not in computed ideal")

@@ -108,6 +108,25 @@ def test_analyze_general_flag_on_parallelisable_input(capsys):
     assert "max degree     2" in out
 
 
+def test_max_degree_without_general_on_a_lie_algebra_is_input_error(capsys):
+    assert main(["analyze", "(0,0,12)", "--max-degree", "2"]) == EXIT_INPUT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "--general" in captured.err
+
+
+@pytest.mark.parametrize("options, degree", [([], 3), (["--max-degree", "4"], 4)],
+                         ids=["default", "explicit"])
+def test_complex_structure_takes_max_degree_without_general(options, degree, capsys):
+    assert main(["analyze", "general7", *options, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["max_degree"] == degree
+
+
+def test_general_flag_without_max_degree_truncates_at_three(capsys):
+    assert main(["analyze", "(0,0,12)", "--general"]) == EXIT_OK
+    assert "max degree     3" in capsys.readouterr().out
+
+
 def test_analyze_unknown_target_is_input_error(capsys):
     assert main(["analyze", "no-such-thing"]) == EXIT_INPUT_ERROR
     assert "error:" in capsys.readouterr().err
@@ -372,7 +391,7 @@ def test_intersection_deadline_after_the_fold_reports_skip(basis_held, monkeypat
     ideals = verify._EntryIdeals(
         [parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]])
     if basis_held:
-        ideals.basis(ideals.gens)
+        ideals.basis()
     readings = verify._readings(entry)
     assert verify._containment_check(entry, ideals, readings).status == "PASS"
     clock = _ClockAfterFold(verify.ideal_intersect)

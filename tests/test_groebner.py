@@ -19,6 +19,7 @@ from kuranil.groebner import (
     canonical_generators,
     ideal_equal,
     ideal_intersect,
+    non_members,
     normal_form,
     parse_ideal_components,
     s_polynomial,
@@ -80,8 +81,8 @@ def test_groebner_basis_identity_and_membership_operators():
     basis = buchberger([t(1, 1), t(1, 2)])
     same = buchberger([t(1, 1) + t(1, 2), t(1, 2)])
     assert basis == same and hash(basis) == hash(same)
-    assert basis.contains(t(1, 1) * t(2, 2) + t(1, 2))
-    assert not basis.contains(t(2, 2))
+    assert not normal_form(t(1, 1) * t(2, 2) + t(1, 2), basis)
+    assert normal_form(t(2, 2), basis)
     assert t(1, 1) in list(basis)  # iteration yields the basis polynomials
     assert len(basis) == 2
     assert "t1_1" in repr(basis)
@@ -114,8 +115,8 @@ def test_ideal_equal_rejects_a_lex_basis():
 
 def test_ideal_member_and_equal():
     gens = [minor2(1, 3, 1, 2), minor2(2, 3, 1, 2)]
-    assert buchberger(gens).contains(t(3, 1) * minor2(1, 2, 1, 2))
-    assert not buchberger(gens).contains(minor2(1, 2, 1, 2))
+    member, outside = t(3, 1) * minor2(1, 2, 1, 2), minor2(1, 2, 1, 2)
+    assert non_members([member, outside], gens) == [outside]
     assert ideal_equal(gens, [gens[0] + gens[1], gens[1]])
     assert not ideal_equal(gens, [gens[0]])
     assert ideal_equal([], [Polynomial.zero()])
@@ -213,6 +214,94 @@ def test_deadline_stops_a_single_division(monkeypatch):
     with pytest.raises(GroebnerTimeout):
         buchberger(gens, deadline=3)
     assert clock.reads == 3  # the division's second step
+
+
+# -- membership by division first ---------------------------------------------
+
+
+def _recording_buchberger(monkeypatch) -> list[tuple]:
+    """Record the generators of every basis ``groebner`` builds from here on."""
+    original, calls = groebner.buchberger, []
+
+    def recording(gens, order=GREVLEX, deadline=None):
+        calls.append(tuple(gens))
+        return original(gens, order, deadline)
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    return calls
+
+
+def test_non_members_builds_no_basis_when_division_proves_membership(monkeypatch):
+    calls = _recording_buchberger(monkeypatch)
+    gens = [minor2(1, 3, 1, 2), minor2(2, 3, 1, 2)]
+    members = [Polynomial.zero(), t(1, 1) * gens[0] - 2 * gens[1], gens[1]]
+    assert non_members(members, gens) == []
+    assert calls == []
+
+
+def test_non_members_falls_back_to_the_basis_where_division_leaves_a_remainder(monkeypatch):
+    # t1_2^2 = t1_2·(t1_1^2 + t1_2) − t1_1·(t1_1·t1_2) lies in I, but no
+    # leading monomial of the generators divides it; t1_2 lies outside I.
+    gens = [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)]
+    member, outside = t(1, 2) ** 2, t(1, 2)
+    assert normal_form(member, GroebnerBasis(GREVLEX, canonical_generators(gens))) == member
+    calls = _recording_buchberger(monkeypatch)
+    assert non_members([outside, member, gens[0]], gens) == [outside]
+    assert non_members([member], gens) == []
+    assert calls == [tuple(canonical_generators(gens))] * 2
+
+
+def test_non_members_keep_input_order():
+    polys = [t(2, 2), Polynomial.zero(), t(1, 1) * t(2, 1), t(1, 2) + 1, t(1, 1) ** 3]
+    assert non_members(polys, [t(1, 1)]) == [t(2, 2), t(1, 2) + 1]
+    # The zero ideal, however its generators are written, holds only zero.
+    for zero_ideal in ([], [Polynomial.zero()]):
+        assert non_members(polys, zero_ideal) == [p for p in polys if p]
+    assert non_members([], [t(1, 1)]) == []
+
+
+def test_non_members_reads_the_deadline_in_division_and_basis(monkeypatch):
+    clock = _CountingClock()
+    monkeypatch.setattr(groebner, "monotonic", clock)
+    # t1_2^6 - t1_1^6 reduces by t1_2 - t1_1 one power at a time, as in
+    # test_deadline_stops_a_single_division: six steps, and the last one
+    # cancels t1_1^6, so nothing is left for a basis.
+    member = t(1, 2) ** 6 - t(1, 1) ** 6
+    assert non_members([member], [t(1, 2) - t(1, 1)], deadline=math.inf) == []
+    assert clock.reads == 6
+    clock.reads = 0
+    with pytest.raises(GroebnerTimeout):
+        non_members([member], [t(1, 2) - t(1, 1)], deadline=3)
+    assert clock.reads == 3
+    # Dividing t1_2^2 takes one step; the fallback basis meets the deadline
+    # at its first read.
+    clock.reads = 0
+    with pytest.raises(GroebnerTimeout):
+        non_members([t(1, 2) ** 2], [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)],
+                    deadline=2)
+    assert clock.reads == 2
+
+
+@st.composite
+def _ideal_and_probes(draw):
+    """``(gens, probes)``: up to three small generators over three variables,
+    and probes that are small polynomials or combinations of the generators."""
+    gens = draw(st.lists(_polynomials(_BASIS_VARIABLES), min_size=0, max_size=3))
+    small = _polynomials(_BASIS_VARIABLES)
+    combination = st.lists(small, min_size=len(gens), max_size=len(gens)).map(
+        lambda qs: sum((q * g for q, g in zip(qs, gens)), Polynomial.zero()))
+    probes = draw(st.lists(st.one_of(small, combination), max_size=5))
+    return gens, probes
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_ideal_and_probes())
+# Division by the generators leaves t1_2^2, which the basis proves a member.
+@example(([t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)], [t(1, 2) ** 2, t(1, 2)]))
+def test_non_members_agree_with_normal_forms_modulo_the_basis(case):
+    gens, probes = case
+    basis = buchberger(gens)
+    assert non_members(probes, gens) == [p for p in probes if normal_form(p, basis)]
 
 
 # -- packed monomials against polyring ---------------------------------------

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
-but ``linalg`` calls ``rref``, ``hodge`` applies no form-level differential
+but ``linalg`` calls ``rref``, no module but ``groebner`` constructs a
+``GroebnerBasis``, ``hodge`` applies no form-level differential
 and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
 ``kind``, ``algebra`` imports nothing from ``exterior``, each ambient
 protocol method is defined once in the package, every ``/`` in the
@@ -102,14 +103,14 @@ def test_module_reads_no_foreign_private_attributes(module):
     assert _foreign_private_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
-def _rref_calls(source: str) -> list[str]:
-    """``line:call`` for each call of a function named ``rref``."""
+def _calls(source: str, callee: str) -> list[str]:
+    """``line:call`` for each call of a function or class named ``callee``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "rref":
+            if name == callee:
                 found.append((node.lineno, f"{node.lineno}:{ast.unparse(node)}"))
     return [text for _, text in sorted(found)]
 
@@ -120,13 +121,31 @@ def test_rref_calls_are_found():
               "space = linalg.rref(b)[0]\n"
               "echelon = linalg.rref\n"
               "sub.rref_rows(c)\n")
-    assert _rref_calls(source) == ["2:rref(a)", "3:linalg.rref(b)"]
+    assert _calls(source, "rref") == ["2:rref(a)", "3:linalg.rref(b)"]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "linalg.py"])
 def test_module_leaves_rref_to_linalg(module):
     """Only ``linalg`` echelonises; every other module holds a ``Subspace``."""
-    assert _rref_calls((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert _calls((PACKAGE / module).read_text(encoding="utf-8"), "rref") == []
+
+
+def test_groebner_basis_constructions_are_found():
+    source = ("from .groebner import GroebnerBasis\n"
+              "basis = GroebnerBasis(GREVLEX, gens)\n"
+              "other = groebner.GroebnerBasis(LEX, [])\n"
+              "isinstance(basis, GroebnerBasis)\n"
+              "kind = groebner.GroebnerBasis\n")
+    assert _calls(source, "GroebnerBasis") == [
+        "2:GroebnerBasis(GREVLEX, gens)", "3:groebner.GroebnerBasis(LEX, [])"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "groebner.py"])
+def test_module_leaves_groebner_basis_construction_to_groebner(module):
+    """A ``GroebnerBasis`` promises a reduced basis, so only ``groebner``
+    makes one; a generator list is never passed off as a basis."""
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert _calls(source, "GroebnerBasis") == []
 
 
 FORM_DIFFERENTIALS = ("delbar", "delbar_theta", "del_", "ce_differential")

@@ -486,6 +486,21 @@ def test_closedness_violation_carries_diagnostics():
     assert "degree 3" in str(err)
 
 
+def test_coexact_term_outside_the_obstruction_ideal_raises(monkeypatch):
+    # With every harmonic coefficient hidden the ideal found so far is zero,
+    # so degree 4's coexact term (see the test above on the dropped term of
+    # this algebra) can no longer be dropped.
+    L = parse_salamon("(0,0,12,13,14)")
+    decomposition = build_decomposition(L)
+    monkeypatch.setattr(decomposition, "harmonic_coefficients", lambda form: {})
+    with pytest.raises(ClosednessViolation) as caught:
+        phi_recursion(decomposition)
+    coefficient = P("-8*t1_1*t2_1*delta[12;12]")
+    assert caught.value.degree == 4
+    assert caught.value.v_part == VectorForm.single(_cw(L, 2, 4).scale(coefficient), 5)
+    assert caught.value.offending == [coefficient]
+
+
 # -- frame invariance (property) --------------------------------------------------
 
 # Report fields that do not depend on the frame the algebra is written in.
