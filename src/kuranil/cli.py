@@ -70,14 +70,15 @@ def cmd_analyze(args) -> int:
             args.general or isinstance(algebra, ComplexStructureAlgebra)):
         raise InputError("--max-degree truncates the general recursion; "
                          "a Lie algebra takes it only with --general")
-    max_degree = args.max_degree or 3
+    # Unset, the truncation degree is analyze_general's own default.
+    truncation = {} if args.max_degree is None else {"max_degree": args.max_degree}
     try:
         if isinstance(algebra, ComplexStructureAlgebra):
             algebra.validate()
-            report = analyze_general(algebra, max_degree=max_degree)
+            report = analyze_general(algebra, **truncation)
         elif args.general:
             algebra.validate()
-            report = analyze_general(to_complex_structure(algebra), max_degree=max_degree)
+            report = analyze_general(to_complex_structure(algebra), **truncation)
         else:
             report = analyze(algebra)  # validates the algebra itself
     except (JacobiViolation, NotNilpotent) as exc:

@@ -428,27 +428,27 @@ def normal_form(p: Polynomial, G: GroebnerBasis,
             degree = packing.limit  # the next packing has wider fields
 
 
-def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
-                deadline: float | None = None) -> list[Polynomial]:
+def non_members(polys: Iterable[Polynomial],
+                gens: Iterable[Polynomial]) -> list[Polynomial]:
     """The ``polys`` outside the ideal ``gens`` generate, in input order.
 
     Each poly is first divided by ``canonical_generators(gens)`` in list
     order; a zero remainder proves membership.  Only the polys that leave a
     remainder are tested against the reduced grevlex basis, built just when
-    one does.  ``deadline`` bounds the division and the basis."""
+    one does."""
     gens = canonical_generators(gens)
     polys = list(polys)
 
     def remainders(packing: _Packing) -> list[dict]:
         divisors = [packing.prep(packing.pack(g)) for g in gens]
-        return [_divide(packing.pack(p), divisors, packing, deadline) for p in polys]
+        return [_divide(packing.pack(p), divisors, packing) for p in polys]
 
     left = [p for p, rem in zip(polys, _packed([*gens, *polys], GREVLEX, remainders))
             if rem]
     if not left:
         return []
-    basis = buchberger(gens, GREVLEX, deadline)
-    return [p for p in left if normal_form(p, basis, deadline)]
+    basis = buchberger(gens, GREVLEX)
+    return [p for p in left if normal_form(p, basis)]
 
 
 def _as_basis(I, deadline: float | None) -> GroebnerBasis:

@@ -260,28 +260,6 @@ def test_non_members_keep_input_order():
     assert non_members([], [t(1, 1)]) == []
 
 
-def test_non_members_reads_the_deadline_in_division_and_basis(monkeypatch):
-    clock = _CountingClock()
-    monkeypatch.setattr(groebner, "monotonic", clock)
-    # t1_2^6 - t1_1^6 reduces by t1_2 - t1_1 one power at a time, as in
-    # test_deadline_stops_a_single_division: six steps, and the last one
-    # cancels t1_1^6, so nothing is left for a basis.
-    member = t(1, 2) ** 6 - t(1, 1) ** 6
-    assert non_members([member], [t(1, 2) - t(1, 1)], deadline=math.inf) == []
-    assert clock.reads == 6
-    clock.reads = 0
-    with pytest.raises(GroebnerTimeout):
-        non_members([member], [t(1, 2) - t(1, 1)], deadline=3)
-    assert clock.reads == 3
-    # Dividing t1_2^2 takes one step; the fallback basis meets the deadline
-    # at its first read.
-    clock.reads = 0
-    with pytest.raises(GroebnerTimeout):
-        non_members([t(1, 2) ** 2], [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)],
-                    deadline=2)
-    assert clock.reads == 2
-
-
 @st.composite
 def _ideal_and_probes(draw):
     """``(gens, probes)``: up to three small generators over three variables,
