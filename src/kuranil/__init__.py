@@ -45,7 +45,6 @@ from .exterior import AmbientMismatch, ExteriorForm, VectorForm
 from .groebner import (
     GroebnerBasis,
     GroebnerTimeout,
-    OrderMismatch,
     buchberger,
     ideal_equal,
     ideal_intersect,
@@ -113,7 +112,6 @@ __all__ = [
     "NotALieAlgebra",
     "NotIntegrable",
     "NotNilpotent",
-    "OrderMismatch",
     "PhiSeries",
     "Polynomial",
     "PolynomialParseError",

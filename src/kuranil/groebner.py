@@ -2,7 +2,7 @@
 
 Certifies that computed obstruction ideals equal published intersections of
 components: intersections are computed by the standard one-variable
-elimination trick, normal forms modulo a Gröbner basis decide membership, and
+elimination trick, division decides membership (see Membership below), and
 reduced Gröbner bases give canonical forms for ideal equality.  Ideal
 equality compares reduced grevlex bases; lex is used only inside the
 elimination.  Generator lists are put into one canonical form by
@@ -42,18 +42,18 @@ list order whose leading monomial divides wins.  The deadline is read before
 every pair and every live reduction step.  Basis elements stay monic inside
 a computation and leave it normalised by
 :func:`~kuranil.polyring.primitive_scale`; a normal form leaves as it is.
-A :class:`GroebnerBasis` keeps the packing and prepped divisors of its last
-normal form, and the next one reuses them while the polynomial's variables
-and degree fit.  Otherwise it repacks over the union of the old variables
-and the new ones, its fields no narrower; an overflow widens them as above.
+Each call that divides packs its polynomials and divisors afresh, together
+in one packing.
 
-Membership.  :func:`non_members` divides each polynomial by the canonical
-generators of the ideal first: a zero remainder on division by any
-generating set proves membership (Becker & Weispfenning, *Gröbner Bases*,
-GTM 141, 1993).  A nonzero one proves nothing, so only the polynomials that
-leave one are reduced modulo the reduced grevlex basis, which is built just
-when some polynomial needs it.  A list of generators is never wrapped in a
-:class:`GroebnerBasis`, which promises a reduced basis.
+Membership.  :func:`non_members` answers every membership question.  It
+divides each polynomial by the canonical generators of the ideal first: a
+zero remainder on division by any generating set proves membership (Becker
+& Weispfenning, *Gröbner Bases*, GTM 141, 1993).  A nonzero one proves
+nothing, so the polynomials that leave one are divided, in one packing,
+by the reduced grevlex basis, which is built just when some polynomial
+needs it.  One deadline bounds the division and the basis.  A list of
+generators is never wrapped in a :class:`GroebnerBasis`, which promises a
+reduced basis.
 
 Coefficients.  A coefficient is a canonical rational value, as everywhere in
 the package (:func:`~kuranil.polyring.rational`): an ``int`` while it is
@@ -96,23 +96,14 @@ class GroebnerTimeout(RuntimeError):
     """A Gröbner computation reached its deadline."""
 
 
-class OrderMismatch(ValueError):
-    """Operands carry different monomial orders."""
-
-
 class GroebnerBasis:
-    """A reduced Gröbner basis: normalized, pairwise fully reduced, sorted ascending.
+    """A reduced Gröbner basis: normalized, pairwise fully reduced, sorted ascending."""
 
-    It keeps the packing and prepped divisors of its last normal form for
-    the next one; they take no part in ``==`` or ``hash``.
-    """
-
-    __slots__ = ("order", "polys", "_division")
+    __slots__ = ("order", "polys")
 
     def __init__(self, order: MonomialOrder, polys: Sequence[Polynomial]):
         self.order = order
         self.polys = tuple(polys)
-        self._division: tuple[_Packing, list[tuple], frozenset] | None = None
 
     def __iter__(self):
         return iter(self.polys)
@@ -127,29 +118,6 @@ class GroebnerBasis:
 
     def __hash__(self) -> int:
         return hash((self.order, self.polys))
-
-    def divisors(self, variables: set, degree: int) -> tuple[_Packing, list[tuple]]:
-        """A packing in this basis's order over ``variables`` and the basis's
-        own, whose fields hold ``degree`` and the basis's degrees, with the
-        basis prepped in it as divisors in list order.  The last one is kept
-        and returned while it fits; otherwise the next one spans the union of
-        its variables and ``variables``, its fields at least as wide."""
-        if self._division is None:
-            variables = variables.union(*(g.variables() for g in self.polys))
-            degree = max([degree, *(g.total_degree() for g in self.polys)])
-        else:
-            packing, divisors, known = self._division
-            if degree < packing.limit and variables <= known:
-                return packing, divisors
-            variables = variables | known
-            degree = max(degree, packing.limit - 1)  # the basis fits these fields
-        width = _FIRST_WIDTH
-        while degree >= 1 << (width - 1):
-            width *= 2
-        packing = _Packing(sorted(variables, key=var_rank), self.order, width)
-        divisors = [packing.prep(packing.pack(g)) for g in self.polys]
-        self._division = packing, divisors, frozenset(variables)
-        return packing, divisors
 
     def __repr__(self) -> str:
         body = ", ".join(g.to_str(self.order) for g in self.polys)
@@ -413,56 +381,51 @@ def _reduce_basis(prepped: list[tuple], packing: _Packing,
     return out
 
 
+def _remainders(polys: Sequence[Polynomial], divisors: Sequence[Polynomial],
+                order: MonomialOrder, deadline: float | None) -> list[Polynomial]:
+    """Division remainders of ``polys`` by the nonzero ``divisors`` in
+    ``order``, dividing by them in list order, all in one packing."""
+    def compute(packing: _Packing) -> list[Polynomial]:
+        prepped = [packing.prep(packing.pack(g)) for g in divisors]
+        return [packing.polynomial(_divide(packing.pack(p), prepped, packing, deadline))
+                for p in polys]
+
+    return _packed([*divisors, *polys], order, compute)
+
+
 def normal_form(p: Polynomial, G: GroebnerBasis,
                 deadline: float | None = None) -> Polynomial:
     """Division remainder of ``p`` by ``G`` in ``G``'s order, dividing by
     ``G.polys`` in list order; zero iff ``p`` lies in the ideal when ``G`` is
     a Gröbner basis.  ``deadline`` is read before every reduction step, as
     in :func:`buchberger`."""
-    variables, degree = p.variables(), p.total_degree()
-    while True:
-        packing, divisors = G.divisors(variables, degree)
-        try:
-            return packing.polynomial(_divide(packing.pack(p), divisors, packing, deadline))
-        except _Overflow:
-            degree = packing.limit  # the next packing has wider fields
+    return _remainders([p], G.polys, G.order, deadline)[0]
 
 
-def non_members(polys: Iterable[Polynomial],
-                gens: Iterable[Polynomial]) -> list[Polynomial]:
+def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
+                deadline: float | None = None) -> list[Polynomial]:
     """The ``polys`` outside the ideal ``gens`` generate, in input order.
 
     Each poly is first divided by ``canonical_generators(gens)`` in list
     order; a zero remainder proves membership.  Only the polys that leave a
-    remainder are tested against the reduced grevlex basis, built just when
-    one does."""
+    remainder are divided by the reduced grevlex basis, built just when one
+    does.  ``deadline`` bounds the division and the basis."""
     gens = canonical_generators(gens)
     polys = list(polys)
-
-    def remainders(packing: _Packing) -> list[dict]:
-        divisors = [packing.prep(packing.pack(g)) for g in gens]
-        return [_divide(packing.pack(p), divisors, packing) for p in polys]
-
-    left = [p for p, rem in zip(polys, _packed([*gens, *polys], GREVLEX, remainders))
-            if rem]
+    left = [p for p, r in zip(polys, _remainders(polys, gens, GREVLEX, deadline)) if r]
     if not left:
         return []
-    basis = buchberger(gens, GREVLEX)
-    return [p for p in left if normal_form(p, basis)]
+    basis = buchberger(gens, GREVLEX, deadline).polys
+    return [p for p, r in zip(left, _remainders(left, basis, GREVLEX, deadline)) if r]
 
 
-def _as_basis(I, deadline: float | None) -> GroebnerBasis:
-    if isinstance(I, GroebnerBasis):
-        if I.order != GREVLEX:
-            raise OrderMismatch(f"expected a grevlex basis, got {I.order.kind}")
-        return I
-    return buchberger(I, GREVLEX, deadline)
-
-
-def ideal_equal(I, J, deadline: float | None = None) -> bool:
-    """Ideal equality via uniqueness of the reduced grevlex Gröbner basis; both
-    bases are computed under the one ``deadline``."""
-    return _as_basis(I, deadline).polys == _as_basis(J, deadline).polys
+def ideal_equal(I: Iterable[Polynomial], J: Iterable[Polynomial],
+                deadline: float | None = None) -> bool:
+    """Ideal equality of the generator lists ``I`` and ``J`` via uniqueness of
+    the reduced grevlex Gröbner basis; both bases are computed under the one
+    ``deadline``."""
+    return (buchberger(I, GREVLEX, deadline).polys
+            == buchberger(J, GREVLEX, deadline).polys)
 
 
 def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],

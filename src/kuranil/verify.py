@@ -2,15 +2,18 @@
 
 Each check re-derives one stored invariant or certificate and reports PASS,
 FAIL or SKIP (the intersection check ran out of its time budget).  Every
-Gröbner basis is a grevlex basis.  The basis of the computed ideal I is
-computed at most once per entry.  A containment I ⊆ Q (of a stored
-component, or of the reducibility check's linear and rank ideals) divides
-I's generators by Q's first, and builds a basis of Q only when division
-leaves a remainder (:func:`~kuranil.groebner.non_members`).  Each stored
-reading's containment verdict serves both the containment and the
-intersection check: containment gives I ⊆ ∩ Qᵢ, so the intersection check
-only tests the intersection's generators for membership in the basis of I,
-which builds no basis of the intersection.
+Gröbner basis is a grevlex basis.  Every membership test goes through
+:func:`~kuranil.groebner.non_members`, which divides by the ideal's
+generators first and builds a basis of the ideal only when division leaves
+a remainder.  So a containment I ⊆ Q (of a stored component, or of the
+reducibility check's linear and rank ideals) builds a basis of Q only then,
+and a basis of the computed ideal I is built only by the expected-generators
+check, which compares reduced bases, and by a membership in I (of the
+reducibility products or the intersection's generators) that division by
+I's generators leaves unproved.  Each stored reading's containment verdict
+serves both the containment and the intersection check: containment gives
+I ⊆ ∩ Qᵢ, so the intersection check only tests the intersection's
+generators for membership in I, which builds no basis of the intersection.
 """
 
 from __future__ import annotations
@@ -20,15 +23,7 @@ from dataclasses import dataclass
 
 from . import catalog
 from .exterior import ExteriorForm, VectorForm
-from .groebner import (
-    GroebnerBasis,
-    GroebnerTimeout,
-    buchberger,
-    ideal_equal,
-    ideal_intersect,
-    non_members,
-    normal_form,
-)
+from .groebner import GroebnerTimeout, ideal_equal, ideal_intersect, non_members
 from .hodge import build_theta_decomposition
 from .kuranishi import analyze, phi_recursion
 from .polyring import Polynomial, parse_polynomial
@@ -54,19 +49,12 @@ def _timed(results: list[CheckResult], entry: str, check: str, started: float,
 
 
 class _EntryIdeals:
-    """The computed ideal of one entry and the Gröbner work its checks share."""
+    """The computed ideal of one entry and the containment verdicts its
+    checks share."""
 
     def __init__(self, gens: list[Polynomial]):
         self.gens = gens
-        self._basis: GroebnerBasis | None = None
         self._escapes: dict[str, tuple[int, Polynomial] | None] = {}
-
-    def basis(self, deadline: float | None = None) -> GroebnerBasis:
-        """Reduced basis of the computed ideal, computed once; ``deadline``
-        bounds the computation when it is not cached yet."""
-        if self._basis is None:
-            self._basis = buchberger(self.gens, deadline=deadline)
-        return self._basis
 
     def escape(self, label: str, components) -> tuple[int, Polynomial] | None:
         """The first component (1-based) of reading ``label`` that misses a
@@ -131,7 +119,7 @@ def _parallelisable_checks(entry: catalog.CatalogEntry,
     if entry.expected_generators:
         started = time.monotonic()
         _timed(results, entry.name, "expected-generators", started,
-               ideal_equal(ideals.basis(), entry.expected_ideal()),
+               ideal_equal(ideals.gens, entry.expected_ideal()),
                f"{len(ideals.gens)} generators")
 
     if entry.reducibility:
@@ -189,10 +177,8 @@ def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
                 intersection = ideal_intersect(intersection, component,
                                                deadline=deadline)
             # The containment verdict already gives I ⊆ ∩ Qᵢ, so equality
-            # is ∩ Qᵢ ⊆ I: every generator of the intersection reduces to
-            # zero modulo the basis of I.
-            basis = ideals.basis(deadline)
-            if not any(normal_form(g, basis, deadline) for g in intersection):
+            # is ∩ Qᵢ ⊆ I: every generator of the intersection lies in I.
+            if not non_members(intersection, ideals.gens, deadline):
                 return CheckResult(entry.name, "intersection", "PASS",
                                    f"{label} reading",
                                    time.monotonic() - started)
@@ -212,15 +198,13 @@ def _reducibility_check(entry: catalog.CatalogEntry,
     started = time.monotonic()
     families = {key: [parse_polynomial(s) for s in group]
                 for key, group in entry.reducibility.items()}
-    ideal_basis = ideals.basis()
     problems = []
     for key in ("linear", "rank"):
         bad = non_members(ideals.gens, families[key])
         if bad:
             problems.append(f"{bad[0]} not in ({key})")
-    for product in families["products"]:
-        if normal_form(product, ideal_basis):
-            problems.append(f"{product} not in computed ideal")
+    for product in non_members(families["products"], ideals.gens):
+        problems.append(f"{product} not in computed ideal")
     return CheckResult(entry.name, "reducibility", "PASS" if not problems else "FAIL",
                        "; ".join(problems) or "union certificate holds",
                        time.monotonic() - started)
