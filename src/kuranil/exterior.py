@@ -17,14 +17,17 @@ The ambient object must provide ``complex_dim``, ``covector_differential``,
 ``vector_bracket`` and ``vector_delbar``; the algebra module reads all four
 off one table of frame brackets.  d, ∂ and ∂̄ are one Leibniz-rule kernel that
 keeps the terms of each ``covector_differential`` raising the barred degree
-by the wanted amount.
+by the wanted amount.  Every product of forms is one wedge kernel,
+``wedge_into``, which sums each product term into a ``{monomial:
+coefficient}`` map per cell; ``ExteriorForm.wedge`` and the Schouten bracket
+of ``kuranil.kuranishi`` both run on it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .polyring import Polynomial, rational
+from .polyring import Polynomial, mono_mul, rational
 
 
 class AmbientMismatch(ValueError):
@@ -60,6 +63,29 @@ def _canonical(covs: Iterable[Cov]) -> tuple[MultiIndex, int] | None:
         if a == b:
             return None
     return tuple(lst), sign
+
+
+def wedge_into(out: dict, a: dict, b: dict, targets) -> None:
+    """Add Σ c·(α∧β) ⊗ key over ``targets``, ``(key, c)`` pairs with ``c`` a
+    rational value, to ``out``: the wedge kernel of every product of forms.
+
+    ``a`` and ``b`` are the ``terms`` of forms α and β.  ``out`` maps each
+    cell ``(multi-index, key)`` to a ``{monomial: coefficient}`` dict that
+    the products are summed into; the caller builds one ``Polynomial`` per
+    cell at the end."""
+    for mi1, c1 in a.items():
+        for mi2, c2 in b.items():
+            canon = _canonical(mi1 + mi2)
+            if canon is None:
+                continue
+            mi, sign = canon
+            products = [(mono_mul(m1, m2), x1 * x2)
+                        for m1, x1 in c1.terms.items() for m2, x2 in c2.terms.items()]
+            for key, c in targets:
+                acc = out.setdefault((mi, key), {})
+                f = c * sign
+                for m, x in products:
+                    acc[m] = acc.get(m, 0) + (x if f == 1 else x * f)
 
 
 def _coerce_poly(c) -> Polynomial:
@@ -168,15 +194,9 @@ class ExteriorForm(_TermMap):
 
     def wedge(self, other: "ExteriorForm") -> "ExteriorForm":
         self._check_ambient(other)
-        out: dict[MultiIndex, Polynomial] = {}
-        for mi1, c1 in self.terms.items():
-            for mi2, c2 in other.terms.items():
-                canon = _canonical(mi1 + mi2)
-                if canon is None:
-                    continue
-                mi, sign = canon
-                out[mi] = out.get(mi, Polynomial.zero()) + c1 * c2 * sign
-        return ExteriorForm(self.ambient, out)
+        out: dict = {}
+        wedge_into(out, self.terms, other.terms, ((None, 1),))
+        return ExteriorForm(self.ambient, {mi: Polynomial(t) for (mi, _), t in out.items()})
 
     # -- differential operators ----------------------------------------------
 

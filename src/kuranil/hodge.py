@@ -26,7 +26,11 @@ i, and sums each image coefficient once.  A projector is symmetric, so its
 rows are its columns; the columns of ∂̄ and δ are transposed once and kept.
 
 A decomposition's kind fixes its degrees: 0..n on the scalar complex, 0..2
-on Θ, which is all the deformation recursion reads.  A decomposition
+on Θ, which is all the deformation recursion reads.  The ∂̄ matrices are
+built with the decomposition; each space B, H or V of a degree is built
+when it is first read, and kept.  Dimensions come from ranks: dim B^q =
+rank ∂̄_{q−1} = dim V^{q−1}, dim V^q = rank ∂̄_q, and H^q is what remains,
+so a Hodge number costs one ``rref`` (of V^q) per degree.  A decomposition
 carries its ambient, so it is the one input of every deformation stage, and
 only this module reads its kind: the deformation layer sees Θ in both,
 through ``h1_theta_basis`` and the projections of ``VectorForm``s.  Every
@@ -93,7 +97,7 @@ class HodgeDecomposition:
             q: self._build_d(q, dbar_cov, dbar_vec) for q in range(self.max_degree + 1)}
         self._d_columns = {q: linalg.transpose(d, self.dim(q))
                            for q, d in self.d_matrices.items()}
-        self._spaces = {q: self._decompose(q) for q in range(self.max_degree + 1)}
+        self._spaces: dict[tuple[int, str], linalg.Subspace] = {}
         self._delta_matrix: linalg.Matrix | None = None
 
     # -- cells and coordinates -------------------------------------------------
@@ -178,19 +182,19 @@ class HodgeDecomposition:
                     mat[tgt_index[key]][col] = rational(x)
         return mat
 
-    def _decompose(self, q: int) -> dict[str, linalg.Subspace]:
-        """B, H and V in degree q."""
+    def _build_space(self, q: int, which: str) -> linalg.Subspace:
+        """B, H or V in degree q, built from the ∂̄ matrices."""
         dim_q = self.dim(q)
         d_out = self.d_matrices[q]
         d_in_t = self._d_columns[q - 1] if q else []
-        return {
-            # B = image of the incoming ∂̄ = row space of its transpose
-            "B": linalg.Subspace.from_vectors(dim_q, d_in_t),
-            # H = ker ∂̄ ∩ ker ∂̄*
-            "H": linalg.nullspace(d_out + d_in_t, dim_q),
-            # V = image of ∂̄* from above = row space of the outgoing ∂̄
-            "V": linalg.Subspace.from_vectors(dim_q, d_out),
-        }
+        if which == "B":
+            # the image of the incoming ∂̄: the row space of its transpose
+            return linalg.Subspace.from_vectors(dim_q, d_in_t)
+        if which == "H":
+            # ker ∂̄ ∩ ker ∂̄*
+            return linalg.nullspace(d_out + d_in_t, dim_q)
+        # the image of ∂̄* from above: the row space of the outgoing ∂̄
+        return linalg.Subspace.from_vectors(dim_q, d_out)
 
     # -- inspection ----------------------------------------------------------
 
@@ -200,20 +204,32 @@ class HodgeDecomposition:
     def cells(self, q: int) -> list:
         return list(self._cells[q])
 
-    def _space(self, q: int, which: str) -> linalg.Subspace:
-        """The space B, H or V of degree q, for q in 0..max_degree."""
-        if q not in self._spaces:
+    def _check_degree(self, q: int) -> None:
+        if not 0 <= q <= self.max_degree:
             raise DegreeMismatch(f"degree {q} is outside the decomposition's "
                                  f"degrees 0..{self.max_degree}")
+
+    def _space(self, q: int, which: str) -> linalg.Subspace:
+        """The space B, H or V of degree q, for q in 0..max_degree, built on
+        its first read."""
+        self._check_degree(q)
         if which not in ("B", "H", "V"):
             raise ValueError(f"unknown space {which!r}: expected 'B', 'H' or 'V'")
-        return self._spaces[q][which]
+        space = self._spaces.get((q, which))
+        if space is None:
+            space = self._spaces[q, which] = self._build_space(q, which)
+        return space
 
     def space_dims(self, q: int) -> dict[str, int]:
-        return {which: self._space(q, which).dim for which in ("B", "H", "V")}
+        """dim B^q = rank ∂̄_{q−1} = dim V^{q−1} and dim V^q = rank ∂̄_q; H is
+        what remains of degree q."""
+        self._check_degree(q)
+        b = self._space(q - 1, "V").dim if q else 0
+        v = self._space(q, "V").dim
+        return {"B": b, "H": self.dim(q) - b - v, "V": v}
 
     def harmonic_dim(self, q: int) -> int:
-        return self._space(q, "H").dim
+        return self.space_dims(q)["H"]
 
     def basis(self, q: int, which: str):
         """Basis of B/H/V in degree q, as forms (scalar) or vector forms (theta)."""
@@ -261,7 +277,7 @@ class HodgeDecomposition:
         if len(degs) > 1:
             raise DegreeMismatch(f"form mixes degrees {sorted(degs)}")
         q = min(degs, default=0)
-        self._space(q, "H")  # raises outside degrees 0..max_degree
+        self._check_degree(q)
         return q
 
     def _project(self, obj, which: str):
@@ -282,8 +298,14 @@ class HodgeDecomposition:
         return self._project(obj, "V")
 
     def in_space(self, obj, which: str) -> bool:
-        """Whether ``obj`` lies in B, H or V: whether the projector fixes it."""
-        return self._project(obj, which).terms == obj.terms
+        """Whether ``obj`` lies in B, H or V: whether the coefficient vector
+        of each frame key reduces to zero against the space's RREF rows."""
+        q = self._degree(obj)
+        space = self._space(q, which)
+        vectors: dict = {}
+        for i, key, coeff in self._coordinates(obj, q):
+            vectors.setdefault(key, [0] * space.ambient_dim)[i] = coeff
+        return all(space.contains(v) for v in vectors.values())
 
     def delbar_op(self, obj):
         """∂̄ of ``obj`` from its degree q to q + 1, through the matrix ∂̄."""
@@ -321,7 +343,7 @@ class HodgeDecomposition:
         if self._delta_matrix is None:
             if self.max_degree < 2:
                 raise DegreeMismatch("decomposition does not include degree 2")
-            v_rows = self._spaces[1]["V"].rows
+            v_rows = self._space(1, "V").rows
             if not v_rows:
                 self._delta_matrix = [{} for _ in range(self.dim(1))]
             else:

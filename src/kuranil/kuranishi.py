@@ -36,7 +36,7 @@ from fractions import Fraction
 
 from . import groebner, hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra
-from .exterior import AmbientMismatch, MultiIndex, VectorForm
+from .exterior import AmbientMismatch, MultiIndex, VectorForm, wedge_into
 from .polyring import Polynomial, Var, linear_combination, var_poly
 
 
@@ -67,33 +67,27 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     The Lie-derivative terms reduce to contractions of ∂-parts because frame
     coefficients are constant and (1,0)-vectors contract (0,q)-forms to zero.
     On a parallelisable ambient ∂ of a (0,q)-form vanishes and the formula
-    is the wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone."""
+    is the wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone.  Every product term is
+    summed into one term map by ``wedge_into``, and each cell's
+    ``Polynomial`` is built once."""
     if a.ambient is not b.ambient:
         raise AmbientMismatch("Schouten bracket of forms over different ambients")
     ambient = a.ambient
-    out: dict = {}
-
-    def add(j, form):
-        for mi, x in form.terms.items():
-            cell = (mi, j)
-            out[cell] = out.get(cell, Polynomial.zero()) + x
-
+    out: dict = {}  # every product term, summed per cell (multi-index, k)
     items_a = [(i, alpha, alpha.del_()) for i, alpha in a.components.items()]
     items_b = [(j, beta, beta.del_()) for j, beta in b.components.items()]
     for i, alpha, del_alpha in items_a:
         for j, beta, del_beta in items_b:
             if del_alpha:
-                add(i, beta.wedge(del_alpha.contract(j)))
+                wedge_into(out, beta.terms, del_alpha.contract(j).terms, ((i, 1),))
             if del_beta:
-                add(j, alpha.wedge(del_beta.contract(i)))
+                wedge_into(out, alpha.terms, del_beta.contract(i).terms, ((j, 1),))
             # [X_i, X_j] is unbarred by integrability, [T^{1,0}, T^{1,0}] ⊂ T^{1,0}: both
             # ambients build their tables so, and the dw reader rejects (0,2) terms
             br = ambient.vector_bracket(i, False, j, False)
             if br:
-                w = alpha.wedge(beta)
-                for (k, _), c in br.items():
-                    add(k, w.scale(c))
-    return VectorForm(ambient, out)
+                wedge_into(out, alpha.terms, beta.terms, [(k, c) for (k, _), c in br.items()])
+    return VectorForm(ambient, {cell: Polynomial(t) for cell, t in out.items()})
 
 
 class PhiSeries:
@@ -235,7 +229,8 @@ def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
 
         H[Φ₁,Φ₁] = H( 2 Σ_{i<j} Σ_{k<l} (t_i^k t_j^l − t_i^l t_j^k) ω̄^i∧ω̄^j ⊗ [X_k,X_l] ),
 
-    built directly from minors and structure constants — an independent code
+    built directly from minors and the nonzero structure constants
+    ``L.brackets`` of the decomposition's Lie algebra — an independent code
     path from the recursion, used for cross-validation.  The lower indices
     i, j are the pivot covectors of the harmonic 1-forms, as in
     ``generic_harmonic_element``."""
@@ -243,26 +238,20 @@ def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
     L = decomposition.ambient
     # h_a⊗X_b → h_a, keyed by pivot a in basis order
     hforms = list({a: h.component(b) for (a, b), h in decomposition.h1_theta_basis()}.items())
-    n = L.complex_dim
-    out: dict[tuple[MultiIndex, int], Polynomial] = {}
+    brackets = sorted(L.brackets.items())  # [X_k, X_l] = Σ c·X_m for k < l
+    pairs: dict[tuple[MultiIndex, int], list] = {}
     for pos, (i, hi) in enumerate(hforms):
         for j, hj in hforms[pos + 1:]:
             wij = hi.wedge(hj)
             if not wij:
                 continue
-            for k in range(1, n + 1):
-                for l in range(k + 1, n + 1):
-                    # unbarred by integrability, as in ``schouten_general``
-                    br = L.vector_bracket(k, False, l, False)
-                    if not br:
-                        continue
-                    coeff = minor2(i, j, k, l) * 2
-                    for (m, _), c in br.items():
-                        scaled = coeff * c
-                        for mi, w in wij.terms.items():
-                            cell = (mi, m)
-                            out[cell] = out.get(cell, Polynomial.zero()) + w * scaled
-    total = VectorForm(L, out)
+            for (k, l), comp in brackets:
+                minor = minor2(i, j, k, l)
+                for m, c in comp.items():
+                    for mi, w in wij.terms.items():
+                        pairs.setdefault((mi, m), []).append(
+                            (minor, 2 * c * w.constant_value()))
+    total = VectorForm(L, {cell: linear_combination(p) for cell, p in pairs.items()})
     h_part = decomposition.project_harmonic(total)
     return groebner.canonical_generators(decomposition.harmonic_coefficients(h_part).values())
 

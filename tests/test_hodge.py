@@ -1,9 +1,13 @@
 """Exact decompositions image ⊕ harmonic ⊕ coimage with explicit preimages."""
 
 from fractions import Fraction
+from functools import cache
 from math import comb
+from pathlib import Path
 import random
+import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from kuranil import catalog
@@ -23,9 +27,13 @@ from kuranil.hodge import (
     build_theta_decomposition,
     hodge_numbers,
 )
+from kuranil.kuranishi import analyze
 from kuranil.linalg import identity, mat_mul, transpose
 from kuranil.polyring import parse_polynomial
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import ALGEBRAS as PERFBENCH_ALGEBRAS  # noqa: E402
 
 ALGEBRAS = ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,0,12,13+24)",
             "(0,0,12,13,14+23)")
@@ -651,3 +659,70 @@ def test_operators_match_dense_products_monomial_by_monomial(name, kind):
                     for x in (form, dec.project_exact(form), closed):
                         assert _monomial_vectors(dec, dec.delta_op(x), 1) == _dense_product(
                             delta, _monomial_vectors(dec, x, 2))
+
+
+_cached_decomposition = cache(_decomposition)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(ORACLE_COMPLEXES), st.sampled_from((1, 2)), st.booleans(),
+       st.sets(st.sampled_from("BHV")), st.randoms(use_true_random=False))
+def test_in_space_agrees_with_the_projector(complex_, q, vector, parts, rng):
+    """``in_space`` reduces coefficient vectors against the RREF rows; on
+    polynomial coefficients it answers as "the projector fixes the form"
+    does.  The form is a random one or the sum of some of its B, H and V
+    parts, so that both answers occur."""
+    dec = _cached_decomposition(*complex_)
+    form = _random_form(dec, q, rng, vector)
+    projections = {"B": dec.project_exact, "H": dec.project_harmonic, "V": dec.project_coexact}
+    if parts:
+        form = sum((projections[which](form) for which in sorted(parts)),
+                   type(form).zero(dec.ambient))
+    for which, project in projections.items():
+        assert dec.in_space(form, which) == (project(form) == form), which
+
+
+# -- spaces built on first read, dimensions from ranks ----------------------------
+
+RANK_AMBIENTS = ([("perfbench", s) for s in PERFBENCH_ALGEBRAS] + [("catalog", "general7")]
+                 + [("random", i) for i in range(RANDOM_NILPOTENT_COUNT)])
+
+
+@pytest.mark.parametrize("source, key", RANK_AMBIENTS)
+def test_space_dims_from_ranks_match_the_built_spaces(source, key):
+    """dim B^q = dim V^{q−1}, dim V^q = rank ∂̄_q and H the rest give the
+    dimensions of the B, H and V spaces built explicitly, in every degree
+    of both complexes."""
+    if source == "perfbench":
+        ambient = parse_salamon(key)
+    elif source == "catalog":
+        ambient = catalog.get(key).build()
+    else:
+        ambient = random_nilpotent_algebras()[key]
+    decompositions = [build_theta_decomposition(ambient)]
+    if isinstance(ambient, LieAlgebra):
+        decompositions.append(build_decomposition(ambient))
+    for dec in decompositions:
+        dims = [dec.space_dims(q) for q in range(dec.max_degree + 1)]
+        for q, from_ranks in enumerate(dims):
+            built = {which: len(dec.basis(q, which)) for which in "BHV"}
+            assert from_ranks == built, (dec.kind, q)
+            assert dec.harmonic_dim(q) == built["H"]
+
+
+def test_analyze_builds_no_exact_or_harmonic_space_above_degree_two(monkeypatch):
+    """The recursion reads B and H in degrees 1 and 2 only, and the Hodge
+    numbers above them come from ranks: one V per degree.  Every space is
+    built once."""
+    builds = []
+    build_space = HodgeDecomposition._build_space
+
+    def counting(self, q, which):
+        builds.append((q, which))
+        return build_space(self, q, which)
+
+    monkeypatch.setattr(HodgeDecomposition, "_build_space", counting)
+    analyze(parse_salamon("(0,0,12,13,23,14,25,24+15)"))
+    assert len(builds) == len(set(builds))
+    assert sorted(b for b in builds if b[0] > 2) == [(q, "V") for q in range(3, 9)]
+    assert {(1, "H"), (2, "B"), (2, "H")} <= set(builds)

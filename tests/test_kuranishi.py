@@ -1,6 +1,7 @@
 """Maurer-Cartan recursion, obstruction ideals, smoothness reports."""
 
 from fractions import Fraction
+import itertools
 import json
 import random
 import re
@@ -20,7 +21,7 @@ from kuranil.algebra import (
     to_complex_structure,
 )
 from kuranil.cli import report_text
-from kuranil.exterior import AmbientMismatch, ExteriorForm, VectorForm
+from kuranil.exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, canonical_generators, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
@@ -38,9 +39,9 @@ from kuranil.kuranishi import (
     schouten_general,
     smoothness_tests,
 )
-from kuranil.polyring import parse_polynomial
+from kuranil.polyring import Polynomial, parse_polynomial
 
-from random_algebras import change_frame, random_nilpotent_algebras
+from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 
 P = parse_polynomial
 
@@ -162,6 +163,77 @@ def test_schouten_general_matches_stated_first_bracket():
     out = schouten_general(mu, mu)
     assert out.component(6) == _cw(csa, 3, 4).scale(Fraction(-2))
     assert not out.component(1) and not out.component(2)
+
+
+def _reference_wedge(a, b):
+    """α∧β term by term: each product's covectors sorted, with the sign of
+    the sorting permutation (its inversions counted); a repeated covector
+    gives zero."""
+    terms = {}
+    for mi1, c1 in a.terms.items():
+        for mi2, c2 in b.terms.items():
+            covs = mi1 + mi2
+            if len(set(covs)) < len(covs):
+                continue
+            inversions = sum(x.sort_key > y.sort_key for x, y in itertools.combinations(covs, 2))
+            mi = tuple(sorted(covs, key=lambda cv: cv.sort_key))
+            terms[mi] = terms.get(mi, Polynomial.zero()) + c1 * c2 * (-1) ** inversions
+    return ExteriorForm(a.ambient, terms)
+
+
+def _schouten_reference(a, b):
+    """The three-term Schouten bracket as one wedge, scale and sum per term:
+    β̄∧(i_Y ∂ᾱ)⊗X + ᾱ∧(i_X ∂β̄)⊗Y + ᾱ∧β̄⊗[X,Y]."""
+    ambient = a.ambient
+    out = VectorForm.zero(ambient)
+    for i, alpha in a.components.items():
+        for j, beta in b.components.items():
+            out = out + VectorForm.single(_reference_wedge(beta, alpha.del_().contract(j)), i)
+            out = out + VectorForm.single(_reference_wedge(alpha, beta.del_().contract(i)), j)
+            w = _reference_wedge(alpha, beta)
+            for (k, _), c in ambient.vector_bracket(i, False, j, False).items():
+                out = out + VectorForm.single(w.scale(c), k)
+    return out
+
+
+_COEFFICIENTS = ("t1_1", "2*t1_2 - 1/3", "t2_1*t1_1 + 5", "-t2_2^2", "7/2", "-3")
+
+
+def _random_theta_form(ambient, q: int, rng: random.Random) -> VectorForm:
+    """A Θ-valued (0,q)-form of a few cells with polynomial coefficients."""
+    n = ambient.complex_dim
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        mi = tuple(Cov(i, True) for i in sorted(rng.sample(range(1, n + 1), q)))
+        terms[(mi, rng.randint(1, n))] = P(rng.choice(_COEFFICIENTS))
+    return VectorForm(ambient, terms)
+
+
+_SCHOUTEN_ORACLE = settings(derandomize=True, deadline=None, max_examples=60)
+_DEGREES = st.sampled_from((1, 2))
+
+
+@_SCHOUTEN_ORACLE
+@given(st.sampled_from(["general7", "swapped5"]), _DEGREES, _DEGREES,
+       st.randoms(use_true_random=False))
+def test_schouten_general_matches_the_reference_where_del_terms_are_live(which, p, q, rng):
+    """The bracket summed in one term map equals the formula summed one
+    ``Polynomial`` at a time, on random polynomial-coefficient forms of
+    degrees 1–2 over structures whose ∂-terms are live."""
+    ambient = _live_del_structure(which)
+    a, b = _random_theta_form(ambient, p, rng), _random_theta_form(ambient, q, rng)
+    assert schouten_general(a, b) == _schouten_reference(a, b)
+
+
+@_SCHOUTEN_ORACLE
+@given(st.integers(0, RANDOM_NILPOTENT_COUNT - 1), _DEGREES, _DEGREES,
+       st.randoms(use_true_random=False))
+def test_schouten_general_matches_the_reference_on_random_algebras(index, p, q, rng):
+    """The same over the random nilpotent algebras, where only the
+    wedge-and-bracket term is live."""
+    ambient = random_nilpotent_algebras()[index]
+    a, b = _random_theta_form(ambient, p, rng), _random_theta_form(ambient, q, rng)
+    assert schouten_general(a, b) == _schouten_reference(a, b)
 
 
 # -- generic harmonic element ------------------------------------------------
