@@ -144,11 +144,16 @@ class LieAlgebra(_FrameAlgebra):
     def validate(self) -> None:
         """Raise unless the brackets satisfy Jacobi and the algebra is nilpotent."""
         n = self.dim
+        # [X_a, X_b] for every ordered pair whose bracket is nonzero
+        ad: Brackets = {}
+        for (i, j), comp in self.brackets.items():
+            ad[(i, j)] = comp
+            ad[(j, i)] = {k: -c for k, c in comp.items()}
         for i, j, k in itertools.combinations(range(1, n + 1), 3):
             acc = [0] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, inner in self.bracket(a, b).items():
-                    for r, outer in self.bracket(m, c).items():
+                for m, inner in ad.get((a, b), {}).items():
+                    for r, outer in ad.get((m, c), {}).items():
                         acc[r - 1] += inner * outer
             if any(acc):
                 raise JacobiViolation((i, j, k), acc, [f"X{i}", f"X{j}", f"X{k}"])
@@ -195,13 +200,14 @@ class LieAlgebra(_FrameAlgebra):
         return len(series) - 1
 
     def center(self) -> Subspace:
-        n = self.dim
-        rows = []
-        for j in range(1, n + 1):
-            images = [self.bracket(i, j) for i in range(1, n + 1)]
-            for k in range(1, n + 1):
-                rows.append({i: b[k] for i, b in enumerate(images) if k in b})
-        return linalg.nullspace(rows, n)
+        """The x = Σ x_i X_i with [x, X_j] = 0 for every j: one equation per
+        component k of each [·, X_j], read off the nonzero brackets."""
+        rows: dict[tuple[int, int], dict] = {}  # (j, k) -> {i - 1: c^k_ij}
+        for (i, j), comp in self.brackets.items():
+            for k, c in comp.items():
+                rows.setdefault((j, k), {})[i - 1] = c
+                rows.setdefault((i, k), {})[j - 1] = -c
+        return linalg.nullspace(rows.values(), self.dim)
 
     def derived_algebra(self) -> Subspace:
         spans = [{k - 1: c for k, c in comp.items()} for comp in self.brackets.values()]

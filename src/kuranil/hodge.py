@@ -49,6 +49,14 @@ Every entry of a ∂̄ matrix, a projector or δ is a canonical rational value
 (:func:`~kuranil.polyring.rational`): an ``int`` while it is integral, else
 a ``Fraction``, so projections and δ multiply polynomials by ints wherever
 they can.
+
+``split`` takes a degree-2 form s apart as s = ∂̄δs + Hs + Vs without a
+projector wherever it can.  ∂̄∘δ = P_B holds exactly, so the rest
+s − ∂̄δs is Hs + Vs; ∂̄ kills H² and is injective on V², so the rest is
+∂̄-closed exactly when Vs = 0, and then it is Hs.  The orthogonal projector
+onto H², Rᵀ(RRᵀ)⁻¹R, is built (once per decomposition) only for a rest
+that ∂̄ does not kill: in the recursion, a bracket sum whose coexact part
+is dropped.
 """
 
 from __future__ import annotations
@@ -363,6 +371,33 @@ class HodgeDecomposition:
         its exact part, zero on its harmonic and coexact parts."""
         self._degree(obj)
         return self._apply(obj, 2, self._delta_columns, 1) if obj else obj
+
+    def split(self, obj):
+        """``(δ obj, H obj, V obj)`` of a degree-2 form (⊗ vectors), so that
+        obj = ∂̄δ obj + H obj + V obj.
+
+        ∂̄∘δ = P_B, so the rest obj − ∂̄δ obj is H obj + V obj; ∂̄ kills H and
+        is injective on V, so a ∂̄-closed rest is H obj and V obj is zero.
+        Only a rest that ∂̄ does not kill is projected onto H.  H obj comes
+        out as ``project_harmonic`` gives it, terms in the same order."""
+        d = self.delta_op(obj)
+        rest = obj - self.delbar_op(d)
+        if self.is_closed(rest):
+            return d, self._in_image_order(rest, obj), type(obj)(self.ambient)
+        h = self.project_harmonic(obj)
+        return d, h, rest - h
+
+    def _in_image_order(self, part, obj):
+        """``part``, a degree-2 image of ``obj``, with its terms in the order
+        ``_apply`` gives one: by frame key as the keys first appear in
+        ``obj``, then by cell."""
+        rank: dict = {}
+        for _, key, _ in self._coordinates(obj, 2):
+            rank.setdefault(key, len(rank))
+        cells = self._cells[2]
+        terms = sorted(self._coordinates(part, 2), key=lambda t: (rank[t[1]], t[0]))
+        return type(part)(self.ambient, {
+            cells[i] if key is None else (cells[i], key): c for i, key, c in terms})
 
 
 def build_decomposition(L) -> HodgeDecomposition:

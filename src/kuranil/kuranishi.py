@@ -11,6 +11,11 @@ where δ = ∂̄*G sends a 2-form to the coexact ∂̄-preimage of its exact par
 (Kuranishi's equation Φ = Φ₁ − ∂̄*G[Φ, Φ]).  The harmonic parts of the
 bracket sums — the parts the correction terms cannot absorb — accumulate into
 the obstruction ideal; its vanishing locus is the local deformation space.
+Each bracket sum s_k is taken apart once, by ``HodgeDecomposition.split``,
+as s_k = ∂̄δs_k + H s_k + V s_k: Φ_k = −δs_k, H s_k is the obstructing part,
+and a nonzero coexact part V s_k is certified to vanish on the obstruction
+locus and dropped.  H s_k is s_k − ∂̄δs_k whenever V s_k = 0, so the
+harmonic projector is built only for a degree that drops a coexact part.
 
 For a nilpotent Lie algebra (a complex-parallelisable structure) the
 recursion terminates at the nilpotency index ν and the obstruction
@@ -197,13 +202,10 @@ def phi_recursion(decomposition, max_degree: int | None = None,
                 raise RuntimeError(
                     f"internal invariant violated: bracket sum at degree {k} "
                     f"leaves central-series stage {depth}")
-        phi_k = -decomposition.delta_op(s_k)
-        harmonic_part = decomposition.project_harmonic(s_k)
-        series.terms[k] = phi_k
+        delta_part, harmonic_part, coexact_part = decomposition.split(s_k)
+        series.terms[k] = -delta_part
         series.harmonic_parts[k] = harmonic_part
         series.obstruction_by_degree[k] = decomposition.harmonic_coefficients(harmonic_part)
-        # ∂̄Φ_k = −P s_k, so this is the coexact part of s_k
-        coexact_part = s_k + decomposition.delbar_op(phi_k) - harmonic_part
         if coexact_part:
             bad = groebner.non_members(
                 coexact_part.terms.values(),
@@ -252,7 +254,7 @@ def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
                         pairs.setdefault((mi, m), []).append(
                             (minor, 2 * c * w.constant_value()))
     total = VectorForm(L, {cell: linear_combination(p) for cell, p in pairs.items()})
-    h_part = decomposition.project_harmonic(total)
+    _, h_part, _ = decomposition.split(total)
     return groebner.canonical_generators(decomposition.harmonic_coefficients(h_part).values())
 
 

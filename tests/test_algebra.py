@@ -2,7 +2,10 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
+import sys
 
+from hypothesis import given, settings, strategies as st
 import pytest
 
 from kuranil import catalog
@@ -23,7 +26,12 @@ from kuranil.algebra import (
     parse_structure_file,
     to_complex_structure,
 )
+from kuranil import linalg
 from kuranil.exterior import Cov, ExteriorForm
+from random_algebras import RANDOM_NILPOTENT_COUNT, random_nilpotent_algebras
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import ALGEBRAS as PERFBENCH_ALGEBRAS  # noqa: E402
 
 
 HEISENBERG = "(0,0,12)"
@@ -133,6 +141,87 @@ def test_center_and_derived_subalgebra():
     derived = L.derived_algebra()
     assert derived.dim == 2
     assert L.dim - derived.dim == 3  # forms vanishing on [g, g]
+
+
+def _dense_center(L: LieAlgebra) -> Subspace:
+    """The center as ``LieAlgebra.center`` built it through ``bracket(i, j)``
+    for every ordered pair: the oracle of the sparse construction."""
+    n = L.dim
+    rows = []
+    for j in range(1, n + 1):
+        images = [L.bracket(i, j) for i in range(1, n + 1)]
+        for k in range(1, n + 1):
+            rows.append({i: b[k] for i, b in enumerate(images) if k in b})
+    return linalg.nullspace(rows, n)
+
+
+def _dense_jacobi(L: LieAlgebra) -> JacobiViolation | None:
+    """The first Jacobi violation as ``LieAlgebra.validate`` found it through
+    ``bracket(i, j)``, dense defect included, or None."""
+    n = L.dim
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        acc = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, inner in L.bracket(a, b).items():
+                for r, outer in L.bracket(m, c).items():
+                    acc[r - 1] += inner * outer
+        if any(acc):
+            return JacobiViolation((i, j, k), acc, [f"X{i}", f"X{j}", f"X{k}"])
+    return None
+
+
+def _jacobi_error(L: LieAlgebra) -> JacobiViolation | None:
+    try:
+        L.validate()
+    except JacobiViolation as exc:
+        return exc
+    except NotNilpotent:
+        pass
+    return None
+
+
+def _payload(exc: JacobiViolation | None):
+    if exc is None:
+        return None
+    return exc.triple, exc.defect, [type(x) for x in exc.defect], str(exc)
+
+
+SPARSE_ORACLE_ALGEBRAS = ([("perfbench", s) for s in PERFBENCH_ALGEBRAS]
+                          + [("random", i) for i in range(RANDOM_NILPOTENT_COUNT)])
+
+
+@pytest.mark.parametrize("source, key", SPARSE_ORACLE_ALGEBRAS)
+def test_center_and_jacobi_walk_the_brackets_as_the_dense_loops_did(source, key):
+    L = parse_salamon(key) if source == "perfbench" else random_nilpotent_algebras()[key]
+    assert L.center() == _dense_center(L)
+    assert _dense_jacobi(L) is None
+    L.validate()
+
+
+_COEFFICIENTS = st.sampled_from((-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def _bracket_tables(draw):
+    """A random table of brackets [X_i, X_j] = Σ c X_k on 3..6 vectors: most
+    fail Jacobi, some hold it, and some mix int and Fraction constants."""
+    n = draw(st.integers(3, 6))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(1, n + 1), 2))),
+                          min_size=1, max_size=6, unique=True))
+    return n, {pair: draw(st.dictionaries(st.integers(1, n), _COEFFICIENTS,
+                                          min_size=1, max_size=3))
+               for pair in pairs}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_bracket_tables())
+def test_jacobi_violation_payload_matches_the_dense_loop(table):
+    """The sparse Jacobi walk reports the first violating triple with the
+    same dense defect (values and types) and message as the dense loop, and
+    none where the dense loop finds none; the center agrees too."""
+    L = LieAlgebra(*table)
+    assert _payload(_jacobi_error(L)) == _payload(_dense_jacobi(L))
+    assert L.center() == _dense_center(L)
 
 
 def test_is_abelian():

@@ -1,7 +1,7 @@
 """Exact decompositions image ⊕ harmonic ⊕ coimage with explicit preimages."""
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 from pathlib import Path
 import random
@@ -27,8 +27,8 @@ from kuranil.hodge import (
     build_theta_decomposition,
     hodge_numbers,
 )
-from kuranil.kuranishi import analyze
-from kuranil.linalg import identity, mat_mul, transpose
+from kuranil.kuranishi import analyze, analyze_general
+from kuranil.linalg import Subspace, identity, mat_mul, transpose
 from kuranil.polyring import parse_polynomial
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 
@@ -688,17 +688,20 @@ RANK_AMBIENTS = ([("perfbench", s) for s in PERFBENCH_ALGEBRAS] + [("catalog", "
                  + [("random", i) for i in range(RANDOM_NILPOTENT_COUNT)])
 
 
+def _rank_ambient(source: str, key):
+    if source == "perfbench":
+        return parse_salamon(key)
+    if source == "catalog":
+        return catalog.get(key).build()
+    return random_nilpotent_algebras()[key]
+
+
 @pytest.mark.parametrize("source, key", RANK_AMBIENTS)
 def test_space_dims_from_ranks_match_the_built_spaces(source, key):
     """dim B^q = dim V^{q−1}, dim V^q = rank ∂̄_q and H the rest give the
     dimensions of the B, H and V spaces built explicitly, in every degree
     of both complexes."""
-    if source == "perfbench":
-        ambient = parse_salamon(key)
-    elif source == "catalog":
-        ambient = catalog.get(key).build()
-    else:
-        ambient = random_nilpotent_algebras()[key]
+    ambient = _rank_ambient(source, key)
     decompositions = [build_theta_decomposition(ambient)]
     if isinstance(ambient, LieAlgebra):
         decompositions.append(build_decomposition(ambient))
@@ -725,4 +728,124 @@ def test_analyze_builds_no_exact_or_harmonic_space_above_degree_two(monkeypatch)
     analyze(parse_salamon("(0,0,12,13,23,14,25,24+15)"))
     assert len(builds) == len(set(builds))
     assert sorted(b for b in builds if b[0] > 2) == [(q, "V") for q in range(3, 9)]
-    assert {(1, "H"), (2, "B"), (2, "H")} <= set(builds)
+    # the algebra is smooth: no bracket sum has a harmonic part, so H² is
+    # never read
+    assert sorted(b for b in builds if b[0] <= 2) == [
+        (0, "V"), (1, "H"), (1, "V"), (2, "B"), (2, "V")]
+
+
+def _count_projector_builds(monkeypatch) -> list:
+    """Record each ``Subspace.projector`` build as ``(dimension, ambient
+    dimension)``; a build happens once per subspace."""
+    builds = []
+    build = Subspace.__dict__["projector"].func
+
+    def counting(self):
+        builds.append((self.dim, self.ambient_dim))
+        return build(self)
+
+    projector = cached_property(counting)
+    projector.__set_name__(Subspace, "projector")
+    monkeypatch.setattr(Subspace, "projector", projector)
+    return builds
+
+
+def test_a_recursion_that_drops_no_coexact_term_builds_no_projector(monkeypatch):
+    """Every bracket sum's rest s − ∂̄δs is ∂̄-closed unless a coexact part
+    survives, so neither the parallelisable analysis of a smooth algebra nor
+    the general analysis of general7 projects."""
+    builds = _count_projector_builds(monkeypatch)
+    analyze(parse_salamon("(0,0,12,13,23,14,25,24+15)"))
+    analyze_general(catalog.get("general7").build(), max_degree=3)
+    assert builds == []
+
+
+def test_only_a_dropped_coexact_part_builds_the_harmonic_projector(monkeypatch):
+    """(0,0,0,12,13+24) drops coexact terms: the rest is not ∂̄-closed there,
+    and the recursion builds the degree-2 H projector, once."""
+    builds = _count_projector_builds(monkeypatch)
+    L = parse_salamon("(0,0,0,12,13+24)")
+    report = analyze(L)
+    assert builds == [(build_decomposition(L).harmonic_dim(2), 10)]
+    assert report["obstruction_generators"]
+
+
+# -- s = ∂̄δs + Hs + Vs, with the projector only for a surviving coexact part -----
+
+SPLIT_AMBIENTS = [(source, key) for source, key in RANK_AMBIENTS
+                  if source != "perfbench" or key.count(",")]  # (0) has no degree 2
+
+
+@cache
+def _split_decomposition(source: str, key, kind: str):
+    ambient = _rank_ambient(source, key)
+    if kind == "scalar":
+        return build_decomposition(ambient)
+    return build_theta_decomposition(ambient)
+
+
+def _keyed(dec, form, rng: random.Random, vector: bool):
+    """``form`` as the scalar complex's VectorForm at a random frame key when
+    ``vector``, else as it is."""
+    if dec.kind == "scalar" and vector:
+        return VectorForm.single(form, rng.randint(1, dec.ambient.complex_dim))
+    return form
+
+
+def _closed_form(dec, rng: random.Random, vector: bool):
+    """∂̄ of a random degree-1 form, plus polynomial multiples of up to three
+    harmonic basis forms, each at its own random frame key when ``vector``."""
+    form = _keyed(dec, dec.delbar_op(_random_form(dec, 1, rng, False)), rng, vector)
+    harmonic = dec.basis(2, "H")
+    for h in rng.sample(harmonic, min(len(harmonic), rng.randint(0, 3))):
+        form = form + _keyed(dec, h.scale(parse_polynomial(rng.choice(_COEFFICIENTS))),
+                             rng, vector)
+    return form
+
+
+@pytest.mark.parametrize("source, key", SPLIT_AMBIENTS)
+@settings(derandomize=True, deadline=None, max_examples=8)
+@given(kind=st.sampled_from(("scalar", "theta")),
+       shape=st.sampled_from(("closed", "generic", "closed + generic")),
+       vector=st.booleans(), rng=st.randoms(use_true_random=False))
+def test_split_agrees_with_delta_and_the_projectors(source, key, kind, shape, vector, rng):
+    """``split`` gives δ s as ``delta_op`` does, H s as ``project_harmonic``
+    does (terms in the same order) and V s as ``project_coexact`` does, and
+    s = ∂̄δs + Hs + Vs; a ∂̄-closed form has no V part.  The forms are the
+    closed ones, generic ones, and closed ones followed by generic terms."""
+    if kind == "scalar" and not isinstance(_rank_ambient(source, key), LieAlgebra):
+        kind = "theta"
+    dec = _split_decomposition(source, key, kind)
+    if shape == "generic":
+        form = _random_form(dec, 2, rng, vector)
+    else:
+        form = _closed_form(dec, rng, vector)
+        if shape != "closed":
+            form = form + _random_form(dec, 2, rng, vector)
+    d, h, v = dec.split(form)
+    assert d == dec.delta_op(form)
+    assert list(h.terms.items()) == list(dec.project_harmonic(form).terms.items())
+    assert v == dec.project_coexact(form)
+    assert dec.delbar_op(d) + h + v == form
+    if shape == "closed":
+        assert not v
+
+
+def test_split_keeps_the_projection_term_order():
+    """On the scalar complex a VectorForm's harmonic coefficients are read by
+    frame key in order of first appearance.  The exact term at X_2 comes
+    first and cancels from s − ∂̄δs, where X_1 then comes first; H s must
+    still list X_2 first, as the projection of s does."""
+    dec = build_decomposition(parse_salamon("(0,0,12,13)"))
+    exact = dec.basis(2, "B")[0]
+    harmonic = dec.basis(2, "H")
+    h = next(h for h in harmonic if not set(h.terms) & set(exact.terms))
+    coexact = dec.basis(2, "V")[0]
+    form = (VectorForm.single(exact, 2) + VectorForm.single(harmonic[0], 1)
+            + VectorForm.single(h + coexact, 2))
+    rest = form - dec.delbar_op(dec.delta_op(form))
+    assert [j for _, j in rest.terms][0] == 1
+    for x in (form, form - VectorForm.single(coexact, 2)):
+        _, h_part, _ = dec.split(x)
+        assert [j for _, j in h_part.terms][0] == 2
+        assert list(h_part.terms.items()) == list(dec.project_harmonic(x).terms.items())
