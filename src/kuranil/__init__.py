@@ -14,9 +14,10 @@ the Kuranishi space of a complex parallelisable nilmanifold inside
   ``∂̄``-preimages (:mod:`kuranil.hodge`),
 * the degree-by-degree power-series solution of the Maurer–Cartan equation
   and the resulting obstruction ideal (:mod:`kuranil.kuranishi`),
-* multivariate polynomials over ``ℚ`` with deterministic monomial orders and
-  Buchberger-based ideal arithmetic (:mod:`kuranil.polyring`,
-  :mod:`kuranil.groebner`),
+* multivariate polynomials over ``ℚ`` with deterministic monomial orders,
+  canonical generator lists and the ideal-file reader (:mod:`kuranil.polyring`),
+  and Buchberger-based ideal arithmetic, which only the checks use
+  (:mod:`kuranil.groebner`),
 * a catalog of low-dimensional algebras with their known deformation data
   (:mod:`kuranil.catalog`), checks that re-derive it (:mod:`kuranil.verify`)
   and a command-line interface (:mod:`kuranil.cli`).
@@ -49,7 +50,6 @@ from .groebner import (
     ideal_equal,
     ideal_intersect,
     normal_form,
-    parse_ideal_components,
     s_polynomial,
 )
 from .hodge import (
@@ -83,8 +83,10 @@ from .polyring import (
     MonomialOrder,
     Polynomial,
     PolynomialParseError,
+    canonical_generators,
     minor2,
     minor3,
+    parse_ideal_components,
     parse_polynomial,
     var_poly,
 )
@@ -124,6 +126,7 @@ __all__ = [
     "buchberger",
     "build_decomposition",
     "build_theta_decomposition",
+    "canonical_generators",
     "catalog",
     "direct_sum",
     "free_two_step",

@@ -26,8 +26,7 @@ from .algebra import (
     parse_complex_structure_file,
     parse_salamon,
 )
-from .groebner import parse_ideal_components
-from .polyring import Polynomial, parse_polynomial
+from .polyring import Polynomial, parse_ideal_components, parse_polynomial
 
 
 class CatalogError(Exception):

@@ -5,8 +5,12 @@ components: intersections are computed by the standard one-variable
 elimination trick, division decides membership (see Membership below), and
 reduced Gröbner bases give canonical forms for ideal equality.  Ideal
 equality compares reduced grevlex bases; lex is used only inside the
-elimination.  Generator lists are put into one canonical form by
-:func:`canonical_generators`.
+elimination.  Within the package only :mod:`kuranil.verify` calls this
+module: the analysis computes its ideals without a Gröbner basis.
+Generator lists are put into one canonical form by
+:func:`~kuranil.polyring.canonical_generators`, which lives in ``polyring``
+beside :func:`~kuranil.polyring.parse_ideal_components`; both stay
+importable from here.
 
 The pair-selection strategy is fixed so results are byte-for-byte reproducible:
 pairs pop from a heap keyed (lcm total degree, i, j), so they are processed in
@@ -73,19 +77,23 @@ from heapq import heapify, heappop, heappush
 from time import monotonic
 from typing import Iterable, Sequence
 
+from . import polyring
 from .polyring import (
     GREVLEX,
     LEX,
     UVAR,
     MonomialOrder,
     Polynomial,
+    canonical_generators,
     mono_div,
     mono_lcm,
-    parse_polynomial,
     primitive_scale,
     rational,
     var_rank,
 )
+
+# The ideal-file reader lives in ``polyring``; it stays importable from here.
+parse_ideal_components = polyring.parse_ideal_components
 
 # Field width of a computation's first packing (degrees up to 127); each
 # overflow doubles it.
@@ -229,15 +237,6 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -
     a = Polynomial({mono_div(l, fm): Fraction(1) / fc})
     b = Polynomial({mono_div(l, gm): Fraction(1) / gc})
     return a * f - b * g
-
-
-def canonical_generators(polys: Iterable[Polynomial],
-                         order: MonomialOrder = GREVLEX) -> list[Polynomial]:
-    """Nonzero ``polys`` normalized in ``order``, without duplicates (the first
-    occurrence wins), sorted ascending by leading monomial."""
-    out = list(dict.fromkeys(p.normalized(order) for p in polys if p))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return out
 
 
 def _packed(polys: Sequence[Polynomial], order: MonomialOrder, compute):
@@ -445,26 +444,3 @@ def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
     combined = [u * f for f in gens_i] + [one_minus_u * g for g in gens_j]
     gb = buchberger(combined, LEX, deadline)
     return canonical_generators(g for g in gb if UVAR not in g.variables())
-
-
-def parse_ideal_components(text: str) -> list[list[Polynomial]]:
-    """Parse an ideal file: one polynomial per line, components separated by
-    lines starting with the word \"component\"; ``#`` starts a comment."""
-    components: list[list[Polynomial]] = []
-    current: list[Polynomial] = []
-    started = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.lower().startswith("component"):
-            if started and current:
-                components.append(current)
-            current = []
-            started = True
-            continue
-        current.append(parse_polynomial(line))
-        started = True
-    if current:
-        components.append(current)
-    return components

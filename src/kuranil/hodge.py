@@ -57,6 +57,10 @@ s − ∂̄δs is Hs + Vs; ∂̄ kills H² and is injective on V², so the rest 
 onto H², Rᵀ(RRᵀ)⁻¹R, is built (once per decomposition) only for a rest
 that ∂̄ does not kill: in the recursion, a bracket sum whose coexact part
 is dropped.
+
+``harmonic_form`` inverts ``harmonic_coefficients``: it rebuilds a harmonic
+element from its coordinates against the RREF harmonic basis, as the
+recursion does for the obstruction coefficients it has reported.
 """
 
 from __future__ import annotations
@@ -338,6 +342,22 @@ class HodgeDecomposition:
             if i in row_of:
                 rows[row_of[i]] = coeff
         return {(r, key): rows[r] for key, rows in found.items() for r in sorted(rows)}
+
+    def harmonic_form(self, q: int, coefficients: dict):
+        """The harmonic element of degree q with these ``harmonic_coefficients``:
+        Σ c·(basis row r) at frame key ``key`` for each ``(r, key): c``, the
+        inverse of ``harmonic_coefficients``.  A VectorForm on Θ or for frame
+        keys, an ExteriorForm on the scalar complex otherwise (the zero
+        ExteriorForm for no coefficients)."""
+        rows = self._space(q, "H").rows
+        cells = self._cells[q]
+        pairs: dict = {}
+        for (r, key), c in coefficients.items():
+            for j, x in rows[r].items():
+                pairs.setdefault(cells[j] if key is None else (cells[j], key), []).append((c, x))
+        vector = self.kind == "theta" or any(key is not None for _, key in coefficients)
+        return (VectorForm if vector else ExteriorForm)(
+            self.ambient, {cell: linear_combination(p) for cell, p in pairs.items()})
 
     # -- the δ operator -------------------------------------------------------
 

@@ -12,10 +12,22 @@ where δ = ∂̄*G sends a 2-form to the coexact ∂̄-preimage of its exact par
 bracket sums — the parts the correction terms cannot absorb — accumulate into
 the obstruction ideal; its vanishing locus is the local deformation space.
 Each bracket sum s_k is taken apart once, by ``HodgeDecomposition.split``,
-as s_k = ∂̄δs_k + H s_k + V s_k: Φ_k = −δs_k, H s_k is the obstructing part,
-and a nonzero coexact part V s_k is certified to vanish on the obstruction
-locus and dropped.  H s_k is s_k − ∂̄δs_k whenever V s_k = 0, so the
-harmonic projector is built only for a degree that drops a coexact part.
+as s_k = ∂̄δs_k + H_k + V_k: Φ_k = −δs_k, H_k = H s_k is the obstructing
+part, and a nonzero coexact part V_k = V s_k is dropped once two exact
+identities certify it: V_k ∈ V², and
+
+    ∂̄V_k = 2 Σ_{2≤j<k} [ψ_j, Φ_{k−j}],   ψ_j = H_j + V_j,
+
+with each H_j rebuilt from the reported coefficients of degree j.  That is
+degree k of ∂̄ψ = 2[ψ,Φ] for ψ = ∂̄Φ + [Φ,Φ] (∂̄ψ = ∂̄[Φ,Φ] = 2[∂̄Φ,Φ], and
+[[Φ,Φ],Φ] = 0 by the Jacobi identity), where ∂̄ kills H_k and ψ_1 = ∂̄Φ₁ = 0
+(Kuranishi, Ann. of Math. 75, 1962).  ∂̄ is injective on V², so V_k is a
+constant matrix (never built) applied to that sum, and by induction every
+coefficient of V_k lies in the ideal of the reported coefficients of
+degree below k: V_k vanishes on the obstruction locus.  The analysis builds
+no Gröbner basis; only :mod:`kuranil.verify` certifies with them.  H_k is
+s_k − ∂̄δs_k whenever V_k = 0, so the harmonic projector is built only for
+a degree that drops a coexact part.
 
 For a nilpotent Lie algebra (a complex-parallelisable structure) the
 recursion terminates at the nilpotency index ν and the obstruction
@@ -39,29 +51,40 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from . import groebner, hodge, linalg
+from . import hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra
 from .exterior import AmbientMismatch, MultiIndex, VectorForm, wedge_into
-from .polyring import Polynomial, Var, linear_combination, var_poly
+from .polyring import Polynomial, Var, canonical_generators, linear_combination, var_poly
 
 
 class MissingDegreeCap(ValueError):
     """The recursion over a general ambient requires an explicit max_degree."""
 
 
-class ClosednessViolation(RuntimeError):
-    """A bracket sum acquired a coexact component that the obstruction ideal
-    found so far cannot account for — an implementation bug by the DGLA
-    structure, never expected on valid input."""
+# The two identities that certify a dropped coexact part V_k.
+IN_V2 = "V_k ∈ V²"
+BIANCHI = "∂̄V_k = 2 Σ_{2≤j<k} [ψ_j, Φ_{k−j}]"
 
-    def __init__(self, degree: int, v_part: VectorForm, offending: list[Polynomial]):
+
+class ClosednessViolation(RuntimeError):
+    """A bracket sum's coexact part V_k failed one of the two identities that
+    certify it: V_k ∈ V², or ∂̄V_k = 2 Σ_{2≤j<k} [ψ_j, Φ_{k−j}] with ψ_j the
+    reported H_j + V_j.  ``identity`` names the one that failed and
+    ``offending`` holds V_k's coefficients, none of which is then proved to
+    lie in the obstruction ideal found so far — an implementation bug by the
+    DGLA structure, never expected on valid input."""
+
+    def __init__(self, degree: int, v_part: VectorForm, offending: list[Polynomial],
+                 identity: str = BIANCHI):
         self.degree = degree
         self.v_part = v_part
         self.offending = offending
+        self.identity = identity
         polys = "; ".join(str(p) for p in offending[:4])
         super().__init__(
-            f"bracket sum at degree {degree} has a coexact component with "
-            f"coefficients outside the obstruction ideal found so far: {polys}")
+            f"bracket sum at degree {degree} has a coexact component that fails "
+            f"{identity}, so its coefficients are not proved to lie in the "
+            f"obstruction ideal found so far: {polys}")
 
 
 def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
@@ -172,7 +195,8 @@ def phi_recursion(decomposition, max_degree: int | None = None,
     and every bracket sum is checked to descend the central series; over any
     other ambient ``max_degree`` is mandatory.  ``initial`` overrides the
     generic Φ₁ with a specific harmonic element over the decomposition's
-    ambient.
+    ambient.  Each dropped coexact part is certified as the module docstring
+    sets out, and ``ClosednessViolation`` is raised when it is not.
     """
     L = decomposition.ambient
     if isinstance(L, LieAlgebra):
@@ -207,13 +231,30 @@ def phi_recursion(decomposition, max_degree: int | None = None,
         series.harmonic_parts[k] = harmonic_part
         series.obstruction_by_degree[k] = decomposition.harmonic_coefficients(harmonic_part)
         if coexact_part:
-            bad = groebner.non_members(
-                coexact_part.terms.values(),
-                [p for coeffs in series.obstruction_by_degree.values() for p in coeffs.values()])
-            if bad:
-                raise ClosednessViolation(k, coexact_part, bad)
+            offending = list(coexact_part.terms.values())
+            if not decomposition.in_space(coexact_part, "V"):
+                raise ClosednessViolation(k, coexact_part, offending, IN_V2)
+            if decomposition.delbar_op(coexact_part) != _reported_bracket(series, k):
+                raise ClosednessViolation(k, coexact_part, offending, BIANCHI)
             series.dropped_coexact[k] = coexact_part
     return series
+
+
+def _reported_bracket(series: PhiSeries, k: int) -> VectorForm:
+    """2 Σ_{2≤j<k} [ψ_j, Φ_{k−j}], with ψ_j = H_j + V_j rebuilt from the
+    reported ``obstruction_by_degree[j]`` and ``dropped_coexact[j]``: what
+    ∂̄V_k must equal (see the module docstring)."""
+    decomposition = series.decomposition
+    total = VectorForm.zero(series.ambient)
+    for j in range(2, k):
+        psi = series.dropped_coexact.get(j, VectorForm.zero(series.ambient))
+        reported = series.obstruction_by_degree[j]
+        if reported:
+            psi = psi + decomposition.harmonic_form(2, reported)
+        phi = series.phi(k - j)
+        if psi and phi:
+            total = total + schouten_general(psi, phi)
+    return total.scale(2)
 
 
 def obstruction_map(series: PhiSeries) -> list[Polynomial]:
@@ -223,7 +264,7 @@ def obstruction_map(series: PhiSeries) -> list[Polynomial]:
     for coeffs in series.obstruction_by_degree.values():
         for key, p in coeffs.items():
             total[key] = total.get(key, Polynomial.zero()) + p
-    return groebner.canonical_generators(total.values())
+    return canonical_generators(total.values())
 
 
 def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
@@ -255,7 +296,7 @@ def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
                             (minor, 2 * c * w.constant_value()))
     total = VectorForm(L, {cell: linear_combination(p) for cell, p in pairs.items()})
     _, h_part, _ = decomposition.split(total)
-    return groebner.canonical_generators(decomposition.harmonic_coefficients(h_part).values())
+    return canonical_generators(decomposition.harmonic_coefficients(h_part).values())
 
 
 def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm:
@@ -419,7 +460,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3) -> dict:
     decomposition = hodge.build_theta_decomposition(csa)
     series = phi_recursion(decomposition, max_degree)
     by_degree = series.obstruction_by_degree
-    gens = groebner.canonical_generators(
+    gens = canonical_generators(
         p for coeffs in by_degree.values() for p in coeffs.values())
     return {
         "algebra": csa.name,

@@ -16,6 +16,13 @@ with ``u`` ranked above every ``t`` variable.  Two monomial orders are provided:
 Monomials are tuples ``((var, exp), ...)`` sorted by variable rank, exponents
 positive.  ``Polynomial`` is immutable and hashable.
 
+Generator lists.  :func:`canonical_generators` is the one canonical form of
+a list of ideal generators (normalised, deduplicated, sorted), which the
+analysis reports and the Gröbner engine starts from, and
+:func:`parse_ideal_components` reads the catalog's ideal files with
+:func:`parse_polynomial`.  Neither needs a Gröbner basis, so the analysis
+and the catalog import nothing from :mod:`kuranil.groebner`.
+
 Rational values.  Throughout the package a rational value is an ``int`` while
 it is integral and a ``Fraction`` otherwise; :func:`rational` is the one
 canonicaliser.  Polynomial coefficients, structure constants and matrix
@@ -29,6 +36,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import Iterable
 
 Var = tuple[int, int]
 Mono = tuple[tuple[Var, int], ...]
@@ -386,6 +394,16 @@ def primitive_scale(coeffs, lead: int | Fraction) -> Fraction:
     return -scale if lead < 0 else scale
 
 
+def canonical_generators(polys: Iterable[Polynomial],
+                         order: MonomialOrder = GREVLEX) -> list[Polynomial]:
+    """Nonzero ``polys`` normalized in ``order``, without duplicates (the first
+    occurrence wins), sorted ascending by leading monomial: the one canonical
+    form of a generator list."""
+    out = list(dict.fromkeys(p.normalized(order) for p in polys if p))
+    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    return out
+
+
 def linear_combination(pairs) -> Polynomial:
     """Σ c·p over ``(Polynomial, rational)`` pairs, added up in one term dict."""
     terms: dict[Mono, int | Fraction] = {}
@@ -594,3 +612,26 @@ def parse_polynomial(text: str) -> Polynomial:
         raise PolynomialParseError(f"trailing tokens at {parser.pos}")
     return poly
 
+
+
+def parse_ideal_components(text: str) -> list[list[Polynomial]]:
+    """Parse an ideal file: one polynomial per line, components separated by
+    lines starting with the word \"component\"; ``#`` starts a comment."""
+    components: list[list[Polynomial]] = []
+    current: list[Polynomial] = []
+    started = False
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.lower().startswith("component"):
+            if started and current:
+                components.append(current)
+            current = []
+            started = True
+            continue
+        current.append(parse_polynomial(line))
+        started = True
+    if current:
+        components.append(current)
+    return components

@@ -431,6 +431,32 @@ def test_harmonic_coefficients_key_order():
     assert [p.constant_value() for p in coefficients.values()] == [3, 1, 1]
 
 
+@pytest.mark.parametrize("build, ambient", [
+    (build_decomposition, lambda: parse_salamon("(0,0,0,12,13)")),
+    (build_theta_decomposition, _mixed7)])
+def test_harmonic_form_inverts_harmonic_coefficients(build, ambient):
+    """Polynomial combinations of the harmonic basis in degrees 1 and 2 come
+    back from their coefficients, as ExteriorForms and VectorForms on the
+    scalar complex and as VectorForms on Θ; no coefficients give zero."""
+    dec = build(ambient())
+    rng = random.Random(28)
+    polys = [parse_polynomial(t) for t in ("t1_1", "2*t1_2*t2_1 - 1/3", "-t2_2^2")]
+    for q in (1, 2):
+        basis = dec.basis(q, "H")
+        groups = [basis]
+        if dec.kind == "scalar":
+            groups.append([VectorForm.single(h, j) for h in basis for j in (1, 3)])
+        for group in groups:
+            for _ in range(3):
+                picked = rng.sample(group, 3)
+                form = picked[0].scale(polys[0])
+                for h, p in zip(picked[1:], polys[1:]):
+                    form = form + h.scale(p)
+                assert dec.harmonic_form(q, dec.harmonic_coefficients(form)) == form
+    zero = dec.harmonic_form(2, {})
+    assert not zero and type(zero) is (VectorForm if dec.kind == "theta" else ExteriorForm)
+
+
 # -- theta complex of the mixed structure ------------------------------------
 
 

@@ -4,10 +4,11 @@ it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, no module but ``groebner`` constructs a
 ``GroebnerBasis``, ``hodge`` applies no form-level differential
 and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
-``kind``, ``algebra`` imports nothing from ``exterior``, each ambient
-protocol method is defined once in the package, every ``/`` in the
-package divides a ``Fraction``, and every name ``kuranil`` exports is read
-by the package or the benchmark, or declared library-only."""
+``kind``, ``algebra`` imports nothing from ``exterior``, no module but
+``verify`` imports ``groebner``, each ambient protocol method is defined
+once in the package, every ``/`` in the package divides a ``Fraction``,
+and every name ``kuranil`` exports is read by the package or the
+benchmark, or declared library-only."""
 
 import ast
 from collections import Counter
@@ -291,6 +292,13 @@ def test_imports_of_a_module_are_found():
 def test_algebra_imports_nothing_from_exterior():
     """The ambient is read by forms and must not depend on them."""
     assert _imports_of((PACKAGE / "algebra.py").read_text(encoding="utf-8"), "exterior") == []
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("groebner.py", "verify.py")])
+def test_module_leaves_groebner_to_verify(module):
+    """The analysis computes its ideals without Gröbner bases, and only
+    ``verify`` certifies with them."""
+    assert _imports_of((PACKAGE / module).read_text(encoding="utf-8"), "groebner") == []
 
 
 PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")

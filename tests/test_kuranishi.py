@@ -1,6 +1,7 @@
 """Maurer-Cartan recursion, obstruction ideals, smoothness reports."""
 
 from fractions import Fraction
+import functools
 import itertools
 import json
 import random
@@ -25,6 +26,8 @@ from kuranil.exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, canonical_generators, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
+    BIANCHI,
+    IN_V2,
     ClosednessViolation,
     MissingDegreeCap,
     analyze,
@@ -39,7 +42,7 @@ from kuranil.kuranishi import (
     schouten_general,
     smoothness_tests,
 )
-from kuranil.polyring import Polynomial, parse_polynomial
+from kuranil.polyring import Polynomial, mono_degree, parse_polynomial
 
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 
@@ -571,6 +574,72 @@ def test_coexact_term_outside_the_obstruction_ideal_raises(monkeypatch):
     assert caught.value.degree == 4
     assert caught.value.v_part == VectorForm.single(_cw(L, 2, 4).scale(coefficient), 5)
     assert caught.value.offending == [coefficient]
+    assert caught.value.identity == BIANCHI
+    assert BIANCHI in str(caught.value)
+
+
+def test_coexact_part_outside_v2_raises(monkeypatch):
+    """A split that passes the harmonic part off as coexact keeps every ψ_j,
+    so the bracket identity still holds; only V_k ∈ V² catches it."""
+    L = parse_salamon("(0,0,0,12)")
+    decomposition = build_decomposition(L)
+    split = decomposition.split
+
+    def harmonic_as_coexact(form):
+        d, h, v = split(form)
+        return d, VectorForm.zero(L), h + v
+
+    expected = phi_recursion(build_decomposition(L)).harmonic_parts[2]
+    monkeypatch.setattr(decomposition, "split", harmonic_as_coexact)
+    with pytest.raises(ClosednessViolation) as caught:
+        phi_recursion(decomposition)
+    assert (caught.value.degree, caught.value.identity) == (2, IN_V2)
+    assert IN_V2 in str(caught.value)
+    assert caught.value.v_part == expected
+    assert caught.value.offending == list(expected.terms.values())
+
+
+# The random algebras of dimension 6: Hodge build plus recursion takes about
+# 1 CPU s over all eleven, and 8 of them drop coexact terms.
+DIM6_RANDOM = [i for i, L in enumerate(random_nilpotent_algebras()) if L.dim == 6]
+
+
+@functools.cache
+def _dim6_series(index: int):
+    return phi_recursion(build_decomposition(random_nilpotent_algebras()[index]))
+
+
+def _up_to_degree(vf: VectorForm, top: int) -> VectorForm:
+    """``vf`` with every monomial of t-degree above ``top`` left out."""
+    return VectorForm(vf.ambient, {
+        cell: Polynomial({m: c for m, c in p.terms.items() if mono_degree(m) <= top})
+        for cell, p in vf.terms.items()})
+
+
+@pytest.mark.parametrize("index", DIM6_RANDOM)
+def test_phi_recursion_on_dim6_random_algebras_obeys_the_bianchi_identity(index):
+    """ψ = ∂̄Φ + [Φ,Φ], as ``mc_residual`` assembles it, satisfies
+    ∂̄ψ = 2[ψ, Φ] in every t-degree up to ν, with the form-level ∂̄ and the
+    whole series rather than the recursion's per-degree sums; and
+    ``mc_residual`` (through the H projector) leaves exactly the dropped
+    coexact parts."""
+    series = _dim6_series(index)
+    L, nu = series.ambient, series.max_degree
+    phi = VectorForm.zero(L)
+    for term in series.terms.values():
+        phi = phi + term
+    psi = mc_residual(series, subtract_harmonic=False)
+    assert psi.delbar_theta() == _up_to_degree(schouten_general(psi, phi).scale(2), nu)
+    dropped = VectorForm.zero(L)
+    for vf in series.dropped_coexact.values():
+        dropped = dropped + vf
+    assert mc_residual(series) == dropped
+
+
+def test_dim6_random_algebras_drop_coexact_terms():
+    """The identity test above reaches the coexact certificate."""
+    dropping = [i for i in DIM6_RANDOM if _dim6_series(i).dropped_coexact]
+    assert dropping == [4, 8, 9, 14, 21, 26, 28, 29]
 
 
 # -- frame invariance (property) --------------------------------------------------

@@ -379,3 +379,16 @@ def test_str_is_order_aware_and_stable():
     p = t(2, 1) + t(1, 1) ** 2
     assert p.to_str(GREVLEX) == str(p)
     assert str(parse_polynomial(p.to_str(LEX))) == str(p)
+
+
+def test_generator_list_helpers_live_here_and_stay_importable():
+    """``canonical_generators`` and ``parse_ideal_components`` are defined in
+    ``polyring``; ``kuranil`` and ``kuranil.groebner`` hand out the same
+    functions."""
+    import kuranil
+    from kuranil import groebner, polyring
+
+    for name in ("canonical_generators", "parse_ideal_components"):
+        found = getattr(polyring, name)
+        assert found.__module__ == "kuranil.polyring"
+        assert getattr(groebner, name) is found and getattr(kuranil, name) is found
