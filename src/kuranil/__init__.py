@@ -15,7 +15,7 @@ the Kuranishi space of a complex parallelisable nilmanifold inside
 * the degree-by-degree power-series solution of the Maurer–Cartan equation
   and the resulting obstruction ideal (:mod:`kuranil.kuranishi`),
 * multivariate polynomials over ``ℚ`` with deterministic monomial orders,
-  canonical generator lists and the ideal-file reader (:mod:`kuranil.polyring`),
+  one normal form of generator lists and the ideal-file reader (:mod:`kuranil.polyring`),
   and Buchberger-based ideal arithmetic, which only the checks use
   (:mod:`kuranil.groebner`),
 * a catalog of low-dimensional algebras with their known deformation data

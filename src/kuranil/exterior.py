@@ -114,10 +114,6 @@ class _TermMap:
     def zero(cls, ambient):
         return cls(ambient)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 

@@ -1,16 +1,15 @@
 """Buchberger-based ideal arithmetic over exact rationals.
 
 Certifies that computed obstruction ideals equal published intersections of
-components: intersections are computed by the standard one-variable
-elimination trick, division decides membership (see Membership below), and
-reduced Gröbner bases give canonical forms for ideal equality.  Ideal
-equality compares reduced grevlex bases; lex is used only inside the
-elimination.  Within the package only :mod:`kuranil.verify` calls this
+components.  Intersections are computed by the standard one-variable
+elimination trick, the only place a lex basis is built.  Every other ideal
+relation is decided by :func:`non_members` (see Membership below): ideal
+equality is the two containments I ⊆ J and J ⊆ I, so a reduced grevlex
+basis is built only where division by an ideal's generators leaves a
+remainder.  Within the package only :mod:`kuranil.verify` calls this
 module: the analysis computes its ideals without a Gröbner basis.
-Generator lists are put into one canonical form by
-:func:`~kuranil.polyring.canonical_generators`, which lives in ``polyring``
-beside :func:`~kuranil.polyring.parse_ideal_components`; both stay
-importable from here.
+Generator lists are put into one normal form by
+:func:`~kuranil.polyring.canonical_generators`.
 
 The pair-selection strategy is fixed so results are byte-for-byte reproducible:
 pairs pop from a heap keyed (lcm total degree, i, j), so they are processed in
@@ -77,7 +76,6 @@ from heapq import heapify, heappop, heappush
 from time import monotonic
 from typing import Iterable, Sequence
 
-from . import polyring
 from .polyring import (
     GREVLEX,
     LEX,
@@ -91,9 +89,6 @@ from .polyring import (
     rational,
     var_rank,
 )
-
-# The ideal-file reader lives in ``polyring``; it stays importable from here.
-parse_ideal_components = polyring.parse_ideal_components
 
 # Field width of a computation's first packing (degrees up to 127); each
 # overflow doubles it.
@@ -420,11 +415,11 @@ def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
 
 def ideal_equal(I: Iterable[Polynomial], J: Iterable[Polynomial],
                 deadline: float | None = None) -> bool:
-    """Ideal equality of the generator lists ``I`` and ``J`` via uniqueness of
-    the reduced grevlex Gröbner basis; both bases are computed under the one
+    """Whether the generator lists ``I`` and ``J`` generate one ideal: each
+    lies in the other's ideal, decided by :func:`non_members` under the one
     ``deadline``."""
-    return (buchberger(I, GREVLEX, deadline).polys
-            == buchberger(J, GREVLEX, deadline).polys)
+    I, J = list(I), list(J)
+    return not non_members(I, J, deadline) and not non_members(J, I, deadline)
 
 
 def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],

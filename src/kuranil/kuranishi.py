@@ -75,7 +75,7 @@ class ClosednessViolation(RuntimeError):
     DGLA structure, never expected on valid input."""
 
     def __init__(self, degree: int, v_part: VectorForm, offending: list[Polynomial],
-                 identity: str = BIANCHI):
+                 identity: str):
         self.degree = degree
         self.v_part = v_part
         self.offending = offending
@@ -258,8 +258,8 @@ def _reported_bracket(series: PhiSeries, k: int) -> VectorForm:
 
 
 def obstruction_map(series: PhiSeries) -> list[Polynomial]:
-    """Total obstruction Σ_k H(bracket sum at degree k) of a series, as the
-    canonical generator list of its ideal."""
+    """Total obstruction Σ_k H(bracket sum at degree k) of a series, as a
+    generator list of its ideal in :func:`canonical_generators` form."""
     total: dict = {}
     for coeffs in series.obstruction_by_degree.values():
         for key, p in coeffs.items():

@@ -16,9 +16,10 @@ with ``u`` ranked above every ``t`` variable.  Two monomial orders are provided:
 Monomials are tuples ``((var, exp), ...)`` sorted by variable rank, exponents
 positive.  ``Polynomial`` is immutable and hashable.
 
-Generator lists.  :func:`canonical_generators` is the one canonical form of
-a list of ideal generators (normalised, deduplicated, sorted), which the
-analysis reports and the Gröbner engine starts from, and
+Generator lists.  :func:`canonical_generators` is the one normal form of a
+list of ideal generators (normalised, deduplicated, sorted by leading
+monomial, ties in input order), which the analysis reports and the Gröbner
+engine starts from, and
 :func:`parse_ideal_components` reads the catalog's ideal files with
 :func:`parse_polynomial`.  Neither needs a Gröbner basis, so the analysis
 and the catalog import nothing from :mod:`kuranil.groebner`.
@@ -220,10 +221,6 @@ class Polynomial:
 
     # -- basic queries ------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -397,8 +394,13 @@ def primitive_scale(coeffs, lead: int | Fraction) -> Fraction:
 def canonical_generators(polys: Iterable[Polynomial],
                          order: MonomialOrder = GREVLEX) -> list[Polynomial]:
     """Nonzero ``polys`` normalized in ``order``, without duplicates (the first
-    occurrence wins), sorted ascending by leading monomial: the one canonical
-    form of a generator list."""
+    occurrence wins), sorted ascending by leading monomial: the one form a
+    generator list is put in.
+
+    The sort is stable, so generators that share a leading monomial keep
+    their input order.  The list is therefore canonical only up to such
+    ties: the same generators given in another order can come out in
+    another order, and reports show that order as it is."""
     out = list(dict.fromkeys(p.normalized(order) for p in polys if p))
     out.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return out

@@ -2,18 +2,18 @@
 
 Each check re-derives one stored invariant or certificate and reports PASS,
 FAIL or SKIP (the intersection check ran out of its time budget).  Every
-Gröbner basis is a grevlex basis.  Every membership test goes through
+ideal relation a check certifies, equality included, is decided by
 :func:`~kuranil.groebner.non_members`, which divides by the ideal's
-generators first and builds a basis of the ideal only when division leaves
-a remainder.  So a containment I ⊆ Q (of a stored component, or of the
-reducibility check's linear and rank ideals) builds a basis of Q only then,
-and a basis of the computed ideal I is built only by the expected-generators
-check, which compares reduced bases, and by a membership in I (of the
-reducibility products or the intersection's generators) that division by
-I's generators leaves unproved.  Each stored reading's containment verdict
-serves both the containment and the intersection check: containment gives
-I ⊆ ∩ Qᵢ, so the intersection check only tests the intersection's
-generators for membership in I, which builds no basis of the intersection.
+generators first and builds a reduced grevlex basis of the ideal only when
+division leaves a remainder.  The expected-generators check is the two
+containments I ⊆ E and E ⊆ I of the computed ideal I and the stored one E.
+The reducibility check tests I in its linear and rank ideals and its
+products in I.  Each stored reading's escape (the first computed generator
+that misses one of its components) is taken once and settles both the
+containment and the intersection check: containment gives I ⊆ ∩ Qᵢ, so the
+intersection check only tests the intersection's generators for membership
+in I.  Besides those fallback grevlex bases, the only bases built are the
+lex bases of the elimination that intersects a reading's components.
 """
 
 from __future__ import annotations
@@ -46,29 +46,6 @@ def _timed(results: list[CheckResult], entry: str, check: str, started: float,
            passed: bool, detail: str = "") -> None:
     results.append(CheckResult(entry, check, "PASS" if passed else "FAIL",
                                detail, time.monotonic() - started))
-
-
-class _EntryIdeals:
-    """The computed ideal of one entry and the containment verdicts its
-    checks share."""
-
-    def __init__(self, gens: list[Polynomial]):
-        self.gens = gens
-        self._escapes: dict[str, tuple[int, Polynomial] | None] = {}
-
-    def escape(self, label: str, components) -> tuple[int, Polynomial] | None:
-        """The first component (1-based) of reading ``label`` that misses a
-        computed generator, with the first generator it misses; None when
-        none does."""
-        if label not in self._escapes:
-            escape = None
-            for idx, component in enumerate(components, start=1):
-                bad = non_members(self.gens, component)
-                if bad:
-                    escape = idx, bad[0]
-                    break
-            self._escapes[label] = escape
-        return self._escapes[label]
 
 
 def run_entry_checks(entry: catalog.CatalogEntry,
@@ -107,8 +84,7 @@ def _parallelisable_checks(entry: catalog.CatalogEntry,
         _timed(results, entry.name, "h1-annotation", started, bool(notes),
                f"annotations={len(notes)}")
 
-    ideals = _EntryIdeals([parse_polynomial(s)
-                           for s in report["obstruction_generators"]])
+    gens = [parse_polynomial(s) for s in report["obstruction_generators"]]
 
     if entry.d is not None:
         started = time.monotonic()
@@ -119,80 +95,87 @@ def _parallelisable_checks(entry: catalog.CatalogEntry,
     if entry.expected_generators:
         started = time.monotonic()
         _timed(results, entry.name, "expected-generators", started,
-               ideal_equal(ideals.gens, entry.expected_ideal()),
-               f"{len(ideals.gens)} generators")
+               ideal_equal(gens, entry.expected_ideal()),
+               f"{len(gens)} generators")
 
     if entry.reducibility:
-        results.append(_reducibility_check(entry, ideals))
+        results.append(_reducibility_check(entry, gens))
 
     if entry.ideal_file:
-        readings = _readings(entry)
-        results.append(_containment_check(entry, ideals, readings))
-        results.append(_intersection_check(entry, ideals, readings, timeout))
+        results.extend(_reading_checks(entry, gens, timeout))
     return results
 
 
 def _readings(entry: catalog.CatalogEntry) -> list[tuple[str, list[list[Polynomial]]]]:
-    """``(label, components)`` of each stored reading of the entry's ideal,
-    parsed once for both checks that read them."""
+    """``(label, components)`` of each stored reading of the entry's ideal."""
     readings = [("main", entry.published_components())]
     if entry.has_variant:
         readings.append(("variant", entry.published_components(variant=True)))
     return readings
 
 
-def _containment_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
-                       readings: list) -> CheckResult:
-    """The computed ideal must lie in every stored component (I ⊆ ∩ Qᵢ)."""
+def _escape(gens: list[Polynomial],
+            components: list[list[Polynomial]]) -> tuple[int, Polynomial] | None:
+    """The first component (1-based) that misses a polynomial of ``gens``,
+    with the first polynomial it misses; None when none does."""
+    for idx, component in enumerate(components, start=1):
+        bad = non_members(gens, component)
+        if bad:
+            return idx, bad[0]
+    return None
+
+
+def _reading_checks(entry: catalog.CatalogEntry, gens: list[Polynomial],
+                    timeout: float) -> list[CheckResult]:
+    """The component-containment check (the computed ideal I lies in every
+    component of some stored reading, I ⊆ ∩ Qᵢ) and the intersection check
+    (the components of some reading intersect exactly to I), in that order.
+    Each reading's escape is taken once, for both."""
+    parsed = _readings(entry)
     started = time.monotonic()
-    failure = ""
-    for label, components in readings:
-        escape = ideals.escape(label, components)
+    readings = [(label, components, _escape(gens, components))
+                for label, components in parsed]
+    status, detail = "FAIL", ""
+    for label, _, escape in readings:
         if escape is None:
-            return CheckResult(entry.name, "component-containment", "PASS",
-                               f"{label} reading", time.monotonic() - started)
-        failure = f"{label} reading: component {escape[0]} misses {escape[1]}"
-    return CheckResult(entry.name, "component-containment", "FAIL", failure,
-                       time.monotonic() - started)
+            status, detail = "PASS", f"{label} reading"
+            break
+        detail = f"{label} reading: component {escape[0]} misses {escape[1]}"
+    results = [CheckResult(entry.name, "component-containment", status, detail,
+                           time.monotonic() - started)]
 
-
-def _intersection_check(entry: catalog.CatalogEntry, ideals: _EntryIdeals,
-                        readings: list, timeout: float) -> CheckResult:
-    """The stored components must intersect exactly to the computed ideal."""
     started = time.monotonic()
     deadline = started + timeout
-    failure = ""
-    for label, components in readings:
+    status, detail = "FAIL", ""
+    for label, components, escape in readings:
         # Equality forces the computed ideal into every component, so a
-        # reading that fails containment cannot match; its containment
-        # verdict settles it without the elimination fold.
-        escape = ideals.escape(label, components)
+        # reading that fails containment cannot match; its escape settles it
+        # without the elimination fold.
         if escape is not None:
-            failure = (f"{label} reading: intersection differs from "
-                       f"computed ideal ({escape[1]} escapes a component)")
+            detail = (f"{label} reading: intersection differs from "
+                      f"computed ideal ({escape[1]} escapes a component)")
             continue
         try:
             intersection = components[0]
             for component in components[1:]:
                 intersection = ideal_intersect(intersection, component,
                                                deadline=deadline)
-            # The containment verdict already gives I ⊆ ∩ Qᵢ, so equality
-            # is ∩ Qᵢ ⊆ I: every generator of the intersection lies in I.
-            if not non_members(intersection, ideals.gens, deadline):
-                return CheckResult(entry.name, "intersection", "PASS",
-                                   f"{label} reading",
-                                   time.monotonic() - started)
+            # Containment already gives I ⊆ ∩ Qᵢ, so equality is ∩ Qᵢ ⊆ I:
+            # every generator of the intersection lies in I.
+            if not non_members(intersection, gens, deadline):
+                status, detail = "PASS", f"{label} reading"
+                break
         except GroebnerTimeout:
-            return CheckResult(entry.name, "intersection", "SKIP",
-                               f"timed out after {timeout:g}s",
-                               time.monotonic() - started)
-        failure = f"{label} reading: intersection differs from computed ideal"
-    return CheckResult(entry.name, "intersection", "FAIL", failure,
-                       time.monotonic() - started)
+            status, detail = "SKIP", f"timed out after {timeout:g}s"
+            break
+        detail = f"{label} reading: intersection differs from computed ideal"
+    results.append(CheckResult(entry.name, "intersection", status, detail,
+                               time.monotonic() - started))
+    return results
 
 
 def _reducibility_check(entry: catalog.CatalogEntry,
-                        ideals: _EntryIdeals) -> CheckResult:
+                        gens: list[Polynomial]) -> CheckResult:
     """Certify V(I) = V(linear) ∪ V(rank) through exact ideal membership:
     I ⊆ (linear), I ⊆ (rank), and products · (linear gens) lie back in I."""
     started = time.monotonic()
@@ -200,10 +183,10 @@ def _reducibility_check(entry: catalog.CatalogEntry,
                 for key, group in entry.reducibility.items()}
     problems = []
     for key in ("linear", "rank"):
-        bad = non_members(ideals.gens, families[key])
+        bad = non_members(gens, families[key])
         if bad:
             problems.append(f"{bad[0]} not in ({key})")
-    for product in non_members(families["products"], ideals.gens):
+    for product in non_members(families["products"], gens):
         problems.append(f"{product} not in computed ideal")
     return CheckResult(entry.name, "reducibility", "PASS" if not problems else "FAIL",
                        "; ".join(problems) or "union certificate holds",

@@ -340,6 +340,19 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
     # the intersection a member, so no basis of the computed ideal is built.
     assert tuple(canonical_generators(computed)) not in grevlex_inputs
 
+    # Ideal equality is two containments, so the expected-generators check
+    # builds a basis only where division leaves a remainder: none on
+    # (0,0,12,13), and on (0,0,0,12) one basis of the computed ideal, for
+    # the reducibility products.
+    for name, bases in (("(0,0,12,13)", 0), ("(0,0,0,12)", 1)):
+        entry = catalog.get(name)
+        computed = canonical_generators(
+            parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"])
+        inputs.clear()
+        assert all(r.status == "PASS" for r in run_entry_checks(entry))
+        assert [tuple(canonical_generators(gens)) for order, gens in inputs
+                if order == GREVLEX] == [tuple(computed)] * bases
+
 
 @pytest.mark.parametrize("name, dropped", [
     ("(0,0,0,12,13)", 0), ("(0,0,0,12,13)", 1), ("(0,0,12,13,14)", 2),
@@ -392,16 +405,15 @@ def test_intersection_deadline_after_the_fold_reports_skip(monkeypatch):
     from kuranil import verify
 
     entry = catalog.get("(0,0,0,12,13)")
-    ideals = verify._EntryIdeals(
-        [parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]])
-    readings = verify._readings(entry)
-    assert verify._containment_check(entry, ideals, readings).status == "PASS"
+    gens = [parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]]
     clock = _ClockAfterFold(verify.ideal_intersect)
     monkeypatch.setattr(groebner, "monotonic", clock)
     monkeypatch.setattr(verify, "ideal_intersect", clock.fold)
-    result = verify._intersection_check(entry, ideals, readings, timeout=300.0)
+    containment, intersection = verify._reading_checks(entry, gens, timeout=300.0)
     assert clock.expired  # the fold ran to the end
-    assert (result.status, result.detail) == ("SKIP", "timed out after 300s")
+    assert (containment.check, containment.status) == ("component-containment", "PASS")
+    assert (intersection.check, intersection.status, intersection.detail) == (
+        "intersection", "SKIP", "timed out after 300s")
 
 
 # -- a reader that closes the pipe ---------------------------------------------

@@ -20,7 +20,6 @@ from kuranil.groebner import (
     ideal_intersect,
     non_members,
     normal_form,
-    parse_ideal_components,
     s_polynomial,
 )
 from kuranil.hodge import build_decomposition
@@ -104,6 +103,10 @@ def test_canonical_generators_normalizes_dedupes_and_sorts():
     q = t(1, 1) * t(1, 2) - t(2, 1)
     polys = [t(2, 2) ** 3, Polynomial.zero(), 2 * q, -q, 3 * t(1, 1)]
     assert canonical_generators(polys) == [t(1, 1), q, t(2, 2) ** 3]
+    # Generators that share a leading monomial (t2_2) keep their input order.
+    x, y = t(2, 2) + t(1, 1), t(2, 2) + t(1, 2)
+    assert canonical_generators([t(1, 1) ** 2, y, x]) == [y, x, t(1, 1) ** 2]
+    assert canonical_generators([x, t(1, 1) ** 2, y]) == [x, y, t(1, 1) ** 2]
 
 
 def test_ideal_member_and_equal():
@@ -163,18 +166,19 @@ class _CountingClock:
         return float(self.reads)
 
 
-def test_ideal_equal_bases_share_one_deadline(monkeypatch):
+def test_ideal_equal_containments_share_one_deadline(monkeypatch):
     gens = [minor2(1, 3, 1, 2), minor2(2, 3, 1, 2)]
     other = [gens[0] + gens[1], gens[1]]
     clock = _CountingClock()
     monkeypatch.setattr(groebner, "monotonic", clock)
-    buchberger(gens, deadline=math.inf)
+    assert non_members(gens, other, deadline=math.inf) == []
     first = clock.reads
-    buchberger(other, deadline=math.inf)
+    assert non_members(other, gens, deadline=math.inf) == []
     second = clock.reads - first
     assert first > 0 and second > 0
-    # Each read returns the next tick: a deadline one past the first basis's
-    # reads lets it finish, and the second basis must then stop at once.
+    # Each read returns the next tick: a deadline one past the reads of
+    # gens ⊆ (other) lets that containment finish, and the converse must
+    # then stop at once.
     clock.reads = 0
     assert ideal_equal(gens, other, deadline=first + second + 1)
     clock.reads = 0
@@ -297,6 +301,35 @@ def test_non_members_agree_with_normal_forms_modulo_the_basis(case):
     gens, probes = case
     basis = buchberger(gens)
     assert non_members(probes, gens) == [p for p in probes if normal_form(p, basis)]
+
+
+@st.composite
+def _generator_list_pairs(draw):
+    """``(I, J)``: I has up to three small generators.  J is either another
+    such list, or I with combinations of its generators appended and then
+    maybe one entry dropped, so that equal and unequal ideals both come up."""
+    small = _polynomials(_BASIS_VARIABLES)
+    I = draw(st.lists(small, max_size=3))
+    if draw(st.booleans()):
+        return I, draw(st.lists(small, max_size=3))
+    combination = st.lists(small, min_size=len(I), max_size=len(I)).map(
+        lambda qs: sum((q * g for q, g in zip(qs, I)), Polynomial.zero()))
+    J = I + draw(st.lists(combination, max_size=2))
+    if J and draw(st.booleans()):
+        del J[draw(st.integers(0, len(J) - 1))]
+    return I, J
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_generator_list_pairs())
+# Division by I's generators leaves t1_2^2, which I's basis proves a member.
+@example(([t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)],
+          [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2), t(1, 2) ** 2]))
+def test_ideal_equal_agrees_with_reduced_bases(case):
+    # The reduced basis is unique, so comparing bases is the oracle.
+    I, J = case
+    assert ideal_equal(I, J) == (buchberger(I).polys == buchberger(J).polys)
+    assert ideal_equal(J, I) == ideal_equal(I, J)
 
 
 # -- packed monomials against polyring ---------------------------------------
@@ -702,27 +735,3 @@ def test_intersection_matches_sympy_product_membership():
         for p in inter:
             combo = combo + p * Fraction(rng.randint(-2, 2))
         assert not normal_form(combo, bi) and not normal_form(combo, bj)
-
-
-# -- ideal file parsing ------------------------------------------------------
-
-
-def test_parse_ideal_components_with_headers():
-    text = """
-    # comment line
-    component codim=2
-    t1_1
-    t1_2  # trailing comment
-    component
-    delta[12;12]
-    """
-    comps = parse_ideal_components(text)
-    assert len(comps) == 2
-    assert comps[0] == [t(1, 1), t(1, 2)]
-    assert comps[1] == [minor2(1, 2, 1, 2)]
-
-
-def test_parse_ideal_components_implicit_first_component():
-    comps = parse_ideal_components("t1_1\nt2_2\n")
-    assert comps == [[t(1, 1), t(2, 2)]]
-    assert parse_ideal_components("# nothing\n") == []

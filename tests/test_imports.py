@@ -2,7 +2,7 @@
 every private module-level name (``_x``) it defines is referenced in it,
 it reads private attributes only through ``self`` or ``cls``, no module
 but ``linalg`` calls ``rref``, no module but ``groebner`` constructs a
-``GroebnerBasis``, ``hodge`` applies no form-level differential
+``GroebnerBasis`` or calls ``buchberger``, ``hodge`` applies no form-level differential
 and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
 ``kind``, ``algebra`` imports nothing from ``exterior``, no module but
 ``verify`` imports ``groebner``, each ambient protocol method is defined
@@ -147,6 +147,24 @@ def test_module_leaves_groebner_basis_construction_to_groebner(module):
     makes one; a generator list is never passed off as a basis."""
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert _calls(source, "GroebnerBasis") == []
+
+
+def test_buchberger_calls_are_found():
+    source = ("from .groebner import buchberger\n"
+              "basis = buchberger(gens)\n"
+              "other = groebner.buchberger(gens, LEX, deadline)\n"
+              "build = groebner.buchberger\n")
+    assert _calls(source, "buchberger") == [
+        "2:buchberger(gens)", "3:groebner.buchberger(gens, LEX, deadline)"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "groebner.py"])
+def test_module_leaves_buchberger_to_groebner(module):
+    """Ideal relations outside ``groebner`` go through ``non_members``,
+    ``ideal_equal`` and ``ideal_intersect``, which build a basis only when
+    division cannot decide; no other module builds one itself."""
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert _calls(source, "buchberger") == []
 
 
 FORM_DIFFERENTIALS = ("delbar", "delbar_theta", "del_", "ce_differential")

@@ -409,7 +409,7 @@ def test_mc_residual_vanishes_after_harmonic_subtraction_low_nu():
     for text in ("(0,0,12)", "(0,0,0,12)", "(0,0,12,13)", "(0,0,12,13,23)"):
         L = parse_salamon(text)
         series = phi_recursion(build_decomposition(L))
-        assert mc_residual(series).is_zero
+        assert not mc_residual(series)
 
 
 def test_mc_residual_without_subtraction_is_harmonic_sum():
@@ -431,7 +431,7 @@ def test_mc_residual_nu_four_equals_dropped_coexact_sum():
         for vf in series.dropped_coexact.values():
             total = total + vf
         assert residual == total
-        assert not residual.is_zero  # the defect is visible before reduction
+        assert residual  # the defect is visible before reduction
 
 
 # -- smoothness, directions, random points -----------------------------------
@@ -556,9 +556,9 @@ def test_analyze_general_report_and_round_trip():
 
 
 def test_closedness_violation_carries_diagnostics():
-    err = ClosednessViolation(3, "v-part", ["t1_1", "t2_2"])
-    assert err.degree == 3
-    assert "degree 3" in str(err)
+    err = ClosednessViolation(3, "v-part", ["t1_1", "t2_2"], BIANCHI)
+    assert (err.degree, err.identity) == (3, BIANCHI)
+    assert "degree 3" in str(err) and BIANCHI in str(err)
 
 
 def test_coexact_term_outside_the_obstruction_ideal_raises(monkeypatch):

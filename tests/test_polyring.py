@@ -21,6 +21,7 @@ from kuranil.polyring import (
     mono_divides,
     mono_lcm,
     mono_mul,
+    parse_ideal_components,
     parse_polynomial,
     primitive_scale,
     rational,
@@ -381,14 +382,38 @@ def test_str_is_order_aware_and_stable():
     assert str(parse_polynomial(p.to_str(LEX))) == str(p)
 
 
+def test_parse_ideal_components_with_headers():
+    text = """
+    # comment line
+    component codim=2
+    t1_1
+    t1_2  # trailing comment
+    component
+    delta[12;12]
+    """
+    comps = parse_ideal_components(text)
+    assert len(comps) == 2
+    assert comps[0] == [t(1, 1), t(1, 2)]
+    assert comps[1] == [minor2(1, 2, 1, 2)]
+
+
+def test_parse_ideal_components_implicit_first_component():
+    comps = parse_ideal_components("t1_1\nt2_2\n")
+    assert comps == [[t(1, 1), t(2, 2)]]
+    assert parse_ideal_components("# nothing\n") == []
+
+
 def test_generator_list_helpers_live_here_and_stay_importable():
     """``canonical_generators`` and ``parse_ideal_components`` are defined in
-    ``polyring``; ``kuranil`` and ``kuranil.groebner`` hand out the same
-    functions."""
+    ``polyring``, and ``kuranil`` hands out the same functions.  The
+    ideal-file reader has no second home: ``kuranil.groebner``, which
+    normalises generator lists, hands out only ``canonical_generators``."""
     import kuranil
     from kuranil import groebner, polyring
 
     for name in ("canonical_generators", "parse_ideal_components"):
         found = getattr(polyring, name)
         assert found.__module__ == "kuranil.polyring"
-        assert getattr(groebner, name) is found and getattr(kuranil, name) is found
+        assert getattr(kuranil, name) is found
+    assert groebner.canonical_generators is polyring.canonical_generators
+    assert not hasattr(groebner, "parse_ideal_components")
