@@ -12,7 +12,8 @@ the source verbatim, while an ``_alt`` file corrects index patterns that break
 the symmetry of neighbouring entries (suspected misprints).  Verification code
 should try the main reading first and fall back to the variant.
 
-All entries are parsed and structurally validated at import time.
+All entries are parsed and structurally validated at import time, and the
+stored decompositions are kept as parsed there.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ class CatalogError(Exception):
 
 def _data_text(filename: str) -> str:
     return resources.files("kuranil").joinpath("data").joinpath(filename).read_text()
+
+
+# Stored decompositions by file name, parsed on first read.
+_COMPONENTS: dict[str, list[list[Polynomial]]] = {}
 
 
 @dataclass(frozen=True)
@@ -77,11 +82,15 @@ class CatalogEntry:
         return parse_salamon(self.salamon, name=self.name)
 
     def published_components(self, variant: bool = False) -> list[list[Polynomial]] | None:
-        """Stored primary decomposition, or None when nothing is on record."""
+        """Stored primary decomposition, or None when nothing is on record.
+        Each file is parsed once (at import, by the catalog validation); every
+        call returns fresh lists."""
         filename = self.ideal_variant_file if variant else self.ideal_file
         if filename is None:
             return None
-        return parse_ideal_components(_data_text(filename))
+        if filename not in _COMPONENTS:
+            _COMPONENTS[filename] = parse_ideal_components(_data_text(filename))
+        return [list(component) for component in _COMPONENTS[filename]]
 
     def expected_ideal(self) -> list[Polynomial] | None:
         """Expected obstruction-ideal generators, parsed."""

@@ -4,17 +4,23 @@ Certifies that computed obstruction ideals equal published intersections of
 components.  Intersections are computed by the standard one-variable
 elimination trick, the only place a lex basis is built.  Every other ideal
 relation is decided by :func:`non_members` (see Membership below): ideal
-equality is the two containments I ⊆ J and J ⊆ I, so a reduced grevlex
-basis is built only where division by an ideal's generators leaves a
-remainder.  Within the package only :mod:`kuranil.verify` calls this
+equality is the two containments I ⊆ J and J ⊆ I, so a grevlex basis is
+built only where division by an ideal's generators leaves a remainder.  Within the package only :mod:`kuranil.verify` calls this
 module: the analysis computes its ideals without a Gröbner basis.
 Generator lists are put into one normal form by
 :func:`~kuranil.polyring.canonical_generators`.
 
-The pair-selection strategy is fixed so results are byte-for-byte reproducible:
-pairs pop from a heap keyed (lcm total degree, i, j), so they are processed in
-ascending key order, with the coprime-leading-monomial and chain criteria
-applied at selection time.
+Pairs.  Only the pairs the basis needs are queued: each new basis element
+updates the queue by Gebauer and Möller's criteria (Gebauer & Möller, *On an
+installation of Buchberger's algorithm*, JSC 6, 1988).  Of the element's new
+pairs, one whose lcm another new lcm properly divides is dropped (M); the
+rest make one pair per lcm, or none when a pair with coprime leading
+monomials shares it (F).  A queued pair goes when the new leading monomial
+divides its lcm and differs, as an lcm with either of its elements, from that
+lcm (B_k).  An element whose leading monomial the new one divides makes no
+further pairs.  The selection is fixed so results are byte-for-byte
+reproducible: pairs pop from a heap keyed (lcm total degree, i, j), so they
+are processed in ascending key order.
 
 Packed monomials.  Each computation fixes the sorted variables of its inputs
 (``u`` included) and packs every monomial into one Python int on entry,
@@ -53,10 +59,19 @@ divides each polynomial by the canonical generators of the ideal first: a
 zero remainder on division by any generating set proves membership (Becker
 & Weispfenning, *Gröbner Bases*, GTM 141, 1993).  A nonzero one proves
 nothing, so the polynomials that leave one are divided, in one packing,
-by the reduced grevlex basis, which is built just when some polynomial
-needs it.  One deadline bounds the division and the basis.  A list of
-generators is never wrapped in a :class:`GroebnerBasis`, which promises a
-reduced basis.
+by a grevlex basis, which is built just when some polynomial needs it.
+When every generator is homogeneous, that basis is truncated at degree d,
+the largest total degree among those polynomials: pairs of lcm degree
+above d stay in the queue, and the polynomials are divided by the
+unreduced elements in the packing that built them.  Such a basis holds
+the leading monomial of every homogeneous element of the ideal up to
+degree d (Becker & Weispfenning, GTM 141), and its elements are
+homogeneous, so each homogeneous part of a polynomial is reduced on its
+own.  A homogeneous ideal holds a polynomial exactly when it holds each of
+its homogeneous parts, so a zero remainder is still exactly membership.
+Other ideals are divided by the full reduced basis.  One deadline bounds
+the division and the basis.  A list of generators is never wrapped in a
+:class:`GroebnerBasis`, which promises a reduced basis.
 
 Coefficients.  A coefficient is a canonical rational value, as everywhere in
 the package (:func:`~kuranil.polyring.rational`): an ``int`` while it is
@@ -317,43 +332,61 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
     pair and every reduction step; reaching it raises :class:`GroebnerTimeout`.
     """
     gens = canonical_generators(gens, order)
-    return GroebnerBasis(order, _packed(
-        gens, order, lambda packing: _buchberger(gens, packing, deadline)))
+    return GroebnerBasis(order, _packed(gens, order, lambda packing: _reduce_basis(
+        _buchberger(gens, packing, deadline), packing, deadline)))
 
 
-def _buchberger(gens: list[Polynomial], packing: _Packing,
-                deadline: float | None) -> list[Polynomial]:
-    prepped = [packing.prep(packing.pack(g)) for g in gens]
-    lms = [lm for lm, _, _ in prepped]
-    # Keys are unique, so pairs pop in ascending (lcm degree, i, j) order.
-    pairs = [(packing.degree(packing.lcm(lms[i], lms[j])), i, j)
-             for j in range(len(lms)) for i in range(j)]
-    heapify(pairs)
-    treated: set[tuple[int, int]] = set()
+def _buchberger(gens: list[Polynomial], packing: _Packing, deadline: float | None,
+                cap: int | None = None) -> list[tuple]:
+    """Prepped elements of a Gröbner basis of ``gens``, not yet reduced.  With
+    ``cap``, pairs whose lcm degree exceeds ``cap`` stay unprocessed: for
+    homogeneous ``gens`` that is a ``cap``-truncated basis."""
     guards = packing.guards
+    prepped: list[tuple] = []
+    lms: list[int] = []
+    active: list[int] = []  # the elements that still make new pairs
+    # Keys are unique, so pairs pop in ascending (lcm degree, i, j) order.
+    pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, i, j, lcm)
 
-    while pairs:
+    def insert(entry: tuple) -> None:
+        """Add ``entry`` to the basis, updating the pairs by Gebauer–Möller."""
+        t, lm = len(lms), entry[0]
+        # Criterion B_k: a queued pair goes when lm divides its lcm and the
+        # lcms lm makes with both of its elements differ from that lcm.
+        kept = [p for p in pairs if (p[3] - lm) & guards
+                or packing.lcm(lms[p[1]], lm) == p[3] or packing.lcm(lms[p[2]], lm) == p[3]]
+        if len(kept) < len(pairs):
+            pairs[:] = kept
+            heapify(pairs)
+        groups: dict[int, list[int]] = {}
+        for k in active:
+            groups.setdefault(packing.lcm(lms[k], lm), []).append(k)
+        # Criterion M: an lcm that another new lcm properly divides (a proper
+        # divisor is a smaller int) makes no pair.  Criterion F: each other
+        # lcm makes one pair, or none when it is a product of coprime leading
+        # monomials (Buchberger's first criterion).
+        minimal: list[int] = []
+        for l in sorted(groups):
+            if all((l - o) & guards for o in minimal):
+                minimal.append(l)
+                ks = groups[l]
+                if all(l != lms[k] + lm for k in ks):
+                    heappush(pairs, (packing.degree(l), ks[0], t, l))
+        # Elements whose leading monomial lm divides make no more pairs.
+        active[:] = [k for k in active if (lms[k] - lm) & guards] + [t]
+        prepped.append(entry)
+        lms.append(lm)
+
+    for g in gens:
+        insert(packing.prep(packing.pack(g)))
+    while pairs and (cap is None or pairs[0][0] <= cap):
         _check_deadline(deadline)
-        _, i, j = heappop(pairs)
-        treated.add((i, j))
-        gcd = packing.gcd(lms[i], lms[j])
-        if not gcd:  # coprime leading monomials
-            continue
-        lcm = lms[i] + lms[j] - gcd
-        if any(k != i and k != j and not (lcm - lm) & guards
-               and (min(i, k), max(i, k)) in treated
-               and (min(j, k), max(j, k)) in treated
-               for k, lm in enumerate(lms)):
-            continue
+        _, i, j, lcm = heappop(pairs)
         rem = _divide(_s_polynomial(prepped[i], prepped[j], lcm, packing),
                       prepped, packing, deadline)
         if rem:
-            prepped.append(packing.prep(rem))
-            lms.append(prepped[-1][0])
-            t = len(lms) - 1
-            for k in range(t):
-                heappush(pairs, (packing.degree(packing.lcm(lms[k], lms[t])), k, t))
-    return _reduce_basis(prepped, packing, deadline)
+            insert(packing.prep(rem))
+    return prepped
 
 
 def _reduce_basis(prepped: list[tuple], packing: _Packing,
@@ -402,15 +435,25 @@ def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
 
     Each poly is first divided by ``canonical_generators(gens)`` in list
     order; a zero remainder proves membership.  Only the polys that leave a
-    remainder are divided by the reduced grevlex basis, built just when one
-    does.  ``deadline`` bounds the division and the basis."""
+    remainder are divided by a grevlex basis, built just when one does:
+    truncated at their largest total degree when every generator is
+    homogeneous, else the reduced basis.  ``deadline`` bounds the division
+    and the basis."""
     gens = canonical_generators(gens)
     polys = list(polys)
     left = [p for p, r in zip(polys, _remainders(polys, gens, GREVLEX, deadline)) if r]
     if not left:
         return []
-    basis = buchberger(gens, GREVLEX, deadline).polys
-    return [p for p, r in zip(left, _remainders(left, basis, GREVLEX, deadline)) if r]
+    if not all(g.is_homogeneous() for g in gens):
+        basis = buchberger(gens, GREVLEX, deadline).polys
+        return [p for p, r in zip(left, _remainders(left, basis, GREVLEX, deadline)) if r]
+    cap = max(p.total_degree() for p in left)
+
+    def compute(packing: _Packing) -> list[Polynomial]:
+        basis = _buchberger(gens, packing, deadline, cap)
+        return [p for p in left if _divide(packing.pack(p), basis, packing, deadline)]
+
+    return _packed([*gens, *left], GREVLEX, compute)
 
 
 def ideal_equal(I: Iterable[Polynomial], J: Iterable[Polynomial],

@@ -4,8 +4,10 @@ Each check re-derives one stored invariant or certificate and reports PASS,
 FAIL or SKIP (the intersection check ran out of its time budget).  Every
 ideal relation a check certifies, equality included, is decided by
 :func:`~kuranil.groebner.non_members`, which divides by the ideal's
-generators first and builds a reduced grevlex basis of the ideal only when
-division leaves a remainder.  The expected-generators check is the two
+generators first and builds a grevlex basis of the ideal only when division
+leaves a remainder.  That basis stops at the remainders' top degree when the
+ideal is homogeneous, as most computed ideals and stored components are.
+The expected-generators check is the two
 containments I ⊆ E and E ⊆ I of the computed ideal I and the stored one E.
 The reducibility check tests I in its linear and rank ideals and its
 products in I.  Each stored reading's escape (the first computed generator

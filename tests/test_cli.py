@@ -201,6 +201,26 @@ def test_catalog_table_output(capsys):
     assert "name" in out and "(0,0,12,13,23)" in out
 
 
+def test_published_components_are_parsed_once_and_handed_out_fresh(monkeypatch):
+    from kuranil.polyring import parse_ideal_components
+
+    entry = catalog.get("(0,0,0,0,12+34)")
+    stored = {variant: parse_ideal_components(catalog._data_text(
+        entry.ideal_variant_file if variant else entry.ideal_file))
+        for variant in (False, True)}
+
+    def unread(filename):
+        raise AssertionError(f"{filename} read again after import")
+
+    monkeypatch.setattr(catalog, "_data_text", unread)
+    for variant, components in stored.items():
+        first = entry.published_components(variant=variant)
+        assert first == components
+        first[0].clear()
+        del first[1:]
+        assert entry.published_components(variant=variant) == components
+
+
 # -- verify ------------------------------------------------------------------
 
 
@@ -316,6 +336,16 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
         inputs.append((order, gens))
         return original(gens, order, deadline)
 
+    # non_members builds a degree-truncated basis of a homogeneous ideal
+    # without going through buchberger; record those builds with their cap.
+    original_pairs = groebner._buchberger
+    truncated = []
+
+    def recording_truncated(gens, packing, deadline, cap=None):
+        if cap is not None:
+            truncated.append((tuple(gens), cap))
+        return original_pairs(gens, packing, deadline, cap)
+
     original_intersect = verify.ideal_intersect
     intersections = []
 
@@ -325,6 +355,7 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
         return out
 
     monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(groebner, "_buchberger", recording_truncated)
     monkeypatch.setattr(verify, "ideal_intersect", recording_intersect)
     results = run_entry_checks(entry)
     assert all(r.status == "PASS" for r in results)
@@ -335,6 +366,7 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
     assert intersections
     grevlex_inputs = {tuple(canonical_generators(gens))
                       for order, gens in inputs if order == GREVLEX}
+    grevlex_inputs |= {gens for gens, _ in truncated}
     assert not grevlex_inputs & set(intersections)
     # Division by the computed ideal's generators proves every generator of
     # the intersection a member, so no basis of the computed ideal is built.
@@ -342,16 +374,39 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
 
     # Ideal equality is two containments, so the expected-generators check
     # builds a basis only where division leaves a remainder: none on
-    # (0,0,12,13), and on (0,0,0,12) one basis of the computed ideal, for
-    # the reducibility products.
-    for name, bases in (("(0,0,12,13)", 0), ("(0,0,0,12)", 1)):
+    # (0,0,12,13).  On (0,0,0,12) the reducibility products (cubics) leave
+    # one, and the computed ideal is homogeneous, so its basis is truncated
+    # at degree 3 and no full basis is built.
+    for name, bases in (("(0,0,12,13)", []), ("(0,0,0,12)", [3])):
         entry = catalog.get(name)
-        computed = canonical_generators(
-            parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"])
+        computed = tuple(canonical_generators(
+            parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]))
         inputs.clear()
+        truncated.clear()
         assert all(r.status == "PASS" for r in run_entry_checks(entry))
-        assert [tuple(canonical_generators(gens)) for order, gens in inputs
-                if order == GREVLEX] == [tuple(computed)] * bases
+        assert [gens for order, gens in inputs if order == GREVLEX] == []
+        assert truncated == [(computed, cap) for cap in bases]
+
+
+def test_main_reading_escape_processes_no_pair_above_the_quadrics(monkeypatch):
+    # The first component of the main reading of (0,0,0,0,12+34) misses a
+    # quadric of the computed ideal.  That component is homogeneous, so its
+    # fallback basis stops at degree 2 instead of running to its full,
+    # 44-element reduced basis.
+    from kuranil import groebner, verify
+
+    entry = catalog.get("(0,0,0,0,12+34)")
+    gens = [parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]]
+    original, degrees = groebner._s_polynomial, []
+
+    def recording(f, g, lcm, packing):
+        degrees.append(packing.degree(lcm))
+        return original(f, g, lcm, packing)
+
+    monkeypatch.setattr(groebner, "_s_polynomial", recording)
+    index, missed = verify._escape(gens, entry.published_components())
+    assert index == 1 and missed.total_degree() == 2
+    assert degrees and max(degrees) == 2
 
 
 @pytest.mark.parametrize("name, dropped", [
