@@ -417,7 +417,6 @@ class ComplexStructureAlgebra(_FrameAlgebra):
 
     def __init__(self, n: int, d20: D20, d11: D11, name: str | None = None):
         super().__init__(n)
-        self.n = n
         self.d20 = _canonical_differentials(d20)
         self.d11 = _canonical_differentials(d11)
         for k, comp in itertools.chain(self.d20.items(), self.d11.items()):
@@ -445,7 +444,7 @@ class ComplexStructureAlgebra(_FrameAlgebra):
         structure is a nilpotent Lie algebra, checked on its complexification:
         the ``LieAlgebra`` of the frame bracket table on X_1..X_n, X̄_1..X̄_n,
         where X̄_k is basis vector n + k and the error message calls it ``cX<k>``."""
-        n = self.n
+        n = self.complex_dim
         brackets: Brackets = {}
         for ((i, bi), (j, bj)), comp in self._table.items():
             a, b, sign = i + n * bi, j + n * bj, 1
@@ -466,7 +465,7 @@ class ComplexStructureAlgebra(_FrameAlgebra):
         return "generic"
 
     def __repr__(self) -> str:
-        return f"ComplexStructureAlgebra({self.name!r}, n={self.n})"
+        return f"ComplexStructureAlgebra({self.name!r}, n={self.complex_dim})"
 
 
 def to_complex_structure(L: LieAlgebra) -> ComplexStructureAlgebra:

@@ -12,8 +12,10 @@ the source verbatim, while an ``_alt`` file corrects index patterns that break
 the symmetry of neighbouring entries (suspected misprints).  Verification code
 should try the main reading first and fall back to the variant.
 
-All entries are parsed and structurally validated at import time, and the
-stored decompositions are kept as parsed there.
+All entries are parsed and structurally validated at import time; that
+check parses every stored decomposition but keeps none.  Each is kept as
+parsed from the first :meth:`CatalogEntry.published_components` call that
+reads it.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class CatalogEntry:
 
     def published_components(self, variant: bool = False) -> list[list[Polynomial]] | None:
         """Stored primary decomposition, or None when nothing is on record.
-        Each file is parsed once (at import, by the catalog validation); every
+        Each file is parsed and kept on the first call that reads it; every
         call returns fresh lists."""
         filename = self.ideal_variant_file if variant else self.ideal_file
         if filename is None:
@@ -256,12 +258,12 @@ def _validate_catalog() -> None:
             algebra = entry.build()
             if isinstance(algebra, LieAlgebra):
                 algebra.validate()
-            actual_dim = algebra.dim if isinstance(algebra, LieAlgebra) else algebra.n
-            if actual_dim != entry.dim:
+            if algebra.complex_dim != entry.dim:
                 raise CatalogError(f"{entry.name}: dimension mismatch")
             entry.expected_ideal()
-            entry.published_components()
-            entry.published_components(variant=True)
+            for filename in (entry.ideal_file, entry.ideal_variant_file):
+                if filename is not None:
+                    parse_ideal_components(_data_text(filename))
             for group in entry.reducibility.values():
                 for text in group:
                     parse_polynomial(text)

@@ -54,23 +54,23 @@ a computation and leave it normalised by
 Each call that divides packs its polynomials and divisors afresh, together
 in one packing.
 
-Membership.  :func:`non_members` answers every membership question.  It
-divides each polynomial by the canonical generators of the ideal first: a
-zero remainder on division by any generating set proves membership (Becker
-& Weispfenning, *Gröbner Bases*, GTM 141, 1993).  A nonzero one proves
-nothing, so the polynomials that leave one are divided, in one packing,
-by a grevlex basis, which is built just when some polynomial needs it.
-When every generator is homogeneous, that basis is truncated at degree d,
-the largest total degree among those polynomials: pairs of lcm degree
-above d stay in the queue, and the polynomials are divided by the
-unreduced elements in the packing that built them.  Such a basis holds
-the leading monomial of every homogeneous element of the ideal up to
-degree d (Becker & Weispfenning, GTM 141), and its elements are
-homogeneous, so each homogeneous part of a polynomial is reduced on its
-own.  A homogeneous ideal holds a polynomial exactly when it holds each of
-its homogeneous parts, so a zero remainder is still exactly membership.
-Other ideals are divided by the full reduced basis.  One deadline bounds
-the division and the basis.  A list of generators is never wrapped in a
+Membership.  :func:`non_members` answers every membership question, in
+one packing.  It divides each polynomial by the canonical generators of the
+ideal first: a zero remainder on division by any generating set proves
+membership (Becker & Weispfenning, *Gröbner Bases*, GTM 141, 1993).  A
+nonzero one proves nothing, so the polynomials that leave one are divided by
+the unreduced elements of a grevlex basis, built in the same packing just
+when some polynomial needs it.  Any Gröbner basis, reduced or not, decides
+membership exactly, so the basis is never reduced here.  When every
+generator is homogeneous, it is truncated at degree d, the largest total
+degree among those polynomials: pairs of lcm degree above d stay in the
+queue.  Such a basis holds the leading monomial of every homogeneous element
+of the ideal up to degree d (Becker & Weispfenning, GTM 141), and its
+elements are homogeneous, so each homogeneous part of a polynomial is
+reduced on its own.  A homogeneous ideal holds a polynomial exactly when it
+holds each of its homogeneous parts, so a zero remainder is still exactly
+membership.  Other ideals get the complete basis.  One deadline bounds the
+division and the basis.  A list of generators is never wrapped in a
 :class:`GroebnerBasis`, which promises a reduced basis.
 
 Coefficients.  A coefficient is a canonical rational value, as everywhere in
@@ -408,25 +408,17 @@ def _reduce_basis(prepped: list[tuple], packing: _Packing,
     return out
 
 
-def _remainders(polys: Sequence[Polynomial], divisors: Sequence[Polynomial],
-                order: MonomialOrder, deadline: float | None) -> list[Polynomial]:
-    """Division remainders of ``polys`` by the nonzero ``divisors`` in
-    ``order``, dividing by them in list order, all in one packing."""
-    def compute(packing: _Packing) -> list[Polynomial]:
-        prepped = [packing.prep(packing.pack(g)) for g in divisors]
-        return [packing.polynomial(_divide(packing.pack(p), prepped, packing, deadline))
-                for p in polys]
-
-    return _packed([*divisors, *polys], order, compute)
-
-
 def normal_form(p: Polynomial, G: GroebnerBasis,
                 deadline: float | None = None) -> Polynomial:
     """Division remainder of ``p`` by ``G`` in ``G``'s order, dividing by
     ``G.polys`` in list order; zero iff ``p`` lies in the ideal when ``G`` is
     a Gröbner basis.  ``deadline`` is read before every reduction step, as
     in :func:`buchberger`."""
-    return _remainders([p], G.polys, G.order, deadline)[0]
+    def compute(packing: _Packing) -> Polynomial:
+        prepped = [packing.prep(packing.pack(g)) for g in G.polys]
+        return packing.polynomial(_divide(packing.pack(p), prepped, packing, deadline))
+
+    return _packed([*G.polys, p], G.order, compute)
 
 
 def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
@@ -434,26 +426,25 @@ def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
     """The ``polys`` outside the ideal ``gens`` generate, in input order.
 
     Each poly is first divided by ``canonical_generators(gens)`` in list
-    order; a zero remainder proves membership.  Only the polys that leave a
-    remainder are divided by a grevlex basis, built just when one does:
-    truncated at their largest total degree when every generator is
-    homogeneous, else the reduced basis.  ``deadline`` bounds the division
-    and the basis."""
+    order; a zero remainder proves membership.  The polys that leave a
+    remainder are divided by an unreduced grevlex basis, built just when one
+    does and in the same packing: truncated at their largest total degree
+    when every generator is homogeneous, else complete.  ``deadline`` bounds
+    the division and the basis."""
     gens = canonical_generators(gens)
     polys = list(polys)
-    left = [p for p, r in zip(polys, _remainders(polys, gens, GREVLEX, deadline)) if r]
-    if not left:
-        return []
-    if not all(g.is_homogeneous() for g in gens):
-        basis = buchberger(gens, GREVLEX, deadline).polys
-        return [p for p, r in zip(left, _remainders(left, basis, GREVLEX, deadline)) if r]
-    cap = max(p.total_degree() for p in left)
 
     def compute(packing: _Packing) -> list[Polynomial]:
+        prepped = [packing.prep(packing.pack(g)) for g in gens]
+        left = [p for p in polys if _divide(packing.pack(p), prepped, packing, deadline)]
+        if not left:
+            return []
+        homogeneous = all(g.is_homogeneous() for g in gens)
+        cap = max(p.total_degree() for p in left) if homogeneous else None
         basis = _buchberger(gens, packing, deadline, cap)
         return [p for p in left if _divide(packing.pack(p), basis, packing, deadline)]
 
-    return _packed([*gens, *left], GREVLEX, compute)
+    return _packed([*gens, *polys], GREVLEX, compute)
 
 
 def ideal_equal(I: Iterable[Polynomial], J: Iterable[Polynomial],

@@ -464,7 +464,7 @@ def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3) -> dict:
         p for coeffs in by_degree.values() for p in coeffs.values())
     return {
         "algebra": csa.name,
-        "dim": csa.n,
+        "dim": csa.complex_dim,
         "kind": csa.classify(),
         "max_degree": max_degree,
         "space_dims": {str(q): decomposition.space_dims(q) for q in range(3)},

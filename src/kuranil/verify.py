@@ -4,12 +4,12 @@ Each check re-derives one stored invariant or certificate and reports PASS,
 FAIL or SKIP (the intersection check ran out of its time budget).  Every
 ideal relation a check certifies, equality included, is decided by
 :func:`~kuranil.groebner.non_members`, which divides by the ideal's
-generators first and builds a grevlex basis of the ideal only when division
-leaves a remainder.  That basis stops at the remainders' top degree when the
-ideal is homogeneous, as most computed ideals and stored components are.
-The expected-generators check is the two
-containments I ⊆ E and E ⊆ I of the computed ideal I and the stored one E.
-The reducibility check tests I in its linear and rank ideals and its
+generators first and builds an unreduced grevlex basis of the ideal only
+when division leaves a remainder.  That basis stops at the remainders' top
+degree when the ideal is homogeneous, as most computed ideals and stored
+components are, and is complete otherwise.  The expected-generators check is
+the two containments I ⊆ E and E ⊆ I of the computed ideal I and the stored
+one E.  The reducibility check tests I in its linear and rank ideals and its
 products in I.  Each stored reading's escape (the first computed generator
 that misses one of its components) is taken once and settles both the
 containment and the intersection check: containment gives I ⊆ ∩ Qᵢ, so the

@@ -313,7 +313,7 @@ def test_parse_algebra_file_picks_the_format_after_comments_and_dim():
     csa = parse_algebra_file("# a comment\n\ndim 3  # header\n  # dw1 = 0\ndw3 = w1^w2\n",
                              name="heis.alg")
     assert isinstance(csa, ComplexStructureAlgebra)
-    assert (csa.n, csa.name, csa.d20) == (3, "heis.alg", {3: {(1, 2): Fraction(1)}})
+    assert (csa.complex_dim, csa.name, csa.d20) == (3, "heis.alg", {3: {(1, 2): Fraction(1)}})
     L = parse_algebra_file("# dw3 = w1^w2\ndim 3\nbracket 1 2 = -1*3\n")
     assert isinstance(L, LieAlgebra)
     assert (L.dim, L.brackets) == (3, {(1, 2): {3: Fraction(-1)}})
@@ -325,13 +325,13 @@ def test_parse_algebra_file_picks_the_format_after_comments_and_dim():
 def test_to_complex_structure_classification():
     csa = to_complex_structure(parse_salamon(HEISENBERG))
     assert csa.classify() == "parallelisable"
-    assert csa.n == 3
+    assert csa.complex_dim == 3
 
 
 def test_complex_structure_file_mixed_terms():
     text = "dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n"
     csa = parse_complex_structure_file(text)
-    assert csa.n == 7
+    assert csa.complex_dim == 7
     assert csa.classify() == "generic"
 
 
@@ -407,7 +407,7 @@ def test_protocol_of_a_lie_algebra_is_its_structure_constants(name):
 def test_protocol_of_a_complex_structure_is_its_coframe_differentials(text):
     csa = parse_complex_structure_file(text)
     csa.validate()
-    n = csa.n
+    n = csa.complex_dim
     A = {(k, a, b): c for k, comp in csa.d20.items() for (a, b), c in comp.items()}
     B = {(k, a, b): c for k, comp in csa.d11.items() for (a, b), c in comp.items()}
     pairs = list(itertools.product(range(1, n + 1), repeat=2))

@@ -23,7 +23,7 @@ from kuranil.cli import (
 )
 from kuranil.groebner import canonical_generators, ideal_equal, ideal_intersect
 from kuranil.kuranishi import analyze
-from kuranil.polyring import GREVLEX, parse_polynomial
+from kuranil.polyring import parse_polynomial
 from kuranil.verify import CheckResult, run_entry_checks
 
 
@@ -328,23 +328,14 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
     computed = tuple(parse_polynomial(s) for s in
                      analyze(entry.build())["obstruction_generators"])
 
-    original = groebner.buchberger
-    inputs = []
+    # Every basis, reduced by buchberger or built unreduced by non_members,
+    # goes through _buchberger; record each build with its cap.
+    original = groebner._buchberger
+    built = []
 
-    def recording(gens, order=GREVLEX, deadline=None):
-        gens = tuple(gens)
-        inputs.append((order, gens))
-        return original(gens, order, deadline)
-
-    # non_members builds a degree-truncated basis of a homogeneous ideal
-    # without going through buchberger; record those builds with their cap.
-    original_pairs = groebner._buchberger
-    truncated = []
-
-    def recording_truncated(gens, packing, deadline, cap=None):
-        if cap is not None:
-            truncated.append((tuple(gens), cap))
-        return original_pairs(gens, packing, deadline, cap)
+    def recording(gens, packing, deadline, cap=None):
+        built.append((tuple(gens), cap))
+        return original(gens, packing, deadline, cap)
 
     original_intersect = verify.ideal_intersect
     intersections = []
@@ -354,38 +345,33 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
         intersections.append(tuple(out))
         return out
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    monkeypatch.setattr(groebner, "_buchberger", recording_truncated)
+    monkeypatch.setattr(groebner, "_buchberger", recording)
     monkeypatch.setattr(verify, "ideal_intersect", recording_intersect)
     results = run_entry_checks(entry)
     assert all(r.status == "PASS" for r in results)
     assert {"component-containment", "intersection"} <= {r.check for r in results}
-    assert inputs and len(set(inputs)) == len(inputs)
+    assert built and len(set(built)) == len(built)
     # The intersection is tested for membership in the computed ideal; no
     # basis of its own generators is built.
     assert intersections
-    grevlex_inputs = {tuple(canonical_generators(gens))
-                      for order, gens in inputs if order == GREVLEX}
-    grevlex_inputs |= {gens for gens, _ in truncated}
-    assert not grevlex_inputs & set(intersections)
+    bases = {gens for gens, _ in built}
+    assert not bases & set(intersections)
     # Division by the computed ideal's generators proves every generator of
     # the intersection a member, so no basis of the computed ideal is built.
-    assert tuple(canonical_generators(computed)) not in grevlex_inputs
+    assert tuple(canonical_generators(computed)) not in bases
 
     # Ideal equality is two containments, so the expected-generators check
     # builds a basis only where division leaves a remainder: none on
     # (0,0,12,13).  On (0,0,0,12) the reducibility products (cubics) leave
     # one, and the computed ideal is homogeneous, so its basis is truncated
-    # at degree 3 and no full basis is built.
-    for name, bases in (("(0,0,12,13)", []), ("(0,0,0,12)", [3])):
+    # at degree 3 and no other basis is built.
+    for name, caps in (("(0,0,12,13)", []), ("(0,0,0,12)", [3])):
         entry = catalog.get(name)
         computed = tuple(canonical_generators(
             parse_polynomial(s) for s in analyze(entry.build())["obstruction_generators"]))
-        inputs.clear()
-        truncated.clear()
+        built.clear()
         assert all(r.status == "PASS" for r in run_entry_checks(entry))
-        assert [gens for order, gens in inputs if order == GREVLEX] == []
-        assert truncated == [(computed, cap) for cap in bases]
+        assert built == [(computed, cap) for cap in caps]
 
 
 def test_main_reading_escape_processes_no_pair_above_the_quadrics(monkeypatch):

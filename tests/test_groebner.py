@@ -218,24 +218,33 @@ def test_deadline_stops_a_single_division(monkeypatch):
 # -- membership by division first ---------------------------------------------
 
 
-def _recording_buchberger(monkeypatch) -> list[tuple]:
-    """Record the generators of every basis ``groebner`` builds from here on."""
-    original, calls = groebner.buchberger, []
+def _recording_bases(monkeypatch) -> tuple[list[tuple], list[tuple]]:
+    """Record, from here on, the ``(generators, cap)`` of every basis
+    ``groebner`` builds, ``cap=None`` included, and the generators of every
+    reduced basis asked of :func:`~kuranil.groebner.buchberger`."""
+    original_build, original_reduced = groebner._buchberger, groebner.buchberger
+    built, reduced = [], []
 
-    def recording(gens, order=GREVLEX, deadline=None):
-        calls.append(tuple(gens))
-        return original(gens, order, deadline)
+    def recording_build(gens, packing, deadline, cap=None):
+        built.append((tuple(gens), cap))
+        return original_build(gens, packing, deadline, cap)
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
-    return calls
+    def recording_reduced(gens, order=GREVLEX, deadline=None):
+        gens = tuple(gens)
+        reduced.append(gens)
+        return original_reduced(gens, order, deadline)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording_build)
+    monkeypatch.setattr(groebner, "buchberger", recording_reduced)
+    return built, reduced
 
 
 def test_non_members_builds_no_basis_when_division_proves_membership(monkeypatch):
-    calls = _recording_buchberger(monkeypatch)
+    built, reduced = _recording_bases(monkeypatch)
     gens = [minor2(1, 3, 1, 2), minor2(2, 3, 1, 2)]
     members = [Polynomial.zero(), t(1, 1) * gens[0] - 2 * gens[1], gens[1]]
     assert non_members(members, gens) == []
-    assert calls == []
+    assert built == [] and reduced == []
 
 
 def test_non_members_falls_back_to_the_basis_where_division_leaves_a_remainder(monkeypatch):
@@ -244,10 +253,12 @@ def test_non_members_falls_back_to_the_basis_where_division_leaves_a_remainder(m
     gens = [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)]
     member, outside = t(1, 2) ** 2, t(1, 2)
     assert normal_form(member, GroebnerBasis(GREVLEX, canonical_generators(gens))) == member
-    calls = _recording_buchberger(monkeypatch)
+    built, reduced = _recording_bases(monkeypatch)
     assert non_members([outside, member, gens[0]], gens) == [outside]
     assert non_members([member], gens) == []
-    assert calls == [tuple(canonical_generators(gens))] * 2
+    # The ideal is inhomogeneous: one complete, unreduced basis per fallback.
+    assert built == [(tuple(canonical_generators(gens)), None)] * 2
+    assert reduced == []
 
 
 def test_non_members_keep_input_order():
@@ -344,12 +355,15 @@ def test_non_members_of_homogeneous_ideals_agree_with_normal_forms(case):
     assert non_members(probes, gens) == [p for p in probes if normal_form(p, basis)]
 
 
-def test_non_members_of_an_inhomogeneous_ideal_use_the_full_basis():
+def test_non_members_of_an_inhomogeneous_ideal_use_the_full_basis(monkeypatch):
     # t1_1*t1_2 = t1_1^3 - t1_1*(t1_1^2 - t1_2) lies in I, but only the
     # S-pair of degree 3 finds it: a basis truncated at the probe's degree 2
     # would call it a non-member.
     gens = [t(1, 1) ** 2 - t(1, 2), t(1, 1) ** 3]
+    built, reduced = _recording_bases(monkeypatch)
     assert non_members([t(1, 1) * t(1, 2), t(1, 1)], gens) == [t(1, 1)]
+    assert built == [(tuple(canonical_generators(gens)), None)]
+    assert reduced == []
 
 
 @st.composite

@@ -121,8 +121,8 @@ def test_schouten_general_symmetric_on_generic_one_forms(which):
         other = VectorForm.zero(csa)
         for _ in range(6):
             other = other + VectorForm.single(
-                _cw(csa, rng.randint(1, csa.n)).scale(rng.choice(coeffs)),
-                rng.randint(1, csa.n))
+                _cw(csa, rng.randint(1, csa.complex_dim)).scale(rng.choice(coeffs)),
+                rng.randint(1, csa.complex_dim))
         others.append(other)
     for other in others:
         assert schouten_general(phi1, other) == schouten_general(other, phi1)
