@@ -2,25 +2,26 @@
 
 Certifies that computed obstruction ideals equal published intersections of
 components.  Intersections are computed by the standard one-variable
-elimination trick, the only place a lex basis is built.  Every other ideal
-relation is decided by :func:`non_members` (see Membership below): ideal
-equality is the two containments I ⊆ J and J ⊆ I, so a grevlex basis is
-built only where division by an ideal's generators leaves a remainder.  Within the package only :mod:`kuranil.verify` calls this
-module: the analysis computes its ideals without a Gröbner basis.
+elimination trick, the only place a lex basis is built (see Elimination
+below).  Every other ideal relation is decided by :func:`non_members` (see
+Membership below): ideal equality is the two containments I ⊆ J and J ⊆ I,
+so a grevlex basis is built only where division by an ideal's generators
+leaves a remainder.  Within the package only :mod:`kuranil.verify` calls
+this module: the analysis computes its ideals without a Gröbner basis.
 Generator lists are put into one normal form by
 :func:`~kuranil.polyring.canonical_generators`.
 
 Pairs.  Only the pairs the basis needs are queued: each new basis element
 updates the queue by Gebauer and Möller's criteria (Gebauer & Möller, *On an
 installation of Buchberger's algorithm*, JSC 6, 1988).  Of the element's new
-pairs, one whose lcm another new lcm properly divides is dropped (M); the
-rest make one pair per lcm, or none when a pair with coprime leading
-monomials shares it (F).  A queued pair goes when the new leading monomial
-divides its lcm and differs, as an lcm with either of its elements, from that
-lcm (B_k).  An element whose leading monomial the new one divides makes no
-further pairs.  The selection is fixed so results are byte-for-byte
-reproducible: pairs pop from a heap keyed (lcm total degree, i, j), so they
-are processed in ascending key order.
+pairs, one whose lcm another new lcm properly divides is dropped (M); the rest
+make one pair per lcm, or none when a pair with coprime leading monomials
+shares it (F).  A queued pair goes when the new leading monomial divides its
+lcm and differs, as an lcm with either of its elements, from that lcm (B_k).
+An element whose leading monomial the new one divides makes no further pairs
+and divides no further S-polynomial.  The selection is fixed so results are
+byte-for-byte reproducible: pairs pop from a heap keyed (lcm total degree, i,
+j), so they are processed in ascending key order.
 
 Packed monomials.  Each computation fixes the sorted variables of its inputs
 (``u`` included) and packs every monomial into one Python int on entry,
@@ -38,8 +39,9 @@ The top bit of each field is a guard bit that no monomial sets, so ``a``
 divides ``b`` exactly when ``(b - a) & guards == 0``.  The degree field bounds
 every other field, so a new monomial overflows a field exactly when its degree
 reaches the guard bit.  That is checked wherever monomials are made (products
-in a division step, S-polynomials, lcms); an overflow repacks the inputs with
-fields twice as wide and restarts the computation.
+in a division step, S-polynomials, lcms, the products by ``u`` of an
+elimination); an overflow repacks the inputs with fields twice as wide and
+restarts the computation.
 
 Division.  Each divisor is prepped once, as ``(leading monomial, slack,
 tail)``: the tail is divided by the leading coefficient, and the slack (the
@@ -47,31 +49,48 @@ tail's largest degree minus the leading degree) bounds the degree of every
 product a reduction step makes.  The working terms live in a dict, their
 monomials in a heap of negated ints with lazy deletion: a cancelled term's
 entry stays in the heap and is skipped when popped.  The first divisor in
-list order whose leading monomial divides wins.  The deadline is read before
-every pair and every live reduction step.  Basis elements stay monic inside
-a computation and leave it normalised by
+list order whose leading monomial divides wins.  Inside a Buchberger
+computation the divisors of an S-polynomial are the basis elements whose
+leading monomial no newer element's divides, in the order they were added: a
+dropped element's leading monomial is a multiple of a newer one's, so the
+remainder is reduced against every element all the same.  Inter-reduction
+divides each element by the others in ascending order of leading monomial.
+The deadline is read before every pair and every live reduction step.  Basis
+elements stay monic inside a computation and leave it normalised by
 :func:`~kuranil.polyring.primitive_scale`; a normal form leaves as it is.
 Each call that divides packs its polynomials and divisors afresh, together
 in one packing.
 
-Membership.  :func:`non_members` answers every membership question, in
-one packing.  It divides each polynomial by the canonical generators of the
+Elimination.  :func:`ideal_intersect` computes I ∩ J as the ideal
+(u·I + (1−u)·J) ∩ k[t] (Cox, Little & O'Shea, *Ideals, Varieties, and
+Algorithms*, Ch. 3 §1 and Ch. 4 §3), in one lex packing with ``u`` greatest.
+It makes u·f and (1−u)·g on the packed terms of the generators, sorts them
+by leading monomial and builds an unreduced basis.  In lex the u-free
+monomials are exactly those below ``u``, so the elements whose leading
+monomial is below u's packed monomial are the u-free ones, and they form a
+Gröbner basis of the intersection.  Only they are inter-reduced: no leading
+monomial that contains ``u`` divides a u-free monomial, so the result is the
+u-free part of the reduced basis of the whole, which is unique.
+
+Membership.  :func:`non_members` answers every membership question, in one
+packing.  It divides each polynomial by the canonical generators of the
 ideal first: a zero remainder on division by any generating set proves
 membership (Becker & Weispfenning, *Gröbner Bases*, GTM 141, 1993).  A
 nonzero one proves nothing, so the polynomials that leave one are divided by
-the unreduced elements of a grevlex basis, built in the same packing just
-when some polynomial needs it.  Any Gröbner basis, reduced or not, decides
-membership exactly, so the basis is never reduced here.  When every
-generator is homogeneous, it is truncated at degree d, the largest total
-degree among those polynomials: pairs of lcm degree above d stay in the
-queue.  Such a basis holds the leading monomial of every homogeneous element
-of the ideal up to degree d (Becker & Weispfenning, GTM 141), and its
-elements are homogeneous, so each homogeneous part of a polynomial is
-reduced on its own.  A homogeneous ideal holds a polynomial exactly when it
-holds each of its homogeneous parts, so a zero remainder is still exactly
-membership.  Other ideals get the complete basis.  One deadline bounds the
-division and the basis.  A list of generators is never wrapped in a
-:class:`GroebnerBasis`, which promises a reduced basis.
+the unreduced elements of a grevlex basis, built in the same packing from
+the same prepped generators, just when some polynomial needs it.  Any
+Gröbner basis, reduced or not, decides membership exactly, so the basis is
+never reduced here.  When every generator is homogeneous, it is truncated at
+degree d, the largest total degree among those polynomials: pairs of lcm
+degree above d stay in the queue.  Such a basis holds the leading monomial
+of every homogeneous element of the ideal up to degree d (Becker &
+Weispfenning, GTM 141), and its elements are homogeneous, so each
+homogeneous part of a polynomial is reduced on its own.  A homogeneous ideal
+holds a polynomial exactly when it holds each of its homogeneous parts, so a
+zero remainder is still exactly membership.  Other ideals get the complete
+basis.  One deadline bounds the division and the basis.  A list of
+generators is never wrapped in a :class:`GroebnerBasis`, which promises a
+reduced basis.
 
 Coefficients.  A coefficient is a canonical rational value, as everywhere in
 the package (:func:`~kuranil.polyring.rational`): an ``int`` while it is
@@ -194,6 +213,10 @@ class _Packing:
 
     def degree(self, m: int) -> int:
         return (m >> self._deg_shift) & self._field
+
+    def unit(self, v) -> int:
+        """The packed monomial of the variable ``v``, one of ``variables``."""
+        return self._units[v]
 
     def pack(self, p: Polynomial) -> dict[int, int | Fraction]:
         """The terms of ``p``, whose variables are among ``variables``, packed."""
@@ -332,19 +355,27 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
     pair and every reduction step; reaching it raises :class:`GroebnerTimeout`.
     """
     gens = canonical_generators(gens, order)
-    return GroebnerBasis(order, _packed(gens, order, lambda packing: _reduce_basis(
-        _buchberger(gens, packing, deadline), packing, deadline)))
+
+    def compute(packing: _Packing) -> list[Polynomial]:
+        entries = [packing.prep(packing.pack(g)) for g in gens]
+        return _reduce_basis(_buchberger(entries, packing, deadline), packing, deadline)
+
+    return GroebnerBasis(order, _packed(gens, order, compute))
 
 
-def _buchberger(gens: list[Polynomial], packing: _Packing, deadline: float | None,
+def _buchberger(entries: list[tuple], packing: _Packing, deadline: float | None,
                 cap: int | None = None) -> list[tuple]:
-    """Prepped elements of a Gröbner basis of ``gens``, not yet reduced.  With
-    ``cap``, pairs whose lcm degree exceeds ``cap`` stay unprocessed: for
-    homogeneous ``gens`` that is a ``cap``-truncated basis."""
+    """A Gröbner basis, not yet reduced, of the ideal of the prepped
+    ``entries``: the elements whose leading monomial no newer element's
+    divides, in the order they were added.  Each S-polynomial is divided by
+    just those elements, the first in that order winning.  With ``cap``,
+    pairs whose lcm degree exceeds ``cap`` stay unprocessed: for homogeneous
+    ``entries`` that is a ``cap``-truncated basis."""
     guards = packing.guards
     prepped: list[tuple] = []
     lms: list[int] = []
-    active: list[int] = []  # the elements that still make new pairs
+    active: list[int] = []  # the elements that still make pairs and divide
+    divisors: list[tuple] = []  # the entries of active, in its order
     # Keys are unique, so pairs pop in ascending (lcm degree, i, j) order.
     pairs: list[tuple[int, int, int, int]] = []  # (lcm degree, i, j, lcm)
 
@@ -372,21 +403,23 @@ def _buchberger(gens: list[Polynomial], packing: _Packing, deadline: float | Non
                 ks = groups[l]
                 if all(l != lms[k] + lm for k in ks):
                     heappush(pairs, (packing.degree(l), ks[0], t, l))
-        # Elements whose leading monomial lm divides make no more pairs.
+        # Elements whose leading monomial lm divides make no more pairs and
+        # divide no more: lm divides every monomial theirs divides.
         active[:] = [k for k in active if (lms[k] - lm) & guards] + [t]
         prepped.append(entry)
         lms.append(lm)
+        divisors[:] = [prepped[k] for k in active]
 
-    for g in gens:
-        insert(packing.prep(packing.pack(g)))
+    for entry in entries:
+        insert(entry)
     while pairs and (cap is None or pairs[0][0] <= cap):
         _check_deadline(deadline)
         _, i, j, lcm = heappop(pairs)
         rem = _divide(_s_polynomial(prepped[i], prepped[j], lcm, packing),
-                      prepped, packing, deadline)
+                      divisors, packing, deadline)
         if rem:
             insert(packing.prep(rem))
-    return prepped
+    return divisors
 
 
 def _reduce_basis(prepped: list[tuple], packing: _Packing,
@@ -441,7 +474,7 @@ def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
             return []
         homogeneous = all(g.is_homogeneous() for g in gens)
         cap = max(p.total_degree() for p in left) if homogeneous else None
-        basis = _buchberger(gens, packing, deadline, cap)
+        basis = _buchberger(prepped, packing, deadline, cap)
         return [p for p in left if _divide(packing.pack(p), basis, packing, deadline)]
 
     return _packed([*gens, *polys], GREVLEX, compute)
@@ -458,9 +491,11 @@ def ideal_equal(I: Iterable[Polynomial], J: Iterable[Polynomial],
 
 def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
                     deadline: float | None = None) -> list[Polynomial]:
-    """Generators of I ∩ J by elimination: GB of u·I + (1−u)·J in lex with u
-    greatest, keeping the u-free polynomials.  Raises :class:`ValueError`
-    when an input contains ``u`` itself."""
+    """Generators of I ∩ J by elimination, as the module docstring lays out:
+    an unreduced lex basis of u·I + (1−u)·J with u greatest, built in one
+    packing, whose u-free elements alone are inter-reduced into the reduced
+    lex basis of I ∩ J, returned as canonical generators.  Raises
+    :class:`ValueError` when an input contains ``u`` itself."""
     if any(UVAR in g.variables() for g in (*I, *J)):
         raise ValueError("ideal_intersect eliminates the variable u; "
                          "its inputs must not contain u")
@@ -468,8 +503,24 @@ def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
     gens_j = [g for g in J if g]
     if not gens_i or not gens_j:
         return []
-    u = Polynomial.variable(UVAR)
-    one_minus_u = Polynomial.one() - u
-    combined = [u * f for f in gens_i] + [one_minus_u * g for g in gens_j]
-    gb = buchberger(combined, LEX, deadline)
-    return canonical_generators(g for g in gb if UVAR not in g.variables())
+
+    def compute(packing: _Packing) -> list[Polynomial]:
+        unit, limit, degree = packing.unit(UVAR), packing.limit, packing.degree
+
+        def times_u(terms: dict, sign: int) -> dict:
+            out = {m + unit: sign * c for m, c in terms.items()}
+            if max(map(degree, out)) >= limit:
+                raise _Overflow
+            return out
+
+        combined = [times_u(packing.pack(f), 1) for f in gens_i]
+        for g in gens_j:
+            terms = packing.pack(g)
+            combined.append({**terms, **times_u(terms, -1)})
+        entries = sorted((packing.prep(terms) for terms in combined), key=lambda e: e[0])
+        basis = _buchberger(entries, packing, deadline)
+        # The u-free monomials are exactly those below u.
+        return _reduce_basis([e for e in basis if e[0] < unit], packing, deadline)
+
+    return canonical_generators(_packed([*gens_i, *gens_j, Polynomial.variable(UVAR)],
+                                        LEX, compute))

@@ -401,9 +401,13 @@ def canonical_generators(polys: Iterable[Polynomial],
     their input order.  The list is therefore canonical only up to such
     ties: the same generators given in another order can come out in
     another order, and reports show that order as it is."""
-    out = list(dict.fromkeys(p.normalized(order) for p in polys if p))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return out
+    keys: dict[Polynomial, tuple] = {}  # each generator's leading-monomial key
+    for p in polys:
+        if p:
+            lm = order.max(p.terms)  # found once; rescaling keeps it
+            scale = primitive_scale(p.terms.values(), p.terms[lm])
+            keys.setdefault(p if scale == 1 else p * scale, order.key(lm))
+    return sorted(keys, key=keys.__getitem__)
 
 
 def linear_combination(pairs) -> Polynomial:

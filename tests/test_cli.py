@@ -23,7 +23,7 @@ from kuranil.cli import (
 )
 from kuranil.groebner import canonical_generators, ideal_equal, ideal_intersect
 from kuranil.kuranishi import analyze
-from kuranil.polyring import parse_polynomial
+from kuranil.polyring import parse_polynomial, primitive_scale
 from kuranil.verify import CheckResult, run_entry_checks
 
 
@@ -328,14 +328,21 @@ def test_run_entry_checks_computes_each_basis_once(monkeypatch):
     computed = tuple(parse_polynomial(s) for s in
                      analyze(entry.build())["obstruction_generators"])
 
-    # Every basis, reduced by buchberger or built unreduced by non_members,
-    # goes through _buchberger; record each build with its cap.
+    # Every basis, built unreduced by non_members or inside the elimination
+    # of ideal_intersect, goes through _buchberger; record each build with
+    # its cap and its prepped generators decoded to normalised polynomials
+    # (each entry is monic, so its primitive scale is positive).
     original = groebner._buchberger
     built = []
 
-    def recording(gens, packing, deadline, cap=None):
+    def recording(entries, packing, deadline, cap=None):
+        gens = []
+        for lm, _, tail in entries:
+            terms = {lm: 1, **dict(tail)}
+            scale = primitive_scale(terms.values(), 1)
+            gens.append(packing.polynomial({m: c * scale for m, c in terms.items()}))
         built.append((tuple(gens), cap))
-        return original(gens, packing, deadline, cap)
+        return original(entries, packing, deadline, cap)
 
     original_intersect = verify.ideal_intersect
     intersections = []

@@ -36,6 +36,7 @@ from kuranil.polyring import (
     mono_lcm,
     mono_mul,
     parse_polynomial,
+    primitive_scale,
     var_name,
     var_poly,
     var_rank,
@@ -218,16 +219,28 @@ def test_deadline_stops_a_single_division(monkeypatch):
 # -- membership by division first ---------------------------------------------
 
 
+def _decoded(entries, packing) -> tuple[Polynomial, ...]:
+    """The prepped ``entries`` as the normalised polynomials they stand for:
+    each entry is monic, so its primitive scale is positive."""
+    out = []
+    for lm, _, tail in entries:
+        terms = {lm: 1, **dict(tail)}
+        scale = primitive_scale(terms.values(), 1)
+        out.append(packing.polynomial({m: c * scale for m, c in terms.items()}))
+    return tuple(out)
+
+
 def _recording_bases(monkeypatch) -> tuple[list[tuple], list[tuple]]:
     """Record, from here on, the ``(generators, cap)`` of every basis
-    ``groebner`` builds, ``cap=None`` included, and the generators of every
-    reduced basis asked of :func:`~kuranil.groebner.buchberger`."""
+    ``groebner`` builds, ``cap=None`` included, with the prepped generators
+    decoded, and the generators of every reduced basis asked of
+    :func:`~kuranil.groebner.buchberger`."""
     original_build, original_reduced = groebner._buchberger, groebner.buchberger
     built, reduced = [], []
 
-    def recording_build(gens, packing, deadline, cap=None):
-        built.append((tuple(gens), cap))
-        return original_build(gens, packing, deadline, cap)
+    def recording_build(entries, packing, deadline, cap=None):
+        built.append((_decoded(entries, packing), cap))
+        return original_build(entries, packing, deadline, cap)
 
     def recording_reduced(gens, order=GREVLEX, deadline=None):
         gens = tuple(gens)
@@ -798,3 +811,118 @@ def test_intersection_matches_sympy_product_membership():
         for p in inter:
             combo = combo + p * Fraction(rng.randint(-2, 2))
         assert not normal_form(combo, bi) and not normal_form(combo, bj)
+
+
+# -- intersection inside one lex packing ---------------------------------------
+
+U = Polynomial.variable(UVAR)
+
+
+def _intersect_by_buchberger(I, J):
+    """I ∩ J by the elimination formula on polynomials: the u-free elements
+    of the reduced lex basis of u·I + (1−u)·J, as canonical generators."""
+    combined = [U * f for f in I] + [(1 - U) * g for g in J]
+    return canonical_generators(
+        g for g in buchberger(combined, LEX) if UVAR not in g.variables())
+
+
+@st.composite
+def _ideal_pairs(draw):
+    """``(I, J)``: up to three generators each over three variables, either
+    all homogeneous of degree 1–2 or all small and inhomogeneous at times."""
+    if draw(st.booleans()):
+        gen = st.integers(1, 2).flatmap(lambda d: _homogeneous(_BASIS_VARIABLES, d))
+    else:
+        gen = _polynomials(_BASIS_VARIABLES)
+    return draw(st.lists(gen, max_size=3)), draw(st.lists(gen, max_size=3))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_ideal_pairs())
+# u·t1_1^127 has degree 128: the first field width overflows on entry.
+@example(([t(1, 1) ** 127], [t(1, 2)]))
+@example(([t(1, 1) ** 2 - t(1, 2), t(2, 1)], [t(1, 1) * t(2, 1) + 1, t(1, 2) ** 2]))
+def test_ideal_intersect_agrees_with_the_elimination_formula(case):
+    I, J = case
+    assert ideal_intersect(I, J) == _intersect_by_buchberger(I, J)
+
+
+def test_ideal_intersect_widens_when_u_times_a_generator_overflows():
+    # t1_1^127 fits the first field width; u·t1_1^127, of degree 128, does not.
+    assert ideal_intersect([t(1, 1) ** 127], [t(1, 2)]) == [t(1, 1) ** 127 * t(1, 2)]
+
+
+def test_ideal_intersect_reduces_only_the_u_free_elements(monkeypatch):
+    # Inter-reduction gets exactly the u-free elements of the lex basis;
+    # that basis holds elements with u as well.
+    I = [t(1, 1) * t(1, 2) - t(2, 1), t(1, 2) ** 2]
+    J = [t(1, 1) ** 2 - t(2, 1), t(1, 2) * t(2, 1)]
+    expected = _intersect_by_buchberger(I, J)
+    original_build, original_reduce = groebner._buchberger, groebner._reduce_basis
+    built, reduced = [], []
+
+    def recording_build(entries, packing, deadline, cap=None):
+        basis = original_build(entries, packing, deadline, cap)
+        built.append(_decoded(basis, packing))
+        return basis
+
+    def recording_reduce(entries, packing, deadline=None):
+        reduced.append(_decoded(entries, packing))
+        return original_reduce(entries, packing, deadline)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording_build)
+    monkeypatch.setattr(groebner, "_reduce_basis", recording_reduce)
+    assert ideal_intersect(I, J) == expected
+    (basis,), (kept,) = built, reduced
+    assert any(UVAR in g.variables() for g in basis)
+    assert kept == tuple(g for g in basis if UVAR not in g.variables())
+
+
+def test_buchberger_divides_by_the_elements_that_still_count(monkeypatch):
+    # No divisor's leading monomial is divisible by a later divisor's: an
+    # element stops dividing once a newer leading monomial divides its own.
+    original_build, original_divide = groebner._buchberger, groebner._divide
+    inside, divisor_lms = [], []
+
+    def recording_build(*args):
+        inside.append(True)
+        try:
+            return original_build(*args)
+        finally:
+            inside.pop()
+
+    def recording_divide(work, divisors, packing, deadline=None):
+        if inside:
+            divisor_lms.append(([lm for lm, _, _ in divisors], packing.guards))
+        return original_divide(work, divisors, packing, deadline)
+
+    monkeypatch.setattr(groebner, "_buchberger", recording_build)
+    monkeypatch.setattr(groebner, "_divide", recording_divide)
+    x, y, z = t(1, 1), t(1, 2), t(2, 1)
+    # x + y and x + z share a leading monomial, so the second one replaces
+    # the first as a divisor.
+    buchberger([x + y, x + z, y * z - x])
+    buchberger([x + y, x + z, y * z - x], order=LEX)
+    ideal_intersect([x * y - z, y ** 2], [x ** 2 - z, y * z])
+    non_members([y], [x ** 2 + y, x * y])
+    assert len(divisor_lms) > 4
+    for lms, guards in divisor_lms:
+        for k, lm in enumerate(lms):
+            assert all((lm - later) & guards for later in lms[k + 1:])
+
+
+def test_non_members_preps_each_generator_once(monkeypatch):
+    # The fallback basis starts from the generators' entries that the first
+    # division used.
+    original, prepped = groebner._Packing.prep, []
+
+    def recording(packing, terms):
+        prepped.append(packing.polynomial(dict(terms)))
+        return original(packing, terms)
+
+    monkeypatch.setattr(groebner._Packing, "prep", recording)
+    gens = [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)]
+    built, _ = _recording_bases(monkeypatch)
+    assert non_members([t(1, 2), t(1, 2) ** 2], gens) == [t(1, 2)]
+    assert len(built) == 1
+    assert [prepped.count(g) for g in canonical_generators(gens)] == [1, 1]

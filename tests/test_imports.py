@@ -385,8 +385,9 @@ def test_module_divides_only_fractions(module):
 
 # Exports that no module of the package and no benchmark script reads: the
 # constructors and oracles that library users and the tests call.
-LIBRARY_ONLY = ("abelian", "direct_sum", "free_two_step", "hodge_numbers", "mc_residual",
-                "normal_form", "random_central_assignment", "s_polynomial", "__version__")
+LIBRARY_ONLY = ("abelian", "buchberger", "direct_sum", "free_two_step", "hodge_numbers",
+                "mc_residual", "normal_form", "random_central_assignment", "s_polynomial",
+                "__version__")
 
 
 def _unread_exports(exports, sources) -> list[str]:

@@ -15,6 +15,7 @@ from kuranil.polyring import (
     MonomialOrder,
     Polynomial,
     PolynomialParseError,
+    canonical_generators,
     minor2,
     minor3,
     mono_degree,
@@ -401,6 +402,29 @@ def test_parse_ideal_components_implicit_first_component():
     comps = parse_ideal_components("t1_1\nt2_2\n")
     assert comps == [[t(1, 1), t(2, 2)]]
     assert parse_ideal_components("# nothing\n") == []
+
+
+@st.composite
+def _generator_lists(draw):
+    """Lists of polynomials over t1_1, t1_2 of degree at most 4, zero among
+    them at times, with scalar multiples of one another and, the monomials
+    being few, shared leading monomials."""
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    mono = exps.map(lambda exp: tuple(((1, j + 1), e) for j, e in enumerate(exp) if e))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    poly = st.dictionaries(mono, coeff, max_size=3).map(Polynomial)
+    base = draw(st.lists(poly, min_size=1, max_size=4))
+    multiples = st.tuples(st.sampled_from(base), coeff).map(lambda pc: pc[0] * pc[1])
+    return draw(st.permutations(base + draw(st.lists(multiples, max_size=3))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_generator_lists(), st.sampled_from((GREVLEX, LEX)))
+def test_canonical_generators_normalise_dedupe_and_sort_stably(polys, order):
+    # The definition, finding each leading monomial again for the sort.
+    expected = list(dict.fromkeys(p.normalized(order) for p in polys if p))
+    expected.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    assert canonical_generators(polys, order) == expected
 
 
 def test_generator_list_helpers_live_here_and_stay_importable():
