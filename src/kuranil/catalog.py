@@ -12,10 +12,11 @@ the source verbatim, while an ``_alt`` file corrects index patterns that break
 the symmetry of neighbouring entries (suspected misprints).  Verification code
 should try the main reading first and fall back to the variant.
 
-All entries are parsed and structurally validated at import time; that
-check parses every stored decomposition but keeps none.  Each is kept as
-parsed from the first :meth:`CatalogEntry.published_components` call that
-reads it.
+Importing the module builds no algebra and parses no polynomial; the test
+suite checks the shipped data (each entry builds, validates and has its
+recorded dimension, and every stored string and file parses).  Each stored
+decomposition is kept as parsed from the first
+:meth:`CatalogEntry.published_components` call that reads it.
 """
 
 from __future__ import annotations
@@ -250,27 +251,3 @@ def get(name: str) -> CatalogEntry:
         return _INDEX[key]
     except KeyError:
         raise KeyError(f"no catalog entry named {name!r}") from None
-
-
-def _validate_catalog() -> None:
-    for entry in ENTRIES:
-        try:
-            algebra = entry.build()
-            if isinstance(algebra, LieAlgebra):
-                algebra.validate()
-            if algebra.complex_dim != entry.dim:
-                raise CatalogError(f"{entry.name}: dimension mismatch")
-            entry.expected_ideal()
-            for filename in (entry.ideal_file, entry.ideal_variant_file):
-                if filename is not None:
-                    parse_ideal_components(_data_text(filename))
-            for group in entry.reducibility.values():
-                for text in group:
-                    parse_polynomial(text)
-        except CatalogError:
-            raise
-        except Exception as exc:  # pragma: no cover - import-time guard
-            raise CatalogError(f"catalog entry {entry.name!r} failed to load: {exc}") from exc
-
-
-_validate_catalog()

@@ -21,7 +21,6 @@ from .algebra import (
     NotNilpotent,
     parse_algebra_file,
     parse_salamon,
-    to_complex_structure,
 )
 from .kuranishi import analyze, analyze_general
 from .verify import InputError, run_catalog_checks
@@ -66,21 +65,17 @@ def load_algebra(target: str) -> LieAlgebra | ComplexStructureAlgebra:
 
 def cmd_analyze(args) -> int:
     algebra = load_algebra(args.algebra)
-    if args.max_degree is not None and not (
-            args.general or isinstance(algebra, ComplexStructureAlgebra)):
+    general = args.general or isinstance(algebra, ComplexStructureAlgebra)
+    if args.max_degree is not None and not general:
         raise InputError("--max-degree truncates the general recursion; "
                          "a Lie algebra takes it only with --general")
     # Unset, the truncation degree is analyze_general's own default.
     truncation = {} if args.max_degree is None else {"max_degree": args.max_degree}
     try:
-        if isinstance(algebra, ComplexStructureAlgebra):
-            algebra.validate()
+        if general:
             report = analyze_general(algebra, **truncation)
-        elif args.general:
-            algebra.validate()
-            report = analyze_general(to_complex_structure(algebra), **truncation)
         else:
-            report = analyze(algebra)  # validates the algebra itself
+            report = analyze(algebra)
     except (JacobiViolation, NotNilpotent) as exc:
         raise InputError(f"{args.algebra!r} is not a nilpotent Lie algebra: {exc}") from None
     print(json.dumps(report, indent=2) if args.json else report_text(report))

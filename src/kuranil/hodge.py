@@ -110,7 +110,6 @@ class HodgeDecomposition:
         self._d_columns = {q: linalg.transpose(d, self.dim(q))
                            for q, d in self.d_matrices.items()}
         self._spaces: dict[tuple[int, str], linalg.Subspace] = {}
-        self._delta_matrix: linalg.Matrix | None = None
 
     # -- cells and coordinates -------------------------------------------------
 
@@ -366,21 +365,19 @@ class HodgeDecomposition:
 
         Built from ∂̄ restricted to V¹, which is injective with image exactly
         B²: δ is its least-squares inverse, so δ∘P = δ and ∂̄∘δ = P exactly.
-        Zero map when B² = 0.
+        Zero map when B² = 0.  Built on each call; ``delta_op`` keeps the
+        one copy the analysis reads.
         """
-        if self._delta_matrix is None:
-            if self.max_degree < 2:
-                raise DegreeMismatch("decomposition does not include degree 2")
-            v_rows = self._space(1, "V").rows
-            if not v_rows:
-                self._delta_matrix = [{} for _ in range(self.dim(1))]
-            else:
-                vt = linalg.transpose(v_rows, self.dim(1))
-                m = linalg.mat_mul(self.d_matrices[1], vt)      # V¹-coords → degree-2
-                mt = linalg.transpose(m, len(v_rows))
-                gram_inv = linalg.invert(linalg.mat_mul(mt, m))
-                self._delta_matrix = linalg.mat_mul(vt, linalg.mat_mul(gram_inv, mt))
-        return self._delta_matrix
+        if self.max_degree < 2:
+            raise DegreeMismatch("decomposition does not include degree 2")
+        v_rows = self._space(1, "V").rows
+        if not v_rows:
+            return [{} for _ in range(self.dim(1))]
+        vt = linalg.transpose(v_rows, self.dim(1))
+        m = linalg.mat_mul(self.d_matrices[1], vt)      # V¹-coords → degree-2
+        mt = linalg.transpose(m, len(v_rows))
+        gram_inv = linalg.invert(linalg.mat_mul(mt, m))
+        return linalg.mat_mul(vt, linalg.mat_mul(gram_inv, mt))
 
     @cached_property
     def _delta_columns(self) -> linalg.Matrix:

@@ -42,8 +42,9 @@ structure ∂̄ kills every frame vector, the ∂-terms of the bracket vanish, a
 the Hodge layer stores Θ as copies of the scalar complex.  Which complex a
 decomposition stores is for ``kuranil.hodge`` alone.
 
-``analyze`` and ``analyze_general`` return their result as a plain dict of
-JSON values, the report that ``kuranil analyze`` prints as JSON or as text.
+``analyze`` and ``analyze_general`` validate the ambient they are given and
+return their result as a plain dict of JSON values, the report that
+``kuranil analyze`` prints as JSON or as text.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import random
 from fractions import Fraction
 
 from . import hodge, linalg
-from .algebra import ComplexStructureAlgebra, LieAlgebra
+from .algebra import ComplexStructureAlgebra, LieAlgebra, to_complex_structure
 from .exterior import AmbientMismatch, MultiIndex, VectorForm, wedge_into
 from .polyring import Polynomial, Var, canonical_generators, linear_combination, var_poly
 
@@ -417,7 +418,7 @@ def _overview_annotations(L, report: dict) -> list[dict]:
 
 
 def analyze(L: LieAlgebra) -> dict:
-    """Full parallelisable-path analysis of a validated nilpotent Lie algebra,
+    """Full parallelisable-path analysis of a nilpotent Lie algebra, validated first,
     as the report dict that ``kuranil analyze --json`` prints."""
     L.validate()
     decomposition = hodge.build_decomposition(L)
@@ -453,10 +454,14 @@ def analyze(L: LieAlgebra) -> dict:
     return data
 
 
-def analyze_general(csa: ComplexStructureAlgebra, max_degree: int = 3) -> dict:
+def analyze_general(ambient: LieAlgebra | ComplexStructureAlgebra,
+                    max_degree: int = 3) -> dict:
     """Capped analysis over a general integrable structure (vector-valued
     complex) from the generic Φ₁, as the report dict that ``kuranil analyze
-    --general --json`` prints."""
+    --general --json`` prints.  The ambient is validated first; a Lie
+    algebra is then taken as the structure with purely (2,0) differentials."""
+    ambient.validate()
+    csa = to_complex_structure(ambient) if isinstance(ambient, LieAlgebra) else ambient
     decomposition = hodge.build_theta_decomposition(csa)
     series = phi_recursion(decomposition, max_degree)
     by_degree = series.obstruction_by_degree

@@ -332,13 +332,6 @@ class Polynomial:
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Mono:
         return self.leading_term(order)[0]
 
-    def normalized(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
-        """Integer-primitive scalar multiple with positive leading coefficient."""
-        if not self.terms:
-            return self
-        scale = primitive_scale(self.terms.values(), self.leading_term(order)[1])
-        return self if scale == 1 else self * scale
-
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, assignment: dict[Var, int | Fraction]) -> int | Fraction:
@@ -384,7 +377,7 @@ def primitive_scale(coeffs, lead: int | Fraction) -> Fraction:
     """The scale that turns the nonzero rational values ``coeffs`` (each an
     ``int`` or a ``Fraction``) into coprime integers, with ``lead`` (one of
     them, the leading coefficient) positive: the one generator normalisation
-    of :meth:`Polynomial.normalized` and the Gröbner engine."""
+    of :func:`canonical_generators` and the Gröbner engine."""
     denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     num_gcd = math.gcd(*(c.numerator * (denom_lcm // c.denominator) for c in coeffs))
     scale = Fraction(denom_lcm, num_gcd)

@@ -28,6 +28,8 @@ from kuranil.algebra import (
 )
 from kuranil import linalg
 from kuranil.exterior import Cov, ExteriorForm
+from kuranil.kuranishi import analyze_general
+from kuranil.polyring import parse_polynomial
 from random_algebras import RANDOM_NILPOTENT_COUNT, random_nilpotent_algebras
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -99,23 +101,47 @@ def test_validate_rejects_non_nilpotent():
         LieAlgebra(2, {(1, 2): {2: Fraction(1)}}).validate()
 
 
+# Importing the catalog checks nothing: these two tests are the one check
+# of the shipped entries and their stored data.
 def test_every_catalog_entry_validates_as_both_kinds():
     for entry in catalog.entries():
         algebra = entry.build()
+        assert algebra.complex_dim == entry.dim, entry.name
         if isinstance(algebra, LieAlgebra):
             algebra.validate()
             algebra = to_complex_structure(algebra)
         algebra.validate()
 
 
-@pytest.mark.parametrize("text, error", [
+def test_every_catalog_string_and_stored_ideal_parses():
+    for entry in catalog.entries():
+        entry.expected_ideal()
+        for group in entry.reducibility.values():
+            for text in group:
+                parse_polynomial(text)
+        entry.published_components()
+        entry.published_components(variant=True)
+
+
+INVALID_STRUCTURES = pytest.mark.parametrize("text, error", [
     ("dim 3\ndw1 = w2^w3\ndw2 = w3^w1\ndw3 = w1^w2\n", NotNilpotent),
     ("dw2 = w3^w4\ndw5 = w1^w2\n", JacobiViolation),
     ("dim 4\ndw3 = w1^w2\ndw4 = cw1^w3\n", JacobiViolation),
 ], ids=["so3", "d-squared-nonzero", "d-squared-nonzero-mixed"])
+
+
+@INVALID_STRUCTURES
 def test_complex_structure_validate_rejects(text, error):
     with pytest.raises(error):
         parse_complex_structure_file(text).validate()
+
+
+@INVALID_STRUCTURES
+def test_analyze_general_rejects_an_invalid_ambient(text, error):
+    """The library entry point validates its input; without that check the
+    Jacobi-violating texts give a report or a ``ClosednessViolation``."""
+    with pytest.raises(error):
+        analyze_general(parse_complex_structure_file(text))
 
 
 # -- structural invariants ---------------------------------------------------

@@ -5,14 +5,18 @@ but ``linalg`` calls ``rref``, no module but ``groebner`` constructs a
 ``GroebnerBasis`` or calls ``buchberger``, ``hodge`` applies no form-level differential
 and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
 ``kind``, ``algebra`` imports nothing from ``exterior``, no module but
-``verify`` imports ``groebner``, each ambient protocol method is defined
-once in the package, every ``/`` in the package divides a ``Fraction``,
-and every name ``kuranil`` exports is read by the package or the
-benchmark, or declared library-only."""
+``verify`` imports ``groebner``, ``cli`` validates and converts no
+algebra itself, importing ``kuranil`` validates and parses nothing, each
+ambient protocol method is defined once in the package, every ``/`` in the
+package divides a ``Fraction``, and every name ``kuranil`` exports is read
+by the package or the benchmark, or declared library-only."""
 
 import ast
 from collections import Counter
+import os
 from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -165,6 +169,52 @@ def test_module_leaves_buchberger_to_groebner(module):
     division cannot decide; no other module builds one itself."""
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert _calls(source, "buchberger") == []
+
+
+def test_validation_calls_are_found():
+    source = ("from .algebra import to_complex_structure\n"
+              "algebra.validate()\n"
+              "report = analyze_general(to_complex_structure(algebra))\n"
+              "check = algebra.validate\n"
+              "validated = validate_all(algebra)\n")
+    assert _calls(source, "validate") == ["2:algebra.validate()"]
+    assert _calls(source, "to_complex_structure") == ["3:to_complex_structure(algebra)"]
+
+
+def test_cli_leaves_validation_to_the_library():
+    """``analyze`` and ``analyze_general`` validate the ambient they receive,
+    so the CLI resolves its input and dispatches, and checks no algebra itself."""
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    assert _calls(source, "validate") + _calls(source, "to_complex_structure") == []
+
+
+# Run in a fresh interpreter: a profile hook set before ``import kuranil``
+# records each call of a watched function defined in the package, then the
+# hook is checked on one call that must show.
+IMPORT_PROBE = """
+import sys
+WATCHED = {"validate", "parse_salamon", "parse_complex_structure_file", "parse_polynomial"}
+calls = []
+def record(frame, event, arg):
+    if (event == "call" and frame.f_code.co_name in WATCHED
+            and frame.f_globals.get("__name__", "").startswith("kuranil")):
+        calls.append(frame.f_code.co_name)
+sys.setprofile(record)
+import kuranil
+at_import = sorted(set(calls))
+kuranil.parse_salamon("(0,0,12)").validate()
+sys.setprofile(None)
+print((at_import, sorted(set(calls))))
+"""
+
+
+def test_import_validates_and_parses_nothing():
+    """The tests check the shipped catalog; importing the package builds no
+    algebra and parses no polynomial."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert ast.literal_eval(proc.stdout) == ([], ["parse_salamon", "validate"])
 
 
 FORM_DIFFERENTIALS = ("delbar", "delbar_theta", "del_", "ce_differential")

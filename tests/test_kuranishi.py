@@ -381,7 +381,7 @@ def test_obstruction_generators_are_normalized_and_sorted():
     L = parse_salamon("(0,0,0,12,13)")
     gens = _obstruction(L)
     for g in gens:
-        assert g == g.normalized()
+        assert g == canonical_generators([g])[0]
     degrees = [g.total_degree() for g in gens]
     assert degrees == sorted(degrees)
 
@@ -553,6 +553,11 @@ def test_analyze_general_report_and_round_trip():
     assert report["kind"] == "generic"
     assert json.loads(json.dumps(report)) == report
     assert "phi_2" in report_text(report)
+
+
+def test_analyze_general_takes_a_lie_algebra_as_its_complex_structure():
+    L = catalog.get("(0,0,12,13)").build()
+    assert analyze_general(L) == analyze_general(to_complex_structure(L))
 
 
 def test_closedness_violation_carries_diagnostics():

@@ -199,15 +199,15 @@ def test_monomial_order_identity():
 
 def test_normalized_is_primitive_integer_positive_leading():
     p = (t(1, 1) * Fraction(2, 3) - t(1, 2) * Fraction(4, 3))
-    q = p.normalized(GREVLEX)
+    [q] = canonical_generators([p], GREVLEX)
     coeffs = sorted(q.terms.values())
     assert all(c.denominator == 1 for c in coeffs)
     assert q.leading_term(GREVLEX)[1] > 0
     from math import gcd
     assert gcd(*(abs(int(c)) for c in coeffs)) == 1
-    assert q == (-p).normalized(GREVLEX)
-    assert Polynomial.zero().normalized(GREVLEX) == Polynomial.zero()
-    assert q.normalized(GREVLEX) is q  # already primitive: nothing to scale
+    assert q == canonical_generators([-p], GREVLEX)[0]
+    assert canonical_generators([Polynomial.zero()], GREVLEX) == []  # nothing to normalise
+    assert canonical_generators([q], GREVLEX)[0] is q  # already primitive: nothing to scale
 
 
 @st.composite
@@ -282,7 +282,7 @@ def test_arithmetic_on_mixed_coefficients_is_canonical(a, b, scalars):
         assert result.terms == expected[op], op
         assert all(_canonical(c) for c in result.terms.values()), op
     scale = primitive_scale(ra.values(), Polynomial(ra).leading_term(GREVLEX)[1])
-    normalized = p.normalized(GREVLEX)
+    normalized = canonical_generators([p], GREVLEX)[0]
     assert normalized.terms == {m: c * scale for m, c in ra.items()}
     assert all(type(c) is int for c in normalized.terms.values())
     assert _canonical((p * q).evaluate({(1, 1): 2, (1, 2): Fraction(1, 3)}))
@@ -421,8 +421,12 @@ def _generator_lists(draw):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(_generator_lists(), st.sampled_from((GREVLEX, LEX)))
 def test_canonical_generators_normalise_dedupe_and_sort_stably(polys, order):
-    # The definition, finding each leading monomial again for the sort.
-    expected = list(dict.fromkeys(p.normalized(order) for p in polys if p))
+    # The definition, finding each leading monomial again for the scale
+    # and for the sort.
+    def normalized(p):
+        return p * primitive_scale(p.terms.values(), p.leading_term(order)[1])
+
+    expected = list(dict.fromkeys(normalized(p) for p in polys if p))
     expected.sort(key=lambda g: order.key(g.leading_monomial(order)))
     assert canonical_generators(polys, order) == expected
 
