@@ -17,14 +17,15 @@ Both build one table at construction: the brackets of the complexified frame
 ``X_1..X_n, X̄_1..X̄_n``, with vectors keyed by ``VectorKey``, ``(index,
 barred)``.  Their shared base reads the ambient protocol of the
 exterior-algebra module off that table: ``complex_dim``,
-``covector_differential`` (by the duality above), ``vector_bracket`` and
-``vector_delbar``.  Every structure constant is stored
+``covector_differential`` (by the duality above), ``vector_bracket``,
+``vector_delbar`` and ``parallelisable``.  Every structure constant is stored
 as :func:`~kuranil.polyring.rational` makes it, an ``int`` while it is
 integral, and so are the ∂̄ matrices read off the table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -77,6 +78,13 @@ class _FrameAlgebra:
             raise ValueError("dimension must be positive")
         self.complex_dim = n
         self._table: dict[tuple[VectorKey, VectorKey], dict[VectorKey, int | Fraction]] = {}
+
+    @functools.cached_property
+    def parallelisable(self) -> bool:
+        """Whether no bracket [X̄_a, X_b] is stored: then ∂̄ kills every frame
+        vector and ∂ of every (0,q)-form vanishes.  True for every
+        ``LieAlgebra``; read off the table on first use."""
+        return all(x[1] == y[1] for x, y in self._table)
 
     def _add(self, x: VectorKey, y: VectorKey, z: VectorKey, c: int | Fraction) -> None:
         """Record ``c·z`` as a term of ``[x, y]``."""
@@ -458,7 +466,7 @@ class ComplexStructureAlgebra(_FrameAlgebra):
             raise JacobiViolation(exc.triple, exc.defect, names) from None
 
     def classify(self) -> str:
-        if not self.d11:
+        if self.parallelisable:
             return "parallelisable"
         if not self.d20:
             return "abelian"

@@ -14,8 +14,9 @@ by multi-index; a ``VectorForm`` takes its values in Θ, the (1,0) frame
 (0,q)-forms are the cells ω̄^I ⊗ X_j of the Θ complex.
 
 The ambient object must provide ``complex_dim``, ``covector_differential``,
-``vector_bracket`` and ``vector_delbar``; the algebra module reads all four
-off one table of frame brackets.  d, ∂ and ∂̄ are one Leibniz-rule kernel that
+``vector_bracket``, ``vector_delbar`` and ``parallelisable`` (no bracket
+[X̄_a, X_b], so ∂ of every (0,q)-form vanishes); the algebra module reads all
+five off one table of frame brackets.  d, ∂ and ∂̄ are one Leibniz-rule kernel that
 keeps the terms of each ``covector_differential`` raising the barred degree
 by the wanted amount.  Every product of forms is one wedge kernel,
 ``wedge_into``, which sums each product term into a ``{monomial:

@@ -38,9 +38,13 @@ results are truncations.
 Every stage takes the one object it reads: a Hodge decomposition (which
 carries its ambient) → the series Φ → the obstruction.  There is one bracket,
 the three-term Schouten formula, and one recursion; on a parallelisable
-structure ∂̄ kills every frame vector, the ∂-terms of the bracket vanish, and
-the Hodge layer stores Θ as copies of the scalar complex.  Which complex a
-decomposition stores is for ``kuranil.hodge`` alone.
+structure (``ambient.parallelisable``) ∂̄ kills every frame vector, the
+∂-terms of the bracket vanish and are not computed, and the Hodge layer
+stores Θ as copies of the scalar complex.  Which complex a decomposition
+stores is for ``kuranil.hodge`` alone.  Each quantity is computed once: the
+quadratic obstruction H[Φ₁, Φ₁] that ``analyze`` reports is degree 2 of the
+series, and ``quadratic_obstruction_closed_form``, an independent build of it,
+is the tests' oracle.
 
 ``analyze`` and ``analyze_general`` validate the ambient they are given and
 return their result as a plain dict of JSON values, the report that
@@ -95,16 +99,18 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
 
     The Lie-derivative terms reduce to contractions of ∂-parts because frame
     coefficients are constant and (1,0)-vectors contract (0,q)-forms to zero.
-    On a parallelisable ambient ∂ of a (0,q)-form vanishes and the formula
-    is the wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone.  Every product term is
-    summed into one term map by ``wedge_into``, and each cell's
-    ``Polynomial`` is built once."""
+    On a parallelisable ambient (``ambient.parallelisable``) ∂ of a
+    (0,q)-form vanishes, so no ∂ is computed and the formula is the
+    wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone.  Every product term is summed
+    into one term map by ``wedge_into``, and each cell's ``Polynomial`` is
+    built once."""
     if a.ambient is not b.ambient:
         raise AmbientMismatch("Schouten bracket of forms over different ambients")
     ambient = a.ambient
     out: dict = {}  # every product term, summed per cell (multi-index, k)
-    items_a = [(i, alpha, alpha.del_()) for i, alpha in a.components.items()]
-    items_b = [(j, beta, beta.del_()) for j, beta in b.components.items()]
+    no_del = ambient.parallelisable
+    items_a = [(i, alpha, None if no_del else alpha.del_()) for i, alpha in a.components.items()]
+    items_b = [(j, beta, None if no_del else beta.del_()) for j, beta in b.components.items()]
     for i, alpha, del_alpha in items_a:
         for j, beta, del_beta in items_b:
             if del_alpha:
@@ -275,9 +281,11 @@ def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
 
     built directly from minors and the nonzero structure constants
     ``L.brackets`` of the decomposition's Lie algebra — an independent code
-    path from the recursion, used for cross-validation.  The lower indices
-    i, j are the pivot covectors of the harmonic 1-forms, as in
-    ``generic_harmonic_element``."""
+    path from the Schouten bracket and the recursion, on ``ExteriorForm``
+    wedges.  No analysis calls it: it is the oracle that the tests hold the
+    reported ``quadratic_generators``, degree 2 of the recursion, against.
+    The lower indices i, j are the pivot covectors of the harmonic 1-forms,
+    as in ``generic_harmonic_element``."""
     from .polyring import minor2
     L = decomposition.ambient
     # h_a⊗X_b → h_a, keyed by pivot a in basis order
@@ -419,12 +427,14 @@ def _overview_annotations(L, report: dict) -> list[dict]:
 
 def analyze(L: LieAlgebra) -> dict:
     """Full parallelisable-path analysis of a nilpotent Lie algebra, validated first,
-    as the report dict that ``kuranil analyze --json`` prints."""
+    as the report dict that ``kuranil analyze --json`` prints.  Its
+    ``quadratic_generators`` are the recursion's degree-2 coefficients,
+    ``series.obstruction_by_degree[2]``, in :func:`canonical_generators` form."""
     L.validate()
     decomposition = hodge.build_decomposition(L)
     series = phi_recursion(decomposition)
     obstruction = obstruction_map(series)
-    quadratic = quadratic_obstruction_closed_form(decomposition)
+    quadratic = canonical_generators(series.obstruction_by_degree.get(2, {}).values())
     tests = smoothness_tests(decomposition, obstruction)
     directions = parallelisable_directions(decomposition)
     hodge_nums = [decomposition.harmonic_dim(q) for q in range(L.dim + 1)]

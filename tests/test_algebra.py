@@ -361,6 +361,36 @@ def test_complex_structure_file_mixed_terms():
     assert csa.classify() == "generic"
 
 
+def test_every_lie_algebra_is_parallelisable():
+    algebras = [e.build() for e in catalog.entries() if e.kind != "general"]
+    algebras += [*random_nilpotent_algebras(), parse_salamon("(34,0,0,0)"), free_two_step(3)]
+    assert all(L.parallelisable for L in algebras)
+
+
+@pytest.mark.parametrize("text", [
+    "dim 7\ndw6 = w1^w2\ndw7 = w3^w4 + cw1^w5\n",
+    "dim 5\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + cw1^w1\ndw5 = w1^w2 + cw2^w2\n",
+    "dim 3\ndw3 = cw1^w2 + cw2^w1\n",
+    "dim 3\ndw3 = w1^w2\n",
+    # the (1,1) terms cancel, so no bracket [X̄_a, X_b] is stored
+    "dim 3\ndw3 = w1^w2 + cw1^w2 - cw1^w2\n",
+], ids=["mixed7", "swapped5", "abelian", "heisenberg", "cancelled"])
+def test_parallelisable_is_the_parallelisable_kind(text):
+    """``parallelisable`` holds exactly when the (1,1) part is zero, and
+    ``classify`` answers from it."""
+    csa = parse_complex_structure_file(text)
+    assert csa.parallelisable == (csa.classify() == "parallelisable") == (not csa.d11)
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog.entries()])
+def test_parallelisable_of_each_catalog_structure_is_its_kind(name):
+    entry = catalog.get(name)
+    L = entry.build()
+    csa = L if isinstance(L, ComplexStructureAlgebra) else to_complex_structure(L)
+    assert csa.parallelisable == (csa.classify() == "parallelisable") == (not csa.d11)
+    assert csa.parallelisable == (entry.kind == "parallelisable")
+
+
 def test_complex_structure_rejects_antiholomorphic_differential():
     with pytest.raises(NotIntegrable):
         parse_complex_structure_file("dim 3\ndw3 = cw1^cw2\n")

@@ -369,7 +369,7 @@ def test_module_leaves_groebner_to_verify(module):
     assert _imports_of((PACKAGE / module).read_text(encoding="utf-8"), "groebner") == []
 
 
-PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar")
+PROTOCOL = ("covector_differential", "vector_bracket", "vector_delbar", "parallelisable")
 
 
 def _protocol_definitions(source: str) -> list[str]:
@@ -436,8 +436,8 @@ def test_module_divides_only_fractions(module):
 # Exports that no module of the package and no benchmark script reads: the
 # constructors and oracles that library users and the tests call.
 LIBRARY_ONLY = ("abelian", "buchberger", "direct_sum", "free_two_step", "hodge_numbers",
-                "mc_residual", "normal_form", "random_central_assignment", "s_polynomial",
-                "__version__")
+                "mc_residual", "normal_form", "quadratic_obstruction_closed_form",
+                "random_central_assignment", "s_polynomial", "__version__")
 
 
 def _unread_exports(exports, sources) -> list[str]:

@@ -239,6 +239,29 @@ def test_schouten_general_matches_the_reference_on_random_algebras(index, p, q, 
     assert schouten_general(a, b) == _schouten_reference(a, b)
 
 
+def test_schouten_general_computes_del_only_where_it_is_live(monkeypatch):
+    """On a parallelisable ambient ∂ of every (0,q)-form vanishes, so neither
+    analysis computes one; over a structure with a (1,1) part the bracket
+    still does."""
+    calls = []
+    del_ = ExteriorForm.del_
+
+    def counted(form):
+        calls.append(form)
+        return del_(form)
+
+    monkeypatch.setattr(ExteriorForm, "del_", counted)
+    L = catalog.get("(0,0,12,13,14+23)").build()
+    analyze(L)
+    analyze_general(to_complex_structure(L))
+    assert calls == []
+    for csa in (catalog.get("general7").build(), _mixed7(),
+                parse_complex_structure_file(SWAPPED5)):
+        calls.clear()
+        analyze_general(csa, max_degree=2)
+        assert calls, csa
+
+
 # -- generic harmonic element ------------------------------------------------
 
 
@@ -395,6 +418,36 @@ def test_quadratic_closed_form_equals_degree_two_truncation():
         quadratic = quadratic_obstruction_closed_form(dec)
         truncation = canonical_generators(series.obstruction_by_degree[2].values())
         assert sorted(map(str, quadratic)) == sorted(map(str, truncation))
+
+
+# Each frame is reached by two operations X_i += c·X_j, one of them with j < i.
+QUADRATIC_FRAMES = {
+    "(0,0,0,12)": [(1, 3, 1), (4, 2, -1)],
+    "(0,0,0,12,13)": [(5, 1, -1), (2, 4, 1)],
+    "(0,0,0,12,13+24)": [(3, 1, 2), (4, 5, -1)],
+    "(0,0,0,0,12+34)": [(2, 1, -2), (3, 5, 1)],
+}
+QUADRATIC_ORACLE_INPUTS = ([("catalog", e.name) for e in catalog.entries() if e.kind != "general"]
+                           + [("salamon", text) for text in NON_ADAPTED]
+                           + [("random", i) for i in range(RANDOM_NILPOTENT_COUNT)]
+                           + [("frame", text) for text in QUADRATIC_FRAMES])
+
+
+@pytest.mark.parametrize("source, key", QUADRATIC_ORACLE_INPUTS)
+def test_reported_quadratic_generators_equal_the_closed_form(source, key):
+    """``analyze`` reads its quadratic generators off the recursion's degree
+    2; the closed form, an independent build of H[Φ₁, Φ₁] from minors and
+    structure constants, is their oracle, compared as an ordered list."""
+    if source == "catalog":
+        L = catalog.get(key).build()
+    elif source == "random":
+        L = random_nilpotent_algebras()[key]
+    else:
+        L = parse_salamon(key)
+        if source == "frame":
+            L = change_frame(L, QUADRATIC_FRAMES[key])
+    expected = [str(g) for g in quadratic_obstruction_closed_form(build_decomposition(L))]
+    assert analyze(L)["quadratic_generators"] == expected
 
 
 def test_direct_sum_of_smooth_factors_is_obstructed():
