@@ -38,9 +38,13 @@ form operator reads the degree and the ambient off the form itself.
 
 The ∂̄ matrices are read off the structure constants: the all-barred terms of
 the ambient's ``covector_differential`` and, on Θ, its ``vector_delbar``, with
-exact rational arithmetic on barred index tuples.  The form-level ``delbar``
-and ``delbar_theta`` of ``kuranil.exterior`` compute the same maps on
-polynomial-coefficient forms and are their test oracle.
+exact rational arithmetic on barred index tuples.  Each degree's cells come
+from integer index tuples (I, j), I from ``itertools.combinations`` and j the
+frame index on Θ: a cell is built from them and one ``Cov`` per frame index,
+and ∂̄ is assembled on the tuples themselves, so no cell is read back into
+integers.  The form-level ``delbar`` and ``delbar_theta`` of
+``kuranil.exterior`` compute the same maps on polynomial-coefficient forms
+and are their test oracle.
 
 δ = ∂̄*G on degree 2: it sends a form to the ∂̄-preimage in V¹ of its exact
 part, so δ∘P = δ and ∂̄∘δ = P, and it vanishes on H² ⊕ V².  It is
@@ -93,9 +97,19 @@ class HodgeDecomposition:
         self.kind = kind
         n = ambient.complex_dim
         self.max_degree = n if kind == "scalar" else 2
+        # per degree, the index tuples (idx, j) of the cells: idx a sorted
+        # barred multi-index, j the frame index on Θ and None on the scalar
+        # complex; each cell is built from one Cov per frame index
+        cov = {i: Cov(i, True) for i in range(1, n + 1)}
+        frames = range(1, n + 1) if kind == "theta" else (None,)
+        keys: dict[int, list] = {}
         self._cells: dict[int, list] = {}
         for q in range(self.max_degree + 2):
-            self._cells[q] = self._make_cells(q) if q <= n else []
+            combos = list(itertools.combinations(range(1, n + 1), q))
+            keys[q] = [(idx, j) for idx in combos for j in frames]
+            multis = [tuple(cov[i] for i in idx) for idx in combos]
+            self._cells[q] = multis if kind == "scalar" else [
+                (mi, j) for mi in multis for j in frames]
         self._index = {q: {c: i for i, c in enumerate(cells)}
                        for q, cells in self._cells.items()}
         # ∂̄ω̄^i = Σ c·ω̄^a∧ω̄^b and, on Θ, ∂̄X_j = Σ c·ω̄^a⊗X_k, as (a, b, c)
@@ -106,20 +120,13 @@ class HodgeDecomposition:
                     for j in range(1, n + 1)} if kind == "theta" else {}
         # D[q]: matrix of ∂̄ from degree q to q+1 (rows = target cells)
         self.d_matrices: dict[int, linalg.Matrix] = {
-            q: self._build_d(q, dbar_cov, dbar_vec) for q in range(self.max_degree + 1)}
+            q: _build_d(q, keys[q], keys[q + 1], dbar_cov, dbar_vec)
+            for q in range(self.max_degree + 1)}
         self._d_columns = {q: linalg.transpose(d, self.dim(q))
                            for q, d in self.d_matrices.items()}
         self._spaces: dict[tuple[int, str], linalg.Subspace] = {}
 
     # -- cells and coordinates -------------------------------------------------
-
-    def _make_cells(self, q: int) -> list:
-        n = self.ambient.complex_dim
-        multis = [tuple(Cov(i, True) for i in combo)
-                  for combo in itertools.combinations(range(1, n + 1), q)]
-        if self.kind == "scalar":
-            return multis
-        return [(mi, j) for mi in multis for j in range(1, n + 1)]
 
     def _coordinates(self, obj, q: int):
         """``(cell index, frame index, coefficient)`` per term of ``obj``; the
@@ -153,45 +160,6 @@ class HodgeDecomposition:
             for key, image in images.items() for r in sorted(image)})
 
     # -- construction --------------------------------------------------------
-
-    def _index_key(self, cell) -> tuple[tuple[int, ...], int | None]:
-        """The sorted barred indices of a cell, and its vector index (None on
-        the scalar complex)."""
-        if self.kind == "scalar":
-            return tuple(cv.index for cv in cell), None
-        mi, j = cell
-        return tuple(cv.index for cv in mi), j
-
-    def _build_d(self, q: int, dbar_cov, dbar_vec) -> linalg.Matrix:
-        """∂̄ from degree q to q+1 by the Leibniz rule on sorted barred index
-        tuples I: ∂̄ω̄^I = Σ_pos (−1)^pos ∂̄ω̄^{i_pos} ∧ ω̄^{I∖i_pos}, and on Θ
-        ∂̄(ω̄^I⊗X_j) = ∂̄ω̄^I⊗X_j + (−1)^q ω̄^I∧∂̄X_j.  The form-level
-        ``delbar``/``delbar_theta`` compute the same map and are its oracle."""
-        tgt_index = {self._index_key(cell): r for r, cell in enumerate(self._cells[q + 1])}
-        mat: linalg.Matrix = [{} for _ in tgt_index]
-        for col, cell in enumerate(self._cells[q]):
-            idx, j = self._index_key(cell)
-            image: dict = {}
-            for pos, i in enumerate(idx):
-                rest = idx[:pos] + idx[pos + 1:]
-                for a, b, c in dbar_cov[i]:
-                    if a in rest or b in rest:
-                        continue
-                    # transpositions sorting (a, b, *rest), plus pos
-                    swaps = pos + (a > b) + bisect_left(rest, a) + bisect_left(rest, b)
-                    key = (tuple(sorted(rest + (a, b))), j)
-                    image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
-            for a, k, c in dbar_vec.get(j, ()):
-                if a in idx:
-                    continue
-                # (−1)^q, and the transpositions moving ω̄^a into place
-                swaps = q + len(idx) - bisect_left(idx, a)
-                key = (tuple(sorted(idx + (a,))), k)
-                image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
-            for key, x in image.items():
-                if x:
-                    mat[tgt_index[key]][col] = rational(x)
-        return mat
 
     def _build_space(self, q: int, which: str) -> linalg.Subspace:
         """B, H or V in degree q, built from the ∂̄ matrices."""
@@ -415,6 +383,39 @@ class HodgeDecomposition:
         terms = sorted(self._coordinates(part, 2), key=lambda t: (rank[t[1]], t[0]))
         return type(part)(self.ambient, {
             cells[i] if key is None else (cells[i], key): c for i, key, c in terms})
+
+
+def _build_d(q: int, keys, targets, dbar_cov, dbar_vec) -> linalg.Matrix:
+    """∂̄ from degree q to q+1: one column per cell index tuple ``(I, j)`` of
+    ``keys``, one row per tuple of ``targets`` (j is None on the scalar
+    complex).  By the Leibniz rule on the sorted barred indices I:
+    ∂̄ω̄^I = Σ_pos (−1)^pos ∂̄ω̄^{i_pos} ∧ ω̄^{I∖i_pos}, and on Θ
+    ∂̄(ω̄^I⊗X_j) = ∂̄ω̄^I⊗X_j + (−1)^q ω̄^I∧∂̄X_j.  The form-level
+    ``delbar``/``delbar_theta`` compute the same map and are its oracle."""
+    tgt_index = {key: r for r, key in enumerate(targets)}
+    mat: linalg.Matrix = [{} for _ in targets]
+    for col, (idx, j) in enumerate(keys):
+        image: dict = {}
+        for pos, i in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            for a, b, c in dbar_cov[i]:
+                if a in rest or b in rest:
+                    continue
+                # transpositions sorting (a, b, *rest), plus pos
+                swaps = pos + (a > b) + bisect_left(rest, a) + bisect_left(rest, b)
+                key = (tuple(sorted(rest + (a, b))), j)
+                image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
+        for a, k, c in dbar_vec.get(j, ()):
+            if a in idx:
+                continue
+            # (−1)^q, and the transpositions moving ω̄^a into place
+            swaps = q + len(idx) - bisect_left(idx, a)
+            key = (tuple(sorted(idx + (a,))), k)
+            image[key] = image.get(key, 0) + (-c if swaps % 2 else c)
+        for key, x in image.items():
+            if x:
+                mat[tgt_index[key]][col] = rational(x)
+    return mat
 
 
 def build_decomposition(L) -> HodgeDecomposition:

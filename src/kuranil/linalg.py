@@ -6,6 +6,14 @@ matrix here stays in that form: elimination (``rref``), products, transposes,
 inverses and projectors never build or scan a zero entry.  A row handed to
 ``rref`` or ``Subspace.from_vectors`` may hold explicit zeros (so
 ``dict(enumerate(v))`` turns a dense vector into one); they are dropped.
+``Subspace.from_vectors``, ``nullspace`` and ``invert`` refuse an entry
+outside their columns with ``ValueError``.
+
+``rref`` keeps, beside its reduced rows, a column index: for each non-pivot
+column, the kept rows that are nonzero there.  A new pivot is cleared from
+those rows only, so elimination costs in proportion to the entries it
+touches, not to the rows it keeps; the ∂̄ matrices of the Hodge layer have
+about as many nonzeros as their rank.
 
 Each entry is a rational value in the package's canonical form (see
 :func:`kuranil.polyring.rational`): an ``int`` while it is integral, else a
@@ -68,6 +76,15 @@ def _subtract(row: Row, f, pivot_row: Row) -> None:
             del row[j]
 
 
+def _within(a: Iterable[Row], ncols: int) -> list[Row]:
+    """The rows ``a`` as a list, checked to hold entries only in columns
+    ``0..ncols-1``."""
+    rows = list(a)
+    if any(not 0 <= j < ncols for row in rows for j in row):
+        raise ValueError(f"matrix entry outside the columns 0..{ncols - 1}")
+    return rows
+
+
 def rref(a: Iterable[Row]) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form of the rows ``a``, which are not modified.
 
@@ -77,10 +94,17 @@ def rref(a: Iterable[Row]) -> tuple[Matrix, list[int]]:
     The rows are taken one at a time and kept fully reduced: a new row is
     cleared at every pivot it meets (the reduced rows vanish at each other's
     pivots, so one pass suffices), scaled at its leading column, and that
-    column is then cleared from the rows already kept.
+    column is then cleared from the rows already kept.  A column index maps
+    each non-pivot column to the pivots of the kept rows that are nonzero
+    there, so clearing a new pivot column visits only the rows that hold it;
+    each fill-in adds a row to the index and each cancelled entry removes
+    it.  The cost follows the entries touched, not the rows kept.
     """
     reduced: dict[int, Row] = {}  # pivot column -> row with a 1 there
+    holders: dict[int, set[int]] = {}  # non-pivot column -> pivots of rows nonzero there
     for source in a:
+        if not source:
+            continue
         row = {j: rational(x) for j, x in source.items() if x}
         for p, f in [(p, row[p]) for p in row if p in reduced]:
             _subtract(row, f, reduced[p])
@@ -91,10 +115,23 @@ def rref(a: Iterable[Row]) -> tuple[Matrix, list[int]]:
         if lead != 1:
             inv = Fraction(1) / lead
             row = {j: rational(x * inv) for j, x in row.items()}
-        for other in reduced.values():
-            f = other.get(c)
-            if f:
-                _subtract(other, f, row)
+        for j in row:
+            if j != c:
+                holders.setdefault(j, set()).add(c)
+        for p in holders.pop(c, ()):
+            other = reduced[p]
+            f = other.pop(c)
+            for j, y in row.items():
+                if j == c:
+                    continue
+                x = other.get(j, 0) - f * y
+                if x:
+                    if j not in other:  # fill-in
+                        holders[j].add(p)
+                    other[j] = rational(x)
+                else:
+                    del other[j]
+                    holders[j].remove(p)
         reduced[c] = row
     pivots = sorted(reduced)
     return [dict(sorted(reduced[p].items())) for p in pivots], pivots
@@ -119,10 +156,7 @@ class Subspace:
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Row]) -> "Subspace":
         """The span of ``vectors``, sparse rows over columns ``0..ambient_dim-1``."""
-        vecs = list(vectors)
-        if any(not 0 <= j < ambient_dim for v in vecs for j in v):
-            raise ValueError("vector entry outside the ambient dimension")
-        rows, pivots = rref(vecs)
+        rows, pivots = rref(_within(vectors, ambient_dim))
         return Subspace(ambient_dim, tuple(rows), tuple(pivots))
 
     @property
@@ -163,7 +197,7 @@ class Subspace:
 
 def nullspace(a: Iterable[Row], ncols: int) -> Subspace:
     """The right kernel of ``a``, whose columns are ``0..ncols-1``."""
-    rows, pivots = rref(a)
+    rows, pivots = rref(_within(a, ncols))
     pivot_set = set(pivots)
     basis = {fc: {fc: 1} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(rows, pivots):
@@ -174,8 +208,10 @@ def nullspace(a: Iterable[Row], ncols: int) -> Subspace:
 
 
 def invert(a: Matrix) -> Matrix:
+    """The inverse of the square matrix ``a``, whose columns are
+    ``0..len(a)-1``."""
     n = len(a)
-    rows, pivots = rref({**row, n + i: 1} for i, row in enumerate(a))
+    rows, pivots = rref({**row, n + i: 1} for i, row in enumerate(_within(a, n)))
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [{j - n: x for j, x in row.items() if j >= n} for row in rows]

@@ -54,19 +54,43 @@ def _swapped5():
 # (∂̄ω̄^23 = ½ω̄^123 + ½ω̄^123), which must be stored as an int.
 HALVES = "(0,1/2*12,1/2*13)"
 LIE_ENTRIES = [e.name for e in catalog.entries() if isinstance(e.build(), LieAlgebra)]
+SMALL_LIE_ENTRIES = [e.name for e in catalog.entries()
+                     if isinstance(e.build(), LieAlgebra) and e.build().dim <= 5]
 COMPLEXES = ([(name, "scalar") for name in LIE_ENTRIES + [HALVES]]
              + [(name, "theta") for name in LIE_ENTRIES + [HALVES]]
              + [("general7", "theta"), ("mixed7", "theta"), ("swapped5", "theta")])
+# the random algebras, and the small catalog Lie algebras in a random frame
+UNADAPTED_COMPLEXES = [(name, kind) for kind in ("scalar", "theta")
+                       for name in [f"random{i}" for i in range(RANDOM_NILPOTENT_COUNT)]
+                       + [f"{entry}@random" for entry in SMALL_LIE_ENTRIES
+                          if catalog.get(entry).build().dim > 1]]
+
+
+def _random_frame(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
+    """``L`` in the frame of two random operations X_i += c·X_j, any i ≠ j."""
+    operations = []
+    for _ in range(2):
+        i, j = rng.sample(range(1, L.dim + 1), 2)
+        operations.append((i, j, rng.choice((-2, -1, 1, 2))))
+    return change_frame(L, operations)
 
 
 def _decomposition(name: str, kind: str):
     """The scalar or Θ decomposition of a catalog entry, ``mixed7``,
-    ``swapped5`` or ``HALVES``."""
+    ``swapped5``, ``HALVES``, random nilpotent algebra ``random<i>``, or
+    catalog Lie algebra ``<entry>@random`` in a random frame."""
     if name == "mixed7":
         return build_theta_decomposition(_mixed7())
     if name == "swapped5":
         return build_theta_decomposition(_swapped5())
-    ambient = parse_salamon(name) if name == HALVES else catalog.get(name).build()
+    if name.startswith("random"):
+        ambient = random_nilpotent_algebras()[int(name.removeprefix("random"))]
+    elif name.endswith("@random"):
+        entry = name.removesuffix("@random")
+        ambient = _random_frame(catalog.get(entry).build(), random.Random(name))
+        ambient.validate()
+    else:
+        ambient = parse_salamon(name) if name == HALVES else catalog.get(name).build()
     if kind == "scalar":
         return build_decomposition(ambient)
     if isinstance(ambient, LieAlgebra):
@@ -384,10 +408,11 @@ def _cell_coefficients(dec, obj) -> dict:
             for key, form in obj.components.items() for mi, c in form.terms.items()}
 
 
-@pytest.mark.parametrize("name, kind", COMPLEXES)
+@pytest.mark.parametrize("name, kind", COMPLEXES + UNADAPTED_COMPLEXES)
 def test_delbar_matrices_match_form_level_operators(name, kind):
     """Each column of each ∂̄ matrix, read off the structure constants, is the
-    form-level ``delbar`` (scalar) or ``delbar_theta`` (Θ) of its cell."""
+    form-level ``delbar`` (scalar) or ``delbar_theta`` (Θ) of its cell, also
+    in frames that are not adapted to any filtration."""
     dec = _decomposition(name, kind)
     assert dec.kind == kind
     for q, mat in dec.d_matrices.items():
@@ -500,18 +525,7 @@ def test_scalar_and_theta_harmonic_dims_consistent_on_parallelisable():
 
 # -- the scalar block path against the full Θ matrices ---------------------------
 
-SMALL_LIE_ENTRIES = [e.name for e in catalog.entries()
-                     if isinstance(e.build(), LieAlgebra) and e.build().dim <= 5]
 _COEFFICIENTS = ("t1_1", "2*t1_2 - 1/3", "t2_1*t1_1 + 5", "-t2_2^2", "7/2")
-
-
-def _random_frame(L: LieAlgebra, rng: random.Random) -> LieAlgebra:
-    """``L`` in the frame of two random operations X_i += c·X_j, any i ≠ j."""
-    operations = []
-    for _ in range(2):
-        i, j = rng.sample(range(1, L.dim + 1), 2)
-        operations.append((i, j, rng.choice((-2, -1, 1, 2))))
-    return change_frame(L, operations)
 
 
 def _random_theta_form(L, q: int, rng: random.Random) -> VectorForm:

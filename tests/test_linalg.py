@@ -5,7 +5,7 @@ import copy
 from fractions import Fraction
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import pytest
 import sympy
 
@@ -183,6 +183,21 @@ def test_from_vectors_rejects_columns_outside_the_ambient_space():
         Subspace.from_vectors(2, [{2: F(1)}])
 
 
+@pytest.mark.parametrize("call", [
+    lambda: nullspace([{1: 1, 5: 2}], 3),
+    lambda: nullspace([{5: 1}], 3),
+    lambda: nullspace([{-1: 1}], 3),
+    lambda: invert([{0: 1, 2: 5}, {1: 1}]),
+    lambda: invert([{0: 1, 3: 5}, {1: 1}]),
+], ids=["nullspace-mixed", "nullspace-outside", "nullspace-negative",
+        "invert-augmented-column", "invert-past-augmented"])
+def test_nullspace_and_invert_reject_entries_outside_their_columns(call):
+    """An entry past the columns is refused, not read as a column of the
+    augmented block or dropped."""
+    with pytest.raises(ValueError, match="outside the columns"):
+        call()
+
+
 # -- sparse matrices: hypothesis against sympy and the dense reference --------
 
 _ENTRIES = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
@@ -191,7 +206,21 @@ _ENTRIES = st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3
 @st.composite
 def _sparse_matrices(draw, max_dim=30):
     """``(rows, ncols)``: up to ``max_dim`` × ``max_dim`` at 5–15 % density,
-    empty, wide and tall shapes included, with zero and repeated rows."""
+    empty, wide and tall shapes included, with zero and repeated rows; or in
+    the shape of a ∂̄ matrix, up to 5·``max_dim`` rows and half as many
+    columns at most 2 % density, its entries in at most half of the rows."""
+    if draw(st.booleans()):
+        nrows = draw(st.integers(0, 5 * max_dim))
+        ncols = draw(st.integers(0, 5 * max_dim // 2))
+        rows = [{} for _ in range(nrows)]
+        if nrows and ncols:
+            rng = draw(st.randoms(use_true_random=False))
+            filled = rng.sample(range(nrows), rng.randint(1, max(1, nrows // 2)))
+            density = draw(st.sampled_from((0.005, 0.01, 0.02)))
+            for _ in range(max(1, round(density * nrows * ncols))):
+                rows[rng.choice(filled)][rng.randrange(ncols)] = Fraction(
+                    rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.randint(1, 3))
+        return [dict(sorted(row.items())) for row in rows], ncols
     nrows = draw(st.integers(0, max_dim))
     ncols = draw(st.integers(0, max_dim))
     rows = [{} for _ in range(nrows)]
@@ -210,11 +239,18 @@ def _sparse_matrices(draw, max_dim=30):
     return [dict(sorted(row.items())) for row in rows], ncols
 
 
+# Back-elimination by {1, 2} fills row 0 at column 2, which the next row makes
+# a pivot column; in the second case it cancels row 0's entry at column 2.
+_FILL_IN = ([{0: F(1), 1: F(1)}, {}, {1: F(1), 2: F(1)}, {2: F(1), 3: F(2)}], 4)
+_CANCEL = ([{0: F(1), 1: F(1), 2: F(1)}, {1: F(1), 2: F(1)}, {2: F(1), 3: F(2)}], 4)
+
 _ORACLE = settings(derandomize=True, deadline=None, max_examples=60)
 
 
 @_ORACLE
 @given(_sparse_matrices())
+@example(_FILL_IN)
+@example(_CANCEL)
 def test_sparse_rref_matches_dense_reference_and_leaves_input_alone(case):
     a, ncols = case
     before = copy.deepcopy(a)
@@ -229,6 +265,8 @@ def test_sparse_rref_matches_dense_reference_and_leaves_input_alone(case):
 
 @_ORACLE
 @given(_sparse_matrices(max_dim=12))
+@example(_FILL_IN)
+@example(_CANCEL)
 def test_sparse_rref_and_nullspace_match_sympy(case):
     a, ncols = case
     dense = _dense(a, ncols)
