@@ -13,7 +13,9 @@ the Kuranishi space of a complex parallelisable nilmanifold inside
 * exact Hodge-style decompositions of the relevant complexes with explicit
   ``∂̄``-preimages (:mod:`kuranil.hodge`),
 * the degree-by-degree power-series solution of the Maurer–Cartan equation
-  and the resulting obstruction ideal (:mod:`kuranil.kuranishi`),
+  and the resulting obstruction ideal (:mod:`kuranil.kuranishi`), which runs
+  on integer forms with packed monomials on the scalar complex
+  (:mod:`kuranil.intforms`),
 * multivariate polynomials over ``ℚ`` with deterministic monomial orders,
   one normal form of generator lists and the ideal-file reader (:mod:`kuranil.polyring`),
   and Buchberger-based ideal arithmetic, which only the checks use

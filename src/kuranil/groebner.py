@@ -25,23 +25,15 @@ j), so they are processed in ascending key order.
 
 Packed monomials.  Each computation fixes the sorted variables of its inputs
 (``u`` included) and packs every monomial into one Python int on entry,
-unpacking on exit.  The int is a row of ``w``-bit fields, most significant
-first; ``e_0`` is the exponent of the lowest-ranked variable:
-
-* grevlex: the degree, the partial degrees ``s_k = e_(k+1) + … + e_(n-1)``
-  for ``k = 0 … n-2``, then the exponents ``e_0 … e_(n-1)``;
-* lex: the exponents ``e_(n-1) … e_0``, then the degree.
-
-Every field is linear in the exponents and never negative, so native int
-comparison is the monomial order (the lex degree field, below every exponent,
-never decides), a product of monomials is ``a + b`` and a quotient ``b - a``.
-The top bit of each field is a guard bit that no monomial sets, so ``a``
-divides ``b`` exactly when ``(b - a) & guards == 0``.  The degree field bounds
-every other field, so a new monomial overflows a field exactly when its degree
-reaches the guard bit.  That is checked wherever monomials are made (products
-in a division step, S-polynomials, lcms, the products by ``u`` of an
-elimination); an overflow repacks the inputs with fields twice as wide and
-restarts the computation.
+unpacking on exit, with :class:`~kuranil.polyring.Packing` (its layout is in
+:mod:`kuranil.polyring`): native int comparison is the monomial order, a
+product of monomials is ``a + b``, a quotient ``b - a``, and ``a`` divides
+``b`` exactly when ``(b - a) & guards == 0``.  A new monomial overflows a
+field exactly when its degree reaches the guard bit.  That is checked
+wherever monomials are made (products in a division step, S-polynomials,
+lcms, the products by ``u`` of an elimination); an overflow repacks the
+inputs with fields twice as wide and restarts the computation
+(:func:`~kuranil.polyring.packed`).
 
 Division.  Each divisor is prepped once, as ``(leading monomial, slack,
 tail)``: the tail is divided by the leading coefficient, and the slack (the
@@ -115,12 +107,14 @@ from .polyring import (
     LEX,
     UVAR,
     MonomialOrder,
+    Packing,
+    PackingOverflow,
     Polynomial,
     canonical_generators,
     mono_div,
     mono_lcm,
+    packed,
     primitive_scale,
-    rational,
     var_rank,
 )
 
@@ -167,102 +161,6 @@ def _check_deadline(deadline: float | None) -> None:
         raise GroebnerTimeout("Gröbner computation reached its deadline")
 
 
-class _Overflow(Exception):
-    """A new monomial's degree reached the guard bit of its field."""
-
-
-class _Packing:
-    """Monomials over fixed variables in one order, packed into ints of
-    ``width``-bit fields as the module docstring lays out."""
-
-    __slots__ = ("variables", "guards", "limit", "_width", "_field", "_block",
-                 "_x_mask", "_ones", "_x_guards", "_x_shift", "_deg_shift", "_shifts",
-                 "_grevlex", "_units")
-
-    def __init__(self, variables: list, order: MonomialOrder, width: int):
-        n = len(variables)
-        self.variables = variables
-        self._width = width
-        self._field = (1 << width) - 1
-        self.limit = 1 << (width - 1)
-        # The exponent block is the n fields of e_0 … e_(n-1): e_k sits in
-        # its field n-1-k for grevlex (e_0 on top), in field k for lex.
-        self._block = n * width
-        self._x_mask = (1 << self._block) - 1
-        self._ones = sum(1 << (f * width) for f in range(n))
-        self._x_guards = self._ones << (width - 1)
-        self._grevlex = order == GREVLEX
-        if self._grevlex:
-            fields, self._x_shift, self._deg_shift = 2 * n, 0, max(2 * n - 1, 0) * width
-            self._shifts = [(n - 1 - k) * width for k in range(n)]
-        else:
-            fields, self._x_shift, self._deg_shift = n + 1, width, 0
-            self._shifts = [k * width for k in range(n)]
-        self.guards = sum(1 << (f * width + width - 1) for f in range(fields))
-        self._units = {v: self._from_exponents(1 << s)
-                       for v, s in zip(variables, self._shifts)}
-
-    def _from_exponents(self, x: int) -> int:
-        """The monomial with exponent block ``x``; its degree must be below
-        ``limit``, so that no field of ``sums`` carries."""
-        sums = x * self._ones  # field j holds the sum of exponent fields 0 … j
-        if self._grevlex:  # fields 0 … n-1 of sums are s_(n-2) … s_0, degree
-            return ((sums & self._x_mask) << self._block) | x
-        top = sums >> (self._block - self._width)  # field n-1: the degree
-        return (x << self._x_shift) | (top & self._field)
-
-    def degree(self, m: int) -> int:
-        return (m >> self._deg_shift) & self._field
-
-    def unit(self, v) -> int:
-        """The packed monomial of the variable ``v``, one of ``variables``."""
-        return self._units[v]
-
-    def pack(self, p: Polynomial) -> dict[int, int | Fraction]:
-        """The terms of ``p``, whose variables are among ``variables``, packed."""
-        units = self._units
-        return {sum(e * units[v] for v, e in mono): c for mono, c in p.terms.items()}
-
-    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
-        """The polynomial of the packed ``terms``, in their order."""
-        field, pairs = self._field, list(zip(self.variables, self._shifts))
-        out = {}
-        for m, c in terms.items():
-            x = m >> self._x_shift
-            out[tuple((v, e) for v, s in pairs if (e := (x >> s) & field))] = c
-        return Polynomial(out)
-
-    def gcd(self, a: int, b: int) -> int:
-        """Greatest common divisor of monomials ``a`` and ``b``; 0 when coprime."""
-        xa = (a >> self._x_shift) & self._x_mask
-        xb = (b >> self._x_shift) & self._x_mask
-        # SWAR minimum: a field of (xa | guards) - xb keeps its guard bit
-        # exactly where xa's exponent is at least xb's, and never borrows.
-        ge = (((xa | self._x_guards) - xb) & self._x_guards) >> (self._width - 1)
-        ge = (ge << self._width) - ge  # all ones in those fields
-        x = (xb & ge) | (xa & ~ge)
-        return self._from_exponents(x) if x else 0
-
-    def lcm(self, a: int, b: int) -> int:
-        """Least common multiple of monomials ``a`` and ``b``; raises
-        :class:`_Overflow` when its degree reaches the guard bit."""
-        lcm = a + b - self.gcd(a, b)
-        if self.degree(lcm) >= self.limit:
-            raise _Overflow
-        return lcm
-
-    def prep(self, terms: dict[int, int | Fraction]) -> tuple:
-        """Divisor entry ``(leading monomial, slack, monic tail)`` of nonzero ``terms``."""
-        lm = max(terms)
-        lc = terms[lm]
-        if lc == 1:
-            tail = [(m, c) for m, c in terms.items() if m != lm]
-        else:
-            tail = [(m, rational(Fraction(c) / lc)) for m, c in terms.items() if m != lm]
-        slack = max((self.degree(m) for m, _ in tail), default=0) - self.degree(lm)
-        return lm, slack, tail
-
-
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     fm, fc = f.leading_term(order)
     gm, gc = g.leading_term(order)
@@ -278,16 +176,12 @@ def _packed(polys: Sequence[Polynomial], order: MonomialOrder, compute):
     variables = sorted({v for p in polys for v in p.variables()}, key=var_rank)
     degree = max((p.total_degree() for p in polys), default=0)
     width = _FIRST_WIDTH
-    while True:
-        if degree < 1 << (width - 1):
-            try:
-                return compute(_Packing(variables, order, width))
-            except _Overflow:
-                pass
+    while degree >= 1 << (width - 1):
         width *= 2
+    return packed(variables, order, width, compute)
 
 
-def _divide(work: dict[int, int | Fraction], divisors: list[tuple], packing: _Packing,
+def _divide(work: dict[int, int | Fraction], divisors: list[tuple], packing: Packing,
             deadline: float | None = None) -> dict[int, int | Fraction]:
     """Full division remainder of the packed terms ``work`` (consumed) by the
     prepped ``divisors``; the first divisor in list order wins.  The
@@ -306,7 +200,7 @@ def _divide(work: dict[int, int | Fraction], divisors: list[tuple], packing: _Pa
             if (m - lm) & guards:
                 continue
             if degree(m) + slack >= limit:
-                raise _Overflow
+                raise PackingOverflow
             # work -= c·(m/lm)·tail; the leading term cancels m exactly.
             q = m - lm
             for t, tc in tail:
@@ -328,13 +222,13 @@ def _divide(work: dict[int, int | Fraction], divisors: list[tuple], packing: _Pa
 
 
 def _s_polynomial(f: tuple, g: tuple, lcm: int,
-                  packing: _Packing) -> dict[int, int | Fraction]:
+                  packing: Packing) -> dict[int, int | Fraction]:
     """Packed S-polynomial of the prepped (monic) divisors ``f`` and ``g``
     whose leading monomials have lcm ``lcm``: the leading terms cancel, so
     only the tails are multiplied."""
     (lf, sf, tf), (lg, sg, tg) = f, g
     if packing.degree(lcm) + max(sf, sg) >= packing.limit:
-        raise _Overflow
+        raise PackingOverflow
     qf, qg = lcm - lf, lcm - lg
     work = {m + qf: c for m, c in tf}
     for m, c in tg:
@@ -356,14 +250,14 @@ def buchberger(gens: Iterable[Polynomial], order: MonomialOrder = GREVLEX,
     """
     gens = canonical_generators(gens, order)
 
-    def compute(packing: _Packing) -> list[Polynomial]:
+    def compute(packing: Packing) -> list[Polynomial]:
         entries = [packing.prep(packing.pack(g)) for g in gens]
         return _reduce_basis(_buchberger(entries, packing, deadline), packing, deadline)
 
     return GroebnerBasis(order, _packed(gens, order, compute))
 
 
-def _buchberger(entries: list[tuple], packing: _Packing, deadline: float | None,
+def _buchberger(entries: list[tuple], packing: Packing, deadline: float | None,
                 cap: int | None = None) -> list[tuple]:
     """A Gröbner basis, not yet reduced, of the ideal of the prepped
     ``entries``: the elements whose leading monomial no newer element's
@@ -422,7 +316,7 @@ def _buchberger(entries: list[tuple], packing: _Packing, deadline: float | None,
     return divisors
 
 
-def _reduce_basis(prepped: list[tuple], packing: _Packing,
+def _reduce_basis(prepped: list[tuple], packing: Packing,
                   deadline: float | None = None) -> list[Polynomial]:
     """Minimalize, then inter-reduce tails; output normalized, sorted
     ascending by leading monomial."""
@@ -447,7 +341,7 @@ def normal_form(p: Polynomial, G: GroebnerBasis,
     ``G.polys`` in list order; zero iff ``p`` lies in the ideal when ``G`` is
     a Gröbner basis.  ``deadline`` is read before every reduction step, as
     in :func:`buchberger`."""
-    def compute(packing: _Packing) -> Polynomial:
+    def compute(packing: Packing) -> Polynomial:
         prepped = [packing.prep(packing.pack(g)) for g in G.polys]
         return packing.polynomial(_divide(packing.pack(p), prepped, packing, deadline))
 
@@ -467,7 +361,7 @@ def non_members(polys: Iterable[Polynomial], gens: Iterable[Polynomial],
     gens = canonical_generators(gens)
     polys = list(polys)
 
-    def compute(packing: _Packing) -> list[Polynomial]:
+    def compute(packing: Packing) -> list[Polynomial]:
         prepped = [packing.prep(packing.pack(g)) for g in gens]
         left = [p for p in polys if _divide(packing.pack(p), prepped, packing, deadline)]
         if not left:
@@ -504,13 +398,13 @@ def ideal_intersect(I: Sequence[Polynomial], J: Sequence[Polynomial],
     if not gens_i or not gens_j:
         return []
 
-    def compute(packing: _Packing) -> list[Polynomial]:
+    def compute(packing: Packing) -> list[Polynomial]:
         unit, limit, degree = packing.unit(UVAR), packing.limit, packing.degree
 
         def times_u(terms: dict, sign: int) -> dict:
             out = {m + unit: sign * c for m, c in terms.items()}
             if max(map(degree, out)) >= limit:
-                raise _Overflow
+                raise PackingOverflow
             return out
 
         combined = [times_u(packing.pack(f), 1) for f in gens_i]

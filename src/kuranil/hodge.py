@@ -33,8 +33,9 @@ rank ∂̄_{q−1} = dim V^{q−1}, dim V^q = rank ∂̄_q, and H^q is what rema
 so a Hodge number costs one ``rref`` (of V^q) per degree.  A decomposition
 carries its ambient, so it is the one input of every deformation stage, and
 only this module reads its kind: the deformation layer sees Θ in both,
-through ``h1_theta_basis`` and the projections of ``VectorForm``s.  Every
-form operator reads the degree and the ambient off the form itself.
+through ``h1_theta_basis`` and the projections of ``VectorForm``s, and asks
+only ``scalar_blocks``, whether Θ is stored as copies of the scalar complex.
+Every form operator reads the degree and the ambient off the form itself.
 
 The ∂̄ matrices are read off the structure constants: the all-barred terms of
 the ambient's ``covector_differential`` and, on Θ, its ``vector_delbar``, with
@@ -65,6 +66,13 @@ is dropped.
 ``harmonic_form`` inverts ``harmonic_coefficients``: it rebuilds a harmonic
 element from its coordinates against the RREF harmonic basis, as the
 recursion does for the obstruction coefficients it has reported.
+
+Integer operators.  ``integer_columns`` hands out ∂̄, δ or a projector as
+integer columns over one common denominator, and ``integer_rows`` the RREF
+rows of a space likewise, with their pivots: the operators that
+``kuranil.intforms`` applies to the recursion's integer forms on the scalar
+complex, each denominator taken out once.  They are the matrices above,
+scaled, and build nothing the form operators would not.
 """
 
 from __future__ import annotations
@@ -241,6 +249,42 @@ class HodgeDecomposition:
 
     def projector(self, q: int, which: str) -> linalg.Matrix:
         return self._space(q, which).projector
+
+    # -- integer operators ----------------------------------------------------
+
+    @property
+    def scalar_blocks(self) -> bool:
+        """Whether Θ is stored as copies of the scalar complex, one per frame
+        vector, so that a VectorForm's frame indices ride along with its
+        cells: the layout on which the recursion runs on integer forms
+        (``kuranil.intforms``)."""
+        return self.kind == "scalar"
+
+    def integer_columns(self, q: int, operator: str) -> tuple[list[dict[int, int]], int]:
+        """``(columns, D)``: an operator on degree-q coordinates as integer
+        columns over one denominator D, ``columns[i]`` being D times the
+        image ``{target index: rational}`` of cell i.  ``operator`` is
+        ``"delbar"`` (∂̄ from degree q to q + 1), ``"delta"`` (δ, from degree
+        2 to 1) or one of ``"B"``, ``"H"``, ``"V"`` (the orthogonal projector
+        onto that space of degree q, built on its first read)."""
+        if operator == "delbar":
+            self._check_degree(q)
+            columns = self._d_columns[q]
+        elif operator == "delta":
+            if q != 2:
+                raise DegreeMismatch(f"δ acts on degree 2, not {q}")
+            columns = self._delta_columns
+        else:
+            columns = self.projector(q, operator)
+        return linalg.integral(columns)
+
+    def integer_rows(self, q: int, which: str) -> tuple[list[dict[int, int]], tuple[int, ...], int]:
+        """``(rows, pivots, D)``: the RREF rows of B, H or V in degree q as
+        integer rows over one denominator D (each holds D at its pivot), and
+        their pivot columns."""
+        space = self._space(q, which)
+        rows, den = linalg.integral(space.rows)
+        return rows, space.pivots, den
 
     # -- projections and membership -------------------------------------------
 

@@ -37,14 +37,34 @@ results are truncations.
 
 Every stage takes the one object it reads: a Hodge decomposition (which
 carries its ambient) → the series Φ → the obstruction.  There is one bracket,
-the three-term Schouten formula, and one recursion; on a parallelisable
-structure (``ambient.parallelisable``) ∂̄ kills every frame vector, the
-∂-terms of the bracket vanish and are not computed, and the Hodge layer
-stores Θ as copies of the scalar complex.  Which complex a decomposition
-stores is for ``kuranil.hodge`` alone.  Each quantity is computed once: the
-quadratic obstruction H[Φ₁, Φ₁] that ``analyze`` reports is degree 2 of the
-series, and ``quadratic_obstruction_closed_form``, an independent build of it,
-is the tests' oracle.
+the three-term Schouten formula ``schouten_general``, with the
+Frölicher–Nijenhuis sign −(i_Y∂ᾱ)∧β̄⊗X on its first ∂-term; on a
+parallelisable structure (``ambient.parallelisable``) ∂̄ kills every frame
+vector, the ∂-terms vanish and are not computed, and the bracket is
+ᾱ∧β̄⊗[X,Y].  Each quantity is computed once: the quadratic obstruction
+H[Φ₁, Φ₁] that ``analyze`` reports is degree 2 of the series, and
+``quadratic_obstruction_closed_form``, an independent build of it, is the
+tests' oracle.
+
+Integer forms.  ``phi_recursion`` is the one entry point, and it runs the
+same recursion in one of two representations.  On a decomposition that
+stores Θ as copies of the scalar complex (``scalar_blocks``) over a
+parallelisable ambient, the path of ``analyze``, it runs on the integer
+forms of :mod:`kuranil.intforms`: ``{(cell index, frame index): {packed
+monomial: int}}`` over one denominator, with ∂̄, δ, the projectors and the
+bracket ᾱ∧β̄⊗[X,Y] on integers, each denominator taken out once.  The
+monomials are packed in one :class:`~kuranil.polyring.Packing` whose fields
+are sized from the cap: at most cap times the degree of Φ₁'s coefficients
+stays below the guard bit, and a product that reaches it (only a narrower
+packing makes one) repeats the recursion on fields twice as wide.
+Everywhere else, Θ included, it runs on ``VectorForm``s.  Every check of the
+``VectorForm`` recursion is kept: the central series, V_k ∈ V², and
+∂̄V_k = 2Σ[ψ_j, Φ_{k−j}] with H_j rebuilt from the reported coefficients.
+The reported ``obstruction_by_degree`` is converted to ``Polynomial``s as
+the recursion runs; ``PhiSeries.terms``, ``harmonic_parts`` and
+``dropped_coexact`` are built as ``VectorForm``s on their first read, with
+the terms in the order the ``VectorForm`` recursion gives them, which stays
+the Θ path and the tests' oracle for the integer one.
 
 ``analyze`` and ``analyze_general`` validate the ambient they are given and
 return their result as a plain dict of JSON values, the report that
@@ -53,13 +73,24 @@ return their result as a plain dict of JSON values, the report that
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+import functools
+import random
 
 from . import hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra, to_complex_structure
 from .exterior import AmbientMismatch, MultiIndex, VectorForm, wedge_into
-from .polyring import Polynomial, Var, canonical_generators, linear_combination, var_poly
+from .intforms import ZERO, IntForm, ScalarKernel
+from .polyring import (
+    LEX,
+    Polynomial,
+    Var,
+    canonical_generators,
+    linear_combination,
+    packed,
+    var_poly,
+    var_rank,
+)
 
 
 class MissingDegreeCap(ValueError):
@@ -95,7 +126,10 @@ class ClosednessViolation(RuntimeError):
 def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     """Three-term Schouten bracket on Λ^{0,•} ⊗ (1,0)-vectors:
 
-        [ᾱ⊗X, β̄⊗Y] = β̄∧(i_Y ∂ᾱ)⊗X + ᾱ∧(i_X ∂β̄)⊗Y + ᾱ∧β̄⊗[X,Y].
+        [ᾱ⊗X, β̄⊗Y] = −(i_Y ∂ᾱ)∧β̄⊗X + ᾱ∧(i_X ∂β̄)⊗Y + ᾱ∧β̄⊗[X,Y],
+
+    with the Frölicher–Nijenhuis sign on the first term, which is
+    −(−1)^{pq} β̄∧(i_Y ∂ᾱ)⊗X for ᾱ of degree p and β̄ of degree q.
 
     The Lie-derivative terms reduce to contractions of ∂-parts because frame
     coefficients are constant and (1,0)-vectors contract (0,q)-forms to zero.
@@ -114,7 +148,7 @@ def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
     for i, alpha, del_alpha in items_a:
         for j, beta, del_beta in items_b:
             if del_alpha:
-                wedge_into(out, beta.terms, del_alpha.contract(j).terms, ((i, 1),))
+                wedge_into(out, del_alpha.contract(j).terms, beta.terms, ((i, -1),))
             if del_beta:
                 wedge_into(out, alpha.terms, del_beta.contract(i).terms, ((j, 1),))
             # [X_i, X_j] is unbarred by integrability, [T^{1,0}, T^{1,0}] ⊂ T^{1,0}: both
@@ -134,15 +168,34 @@ class PhiSeries:
     ``obstruction_by_degree[k]`` its coefficients as ``harmonic_coefficients``
     reads them, and ``dropped_coexact[k]`` any coexact component certified
     to vanish on the obstruction locus and therefore dropped.
+
+    ``obstruction_by_degree`` is filled as the recursion runs.  On the
+    scalar complex the other three are kept as integer forms and built as
+    ``VectorForm``s on their first read (``analyze`` reads none of them);
+    ``fields`` maps each such name to the function that builds it.
     """
 
-    def __init__(self, decomposition, max_degree: int):
+    def __init__(self, decomposition, max_degree: int, fields: dict | None = None):
         self.decomposition = decomposition
         self.max_degree = max_degree
-        self.terms: dict[int, VectorForm] = {}
-        self.harmonic_parts: dict[int, VectorForm] = {}
         self.obstruction_by_degree: dict[int, dict] = {}
-        self.dropped_coexact: dict[int, VectorForm] = {}
+        self._fields = fields or {}
+
+    def _field(self, name: str) -> dict[int, VectorForm]:
+        build = self._fields.get(name)
+        return build() if build else {}
+
+    @functools.cached_property
+    def terms(self) -> dict[int, VectorForm]:
+        return self._field("terms")
+
+    @functools.cached_property
+    def harmonic_parts(self) -> dict[int, VectorForm]:
+        return self._field("harmonic_parts")
+
+    @functools.cached_property
+    def dropped_coexact(self) -> dict[int, VectorForm]:
+        return self._field("dropped_coexact")
 
     @property
     def ambient(self):
@@ -185,15 +238,6 @@ def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
     return total, variables
 
 
-def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
-    """Whether every frame-vector coefficient vector of ``vf`` lies in ``sub``
-    (its polynomial coefficients reduce against the RREF rows)."""
-    by_cell: dict = {}
-    for (mi, j), c in vf.terms.items():
-        by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
-    return all(sub.contains(vec) for vec in by_cell.values())
-
-
 def phi_recursion(decomposition, max_degree: int | None = None,
                   initial: VectorForm | None = None) -> PhiSeries:
     """Solve the Maurer-Cartan equation degree by degree up to ``max_degree``.
@@ -203,7 +247,10 @@ def phi_recursion(decomposition, max_degree: int | None = None,
     other ambient ``max_degree`` is mandatory.  ``initial`` overrides the
     generic Φ₁ with a specific harmonic element over the decomposition's
     ambient.  Each dropped coexact part is certified as the module docstring
-    sets out, and ``ClosednessViolation`` is raised when it is not.
+    sets out, and ``ClosednessViolation`` is raised when it is not.  On the
+    scalar complex of a parallelisable ambient the recursion runs on integer
+    forms, otherwise on ``VectorForm``s; both give the same series, term for
+    term.
     """
     L = decomposition.ambient
     if isinstance(L, LieAlgebra):
@@ -217,22 +264,31 @@ def phi_recursion(decomposition, max_degree: int | None = None,
         cap = max_degree
         central = None
 
+    if initial is not None and initial.ambient is not L:
+        raise AmbientMismatch("initial element lives over a different ambient")
+    if decomposition.scalar_blocks and L.parallelisable:
+        return _integer_recursion(decomposition, cap, central, initial)
     if initial is None:
         initial, _ = generic_harmonic_element(decomposition)
-    elif initial.ambient is not L:
-        raise AmbientMismatch("initial element lives over a different ambient")
+    return _vector_recursion(decomposition, cap, central, initial)
 
+
+def _central_violation(k: int, depth: int) -> RuntimeError:
+    return RuntimeError(f"internal invariant violated: bracket sum at degree {k} "
+                        f"leaves central-series stage {depth}")
+
+
+# -- the recursion on VectorForms: the Θ path, and the tests' oracle ----------
+
+def _vector_recursion(decomposition, cap: int, central, initial: VectorForm) -> PhiSeries:
     series = PhiSeries(decomposition, cap)
     series.terms[1] = initial
-
     for k in range(2, cap + 1):
         s_k = series.bracket_sum(k)
         if central is not None:
             depth = min(k - 1, len(central) - 1)
             if not _vector_in_subspace(s_k, central[depth]):
-                raise RuntimeError(
-                    f"internal invariant violated: bracket sum at degree {k} "
-                    f"leaves central-series stage {depth}")
+                raise _central_violation(k, depth)
         delta_part, harmonic_part, coexact_part = decomposition.split(s_k)
         series.terms[k] = -delta_part
         series.harmonic_parts[k] = harmonic_part
@@ -245,6 +301,15 @@ def phi_recursion(decomposition, max_degree: int | None = None,
                 raise ClosednessViolation(k, coexact_part, offending, BIANCHI)
             series.dropped_coexact[k] = coexact_part
     return series
+
+
+def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
+    """Whether every frame-vector coefficient vector of ``vf`` lies in ``sub``
+    (its polynomial coefficients reduce against the RREF rows)."""
+    by_cell: dict = {}
+    for (mi, j), c in vf.terms.items():
+        by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
+    return all(sub.contains(vec) for vec in by_cell.values())
 
 
 def _reported_bracket(series: PhiSeries, k: int) -> VectorForm:
@@ -262,6 +327,78 @@ def _reported_bracket(series: PhiSeries, k: int) -> VectorForm:
         if psi and phi:
             total = total + schouten_general(psi, phi)
     return total.scale(2)
+
+
+# -- the recursion on integer forms: the scalar path ----------------------------
+
+def _integer_recursion(decomposition, cap: int, central,
+                       initial: VectorForm | None) -> PhiSeries:
+    """The recursion on integer forms, from ``initial`` or else from the
+    generic Φ₁, in a packing whose fields hold every monomial degree the cap
+    allows below the guard bit: at most cap times the degree of Φ₁'s
+    coefficients."""
+    if initial is None:
+        pivots = decomposition.harmonic_pivot_cells(1)
+        frames = range(1, decomposition.ambient.complex_dim + 1)
+        variables = [(mi[0].index, b) for mi in pivots for b in frames]
+        degree = 1 if variables else 0
+    else:
+        polys = initial.terms.values()
+        variables = sorted({v for p in polys for v in p.variables()}, key=var_rank)
+        degree = max((p.total_degree() for p in polys), default=0)
+    return packed(variables, LEX, (cap * degree).bit_length() + 1,
+                  lambda packing: _solve(ScalarKernel(decomposition, packing),
+                                         cap, central, initial))
+
+
+def _solve(kernel: ScalarKernel, cap: int, central,
+           initial: VectorForm | None) -> PhiSeries:
+    phi = {1: kernel.generic_form() if initial is None else kernel.form(initial)}
+    harmonic: dict[int, IntForm] = {}
+    dropped: dict[int, IntForm] = {}
+
+    def terms() -> dict[int, VectorForm]:
+        first = generic_harmonic_element(kernel.decomposition)[0] if initial is None else initial
+        return {1: first, **{k: kernel.vector_form(f, 1) for k, f in phi.items() if k > 1}}
+
+    series = PhiSeries(kernel.decomposition, cap, {
+        "terms": terms,
+        "harmonic_parts": lambda: {k: kernel.vector_form(f, 2) for k, f in harmonic.items()},
+        "dropped_coexact": lambda: {k: kernel.vector_form(f, 2) for k, f in dropped.items()},
+    })
+    reported = series.obstruction_by_degree
+    for k in range(2, cap + 1):
+        s_k = ZERO
+        for i in range(1, k // 2 + 1):
+            bracket = kernel.bracket(phi[i], phi[k - i], 1)
+            s_k = s_k + (bracket if 2 * i == k else bracket.scaled(2))
+        if central is not None:
+            depth = min(k - 1, len(central) - 1)
+            if not kernel.in_central_stage(s_k, central[depth]):
+                raise _central_violation(k, depth)
+        delta_part, harmonic[k], coexact_part = kernel.split(s_k)
+        phi[k] = -delta_part
+        reported[k] = kernel.harmonic_coefficients(harmonic[k])
+        if coexact_part:
+            if not kernel.in_coexact_space(coexact_part):
+                raise _violation(kernel, k, coexact_part, IN_V2)
+            # 2 Σ_{2≤j<k} [ψ_j, Φ_{k−j}], ψ_j = V_j + H_j rebuilt from the report
+            total = ZERO
+            for j in range(2, k):
+                psi = dropped.get(j, ZERO)
+                if reported[j]:
+                    psi = psi + kernel.harmonic_form(reported[j])
+                total = total + kernel.bracket(psi, phi[k - j], 2)
+            if kernel.apply(coexact_part, 2, "delbar") != total.scaled(2):
+                raise _violation(kernel, k, coexact_part, BIANCHI)
+            dropped[k] = coexact_part
+    return series
+
+
+def _violation(kernel: ScalarKernel, k: int, coexact_part: IntForm,
+               identity: str) -> ClosednessViolation:
+    v_part = kernel.vector_form(coexact_part, 2)
+    return ClosednessViolation(k, v_part, list(v_part.terms.values()), identity)
 
 
 def obstruction_map(series: PhiSeries) -> list[Polynomial]:

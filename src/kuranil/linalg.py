@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+import math
 from typing import Iterable, Sequence
 
 from .polyring import rational
@@ -64,6 +65,18 @@ def mat_mul(a: Sequence[Row], b: Sequence[Row]) -> Matrix:
                 acc[j] = acc.get(j, 0) + c * y
         out.append({j: rational(x) for j, x in sorted(acc.items()) if x})
     return out
+
+
+def integral(a: Iterable[Row]) -> tuple[list[dict[int, int]], int]:
+    """``(rows, D)``: the rows ``a`` times D, the least common denominator of
+    their entries, as integer rows, so that ``a`` is those rows over D.
+    Rows of integers come back as they are, not copied."""
+    a = list(a)
+    den = math.lcm(*(x.denominator for row in a for x in row.values()))
+    if den == 1:
+        return a, 1
+    return [{j: x.numerator * (den // x.denominator) for j, x in row.items()}
+            for row in a], den
 
 
 def _subtract(row: Row, f, pivot_row: Row) -> None:

@@ -24,6 +24,27 @@ engine starts from, and
 :func:`parse_polynomial`.  Neither needs a Gröbner basis, so the analysis
 and the catalog import nothing from :mod:`kuranil.groebner`.
 
+Packed monomials.  :class:`Packing` is the one packing of the package: the
+Gröbner engine and the deformation recursion of :mod:`kuranil.kuranishi`
+both run on it (Monagan & Pearce, CASC 2007, on packed exponent vectors).
+It fixes a list of variables and packs each monomial into one Python int, a
+row of ``w``-bit fields, most significant first; ``e_0`` is the exponent of
+the lowest-ranked variable:
+
+* grevlex: the degree, the partial degrees ``s_k = e_(k+1) + … + e_(n-1)``
+  for ``k = 0 … n-2``, then the exponents ``e_0 … e_(n-1)``;
+* lex: the exponents ``e_(n-1) … e_0``, then the degree.
+
+Every field is linear in the exponents and never negative, so native int
+comparison is the monomial order (the lex degree field, below every exponent,
+never decides), a product of monomials is ``a + b`` and a quotient ``b - a``.
+The top bit of each field is a guard bit that no monomial sets, so ``a``
+divides ``b`` exactly when ``(b - a) & guards == 0``.  The degree field bounds
+every other field, so a monomial whose degree stays below ``limit`` (the
+guard bit) fits every field.  Whoever makes a monomial checks its degree and
+raises :class:`PackingOverflow` when it reaches ``limit``; :func:`packed`
+then repeats the computation on fields twice as wide.
+
 Rational values.  Throughout the package a rational value is an ``int`` while
 it is integral and a ``Fraction`` otherwise; :func:`rational` is the one
 canonicaliser.  Polynomial coefficients, structure constants and matrix
@@ -410,6 +431,114 @@ def linear_combination(pairs) -> Polynomial:
         for m, x in p.terms.items():
             terms[m] = terms.get(m, 0) + x * c
     return Polynomial(terms)
+
+
+class PackingOverflow(Exception):
+    """A new monomial's degree reached the guard bit of its field."""
+
+
+class Packing:
+    """Monomials over fixed variables in one order, packed into ints of
+    ``width``-bit fields as the module docstring lays out; the one packing
+    of the Gröbner engine and the deformation recursion."""
+
+    __slots__ = ("variables", "guards", "limit", "_width", "_field", "_block",
+                 "_x_mask", "_ones", "_x_guards", "_x_shift", "_deg_shift", "_shifts",
+                 "_grevlex", "_units")
+
+    def __init__(self, variables: list, order: MonomialOrder, width: int):
+        n = len(variables)
+        self.variables = variables
+        self._width = width
+        self._field = (1 << width) - 1
+        self.limit = 1 << (width - 1)
+        # The exponent block is the n fields of e_0 … e_(n-1): e_k sits in
+        # its field n-1-k for grevlex (e_0 on top), in field k for lex.
+        self._block = n * width
+        self._x_mask = (1 << self._block) - 1
+        self._ones = sum(1 << (f * width) for f in range(n))
+        self._x_guards = self._ones << (width - 1)
+        self._grevlex = order == GREVLEX
+        if self._grevlex:
+            fields, self._x_shift, self._deg_shift = 2 * n, 0, max(2 * n - 1, 0) * width
+            self._shifts = [(n - 1 - k) * width for k in range(n)]
+        else:
+            fields, self._x_shift, self._deg_shift = n + 1, width, 0
+            self._shifts = [k * width for k in range(n)]
+        self.guards = sum(1 << (f * width + width - 1) for f in range(fields))
+        self._units = {v: self._from_exponents(1 << s)
+                       for v, s in zip(variables, self._shifts)}
+
+    def _from_exponents(self, x: int) -> int:
+        """The monomial with exponent block ``x``; its degree must be below
+        ``limit``, so that no field of ``sums`` carries."""
+        sums = x * self._ones  # field j holds the sum of exponent fields 0 … j
+        if self._grevlex:  # fields 0 … n-1 of sums are s_(n-2) … s_0, degree
+            return ((sums & self._x_mask) << self._block) | x
+        top = sums >> (self._block - self._width)  # field n-1: the degree
+        return (x << self._x_shift) | (top & self._field)
+
+    def degree(self, m: int) -> int:
+        return (m >> self._deg_shift) & self._field
+
+    def unit(self, v) -> int:
+        """The packed monomial of the variable ``v``, one of ``variables``."""
+        return self._units[v]
+
+    def pack(self, p: Polynomial) -> dict[int, int | Fraction]:
+        """The terms of ``p``, whose variables are among ``variables``, packed."""
+        units = self._units
+        return {sum(e * units[v] for v, e in mono): c for mono, c in p.terms.items()}
+
+    def polynomial(self, terms: dict[int, int | Fraction]) -> Polynomial:
+        """The polynomial of the packed ``terms``, in their order."""
+        field, pairs = self._field, list(zip(self.variables, self._shifts))
+        out = {}
+        for m, c in terms.items():
+            x = m >> self._x_shift
+            out[tuple((v, e) for v, s in pairs if (e := (x >> s) & field))] = c
+        return Polynomial(out)
+
+    def gcd(self, a: int, b: int) -> int:
+        """Greatest common divisor of monomials ``a`` and ``b``; 0 when coprime."""
+        xa = (a >> self._x_shift) & self._x_mask
+        xb = (b >> self._x_shift) & self._x_mask
+        # SWAR minimum: a field of (xa | guards) - xb keeps its guard bit
+        # exactly where xa's exponent is at least xb's, and never borrows.
+        ge = (((xa | self._x_guards) - xb) & self._x_guards) >> (self._width - 1)
+        ge = (ge << self._width) - ge  # all ones in those fields
+        x = (xb & ge) | (xa & ~ge)
+        return self._from_exponents(x) if x else 0
+
+    def lcm(self, a: int, b: int) -> int:
+        """Least common multiple of monomials ``a`` and ``b``; raises
+        :class:`PackingOverflow` when its degree reaches the guard bit."""
+        lcm = a + b - self.gcd(a, b)
+        if self.degree(lcm) >= self.limit:
+            raise PackingOverflow
+        return lcm
+
+    def prep(self, terms: dict[int, int | Fraction]) -> tuple:
+        """Divisor entry ``(leading monomial, slack, monic tail)`` of nonzero ``terms``."""
+        lm = max(terms)
+        lc = terms[lm]
+        if lc == 1:
+            tail = [(m, c) for m, c in terms.items() if m != lm]
+        else:
+            tail = [(m, rational(Fraction(c) / lc)) for m, c in terms.items() if m != lm]
+        slack = max((self.degree(m) for m, _ in tail), default=0) - self.degree(lm)
+        return lm, slack, tail
+
+
+def packed(variables: list, order: MonomialOrder, width: int, compute):
+    """``compute(packing)`` on the packing of ``variables`` in ``order`` with
+    ``width``-bit fields, repeated on fields twice as wide after each
+    :class:`PackingOverflow`."""
+    while True:
+        try:
+            return compute(Packing(variables, order, width))
+        except PackingOverflow:
+            width *= 2
 
 
 def _coerce(x) -> Polynomial | None:

@@ -94,6 +94,17 @@ def test_analyze_file_input(tmp_path, capsys):
     assert "smooth         yes" in out
 
 
+def test_analyze_structure_with_a_live_del_of_a_two_form(tmp_path, capsys):
+    """The coexact certificate brackets ψ_j (degree 2) with Φ: with ∂ψ_j
+    live, the Schouten bracket's ∂-term needs its Frölicher–Nijenhuis sign,
+    or the certificate fails on valid input with an internal error."""
+    path = tmp_path / "dim4.alg"
+    path.write_text("dim 4\ndw2 = 2*cw1^w1\ndw3 = w1^w2\n")
+    assert main(["analyze", str(path)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert "dropped[3]" in out and err == ""
+
+
 def test_analyze_complex_structure_file_uses_general_path(capsys):
     assert main(["analyze", "general7"]) == EXIT_OK
     out = capsys.readouterr().out

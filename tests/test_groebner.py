@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 import sympy
 
-from kuranil import catalog, groebner
+from kuranil import catalog, groebner, polyring
 from kuranil.algebra import LieAlgebra
 from kuranil.groebner import (
     GroebnerBasis,
@@ -429,7 +429,7 @@ def _monomial_pairs(draw):
             for _ in range(2))
     if draw(st.booleans()):
         b = mono_mul(a, b)
-    return groebner._Packing(variables, order, width), order, a, b
+    return polyring.Packing(variables, order, width), order, a, b
 
 
 def _pack(packing, mono):
@@ -914,13 +914,13 @@ def test_buchberger_divides_by_the_elements_that_still_count(monkeypatch):
 def test_non_members_preps_each_generator_once(monkeypatch):
     # The fallback basis starts from the generators' entries that the first
     # division used.
-    original, prepped = groebner._Packing.prep, []
+    original, prepped = polyring.Packing.prep, []
 
     def recording(packing, terms):
         prepped.append(packing.polynomial(dict(terms)))
         return original(packing, terms)
 
-    monkeypatch.setattr(groebner._Packing, "prep", recording)
+    monkeypatch.setattr(polyring.Packing, "prep", recording)
     gens = [t(1, 1) ** 2 + t(1, 2), t(1, 1) * t(1, 2)]
     built, _ = _recording_bases(monkeypatch)
     assert non_members([t(1, 2), t(1, 2) ** 2], gens) == [t(1, 2)]

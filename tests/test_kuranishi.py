@@ -7,7 +7,7 @@ import json
 import random
 import re
 
-from hypothesis import Phase, given, seed, settings, strategies as st
+from hypothesis import Phase, example, given, seed, settings, strategies as st
 import pytest
 
 from kuranil import catalog
@@ -25,6 +25,7 @@ from kuranil.cli import report_text
 from kuranil.exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, canonical_generators, ideal_equal, normal_form
 from kuranil.hodge import build_decomposition, build_theta_decomposition
+from kuranil.intforms import ZERO, ScalarKernel
 from kuranil.kuranishi import (
     BIANCHI,
     IN_V2,
@@ -45,6 +46,7 @@ from kuranil.kuranishi import (
 from kuranil.polyring import Polynomial, mono_degree, parse_polynomial
 
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
+from random_structures import LIVE_DEL_DIM4, random_structure_text
 
 P = parse_polynomial
 
@@ -104,7 +106,7 @@ def test_schouten_parallelisable_symmetric_on_one_forms():
 def _live_del_structure(which):
     if which == "general7":
         return catalog.get("general7").build()
-    return parse_complex_structure_file(SWAPPED5)
+    return parse_complex_structure_file(LIVE_DEL_DIM4 if which == "dim4" else SWAPPED5)
 
 
 @pytest.mark.parametrize("which", ["general7", "swapped5"])
@@ -186,12 +188,12 @@ def _reference_wedge(a, b):
 
 def _schouten_reference(a, b):
     """The three-term Schouten bracket as one wedge, scale and sum per term:
-    β̄∧(i_Y ∂ᾱ)⊗X + ᾱ∧(i_X ∂β̄)⊗Y + ᾱ∧β̄⊗[X,Y]."""
+    −(i_Y ∂ᾱ)∧β̄⊗X + ᾱ∧(i_X ∂β̄)⊗Y + ᾱ∧β̄⊗[X,Y] (Frölicher–Nijenhuis)."""
     ambient = a.ambient
     out = VectorForm.zero(ambient)
     for i, alpha in a.components.items():
         for j, beta in b.components.items():
-            out = out + VectorForm.single(_reference_wedge(beta, alpha.del_().contract(j)), i)
+            out = out - VectorForm.single(_reference_wedge(alpha.del_().contract(j), beta), i)
             out = out + VectorForm.single(_reference_wedge(alpha, beta.del_().contract(i)), j)
             w = _reference_wedge(alpha, beta)
             for (k, _), c in ambient.vector_bracket(i, False, j, False).items():
@@ -229,6 +231,25 @@ def test_schouten_general_matches_the_reference_where_del_terms_are_live(which, 
 
 
 @_SCHOUTEN_ORACLE
+@given(st.sampled_from(["general7", "swapped5", "dim4"]), st.randoms(use_true_random=False))
+def test_schouten_general_makes_a_dgla_where_del_terms_are_live(which, rng):
+    """Oracles that need no formula for the bracket on Θ-valued (0,q)-forms,
+    over structures whose ∂-terms are live: graded symmetry
+    [a, b] = −(−1)^{pq}[b, a] in degrees (2,1), ∂̄ a derivation,
+    ∂̄[a, b] = [∂̄a, b] + (−1)^p [a, ∂̄b], in degrees (1,1) and (2,1), and
+    [[a, a], a] = 0 in degree 1."""
+    ambient = _live_del_structure(which)
+    a, b = _random_theta_form(ambient, 1, rng), _random_theta_form(ambient, 1, rng)
+    c = _random_theta_form(ambient, 2, rng)
+    assert schouten_general(c, a) == -schouten_general(a, c)
+    for x, sign in ((a, -1), (c, 1)):
+        assert (schouten_general(x, b).delbar_theta()
+                == schouten_general(x.delbar_theta(), b)
+                + schouten_general(x, b.delbar_theta()).scale(sign))
+    assert not schouten_general(schouten_general(a, a), a)
+
+
+@_SCHOUTEN_ORACLE
 @given(st.integers(0, RANDOM_NILPOTENT_COUNT - 1), _DEGREES, _DEGREES,
        st.randoms(use_true_random=False))
 def test_schouten_general_matches_the_reference_on_random_algebras(index, p, q, rng):
@@ -237,6 +258,16 @@ def test_schouten_general_matches_the_reference_on_random_algebras(index, p, q, 
     ambient = random_nilpotent_algebras()[index]
     a, b = _random_theta_form(ambient, p, rng), _random_theta_form(ambient, q, rng)
     assert schouten_general(a, b) == _schouten_reference(a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 10**6).map(lambda seed: random_structure_text(random.Random(seed))))
+@example(LIVE_DEL_DIM4)
+def test_analyze_general_finishes_on_random_non_parallelisable_structures(text):
+    """The coexact certificate brackets ψ_j, of degree 2, with Φ: wherever ∂ψ_j
+    is live, only the Frölicher–Nijenhuis sign of the bracket's ∂-term lets
+    a valid structure through without ``ClosednessViolation``."""
+    analyze_general(parse_complex_structure_file(text), max_degree=4)
 
 
 def test_schouten_general_computes_del_only_where_it_is_live(monkeypatch):
@@ -619,38 +650,72 @@ def test_closedness_violation_carries_diagnostics():
     assert "degree 3" in str(err) and BIANCHI in str(err)
 
 
+def _decomposition(L, complex_):
+    """The scalar decomposition of ``L``, on which the recursion runs on
+    integer forms, or the Θ decomposition of its complex structure, on which
+    it runs on VectorForms; and the ambient its forms live over."""
+    if complex_ == "scalar":
+        return build_decomposition(L), L
+    csa = to_complex_structure(L)
+    return build_theta_decomposition(csa), csa
+
+
 def test_coexact_term_outside_the_obstruction_ideal_raises(monkeypatch):
+    _check_hidden_coefficients_raise("scalar", monkeypatch)
+
+
+def test_coexact_term_outside_the_obstruction_ideal_raises_on_theta(monkeypatch):
+    _check_hidden_coefficients_raise("theta", monkeypatch)
+
+
+def _check_hidden_coefficients_raise(complex_, monkeypatch):
     # With every harmonic coefficient hidden the ideal found so far is zero,
     # so degree 4's coexact term (see the test above on the dropped term of
     # this algebra) can no longer be dropped.
-    L = parse_salamon("(0,0,12,13,14)")
-    decomposition = build_decomposition(L)
-    monkeypatch.setattr(decomposition, "harmonic_coefficients", lambda form: {})
+    decomposition, ambient = _decomposition(parse_salamon("(0,0,12,13,14)"), complex_)
+    if complex_ == "scalar":
+        monkeypatch.setattr(ScalarKernel, "harmonic_coefficients",
+                            lambda self, form: {})
+    else:
+        monkeypatch.setattr(decomposition, "harmonic_coefficients", lambda form: {})
     with pytest.raises(ClosednessViolation) as caught:
-        phi_recursion(decomposition)
+        phi_recursion(decomposition, 4)
     coefficient = P("-8*t1_1*t2_1*delta[12;12]")
     assert caught.value.degree == 4
-    assert caught.value.v_part == VectorForm.single(_cw(L, 2, 4).scale(coefficient), 5)
+    assert caught.value.v_part == VectorForm.single(_cw(ambient, 2, 4).scale(coefficient), 5)
     assert caught.value.offending == [coefficient]
     assert caught.value.identity == BIANCHI
     assert BIANCHI in str(caught.value)
 
 
 def test_coexact_part_outside_v2_raises(monkeypatch):
+    _check_coexact_harmonic_part_raises("scalar", monkeypatch)
+
+
+def test_coexact_part_outside_v2_raises_on_theta(monkeypatch):
+    _check_coexact_harmonic_part_raises("theta", monkeypatch)
+
+
+def _check_coexact_harmonic_part_raises(complex_, monkeypatch):
     """A split that passes the harmonic part off as coexact keeps every ψ_j,
     so the bracket identity still holds; only V_k ∈ V² catches it."""
     L = parse_salamon("(0,0,0,12)")
-    decomposition = build_decomposition(L)
-    split = decomposition.split
+    decomposition, ambient = _decomposition(L, complex_)
+    if complex_ == "scalar":
+        owner, zero = ScalarKernel, ZERO
+        expected = phi_recursion(build_decomposition(L), 2).harmonic_parts[2]
+    else:
+        owner, zero = decomposition, VectorForm.zero(ambient)
+        expected = phi_recursion(build_theta_decomposition(ambient), 2).harmonic_parts[2]
+    split = owner.split
 
-    def harmonic_as_coexact(form):
-        d, h, v = split(form)
-        return d, VectorForm.zero(L), h + v
+    def harmonic_as_coexact(*args):
+        d, h, v = split(*args)
+        return d, zero, h + v
 
-    expected = phi_recursion(build_decomposition(L)).harmonic_parts[2]
-    monkeypatch.setattr(decomposition, "split", harmonic_as_coexact)
+    monkeypatch.setattr(owner, "split", harmonic_as_coexact)
     with pytest.raises(ClosednessViolation) as caught:
-        phi_recursion(decomposition)
+        phi_recursion(decomposition, 2)
     assert (caught.value.degree, caught.value.identity) == (2, IN_V2)
     assert IN_V2 in str(caught.value)
     assert caught.value.v_part == expected

@@ -3,12 +3,16 @@ membership, checked against sympy and a dense reference written here."""
 
 import copy
 from fractions import Fraction
+from pathlib import Path
 import random
+import sys
 
 from hypothesis import example, given, settings, strategies as st
 import pytest
 import sympy
 
+from kuranil.algebra import parse_salamon, to_complex_structure
+from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.linalg import (
     Subspace,
     identity,
@@ -19,6 +23,9 @@ from kuranil.linalg import (
     rref,
     transpose,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import ALGEBRAS as PERFBENCH_ALGEBRAS  # noqa: E402
 
 
 def F(x):
@@ -355,3 +362,40 @@ def test_mixed_int_and_fraction_entries_give_canonical_results(case, rng):
         expected, result = op(m), op(_mixed(m, rng))
         assert result == expected, name
         assert _all_canonical(result) and _all_canonical(expected), name
+
+
+# -- the real ∂̄ matrices against the dense reference and sympy -----------------
+
+def _real_delbar_matrices() -> list:
+    """``(id, rows, ncols)`` for each distinct nonzero ∂̄ matrix of the
+    perfbench ``ALGEBRAS``, on the scalar and the Θ complex, and for its
+    transpose: the row sets the Hodge layer echelonises (V from ∂̄'s rows, B
+    from its transpose's).  Up to 448 × 224, of rank up to 128."""
+    found: dict = {}
+    for text in PERFBENCH_ALGEBRAS:
+        L = parse_salamon(text)
+        for kind, dec in (("scalar", build_decomposition(L)),
+                          ("theta", build_theta_decomposition(to_complex_structure(L)))):
+            for q, d in dec.d_matrices.items():
+                for side, rows, ncols in (("rows", d, dec.dim(q)),
+                                          ("transpose", transpose(d, dec.dim(q)), len(d))):
+                    key = (ncols, tuple(tuple(row.items()) for row in rows))
+                    if any(rows) and key not in found:
+                        found[key] = (f"{kind}-{text}-d{q}-{side}", rows, ncols)
+    return list(found.values())
+
+
+REAL_DELBAR = _real_delbar_matrices()
+
+
+@pytest.mark.parametrize("rows, ncols", [(rows, ncols) for _, rows, ncols in REAL_DELBAR],
+                         ids=[name for name, _, _ in REAL_DELBAR])
+def test_rref_of_the_real_delbar_matrices_matches_the_references(rows, ncols):
+    """The sparse ``rref`` with its column index, on the matrices it gets in
+    practice: against the dense reference on every one, and against sympy
+    where the matrix has at most 600 entries."""
+    dense = [[Fraction(x) for x in row] for row in _dense(rows, ncols)]
+    result = rref(rows)
+    assert result == _dense_rref(dense)
+    if len(rows) * ncols <= 600:
+        assert result == _sympy_rref(dense, ncols)
