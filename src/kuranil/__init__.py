@@ -35,7 +35,6 @@ from .algebra import (
     NotNilpotent,
     StructureParseError,
     abelian,
-    direct_sum,
     free_two_step,
     parse_algebra_file,
     parse_complex_structure_file,
@@ -52,7 +51,6 @@ from .groebner import (
     ideal_equal,
     ideal_intersect,
     normal_form,
-    s_polynomial,
 )
 from .hodge import (
     DegreeMismatch,
@@ -69,12 +67,9 @@ from .kuranishi import (
     analyze,
     analyze_general,
     generic_harmonic_element,
-    mc_residual,
     obstruction_map,
     parallelisable_directions,
     phi_recursion,
-    quadratic_obstruction_closed_form,
-    random_central_assignment,
     schouten_general,
     smoothness_tests,
 )
@@ -130,13 +125,11 @@ __all__ = [
     "build_theta_decomposition",
     "canonical_generators",
     "catalog",
-    "direct_sum",
     "free_two_step",
     "generic_harmonic_element",
     "hodge_numbers",
     "ideal_equal",
     "ideal_intersect",
-    "mc_residual",
     "minor2",
     "minor3",
     "normal_form",
@@ -149,9 +142,6 @@ __all__ = [
     "parse_salamon",
     "parse_structure_file",
     "phi_recursion",
-    "quadratic_obstruction_closed_form",
-    "random_central_assignment",
-    "s_polynomial",
     "schouten_general",
     "smoothness_tests",
     "to_complex_structure",

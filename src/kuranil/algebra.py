@@ -277,13 +277,6 @@ def free_two_step(m: int) -> LieAlgebra:
     return LieAlgebra(m + len(pairs), brackets, name=f"b_{m}")
 
 
-def direct_sum(a: LieAlgebra, b: LieAlgebra, name: str | None = None) -> LieAlgebra:
-    brackets: Brackets = {key: dict(comp) for key, comp in a.brackets.items()}
-    for (i, j), comp in b.brackets.items():
-        brackets[(i + a.dim, j + a.dim)] = {k + a.dim: c for k, c in comp.items()}
-    return LieAlgebra(a.dim + b.dim, brackets, name=name or f"{a.name}+{b.name}")
-
-
 # -- text formats ------------------------------------------------------------
 #
 # One grammar for Salamon strings, ``bracket`` files and ``dw`` files: a

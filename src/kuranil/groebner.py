@@ -111,8 +111,6 @@ from .polyring import (
     PackingOverflow,
     Polynomial,
     canonical_generators,
-    mono_div,
-    mono_lcm,
     packed,
     primitive_scale,
     var_rank,
@@ -159,15 +157,6 @@ def _check_deadline(deadline: float | None) -> None:
     """Raise :class:`GroebnerTimeout` once ``monotonic()`` reaches ``deadline``."""
     if deadline is not None and monotonic() >= deadline:
         raise GroebnerTimeout("Gröbner computation reached its deadline")
-
-
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
-    fm, fc = f.leading_term(order)
-    gm, gc = g.leading_term(order)
-    l = mono_lcm(fm, gm)
-    a = Polynomial({mono_div(l, fm): Fraction(1) / fc})
-    b = Polynomial({mono_div(l, gm): Fraction(1) / gc})
-    return a * f - b * g
 
 
 def _packed(polys: Sequence[Polynomial], order: MonomialOrder, compute):

@@ -21,7 +21,7 @@ once; membership in V² and in a central-series stage against RREF rows over
 one denominator; the harmonic coefficients in and out of the report; and the
 bracket ᾱ∧β̄⊗[X,Y] of a parallelisable ambient, read from a wedge table on
 cell indices and the structure constants as integers over one denominator.
-It converts forms to and from ``VectorForm``, and every operator keeps the
+It converts its forms to ``VectorForm``s, and every operator keeps the
 term order of its ``VectorForm`` counterpart in :mod:`kuranil.hodge` and
 :mod:`kuranil.kuranishi`, so that the two recursions agree term for term.
 """
@@ -36,7 +36,6 @@ import math
 
 from . import linalg
 from .exterior import VectorForm
-from .hodge import DegreeMismatch
 from .polyring import Packing, PackingOverflow, Polynomial
 
 class IntForm:
@@ -201,18 +200,6 @@ class ScalarKernel:
         return {key: {m: c.numerator * (den // c.denominator)
                       for m, c in self.packing.pack(p).items()}
                 for key, p in polys.items()}, den
-
-    def form(self, vf: VectorForm) -> IntForm:
-        """The degree-1 ``vf`` as an integer form, its terms in order."""
-        index = {mi: i for i, mi in enumerate(self.cells(1))}
-        n = self.decomposition.ambient.complex_dim
-        for mi, j in vf.terms:
-            if not 1 <= j <= n:
-                raise ValueError(f"frame index {j} is outside 1..{n}")
-            if mi not in index:
-                raise DegreeMismatch(f"cell {mi} is not a degree-1 cell")
-        terms, den = self.integral({(index[mi], j): p for (mi, j), p in vf.terms.items()})
-        return IntForm(terms, den)
 
     def generic_form(self) -> IntForm:
         """``generic_harmonic_element``'s Φ₁ = Σ t_a^b h_a⊗X_b as an integer

@@ -42,23 +42,32 @@ Frölicher–Nijenhuis sign −(i_Y∂ᾱ)∧β̄⊗X on its first ∂-term; on 
 parallelisable structure (``ambient.parallelisable``) ∂̄ kills every frame
 vector, the ∂-terms vanish and are not computed, and the bracket is
 ᾱ∧β̄⊗[X,Y].  Each quantity is computed once: the quadratic obstruction
-H[Φ₁, Φ₁] that ``analyze`` reports is degree 2 of the series, and
-``quadratic_obstruction_closed_form``, an independent build of it, is the
-tests' oracle.
+H[Φ₁, Φ₁] that ``analyze`` reports is degree 2 of the series.  An
+independent build of it from the closed determinant formula, and the
+defect ∂̄Φ + [Φ,Φ] of a whole series, are the tests' oracles
+(``tests/oracles.py``), not part of the package.
+
+Φ₁.  By default the recursion starts from the generic Φ₁ of
+``generic_harmonic_element``.  A given ``initial`` must be a harmonic
+degree-1 element over the decomposition's ambient; ``phi_recursion``
+checks that before any recursion and raises an input error
+(``AmbientMismatch``, ``DegreeMismatch`` or ``ValueError``) otherwise, so
+``ClosednessViolation`` stays the report of an implementation bug.
 
 Integer forms.  ``phi_recursion`` is the one entry point, and it runs the
-same recursion in one of two representations.  On a decomposition that
-stores Θ as copies of the scalar complex (``scalar_blocks``) over a
-parallelisable ambient, the path of ``analyze``, it runs on the integer
-forms of :mod:`kuranil.intforms`: ``{(cell index, frame index): {packed
-monomial: int}}`` over one denominator, with ∂̄, δ, the projectors and the
-bracket ᾱ∧β̄⊗[X,Y] on integers, each denominator taken out once.  The
-monomials are packed in one :class:`~kuranil.polyring.Packing` whose fields
-are sized from the cap: at most cap times the degree of Φ₁'s coefficients
-stays below the guard bit, and a product that reaches it (only a narrower
-packing makes one) repeats the recursion on fields twice as wide.
-Everywhere else, Θ included, it runs on ``VectorForm``s.  Every check of the
-``VectorForm`` recursion is kept: the central series, V_k ∈ V², and
+same recursion in one of two representations.  From the generic Φ₁ on a
+decomposition that stores Θ as copies of the scalar complex
+(``scalar_blocks``) over a parallelisable ambient, the path of ``analyze``,
+it runs on the integer forms of :mod:`kuranil.intforms`: ``{(cell index,
+frame index): {packed monomial: int}}`` over one denominator, with ∂̄, δ,
+the projectors and the bracket ᾱ∧β̄⊗[X,Y] on integers, each denominator
+taken out once.  The monomials are packed in one
+:class:`~kuranil.polyring.Packing` whose fields are sized from the cap:
+Φ₁'s coefficients are linear, so every degree up to the cap stays below the
+guard bit, and a product that reaches it (only a narrower packing makes
+one) repeats the recursion on fields twice as wide.  Everywhere else, on Θ
+and from any given ``initial``, it runs on ``VectorForm``s.  Every check of
+the ``VectorForm`` recursion is kept: the central series, V_k ∈ V², and
 ∂̄V_k = 2Σ[ψ_j, Φ_{k−j}] with H_j rebuilt from the reported coefficients.
 The reported ``obstruction_by_degree`` is converted to ``Polynomial``s as
 the recursion runs; ``PhiSeries.terms``, ``harmonic_parts`` and
@@ -73,13 +82,12 @@ return their result as a plain dict of JSON values, the report that
 
 from __future__ import annotations
 
-from fractions import Fraction
 import functools
-import random
 
 from . import hodge, linalg
 from .algebra import ComplexStructureAlgebra, LieAlgebra, to_complex_structure
-from .exterior import AmbientMismatch, MultiIndex, VectorForm, wedge_into
+from .exterior import AmbientMismatch, VectorForm, wedge_into
+from .hodge import DegreeMismatch
 from .intforms import ZERO, IntForm, ScalarKernel
 from .polyring import (
     LEX,
@@ -89,7 +97,6 @@ from .polyring import (
     linear_combination,
     packed,
     var_poly,
-    var_rank,
 )
 
 
@@ -245,12 +252,16 @@ def phi_recursion(decomposition, max_degree: int | None = None,
     Over a nilpotent Lie algebra the cap defaults to the nilpotency index,
     and every bracket sum is checked to descend the central series; over any
     other ambient ``max_degree`` is mandatory.  ``initial`` overrides the
-    generic Φ₁ with a specific harmonic element over the decomposition's
-    ambient.  Each dropped coexact part is certified as the module docstring
-    sets out, and ``ClosednessViolation`` is raised when it is not.  On the
-    scalar complex of a parallelisable ambient the recursion runs on integer
-    forms, otherwise on ``VectorForm``s; both give the same series, term for
-    term.
+    generic Φ₁ with a specific harmonic degree-1 element over the
+    decomposition's ambient, and is checked to be one before any recursion:
+    ``AmbientMismatch`` over another ambient, ``DegreeMismatch`` for a term
+    of another degree or a cell outside the complex, ``ValueError`` for a
+    frame index out of range or an element with an exact or coexact part.
+    Each dropped coexact part is certified as the module docstring sets
+    out, and ``ClosednessViolation`` is raised when it is not.  The generic
+    Φ₁ on the scalar complex of a parallelisable ambient runs on integer
+    forms, everything else on ``VectorForm``s; both give the same series,
+    term for term.
     """
     L = decomposition.ambient
     if isinstance(L, LieAlgebra):
@@ -264,12 +275,17 @@ def phi_recursion(decomposition, max_degree: int | None = None,
         cap = max_degree
         central = None
 
-    if initial is not None and initial.ambient is not L:
-        raise AmbientMismatch("initial element lives over a different ambient")
-    if decomposition.scalar_blocks and L.parallelisable:
-        return _integer_recursion(decomposition, cap, central, initial)
     if initial is None:
+        if decomposition.scalar_blocks and L.parallelisable:
+            return _integer_recursion(decomposition, cap, central)
         initial, _ = generic_harmonic_element(decomposition)
+    elif initial.ambient is not L:
+        raise AmbientMismatch("initial element lives over a different ambient")
+    elif not initial.degrees() <= {1}:
+        raise DegreeMismatch(f"initial element has degrees {sorted(initial.degrees())}, not 1")
+    # in_space raises on a cell outside the complex and a frame index outside 1..n
+    elif not decomposition.in_space(initial, "H"):
+        raise ValueError("initial element is not harmonic: it has an exact or coexact part")
     return _vector_recursion(decomposition, cap, central, initial)
 
 
@@ -331,34 +347,25 @@ def _reported_bracket(series: PhiSeries, k: int) -> VectorForm:
 
 # -- the recursion on integer forms: the scalar path ----------------------------
 
-def _integer_recursion(decomposition, cap: int, central,
-                       initial: VectorForm | None) -> PhiSeries:
-    """The recursion on integer forms, from ``initial`` or else from the
-    generic Φ₁, in a packing whose fields hold every monomial degree the cap
-    allows below the guard bit: at most cap times the degree of Φ₁'s
-    coefficients."""
-    if initial is None:
-        pivots = decomposition.harmonic_pivot_cells(1)
-        frames = range(1, decomposition.ambient.complex_dim + 1)
-        variables = [(mi[0].index, b) for mi in pivots for b in frames]
-        degree = 1 if variables else 0
-    else:
-        polys = initial.terms.values()
-        variables = sorted({v for p in polys for v in p.variables()}, key=var_rank)
-        degree = max((p.total_degree() for p in polys), default=0)
+def _integer_recursion(decomposition, cap: int, central) -> PhiSeries:
+    """The recursion on integer forms from the generic Φ₁, in a packing
+    whose fields hold every monomial degree the cap allows below the guard
+    bit: Φ₁'s coefficients are linear, so degrees up to the cap."""
+    pivots = decomposition.harmonic_pivot_cells(1)
+    frames = range(1, decomposition.ambient.complex_dim + 1)
+    variables = [(mi[0].index, b) for mi in pivots for b in frames]
+    degree = 1 if variables else 0
     return packed(variables, LEX, (cap * degree).bit_length() + 1,
-                  lambda packing: _solve(ScalarKernel(decomposition, packing),
-                                         cap, central, initial))
+                  lambda packing: _solve(ScalarKernel(decomposition, packing), cap, central))
 
 
-def _solve(kernel: ScalarKernel, cap: int, central,
-           initial: VectorForm | None) -> PhiSeries:
-    phi = {1: kernel.generic_form() if initial is None else kernel.form(initial)}
+def _solve(kernel: ScalarKernel, cap: int, central) -> PhiSeries:
+    phi = {1: kernel.generic_form()}
     harmonic: dict[int, IntForm] = {}
     dropped: dict[int, IntForm] = {}
 
     def terms() -> dict[int, VectorForm]:
-        first = generic_harmonic_element(kernel.decomposition)[0] if initial is None else initial
+        first, _ = generic_harmonic_element(kernel.decomposition)
         return {1: first, **{k: kernel.vector_form(f, 1) for k, f in phi.items() if k > 1}}
 
     series = PhiSeries(kernel.decomposition, cap, {
@@ -411,58 +418,6 @@ def obstruction_map(series: PhiSeries) -> list[Polynomial]:
     return canonical_generators(total.values())
 
 
-def quadratic_obstruction_closed_form(decomposition) -> list[Polynomial]:
-    """Degree-2 obstruction from the closed determinant formula
-
-        H[Φ₁,Φ₁] = H( 2 Σ_{i<j} Σ_{k<l} (t_i^k t_j^l − t_i^l t_j^k) ω̄^i∧ω̄^j ⊗ [X_k,X_l] ),
-
-    built directly from minors and the nonzero structure constants
-    ``L.brackets`` of the decomposition's Lie algebra — an independent code
-    path from the Schouten bracket and the recursion, on ``ExteriorForm``
-    wedges.  No analysis calls it: it is the oracle that the tests hold the
-    reported ``quadratic_generators``, degree 2 of the recursion, against.
-    The lower indices i, j are the pivot covectors of the harmonic 1-forms,
-    as in ``generic_harmonic_element``."""
-    from .polyring import minor2
-    L = decomposition.ambient
-    # h_a⊗X_b → h_a, keyed by pivot a in basis order
-    hforms = list({a: h.component(b) for (a, b), h in decomposition.h1_theta_basis()}.items())
-    brackets = sorted(L.brackets.items())  # [X_k, X_l] = Σ c·X_m for k < l
-    pairs: dict[tuple[MultiIndex, int], list] = {}
-    for pos, (i, hi) in enumerate(hforms):
-        for j, hj in hforms[pos + 1:]:
-            wij = hi.wedge(hj)
-            if not wij:
-                continue
-            for (k, l), comp in brackets:
-                minor = minor2(i, j, k, l)
-                for m, c in comp.items():
-                    for mi, w in wij.terms.items():
-                        pairs.setdefault((mi, m), []).append(
-                            (minor, 2 * c * w.constant_value()))
-    total = VectorForm(L, {cell: linear_combination(p) for cell, p in pairs.items()})
-    _, h_part, _ = decomposition.split(total)
-    return canonical_generators(decomposition.harmonic_coefficients(h_part).values())
-
-
-def mc_residual(series: PhiSeries, subtract_harmonic: bool = True) -> VectorForm:
-    """∂̄Φ + [Φ,Φ] − H[Φ,Φ] (the defining identity of the construction).
-
-    With ``subtract_harmonic=False`` the plain defect ∂̄Φ + [Φ,Φ] is returned
-    instead — nonzero exactly in the obstructed directions.  The brackets are
-    assembled degree by degree and truncated at the series' cap; on a
-    nilpotent Lie algebra capped at ν every higher degree vanishes, so the
-    truncation is the full bracket."""
-    residual = series.phi(1).delbar_theta()
-    for k in range(2, series.max_degree + 1):
-        s_k = series.bracket_sum(k)
-        term = series.phi(k).delbar_theta() + s_k
-        if subtract_harmonic:
-            term = term - series.decomposition.project_harmonic(s_k)
-        residual = residual + term
-    return residual
-
-
 def smoothness_tests(decomposition, obstruction: list[Polynomial]) -> dict:
     """Structural certificates: the wedge test on harmonic 1-forms, the
     free-2-step verdict, and polynomial vanishing of the obstruction map,
@@ -505,23 +460,6 @@ def parallelisable_directions(decomposition) -> dict:
         "subspace_dim": m * z.dim,
         "d": m * (L.dim - z.dim),
     }
-
-
-def random_central_assignment(decomposition, rng: random.Random) -> dict:
-    """A random rational t-grid point supported on H¹ ⊗ z(g), keyed by the
-    variables of ``generic_harmonic_element``."""
-    L = decomposition.ambient
-    z = L.center()
-    assignment = {}
-    for a in dict.fromkeys(a for (a, _), _ in decomposition.h1_theta_basis()):
-        vec = [Fraction(0)] * L.dim
-        for row in z.rows:
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for j, x in row.items():
-                vec[j] += c * x
-        for j, x in enumerate(vec, start=1):
-            assignment[(a, j)] = x
-    return assignment
 
 
 # -- published row data for discrepancy annotations ---------------------------

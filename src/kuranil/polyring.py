@@ -91,10 +91,6 @@ def var_name(v: Var) -> str:
     return f"t{v[0]}_{v[1]}"
 
 
-def mono_from_dict(d: dict[Var, int]) -> Mono:
-    return tuple(sorted(((v, e) for v, e in d.items() if e), key=lambda p: var_rank(p[0])))
-
-
 def mono_degree(m: Mono) -> int:
     return sum(e for _, e in m)
 
@@ -122,29 +118,6 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
             out.append(b[j])
             j += 1
     return (*out, *a[i:], *b[j:])
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    """True if monomial ``a`` divides ``b``."""
-    db = dict(b)
-    return all(db.get(v, 0) >= e for v, e in a)
-
-
-def mono_div(a: Mono, b: Mono) -> Mono:
-    """Quotient ``a / b``; caller must ensure divisibility."""
-    d = dict(a)
-    for v, e in b:
-        d[v] = d.get(v, 0) - e
-        if d[v] < 0:
-            raise ValueError(f"{b} does not divide {a}")
-    return mono_from_dict(d)
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    d = dict(a)
-    for v, e in b:
-        d[v] = max(d.get(v, 0), e)
-    return mono_from_dict(d)
 
 
 def mono_str(m: Mono) -> str:

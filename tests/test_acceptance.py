@@ -15,7 +15,6 @@ import pytest
 from kuranil import catalog
 from kuranil.algebra import (
     abelian,
-    direct_sum,
     free_two_step,
     parse_salamon,
     to_complex_structure,
@@ -27,25 +26,28 @@ from kuranil.groebner import (
     ideal_equal,
     ideal_intersect,
     normal_form,
-    s_polynomial,
 )
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
     _vector_in_subspace,
     analyze,
     analyze_general,
-    mc_residual,
     obstruction_map,
     parallelisable_directions,
     phi_recursion,
-    quadratic_obstruction_closed_form,
-    random_central_assignment,
     schouten_general,
     smoothness_tests,
 )
 from kuranil.linalg import mat_mul
 from kuranil.polyring import Polynomial, parse_polynomial
 from kuranil.verify import run_entry_checks
+from oracles import (
+    direct_sum,
+    mc_residual,
+    quadratic_obstruction_closed_form,
+    random_central_assignment,
+    s_polynomial,
+)
 from random_algebras import random_nilpotent_algebras
 
 P = parse_polynomial

@@ -18,7 +18,6 @@ from kuranil.algebra import (
     StructureParseError,
     Subspace,
     abelian,
-    direct_sum,
     free_two_step,
     parse_algebra_file,
     parse_complex_structure_file,
@@ -30,6 +29,7 @@ from kuranil import linalg
 from kuranil.exterior import Cov, ExteriorForm
 from kuranil.kuranishi import analyze_general
 from kuranil.polyring import parse_polynomial
+from oracles import direct_sum
 from random_algebras import RANDOM_NILPOTENT_COUNT, random_nilpotent_algebras
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))

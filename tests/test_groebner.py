@@ -20,7 +20,6 @@ from kuranil.groebner import (
     ideal_intersect,
     non_members,
     normal_form,
-    s_polynomial,
 )
 from kuranil.hodge import build_decomposition
 from kuranil.kuranishi import obstruction_map, phi_recursion
@@ -31,9 +30,6 @@ from kuranil.polyring import (
     Polynomial,
     minor2,
     mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     parse_polynomial,
     primitive_scale,
@@ -41,6 +37,7 @@ from kuranil.polyring import (
     var_poly,
     var_rank,
 )
+from oracles import _to_sympy, mono_div, mono_divides, mono_lcm, s_polynomial
 from random_algebras import random_nilpotent_algebras
 
 
@@ -684,16 +681,6 @@ def _sympy_env(polys):
     table = {v: sympy.Symbol(var_name(v)) for v in vars_}
     gens = [table[v] for v in reversed(vars_)]  # sympy expects greatest first
     return table, gens
-
-
-def _to_sympy(p, table):
-    expr = sympy.Integer(0)
-    for mono, coeff in p.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for var, exp in mono:
-            term *= table[var] ** exp
-        expr += term
-    return sympy.expand(expr)
 
 
 @pytest.mark.parametrize("order,sympy_order",

@@ -8,8 +8,9 @@ and makes no ``Polynomial.zero()`` call, ``kuranishi`` reads no complex
 ``verify`` imports ``groebner``, ``cli`` validates and converts no
 algebra itself, importing ``kuranil`` validates and parses nothing, each
 ambient protocol method is defined once in the package, every ``/`` in the
-package divides a ``Fraction``, and every name ``kuranil`` exports is read
-by the package or the benchmark, or declared library-only."""
+package divides a ``Fraction``, and every name ``kuranil`` exports, and
+every public module-level function and class of the package, is read by
+the package or the benchmark, or exported and declared library-only."""
 
 import ast
 from collections import Counter
@@ -434,10 +435,9 @@ def test_module_divides_only_fractions(module):
 
 
 # Exports that no module of the package and no benchmark script reads: the
-# constructors and oracles that library users and the tests call.
-LIBRARY_ONLY = ("abelian", "buchberger", "direct_sum", "free_two_step", "hodge_numbers",
-                "mc_residual", "normal_form", "quadratic_obstruction_closed_form",
-                "random_central_assignment", "s_polynomial", "__version__")
+# constructors and Gröbner entry points that library users call.
+LIBRARY_ONLY = ("abelian", "buchberger", "free_two_step", "hodge_numbers", "normal_form",
+                "__version__")
 
 
 def _unread_exports(exports, sources) -> list[str]:
@@ -467,3 +467,35 @@ def test_every_export_is_read_or_declared_library_only():
     paths = [PACKAGE / m for m in MODULES] + sorted((ROOT / "perfbench").glob("*.py"))
     sources = [path.read_text(encoding="utf-8") for path in paths]
     assert _unread_exports(kuranil.__all__, sources) == sorted(LIBRARY_ONLY)
+
+
+def _public_definitions(source: str) -> list[str]:
+    """The public functions and classes defined at the top level of ``source``."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def test_public_definitions_are_found():
+    source = ("def public():\n    def inner():\n        pass\n"
+              "async def waited():\n    pass\n"
+              "class Shape:\n    def method(self):\n        pass\n"
+              "def _private():\n    pass\n"
+              "LIMIT = 3\n")
+    assert _public_definitions(source) == ["public", "waited", "Shape"]
+    sources = [source, "from .shapes import Shape, public\nShape.method(public)\n"]
+    assert _unread_exports(_public_definitions(source), sources) == ["waited"]
+
+
+def test_every_public_definition_is_read_or_exported_library_only():
+    """Each public module-level function and class of the package is read by
+    a package module other than ``__init__`` or by ``perfbench``, or else
+    exported and listed in ``LIBRARY_ONLY``: code that only the tests call
+    belongs in the tests."""
+    paths = [PACKAGE / m for m in MODULES] + sorted((ROOT / "perfbench").glob("*.py"))
+    sources = [path.read_text(encoding="utf-8") for path in paths]
+    defined = [name for m in MODULES
+               for name in _public_definitions((PACKAGE / m).read_text(encoding="utf-8"))]
+    unread = _unread_exports(defined, sources)
+    assert [name for name in unread
+            if name not in LIBRARY_ONLY or name not in kuranil.__all__] == []

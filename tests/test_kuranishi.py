@@ -10,11 +10,10 @@ import re
 from hypothesis import Phase, example, given, seed, settings, strategies as st
 import pytest
 
-from kuranil import catalog
+from kuranil import catalog, kuranishi
 from kuranil.algebra import (
     LieAlgebra,
     abelian,
-    direct_sum,
     free_two_step,
     parse_complex_structure_file,
     parse_salamon,
@@ -24,7 +23,7 @@ from kuranil.algebra import (
 from kuranil.cli import report_text
 from kuranil.exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, canonical_generators, ideal_equal, normal_form
-from kuranil.hodge import build_decomposition, build_theta_decomposition
+from kuranil.hodge import DegreeMismatch, build_decomposition, build_theta_decomposition
 from kuranil.intforms import ZERO, ScalarKernel
 from kuranil.kuranishi import (
     BIANCHI,
@@ -34,17 +33,20 @@ from kuranil.kuranishi import (
     analyze,
     analyze_general,
     generic_harmonic_element,
-    mc_residual,
     obstruction_map,
     parallelisable_directions,
     phi_recursion,
-    quadratic_obstruction_closed_form,
-    random_central_assignment,
     schouten_general,
     smoothness_tests,
 )
 from kuranil.polyring import Polynomial, mono_degree, parse_polynomial
 
+from oracles import (
+    direct_sum,
+    mc_residual,
+    quadratic_obstruction_closed_form,
+    random_central_assignment,
+)
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 from random_structures import LIVE_DEL_DIM4, random_structure_text
 
@@ -369,6 +371,62 @@ def test_phi_recursion_rejects_initial_over_another_ambient():
     phi1, _ = generic_harmonic_element(build_decomposition(other))
     with pytest.raises(AmbientMismatch):
         phi_recursion(dec, initial=phi1)
+
+
+def _past_the_frame(form: ExteriorForm) -> VectorForm:
+    """``form`` ⊗ X_{n+1}, one frame index past the ambient's n, which
+    ``VectorForm.single`` refuses to build."""
+    index = form.ambient.complex_dim + 1
+    return VectorForm(form.ambient, {(mi, index): c for mi, c in form.terms.items()})
+
+
+# Each malformed Φ₁ and the input error it raises, on the scalar complex of
+# (0,0,12,13) and on Θ of general7.  No degree-1 form of the scalar complex
+# is ∂̄-exact (∂̄ kills the constants and the frame vectors), so only Θ has
+# the exact case: ∂̄X5 = −cw1 ⊗ X7 on general7.
+MALFORMED_INITIALS = [
+    ("scalar", "degree 0", lambda a: VectorForm.single(ExteriorForm.constant(a, 1), 1),
+     DegreeMismatch),
+    ("scalar", "degree 2", lambda a: VectorForm.single(_cw(a, 1, 2), 1), DegreeMismatch),
+    ("scalar", "(1,0)-covector",
+     lambda a: VectorForm.single(ExteriorForm.covector(a, 1, barred=False), 1), DegreeMismatch),
+    ("scalar", "frame index", lambda a: _past_the_frame(_cw(a, 1)), ValueError),
+    ("scalar", "not closed", lambda a: VectorForm.single(_cw(a, 3), 1), ValueError),
+    ("theta", "degree 0", lambda a: VectorForm.single(ExteriorForm.constant(a, 1), 1),
+     DegreeMismatch),
+    ("theta", "degree 2", lambda a: VectorForm.single(_cw(a, 3, 4), 1), DegreeMismatch),
+    ("theta", "(1,0)-covector",
+     lambda a: VectorForm.single(ExteriorForm.covector(a, 1, barred=False), 1), DegreeMismatch),
+    ("theta", "frame index", lambda a: _past_the_frame(_cw(a, 1)), ValueError),
+    ("theta", "exact",
+     lambda a: VectorForm.single(ExteriorForm.constant(a, 1), 5).delbar_theta(), ValueError),
+    ("theta", "not closed", lambda a: VectorForm.single(_cw(a, 7), 1), ValueError),
+]
+
+
+@pytest.mark.parametrize("complex_, case, build, error", MALFORMED_INITIALS,
+                         ids=[f"{c}-{case}" for c, case, _, _ in MALFORMED_INITIALS])
+def test_phi_recursion_rejects_a_malformed_initial_before_any_recursion(
+        complex_, case, build, error, monkeypatch):
+    """Φ₁ must be a harmonic degree-1 element: anything else is an input
+    error, raised before either recursion runs."""
+    if complex_ == "scalar":
+        ambient = catalog.get("(0,0,12,13)").build()
+        decomposition = build_decomposition(ambient)
+    else:
+        ambient = catalog.get("general7").build()
+        decomposition = build_theta_decomposition(ambient)
+    initial = build(ambient)
+    assert initial
+
+    def unreachable(*args):
+        raise AssertionError("the recursion ran")
+
+    monkeypatch.setattr(kuranishi, "_vector_recursion", unreachable)
+    monkeypatch.setattr(kuranishi, "_integer_recursion", unreachable)
+    with pytest.raises(error) as caught:
+        phi_recursion(decomposition, 3, initial)
+    assert type(caught.value) is error
 
 
 def test_generic_harmonic_element_names_pivot_covectors():
@@ -739,24 +797,40 @@ def _up_to_degree(vf: VectorForm, top: int) -> VectorForm:
         for cell, p in vf.terms.items()})
 
 
-@pytest.mark.parametrize("index", DIM6_RANDOM)
-def test_phi_recursion_on_dim6_random_algebras_obeys_the_bianchi_identity(index):
+def _assert_bianchi_identity(series) -> None:
     """ψ = ∂̄Φ + [Φ,Φ], as ``mc_residual`` assembles it, satisfies
-    ∂̄ψ = 2[ψ, Φ] in every t-degree up to ν, with the form-level ∂̄ and the
-    whole series rather than the recursion's per-degree sums; and
+    ∂̄ψ = 2[ψ, Φ] in every t-degree up to the cap, with the form-level ∂̄ and
+    the whole series rather than the recursion's per-degree sums; and
     ``mc_residual`` (through the H projector) leaves exactly the dropped
     coexact parts."""
-    series = _dim6_series(index)
-    L, nu = series.ambient, series.max_degree
-    phi = VectorForm.zero(L)
+    ambient, cap = series.ambient, series.max_degree
+    phi = VectorForm.zero(ambient)
     for term in series.terms.values():
         phi = phi + term
     psi = mc_residual(series, subtract_harmonic=False)
-    assert psi.delbar_theta() == _up_to_degree(schouten_general(psi, phi).scale(2), nu)
-    dropped = VectorForm.zero(L)
+    assert psi.delbar_theta() == _up_to_degree(schouten_general(psi, phi).scale(2), cap)
+    dropped = VectorForm.zero(ambient)
     for vf in series.dropped_coexact.values():
         dropped = dropped + vf
     assert mc_residual(series) == dropped
+
+
+@pytest.mark.parametrize("index", DIM6_RANDOM)
+def test_phi_recursion_on_dim6_random_algebras_obeys_the_bianchi_identity(index):
+    """The identities of ``_assert_bianchi_identity``, up to ν."""
+    _assert_bianchi_identity(_dim6_series(index))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 10**6).map(lambda seed: random_structure_text(random.Random(seed))))
+@example(LIVE_DEL_DIM4)
+def test_phi_recursion_on_random_non_parallelisable_structures_obeys_the_bianchi_identity(text):
+    """The identities of ``_assert_bianchi_identity`` on the Θ path, up to
+    the cap 4, over the structures that
+    ``test_analyze_general_finishes_on_random_non_parallelisable_structures``
+    draws: there the bracket's ∂-terms are live."""
+    csa = parse_complex_structure_file(text)
+    _assert_bianchi_identity(phi_recursion(build_theta_decomposition(csa), 4))
 
 
 def test_dim6_random_algebras_drop_coexact_terms():
@@ -785,23 +859,34 @@ def _frame_operation(n: int):
                      st.sampled_from((-2, -1, 1, 2))).filter(lambda op: op[0] != op[1])
 
 
-@pytest.mark.parametrize("source, key", FRAME_ALGEBRAS)
-def test_analyze_invariants_do_not_depend_on_the_frame(source, key):
-    """Two random operations X_i += c·X_j change the frame, not the algebra,
-    so every frame-independent field of ``analyze`` keeps its value.  The
-    seed gives each algebra frames of its own; derandomized, the same ones
-    on every run."""
+def _check_frame_invariants(source, key, count: int) -> None:
+    """``count`` random operations X_i += c·X_j change the frame, not the
+    algebra, so every frame-independent field of ``analyze`` keeps its
+    value.  The seed gives each algebra frames of its own; derandomized, the
+    same ones on every run."""
     L = catalog.get(key).build() if source == "catalog" else random_nilpotent_algebras()[key]
     report = analyze(L)
     expected = {field: report[field] for field in FRAME_INVARIANTS}
 
-    # no shrinking: two operations are a small example already, and each
+    # no shrinking: a few operations are a small example already, and each
     # shrink step is one more analysis
     @seed(f"{source} {key}")
     @settings(derandomize=True, deadline=None, max_examples=3,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(st.lists(_frame_operation(L.dim), min_size=2, max_size=2))
+    @given(st.lists(_frame_operation(L.dim), min_size=count, max_size=count))
     def check(operations):
         framed = analyze(change_frame(L, operations))
         assert {field: framed[field] for field in FRAME_INVARIANTS} == expected
     check()
+
+
+@pytest.mark.parametrize("source, key", FRAME_ALGEBRAS)
+def test_analyze_invariants_do_not_depend_on_the_frame(source, key):
+    _check_frame_invariants(source, key, 2)
+
+
+@pytest.mark.parametrize("source, key", FRAME_ALGEBRAS)
+def test_analyze_invariants_do_not_depend_on_a_four_operation_frame(source, key):
+    """The frame tail's four operations, whose Φ_k carry the largest
+    denominators of the random frames."""
+    _check_frame_invariants(source, key, 4)

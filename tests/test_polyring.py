@@ -19,8 +19,6 @@ from kuranil.polyring import (
     minor2,
     minor3,
     mono_degree,
-    mono_divides,
-    mono_lcm,
     mono_mul,
     parse_ideal_components,
     parse_polynomial,
@@ -30,6 +28,7 @@ from kuranil.polyring import (
     var_poly,
     var_rank,
 )
+from oracles import _to_sympy, mono_divides, mono_lcm
 
 
 def t(i, j):
@@ -39,16 +38,6 @@ def t(i, j):
 def _sympy_symbol_table(max_i=4, max_j=6):
     return {(i, j): sympy.Symbol(f"t{i}_{j}") for i in range(1, max_i + 1)
             for j in range(1, max_j + 1)}
-
-
-def _to_sympy(p, table):
-    expr = sympy.Integer(0)
-    for mono, coeff in p.terms.items():
-        term = sympy.Rational(coeff.numerator, coeff.denominator)
-        for var, exp in mono:
-            term *= table[var] ** exp
-        expr += term
-    return sympy.expand(expr)
 
 
 def _random_poly(rng, nterms=4, max_i=2, max_j=3, max_deg=3):
