@@ -14,7 +14,7 @@ the Kuranishi space of a complex parallelisable nilmanifold inside
   ``∂̄``-preimages (:mod:`kuranil.hodge`),
 * the degree-by-degree power-series solution of the Maurer–Cartan equation
   and the resulting obstruction ideal (:mod:`kuranil.kuranishi`), which runs
-  on integer forms with packed monomials on the scalar complex
+  on integer forms with packed monomials on both complexes
   (:mod:`kuranil.intforms`),
 * multivariate polynomials over ``ℚ`` with deterministic monomial orders,
   one normal form of generator lists and the ideal-file reader (:mod:`kuranil.polyring`),
@@ -70,7 +70,6 @@ from .kuranishi import (
     obstruction_map,
     parallelisable_directions,
     phi_recursion,
-    schouten_general,
     smoothness_tests,
 )
 from .linalg import Subspace
@@ -142,7 +141,6 @@ __all__ = [
     "parse_salamon",
     "parse_structure_file",
     "phi_recursion",
-    "schouten_general",
     "smoothness_tests",
     "to_complex_structure",
     "var_poly",

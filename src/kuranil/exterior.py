@@ -20,8 +20,7 @@ five off one table of frame brackets.  d, ∂ and ∂̄ are one Leibniz-rule ker
 keeps the terms of each ``covector_differential`` raising the barred degree
 by the wanted amount.  Every product of forms is one wedge kernel,
 ``wedge_into``, which sums each product term into a ``{monomial:
-coefficient}`` map per cell; ``ExteriorForm.wedge`` and the Schouten bracket
-of ``kuranil.kuranishi`` both run on it.
+coefficient}`` map per cell; ``ExteriorForm.wedge`` runs on it.
 """
 
 from __future__ import annotations
@@ -265,14 +264,19 @@ class VectorForm(_TermMap):
 
     ``terms`` maps ``(multi-index, frame index)`` pairs to ``Polynomial``
     coefficients; on (0,q)-forms these keys are exactly the cells of the Θ
-    complex."""
+    complex.  A frame index outside 1..n raises ``ValueError``."""
 
     __slots__ = ()
 
+    def __init__(self, ambient, terms: dict | None = None):
+        n = ambient.complex_dim
+        for _, j in terms or ():
+            if not 1 <= j <= n:
+                raise ValueError(f"frame index {j} is outside 1..{n}")
+        super().__init__(ambient, terms)
+
     @staticmethod
     def single(form: ExteriorForm, index: int) -> "VectorForm":
-        if not 1 <= index <= form.ambient.complex_dim:
-            raise ValueError(f"frame index {index} out of range")
         return VectorForm(form.ambient, {(mi, index): c for mi, c in form.terms.items()})
 
     @property

@@ -33,8 +33,9 @@ rank ∂̄_{q−1} = dim V^{q−1}, dim V^q = rank ∂̄_q, and H^q is what rema
 so a Hodge number costs one ``rref`` (of V^q) per degree.  A decomposition
 carries its ambient, so it is the one input of every deformation stage, and
 only this module reads its kind: the deformation layer sees Θ in both,
-through ``h1_theta_basis`` and the projections of ``VectorForm``s, and asks
-only ``scalar_blocks``, whether Θ is stored as copies of the scalar complex.
+through ``h1_theta_basis``, the projections of ``VectorForm``s and the
+integer operators, and asks only ``scalar_blocks``, whether Θ is stored as
+copies of the scalar complex.
 Every form operator reads the degree and the ambient off the form itself.
 
 The ∂̄ matrices are read off the structure constants: the all-barred terms of
@@ -55,24 +56,17 @@ Every entry of a ∂̄ matrix, a projector or δ is a canonical rational value
 a ``Fraction``, so projections and δ multiply polynomials by ints wherever
 they can.
 
-``split`` takes a degree-2 form s apart as s = ∂̄δs + Hs + Vs without a
-projector wherever it can.  ∂̄∘δ = P_B holds exactly, so the rest
-s − ∂̄δs is Hs + Vs; ∂̄ kills H² and is injective on V², so the rest is
-∂̄-closed exactly when Vs = 0, and then it is Hs.  The orthogonal projector
-onto H², Rᵀ(RRᵀ)⁻¹R, is built (once per decomposition) only for a rest
-that ∂̄ does not kill: in the recursion, a bracket sum whose coexact part
-is dropped.
-
-``harmonic_form`` inverts ``harmonic_coefficients``: it rebuilds a harmonic
-element from its coordinates against the RREF harmonic basis, as the
-recursion does for the obstruction coefficients it has reported.
-
 Integer operators.  ``integer_columns`` hands out ∂̄, δ or a projector as
 integer columns over one common denominator, and ``integer_rows`` the RREF
 rows of a space likewise, with their pivots: the operators that
-``kuranil.intforms`` applies to the recursion's integer forms on the scalar
-complex, each denominator taken out once.  They are the matrices above,
-scaled, and build nothing the form operators would not.
+``kuranil.intforms`` applies to the recursion's integer forms, keyed by
+``coordinates``, each denominator taken out once.  The recursion's split of
+a bracket sum, s = ∂̄δs + Hs + Vs, and its rebuilding of a harmonic element
+from reported ``harmonic_coefficients`` run there too, on these operators.
+They are the matrices above, scaled, and build nothing the form operators
+would not.  The orthogonal projector onto H², Rᵀ(RRᵀ)⁻¹R, is built (once per
+decomposition) only when it is first read: in the recursion, for a bracket
+sum whose coexact part is dropped.
 """
 
 from __future__ import annotations
@@ -136,17 +130,13 @@ class HodgeDecomposition:
 
     # -- cells and coordinates -------------------------------------------------
 
-    def _coordinates(self, obj, q: int):
-        """``(cell index, frame index, coefficient)`` per term of ``obj``; the
-        frame index is None unless ``obj`` is a VectorForm over the scalar
-        complex.  A VectorForm's frame indices must lie in 1..n."""
+    def coordinates(self, obj, q: int):
+        """``(cell index, frame index, coefficient)`` per term of ``obj``, the
+        keys of the recursion's integer forms: the frame index is None unless
+        ``obj`` is a VectorForm over the scalar complex."""
         index = self._index[q]
-        vector = isinstance(obj, VectorForm)
-        split = self.kind == "scalar" and vector
-        n = self.ambient.complex_dim
+        split = self.kind == "scalar" and isinstance(obj, VectorForm)
         for cell, coeff in obj.terms.items():
-            if vector and not 1 <= cell[1] <= n:
-                raise ValueError(f"frame index {cell[1]} is outside 1..{n}")
             key = None
             if split:
                 cell, key = cell
@@ -158,7 +148,7 @@ class HodgeDecomposition:
         """``obj`` sent from degree q to ``q_out`` by the operator with these
         columns; terms come out by frame index, then by target cell."""
         images: dict = {}
-        for i, key, coeff in self._coordinates(obj, q):
+        for i, key, coeff in self.coordinates(obj, q):
             image = images.setdefault(key, {})
             for r, c in columns[i].items():
                 image.setdefault(r, []).append((coeff, c))
@@ -256,7 +246,7 @@ class HodgeDecomposition:
     def scalar_blocks(self) -> bool:
         """Whether Θ is stored as copies of the scalar complex, one per frame
         vector, so that a VectorForm's frame indices ride along with its
-        cells: the layout on which the recursion runs on integer forms
+        cells: the layout of the recursion's integer forms
         (``kuranil.intforms``)."""
         return self.kind == "scalar"
 
@@ -326,7 +316,7 @@ class HodgeDecomposition:
         q = self._degree(obj)
         space = self._space(q, which)
         vectors: dict = {}
-        for i, key, coeff in self._coordinates(obj, q):
+        for i, key, coeff in self.coordinates(obj, q):
             vectors.setdefault(key, [0] * space.ambient_dim)[i] = coeff
         return all(space.contains(v) for v in vectors.values())
 
@@ -341,34 +331,18 @@ class HodgeDecomposition:
     def harmonic_coefficients(self, obj) -> dict:
         """Nonzero coefficients of a harmonic element against the RREF harmonic
         basis of its degree, read at its pivot cells and keyed ``(basis row,
-        frame key)`` as in ``_coordinates``: frame keys in order of first
+        frame key)`` as in ``coordinates``: frame keys in order of first
         appearance, then basis rows ascending."""
         q = self._degree(obj)
         if not obj:
             return {}
         row_of = {p: r for r, p in enumerate(self._space(q, "H").pivots)}
         found: dict = {}
-        for i, key, coeff in self._coordinates(obj, q):
+        for i, key, coeff in self.coordinates(obj, q):
             rows = found.setdefault(key, {})
             if i in row_of:
                 rows[row_of[i]] = coeff
         return {(r, key): rows[r] for key, rows in found.items() for r in sorted(rows)}
-
-    def harmonic_form(self, q: int, coefficients: dict):
-        """The harmonic element of degree q with these ``harmonic_coefficients``:
-        Σ c·(basis row r) at frame key ``key`` for each ``(r, key): c``, the
-        inverse of ``harmonic_coefficients``.  A VectorForm on Θ or for frame
-        keys, an ExteriorForm on the scalar complex otherwise (the zero
-        ExteriorForm for no coefficients)."""
-        rows = self._space(q, "H").rows
-        cells = self._cells[q]
-        pairs: dict = {}
-        for (r, key), c in coefficients.items():
-            for j, x in rows[r].items():
-                pairs.setdefault(cells[j] if key is None else (cells[j], key), []).append((c, x))
-        vector = self.kind == "theta" or any(key is not None for _, key in coefficients)
-        return (VectorForm if vector else ExteriorForm)(
-            self.ambient, {cell: linear_combination(p) for cell, p in pairs.items()})
 
     # -- the δ operator -------------------------------------------------------
 
@@ -400,33 +374,6 @@ class HodgeDecomposition:
         its exact part, zero on its harmonic and coexact parts."""
         self._degree(obj)
         return self._apply(obj, 2, self._delta_columns, 1) if obj else obj
-
-    def split(self, obj):
-        """``(δ obj, H obj, V obj)`` of a degree-2 form (⊗ vectors), so that
-        obj = ∂̄δ obj + H obj + V obj.
-
-        ∂̄∘δ = P_B, so the rest obj − ∂̄δ obj is H obj + V obj; ∂̄ kills H and
-        is injective on V, so a ∂̄-closed rest is H obj and V obj is zero.
-        Only a rest that ∂̄ does not kill is projected onto H.  H obj comes
-        out as ``project_harmonic`` gives it, terms in the same order."""
-        d = self.delta_op(obj)
-        rest = obj - self.delbar_op(d)
-        if self.is_closed(rest):
-            return d, self._in_image_order(rest, obj), type(obj)(self.ambient)
-        h = self.project_harmonic(obj)
-        return d, h, rest - h
-
-    def _in_image_order(self, part, obj):
-        """``part``, a degree-2 image of ``obj``, with its terms in the order
-        ``_apply`` gives one: by frame key as the keys first appear in
-        ``obj``, then by cell."""
-        rank: dict = {}
-        for _, key, _ in self._coordinates(obj, 2):
-            rank.setdefault(key, len(rank))
-        cells = self._cells[2]
-        terms = sorted(self._coordinates(part, 2), key=lambda t: (rank[t[1]], t[0]))
-        return type(part)(self.ambient, {
-            cells[i] if key is None else (cells[i], key): c for i, key, c in terms})
 
 
 def _build_d(q: int, keys, targets, dbar_cov, dbar_vec) -> linalg.Matrix:

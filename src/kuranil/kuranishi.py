@@ -1,5 +1,5 @@
-"""Deformation core: the Schouten bracket, the degree-by-degree Maurer-Cartan
-solution, obstruction ideals, and structural smoothness certificates.
+"""Deformation core: the degree-by-degree Maurer-Cartan solution, obstruction
+ideals, and structural smoothness certificates.
 
 The generic first-order deformation Φ₁ = Σ t_a^b h_a^b over the degree-1
 harmonic basis of the complex Λ^{0,•} ⊗ T^{1,0} (named by RREF pivot cells
@@ -11,8 +11,8 @@ where δ = ∂̄*G sends a 2-form to the coexact ∂̄-preimage of its exact par
 (Kuranishi's equation Φ = Φ₁ − ∂̄*G[Φ, Φ]).  The harmonic parts of the
 bracket sums — the parts the correction terms cannot absorb — accumulate into
 the obstruction ideal; its vanishing locus is the local deformation space.
-Each bracket sum s_k is taken apart once, by ``HodgeDecomposition.split``,
-as s_k = ∂̄δs_k + H_k + V_k: Φ_k = −δs_k, H_k = H s_k is the obstructing
+Each bracket sum s_k is taken apart once, by the kernel's ``split``, as
+s_k = ∂̄δs_k + H_k + V_k: Φ_k = −δs_k, H_k = H s_k is the obstructing
 part, and a nonzero coexact part V_k = V s_k is dropped once two exact
 identities certify it: V_k ∈ V², and
 
@@ -37,15 +37,16 @@ results are truncations.
 
 Every stage takes the one object it reads: a Hodge decomposition (which
 carries its ambient) → the series Φ → the obstruction.  There is one bracket,
-the three-term Schouten formula ``schouten_general``, with the
+the three-term Schouten formula of :mod:`kuranil.intforms`, with the
 Frölicher–Nijenhuis sign −(i_Y∂ᾱ)∧β̄⊗X on its first ∂-term; on a
 parallelisable structure (``ambient.parallelisable``) ∂̄ kills every frame
 vector, the ∂-terms vanish and are not computed, and the bracket is
 ᾱ∧β̄⊗[X,Y].  Each quantity is computed once: the quadratic obstruction
 H[Φ₁, Φ₁] that ``analyze`` reports is degree 2 of the series.  An
-independent build of it from the closed determinant formula, and the
-defect ∂̄Φ + [Φ,Φ] of a whole series, are the tests' oracles
-(``tests/oracles.py``), not part of the package.
+independent build of it from the closed determinant formula, the defect
+∂̄Φ + [Φ,Φ] of a whole series, and the bracket and the recursion on
+``VectorForm``s are the tests' oracles (``tests/oracles.py``), not part of
+the package.
 
 Φ₁.  By default the recursion starts from the generic Φ₁ of
 ``generic_harmonic_element``.  A given ``initial`` must be a harmonic
@@ -54,26 +55,22 @@ checks that before any recursion and raises an input error
 (``AmbientMismatch``, ``DegreeMismatch`` or ``ValueError``) otherwise, so
 ``ClosednessViolation`` stays the report of an implementation bug.
 
-Integer forms.  ``phi_recursion`` is the one entry point, and it runs the
-same recursion in one of two representations.  From the generic Φ₁ on a
-decomposition that stores Θ as copies of the scalar complex
-(``scalar_blocks``) over a parallelisable ambient, the path of ``analyze``,
-it runs on the integer forms of :mod:`kuranil.intforms`: ``{(cell index,
-frame index): {packed monomial: int}}`` over one denominator, with ∂̄, δ,
-the projectors and the bracket ᾱ∧β̄⊗[X,Y] on integers, each denominator
-taken out once.  The monomials are packed in one
-:class:`~kuranil.polyring.Packing` whose fields are sized from the cap:
-Φ₁'s coefficients are linear, so every degree up to the cap stays below the
-guard bit, and a product that reaches it (only a narrower packing makes
-one) repeats the recursion on fields twice as wide.  Everywhere else, on Θ
-and from any given ``initial``, it runs on ``VectorForm``s.  Every check of
-the ``VectorForm`` recursion is kept: the central series, V_k ∈ V², and
+Integer forms.  ``phi_recursion`` is the one entry point, and it runs one
+recursion: on every decomposition, scalar blocks or Θ, over any ambient,
+and from the generic or a given Φ₁, on the integer forms of
+:mod:`kuranil.intforms`, ``{(cell index, frame index): {packed monomial:
+int}}`` over one denominator, with ∂̄, δ, the projectors and the bracket on
+integers, each denominator taken out once.  The monomials are packed in
+one :class:`~kuranil.polyring.Packing` over Φ₁'s variables, whose fields
+are sized from the cap times Φ₁'s top degree (1 for the generic Φ₁, whose
+coefficients are linear; a constant Φ₁ has no variables), so every degree
+up to the cap stays below the guard bit; a product that reaches it (only a
+narrower packing makes one) repeats the recursion on fields twice as wide.
+Every check is kept: the central series, V_k ∈ V², and
 ∂̄V_k = 2Σ[ψ_j, Φ_{k−j}] with H_j rebuilt from the reported coefficients.
 The reported ``obstruction_by_degree`` is converted to ``Polynomial``s as
 the recursion runs; ``PhiSeries.terms``, ``harmonic_parts`` and
-``dropped_coexact`` are built as ``VectorForm``s on their first read, with
-the terms in the order the ``VectorForm`` recursion gives them, which stays
-the Θ path and the tests' oracle for the integer one.
+``dropped_coexact`` are built as ``VectorForm``s on their first read.
 
 ``analyze`` and ``analyze_general`` validate the ambient they are given and
 return their result as a plain dict of JSON values, the report that
@@ -84,20 +81,12 @@ from __future__ import annotations
 
 import functools
 
-from . import hodge, linalg
+from . import hodge
 from .algebra import ComplexStructureAlgebra, LieAlgebra, to_complex_structure
-from .exterior import AmbientMismatch, VectorForm, wedge_into
+from .exterior import AmbientMismatch, VectorForm
 from .hodge import DegreeMismatch
-from .intforms import ZERO, IntForm, ScalarKernel
-from .polyring import (
-    LEX,
-    Polynomial,
-    Var,
-    canonical_generators,
-    linear_combination,
-    packed,
-    var_poly,
-)
+from .intforms import ZERO, IntForm, Kernel
+from .polyring import LEX, Packing, Polynomial, Var, canonical_generators, packed, var_rank
 
 
 class MissingDegreeCap(ValueError):
@@ -130,42 +119,6 @@ class ClosednessViolation(RuntimeError):
             f"obstruction ideal found so far: {polys}")
 
 
-def schouten_general(a: VectorForm, b: VectorForm) -> VectorForm:
-    """Three-term Schouten bracket on Λ^{0,•} ⊗ (1,0)-vectors:
-
-        [ᾱ⊗X, β̄⊗Y] = −(i_Y ∂ᾱ)∧β̄⊗X + ᾱ∧(i_X ∂β̄)⊗Y + ᾱ∧β̄⊗[X,Y],
-
-    with the Frölicher–Nijenhuis sign on the first term, which is
-    −(−1)^{pq} β̄∧(i_Y ∂ᾱ)⊗X for ᾱ of degree p and β̄ of degree q.
-
-    The Lie-derivative terms reduce to contractions of ∂-parts because frame
-    coefficients are constant and (1,0)-vectors contract (0,q)-forms to zero.
-    On a parallelisable ambient (``ambient.parallelisable``) ∂ of a
-    (0,q)-form vanishes, so no ∂ is computed and the formula is the
-    wedge-and-bracket term ᾱ∧β̄⊗[X,Y] alone.  Every product term is summed
-    into one term map by ``wedge_into``, and each cell's ``Polynomial`` is
-    built once."""
-    if a.ambient is not b.ambient:
-        raise AmbientMismatch("Schouten bracket of forms over different ambients")
-    ambient = a.ambient
-    out: dict = {}  # every product term, summed per cell (multi-index, k)
-    no_del = ambient.parallelisable
-    items_a = [(i, alpha, None if no_del else alpha.del_()) for i, alpha in a.components.items()]
-    items_b = [(j, beta, None if no_del else beta.del_()) for j, beta in b.components.items()]
-    for i, alpha, del_alpha in items_a:
-        for j, beta, del_beta in items_b:
-            if del_alpha:
-                wedge_into(out, del_alpha.contract(j).terms, beta.terms, ((i, -1),))
-            if del_beta:
-                wedge_into(out, alpha.terms, del_beta.contract(i).terms, ((j, 1),))
-            # [X_i, X_j] is unbarred by integrability, [T^{1,0}, T^{1,0}] ⊂ T^{1,0}: both
-            # ambients build their tables so, and the dw reader rejects (0,2) terms
-            br = ambient.vector_bracket(i, False, j, False)
-            if br:
-                wedge_into(out, alpha.terms, beta.terms, [(k, c) for (k, _), c in br.items()])
-    return VectorForm(ambient, {cell: Polynomial(t) for cell, t in out.items()})
-
-
 class PhiSeries:
     """The solution Φ = Φ₁ + Φ₂ + … of the recursion over one decomposition,
     with its audit trail.
@@ -176,33 +129,36 @@ class PhiSeries:
     reads them, and ``dropped_coexact[k]`` any coexact component certified
     to vanish on the obstruction locus and therefore dropped.
 
-    ``obstruction_by_degree`` is filled as the recursion runs.  On the
-    scalar complex the other three are kept as integer forms and built as
-    ``VectorForm``s on their first read (``analyze`` reads none of them);
-    ``fields`` maps each such name to the function that builds it.
+    The recursion hands over ``obstruction_by_degree`` as ``Polynomial``s and
+    the other three as its integer forms, which are built as ``VectorForm``s
+    on their first read (``analyze`` reads none of them).
     """
 
-    def __init__(self, decomposition, max_degree: int, fields: dict | None = None):
-        self.decomposition = decomposition
+    def __init__(self, kernel: Kernel, max_degree: int,
+                 obstruction_by_degree: dict[int, dict], phi: dict[int, IntForm],
+                 harmonic: dict[int, IntForm], dropped: dict[int, IntForm]):
+        self.decomposition = kernel.decomposition
         self.max_degree = max_degree
-        self.obstruction_by_degree: dict[int, dict] = {}
-        self._fields = fields or {}
+        self.obstruction_by_degree = obstruction_by_degree
+        self._kernel = kernel
+        self._phi = phi
+        self._harmonic = harmonic
+        self._dropped = dropped
 
-    def _field(self, name: str) -> dict[int, VectorForm]:
-        build = self._fields.get(name)
-        return build() if build else {}
+    def _vector_forms(self, forms: dict[int, IntForm], q: int) -> dict[int, VectorForm]:
+        return {k: self._kernel.vector_form(f, q) for k, f in forms.items()}
 
     @functools.cached_property
     def terms(self) -> dict[int, VectorForm]:
-        return self._field("terms")
+        return self._vector_forms(self._phi, 1)
 
     @functools.cached_property
     def harmonic_parts(self) -> dict[int, VectorForm]:
-        return self._field("harmonic_parts")
+        return self._vector_forms(self._harmonic, 2)
 
     @functools.cached_property
     def dropped_coexact(self) -> dict[int, VectorForm]:
-        return self._field("dropped_coexact")
+        return self._vector_forms(self._dropped, 2)
 
     @property
     def ambient(self):
@@ -210,19 +166,6 @@ class PhiSeries:
 
     def phi(self, k: int) -> VectorForm:
         return self.terms.get(k, VectorForm.zero(self.ambient))
-
-    def bracket_sum(self, k: int) -> VectorForm:
-        """Σ_{0<i<k} [Φ_i, Φ_{k−i}] over the terms found so far.
-
-        The bracket is symmetric on Θ-valued 1-forms, so each unordered pair
-        is bracketed once and counted twice when i ≠ k−i."""
-        total = VectorForm.zero(self.ambient)
-        for i in range(1, k // 2 + 1):
-            lo, hi = self.phi(i), self.phi(k - i)
-            if lo and hi:
-                bracket = schouten_general(lo, hi)
-                total = total + (bracket if 2 * i == k else bracket.scale(2))
-        return total
 
 
 def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
@@ -232,17 +175,15 @@ def generic_harmonic_element(decomposition) -> tuple[VectorForm, list[Var]]:
     (``HodgeDecomposition.h1_theta_basis``).  In every published frame the
     pivots are the first h^{0,1} covectors; otherwise they are not: on
     (34,0,0,0), where [X_3, X_4] = −X_1, the harmonic 1-forms are ω̄^2, ω̄^3,
-    ω̄^4, so a runs over 2, 3, 4."""
-    variables: list[Var] = []
-    pairs: dict = {}  # (t, c) per cell; each h has its own t, so nothing cancels
-    for name, h in decomposition.h1_theta_basis():
-        variables.append(name)
-        t = var_poly(*name)
-        for cell, c in h.terms.items():
-            pairs.setdefault(cell, []).append((t, c.constant_value()))
-    total = VectorForm(decomposition.ambient,
-                       {cell: linear_combination(p) for cell, p in pairs.items()})
-    return total, variables
+    ω̄^4, so a runs over 2, 3, 4.  It is the recursion's Φ₁, built on integer
+    forms."""
+    variables = _generic_variables(decomposition)
+    kernel = Kernel(decomposition, Packing(variables, LEX, 2))
+    return kernel.vector_form(kernel.generic_form(), 1), variables
+
+
+def _generic_variables(decomposition) -> list[Var]:
+    return [name for row in Kernel.generic_names(decomposition) for name, _ in row]
 
 
 def phi_recursion(decomposition, max_degree: int | None = None,
@@ -255,13 +196,12 @@ def phi_recursion(decomposition, max_degree: int | None = None,
     generic Φ₁ with a specific harmonic degree-1 element over the
     decomposition's ambient, and is checked to be one before any recursion:
     ``AmbientMismatch`` over another ambient, ``DegreeMismatch`` for a term
-    of another degree or a cell outside the complex, ``ValueError`` for a
-    frame index out of range or an element with an exact or coexact part.
-    Each dropped coexact part is certified as the module docstring sets
-    out, and ``ClosednessViolation`` is raised when it is not.  The generic
-    Φ₁ on the scalar complex of a parallelisable ambient runs on integer
-    forms, everything else on ``VectorForm``s; both give the same series,
-    term for term.
+    of another degree or a cell outside the complex, ``ValueError`` for an
+    element with an exact or coexact part.  Each dropped coexact part is
+    certified as the module docstring sets out, and ``ClosednessViolation``
+    is raised when it is not.  The recursion runs on integer forms, in a
+    packing whose fields hold every monomial degree the cap allows below the
+    guard bit: the cap times Φ₁'s top degree.
     """
     L = decomposition.ambient
     if isinstance(L, LieAlgebra):
@@ -276,105 +216,31 @@ def phi_recursion(decomposition, max_degree: int | None = None,
         central = None
 
     if initial is None:
-        if decomposition.scalar_blocks and L.parallelisable:
-            return _integer_recursion(decomposition, cap, central)
-        initial, _ = generic_harmonic_element(decomposition)
+        variables = _generic_variables(decomposition)
+        degree = 1 if variables else 0
     elif initial.ambient is not L:
         raise AmbientMismatch("initial element lives over a different ambient")
     elif not initial.degrees() <= {1}:
         raise DegreeMismatch(f"initial element has degrees {sorted(initial.degrees())}, not 1")
-    # in_space raises on a cell outside the complex and a frame index outside 1..n
+    # in_space raises on a cell outside the complex
     elif not decomposition.in_space(initial, "H"):
         raise ValueError("initial element is not harmonic: it has an exact or coexact part")
-    return _vector_recursion(decomposition, cap, central, initial)
-
-
-def _central_violation(k: int, depth: int) -> RuntimeError:
-    return RuntimeError(f"internal invariant violated: bracket sum at degree {k} "
-                        f"leaves central-series stage {depth}")
-
-
-# -- the recursion on VectorForms: the Θ path, and the tests' oracle ----------
-
-def _vector_recursion(decomposition, cap: int, central, initial: VectorForm) -> PhiSeries:
-    series = PhiSeries(decomposition, cap)
-    series.terms[1] = initial
-    for k in range(2, cap + 1):
-        s_k = series.bracket_sum(k)
-        if central is not None:
-            depth = min(k - 1, len(central) - 1)
-            if not _vector_in_subspace(s_k, central[depth]):
-                raise _central_violation(k, depth)
-        delta_part, harmonic_part, coexact_part = decomposition.split(s_k)
-        series.terms[k] = -delta_part
-        series.harmonic_parts[k] = harmonic_part
-        series.obstruction_by_degree[k] = decomposition.harmonic_coefficients(harmonic_part)
-        if coexact_part:
-            offending = list(coexact_part.terms.values())
-            if not decomposition.in_space(coexact_part, "V"):
-                raise ClosednessViolation(k, coexact_part, offending, IN_V2)
-            if decomposition.delbar_op(coexact_part) != _reported_bracket(series, k):
-                raise ClosednessViolation(k, coexact_part, offending, BIANCHI)
-            series.dropped_coexact[k] = coexact_part
-    return series
-
-
-def _vector_in_subspace(vf: VectorForm, sub: linalg.Subspace) -> bool:
-    """Whether every frame-vector coefficient vector of ``vf`` lies in ``sub``
-    (its polynomial coefficients reduce against the RREF rows)."""
-    by_cell: dict = {}
-    for (mi, j), c in vf.terms.items():
-        by_cell.setdefault(mi, [Polynomial.zero()] * sub.ambient_dim)[j - 1] = c
-    return all(sub.contains(vec) for vec in by_cell.values())
-
-
-def _reported_bracket(series: PhiSeries, k: int) -> VectorForm:
-    """2 Σ_{2≤j<k} [ψ_j, Φ_{k−j}], with ψ_j = H_j + V_j rebuilt from the
-    reported ``obstruction_by_degree[j]`` and ``dropped_coexact[j]``: what
-    ∂̄V_k must equal (see the module docstring)."""
-    decomposition = series.decomposition
-    total = VectorForm.zero(series.ambient)
-    for j in range(2, k):
-        psi = series.dropped_coexact.get(j, VectorForm.zero(series.ambient))
-        reported = series.obstruction_by_degree[j]
-        if reported:
-            psi = psi + decomposition.harmonic_form(2, reported)
-        phi = series.phi(k - j)
-        if psi and phi:
-            total = total + schouten_general(psi, phi)
-    return total.scale(2)
-
-
-# -- the recursion on integer forms: the scalar path ----------------------------
-
-def _integer_recursion(decomposition, cap: int, central) -> PhiSeries:
-    """The recursion on integer forms from the generic Φ₁, in a packing
-    whose fields hold every monomial degree the cap allows below the guard
-    bit: Φ₁'s coefficients are linear, so degrees up to the cap."""
-    pivots = decomposition.harmonic_pivot_cells(1)
-    frames = range(1, decomposition.ambient.complex_dim + 1)
-    variables = [(mi[0].index, b) for mi in pivots for b in frames]
-    degree = 1 if variables else 0
+    else:
+        coefficients = initial.terms.values()
+        variables = sorted(set().union(*(c.variables() for c in coefficients)), key=var_rank)
+        degree = max((c.total_degree() for c in coefficients), default=0)
     return packed(variables, LEX, (cap * degree).bit_length() + 1,
-                  lambda packing: _solve(ScalarKernel(decomposition, packing), cap, central))
+                  lambda packing: _solve(Kernel(decomposition, packing), cap, central, initial))
 
 
-def _solve(kernel: ScalarKernel, cap: int, central) -> PhiSeries:
-    phi = {1: kernel.generic_form()}
+def _solve(kernel: Kernel, cap: int, central, initial: VectorForm | None) -> PhiSeries:
+    phi = {1: kernel.generic_form() if initial is None else kernel.form(initial, 1)}
     harmonic: dict[int, IntForm] = {}
     dropped: dict[int, IntForm] = {}
-
-    def terms() -> dict[int, VectorForm]:
-        first, _ = generic_harmonic_element(kernel.decomposition)
-        return {1: first, **{k: kernel.vector_form(f, 1) for k, f in phi.items() if k > 1}}
-
-    series = PhiSeries(kernel.decomposition, cap, {
-        "terms": terms,
-        "harmonic_parts": lambda: {k: kernel.vector_form(f, 2) for k, f in harmonic.items()},
-        "dropped_coexact": lambda: {k: kernel.vector_form(f, 2) for k, f in dropped.items()},
-    })
-    reported = series.obstruction_by_degree
+    reported: dict[int, dict] = {}
     for k in range(2, cap + 1):
+        # Σ_{0<i<k} [Φ_i, Φ_{k−i}]: the bracket is symmetric on Θ-valued
+        # 1-forms, so each unordered pair is bracketed once
         s_k = ZERO
         for i in range(1, k // 2 + 1):
             bracket = kernel.bracket(phi[i], phi[k - i], 1)
@@ -382,7 +248,8 @@ def _solve(kernel: ScalarKernel, cap: int, central) -> PhiSeries:
         if central is not None:
             depth = min(k - 1, len(central) - 1)
             if not kernel.in_central_stage(s_k, central[depth]):
-                raise _central_violation(k, depth)
+                raise RuntimeError(f"internal invariant violated: bracket sum at degree {k} "
+                                   f"leaves central-series stage {depth}")
         delta_part, harmonic[k], coexact_part = kernel.split(s_k)
         phi[k] = -delta_part
         reported[k] = kernel.harmonic_coefficients(harmonic[k])
@@ -399,10 +266,10 @@ def _solve(kernel: ScalarKernel, cap: int, central) -> PhiSeries:
             if kernel.apply(coexact_part, 2, "delbar") != total.scaled(2):
                 raise _violation(kernel, k, coexact_part, BIANCHI)
             dropped[k] = coexact_part
-    return series
+    return PhiSeries(kernel, cap, reported, phi, harmonic, dropped)
 
 
-def _violation(kernel: ScalarKernel, k: int, coexact_part: IntForm,
+def _violation(kernel: Kernel, k: int, coexact_part: IntForm,
                identity: str) -> ClosednessViolation:
     v_part = kernel.vector_form(coexact_part, 2)
     return ClosednessViolation(k, v_part, list(v_part.terms.values()), identity)

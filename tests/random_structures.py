@@ -16,6 +16,13 @@ from kuranil.algebra import JacobiViolation, parse_complex_structure_file
 # the Frölicher–Nijenhuis sign of the ∂-term.
 LIVE_DEL_DIM4 = "dim 4\ndw2 = 2*cw1^w1\ndw3 = w1^w2\n"
 
+# A (1,1) part holding both cw1∧w2 and cw2∧w1, so ∂ of a (0,1)-form is live.
+SWAPPED5 = "dim 5\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + cw1^w1\ndw5 = w1^w2 + cw2^w2\n"
+
+# Live ∂ with rational coefficients: the contractions i_X ∂ω̄^I have
+# denominator 2 and the frame brackets denominator 3.
+LIVE_DEL_FRACTIONS = "dim 4\ndw2 = 2*cw1^w1\ndw3 = 1/3*w1^w2 + 1/2*cw1^w2\n"
+
 _FACTORS = (-2, -1, 1, 2)
 
 

@@ -29,13 +29,11 @@ from kuranil.groebner import (
 )
 from kuranil.hodge import build_decomposition, build_theta_decomposition
 from kuranil.kuranishi import (
-    _vector_in_subspace,
     analyze,
     analyze_general,
     obstruction_map,
     parallelisable_directions,
     phi_recursion,
-    schouten_general,
     smoothness_tests,
 )
 from kuranil.linalg import mat_mul
@@ -43,10 +41,12 @@ from kuranil.polyring import Polynomial, parse_polynomial
 from kuranil.verify import run_entry_checks
 from oracles import (
     direct_sum,
+    in_subspace,
     mc_residual,
     quadratic_obstruction_closed_form,
     random_central_assignment,
     s_polynomial,
+    schouten_general,
 )
 from random_algebras import random_nilpotent_algebras
 
@@ -241,7 +241,7 @@ def _assert_structural_properties(L, name: str, rng: random.Random) -> None:
                 continue
             stage = central[min(k + l - 1, len(central) - 1)]
             bracket = schouten_general(series.phi(k), series.phi(l))
-            assert _vector_in_subspace(bracket, stage), (name, k, l)
+            assert in_subspace(bracket, stage), (name, k, l)
 
     # closed-form quadratic obstruction equals the recursion's degree-2 part
     quadratic = quadratic_obstruction_closed_form(dec)

@@ -27,9 +27,11 @@ from kuranil.hodge import (
     build_theta_decomposition,
     hodge_numbers,
 )
+from kuranil.intforms import Kernel
 from kuranil.kuranishi import analyze, analyze_general
 from kuranil.linalg import Subspace, identity, mat_mul, transpose
-from kuranil.polyring import parse_polynomial
+from kuranil.polyring import LEX, Packing, parse_polynomial, var_rank
+from oracles import harmonic_form
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -334,25 +336,15 @@ def test_form_operators_reject_a_form_over_another_ambient(kind):
 @pytest.mark.parametrize("kind", ["scalar", "theta"])
 @pytest.mark.parametrize("index", [0, 99])
 def test_form_operators_reject_a_frame_index_outside_1_to_n(kind, index):
-    """A VectorForm built with the raw constructor and a frame index outside
-    1..n is rejected as such, not carried along or read as a wrong degree."""
+    """A VectorForm with a frame index outside 1..n cannot reach the form
+    operators: the constructor rejects it, on either complex's ambient."""
     L = parse_salamon("(0,0,12)")
     ambient = L if kind == "scalar" else to_complex_structure(L)
     dec = (build_decomposition if kind == "scalar" else build_theta_decomposition)(ambient)
     cw3 = (Cov(3, True),)
-    one = VectorForm(ambient, {(cw3, index): 1})
-    two = VectorForm(ambient, {((Cov(1, True), Cov(2, True)), index): 1})
-    calls = [(one, dec.project_exact), (one, dec.project_harmonic),
-             (one, dec.project_coexact), (one, lambda f: dec.in_space(f, "H")),
-             (one, dec.delbar_op), (one, dec.is_closed), (two, dec.harmonic_coefficients),
-             (two, dec.delta_op)]
-    for form, call in calls:
+    for cell in (cw3, (Cov(1, True), Cov(2, True))):
         with pytest.raises(ValueError, match="frame index"):
-            call(form)
-    # the frame index is checked before the cell: δ reads the degree-1 form
-    # at degree-2 cells, and DegreeMismatch is a ValueError too
-    with pytest.raises(ValueError, match="frame index"):
-        dec.delta_op(one)
+            VectorForm(ambient, {(cell, index): 1})
     # a well-formed form still projects
     assert not dec.project_exact(VectorForm(ambient, {(cw3, 1): 1}))
 
@@ -461,8 +453,9 @@ def test_harmonic_coefficients_key_order():
     (build_theta_decomposition, _mixed7)])
 def test_harmonic_form_inverts_harmonic_coefficients(build, ambient):
     """Polynomial combinations of the harmonic basis in degrees 1 and 2 come
-    back from their coefficients, as ExteriorForms and VectorForms on the
-    scalar complex and as VectorForms on Θ; no coefficients give zero."""
+    back from their coefficients through the oracle ``harmonic_form``, as
+    ExteriorForms and VectorForms on the scalar complex and as VectorForms on
+    Θ; no coefficients give zero."""
     dec = build(ambient())
     rng = random.Random(28)
     polys = [parse_polynomial(t) for t in ("t1_1", "2*t1_2*t2_1 - 1/3", "-t2_2^2")]
@@ -477,8 +470,8 @@ def test_harmonic_form_inverts_harmonic_coefficients(build, ambient):
                 form = picked[0].scale(polys[0])
                 for h, p in zip(picked[1:], polys[1:]):
                     form = form + h.scale(p)
-                assert dec.harmonic_form(q, dec.harmonic_coefficients(form)) == form
-    zero = dec.harmonic_form(2, {})
+                assert harmonic_form(dec, q, dec.harmonic_coefficients(form)) == form
+    zero = harmonic_form(dec, 2, {})
     assert not zero and type(zero) is (VectorForm if dec.kind == "theta" else ExteriorForm)
 
 
@@ -816,6 +809,22 @@ SPLIT_AMBIENTS = [(source, key) for source, key in RANK_AMBIENTS
                   if source != "perfbench" or key.count(",")]  # (0) has no degree 2
 
 
+def _kernel_split(dec, form):
+    """``(δs, Hs, Vs)`` of the degree-2 ``form`` s by the recursion's
+    ``Kernel.split``, each part as a form of ``form``'s type."""
+    variables = sorted({v for c in form.terms.values() for v in c.variables()}, key=var_rank)
+    kernel = Kernel(dec, Packing(variables, LEX, 8))
+
+    def back(part, q):
+        cells = dec.cells(q)
+        return type(form)(dec.ambient, {
+            cells[i] if frame is None else (cells[i], frame): kernel.polynomial(poly, part.den)
+            for (i, frame), poly in part.terms.items()})
+
+    d, h, v = kernel.split(kernel.form(form, 2))
+    return back(d, 1), back(h, 2), back(v, 2)
+
+
 @cache
 def _split_decomposition(source: str, key, kind: str):
     ambient = _rank_ambient(source, key)
@@ -849,10 +858,11 @@ def _closed_form(dec, rng: random.Random, vector: bool):
        shape=st.sampled_from(("closed", "generic", "closed + generic")),
        vector=st.booleans(), rng=st.randoms(use_true_random=False))
 def test_split_agrees_with_delta_and_the_projectors(source, key, kind, shape, vector, rng):
-    """``split`` gives δ s as ``delta_op`` does, H s as ``project_harmonic``
-    does (terms in the same order) and V s as ``project_coexact`` does, and
-    s = ∂̄δs + Hs + Vs; a ∂̄-closed form has no V part.  The forms are the
-    closed ones, generic ones, and closed ones followed by generic terms."""
+    """The recursion's split gives δ s as ``delta_op`` does, H s as
+    ``project_harmonic`` does (terms in the same order) and V s as
+    ``project_coexact`` does, and s = ∂̄δs + Hs + Vs; a ∂̄-closed form has no
+    V part.  The forms are the closed ones, generic ones, and closed ones
+    followed by generic terms."""
     if kind == "scalar" and not isinstance(_rank_ambient(source, key), LieAlgebra):
         kind = "theta"
     dec = _split_decomposition(source, key, kind)
@@ -862,7 +872,7 @@ def test_split_agrees_with_delta_and_the_projectors(source, key, kind, shape, ve
         form = _closed_form(dec, rng, vector)
         if shape != "closed":
             form = form + _random_form(dec, 2, rng, vector)
-    d, h, v = dec.split(form)
+    d, h, v = _kernel_split(dec, form)
     assert d == dec.delta_op(form)
     assert list(h.terms.items()) == list(dec.project_harmonic(form).terms.items())
     assert v == dec.project_coexact(form)
@@ -886,6 +896,6 @@ def test_split_keeps_the_projection_term_order():
     rest = form - dec.delbar_op(dec.delta_op(form))
     assert [j for _, j in rest.terms][0] == 1
     for x in (form, form - VectorForm.single(coexact, 2)):
-        _, h_part, _ = dec.split(x)
+        _, h_part, _ = _kernel_split(dec, x)
         assert [j for _, j in h_part.terms][0] == 2
         assert list(h_part.terms.items()) == list(dec.project_harmonic(x).terms.items())

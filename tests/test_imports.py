@@ -435,9 +435,10 @@ def test_module_divides_only_fractions(module):
 
 
 # Exports that no module of the package and no benchmark script reads: the
-# constructors and Gröbner entry points that library users call.
-LIBRARY_ONLY = ("abelian", "buchberger", "free_two_step", "hodge_numbers", "normal_form",
-                "__version__")
+# constructors and Gröbner entry points that library users call, and the
+# generic Φ₁ with its variables, which the recursion builds on integer forms.
+LIBRARY_ONLY = ("abelian", "buchberger", "free_two_step", "generic_harmonic_element",
+                "hodge_numbers", "normal_form", "__version__")
 
 
 def _unread_exports(exports, sources) -> list[str]:

@@ -24,7 +24,7 @@ from kuranil.cli import report_text
 from kuranil.exterior import AmbientMismatch, Cov, ExteriorForm, VectorForm
 from kuranil.groebner import buchberger, canonical_generators, ideal_equal, normal_form
 from kuranil.hodge import DegreeMismatch, build_decomposition, build_theta_decomposition
-from kuranil.intforms import ZERO, ScalarKernel
+from kuranil.intforms import ZERO, Kernel
 from kuranil.kuranishi import (
     BIANCHI,
     IN_V2,
@@ -36,28 +36,25 @@ from kuranil.kuranishi import (
     obstruction_map,
     parallelisable_directions,
     phi_recursion,
-    schouten_general,
     smoothness_tests,
 )
-from kuranil.polyring import Polynomial, mono_degree, parse_polynomial
+from kuranil.polyring import LEX, Packing, Polynomial, mono_degree, parse_polynomial, var_rank
 
 from oracles import (
+    bracket_sum,
     direct_sum,
     mc_residual,
     quadratic_obstruction_closed_form,
     random_central_assignment,
+    schouten_general,
 )
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
-from random_structures import LIVE_DEL_DIM4, random_structure_text
+from random_structures import LIVE_DEL_DIM4, LIVE_DEL_FRACTIONS, SWAPPED5, random_structure_text
 
 P = parse_polynomial
 
 # Frames whose harmonic 1-forms are not the first h^{0,1} covectors.
 NON_ADAPTED = ("(34,0,0,0)", "(45,0,0,0,0)", "(0,35,0,0,0)")
-
-
-# A (1,1) part holding both cw1∧w2 and cw2∧w1, so ∂ of a (0,1)-form is live.
-SWAPPED5 = "dim 5\ndw3 = cw1^w2 + cw2^w1\ndw4 = w1^w2 + cw1^w1\ndw5 = w1^w2 + cw2^w2\n"
 
 
 def _mixed7():
@@ -105,10 +102,14 @@ def test_schouten_parallelisable_symmetric_on_one_forms():
     assert schouten_general(a, b) == schouten_general(b, a)
 
 
+_LIVE_DEL_TEXTS = {"dim4": LIVE_DEL_DIM4, "swapped5": SWAPPED5, "fractions": LIVE_DEL_FRACTIONS}
+
+
+@functools.cache
 def _live_del_structure(which):
     if which == "general7":
         return catalog.get("general7").build()
-    return parse_complex_structure_file(LIVE_DEL_DIM4 if which == "dim4" else SWAPPED5)
+    return parse_complex_structure_file(_LIVE_DEL_TEXTS[which])
 
 
 @pytest.mark.parametrize("which", ["general7", "swapped5"])
@@ -146,7 +147,7 @@ def test_bracket_sum_equals_sum_over_ordered_pairs(which):
         ordered = VectorForm.zero(decomposition.ambient)
         for i in range(1, k):
             ordered = ordered + schouten_general(series.phi(i), series.phi(k - i))
-        assert series.bracket_sum(k) == ordered
+        assert bracket_sum(series, k) == ordered
 
 
 def test_schouten_general_reduces_to_parallelisable():
@@ -262,6 +263,47 @@ def test_schouten_general_matches_the_reference_on_random_algebras(index, p, q, 
     assert schouten_general(a, b) == _schouten_reference(a, b)
 
 
+@functools.cache
+def _theta_decomposition(ambient):
+    return build_theta_decomposition(ambient)
+
+
+def _kernel_bracket(a: VectorForm, b: VectorForm, p: int) -> VectorForm:
+    """[a, b] for a of degree p and b of degree 1, by the integer bracket the
+    recursion runs, over the Θ decomposition of their ambient."""
+    decomposition = _theta_decomposition(a.ambient)
+    variables = sorted({v for form in (a, b) for c in form.terms.values() for v in c.variables()},
+                       key=var_rank)
+    kernel = Kernel(decomposition, Packing(variables, LEX, 8))
+    return kernel.vector_form(kernel.bracket(kernel.form(a, p), kernel.form(b, 1), p), p + 1)
+
+
+@_SCHOUTEN_ORACLE
+@given(st.sampled_from(["general7", "swapped5", "dim4", "fractions"]), _DEGREES,
+       st.randoms(use_true_random=False))
+def test_kernel_bracket_equals_schouten_general_where_del_terms_are_live(which, p, rng):
+    """The recursion's integer bracket, with its contraction tables, equals
+    the ``VectorForm`` oracle term for term on random polynomial-coefficient
+    forms of degrees (1,1) and (2,1), so the DGLA axioms the tests above
+    check of the oracle hold for the bracket the library runs.  The
+    ``fractions`` structure gives the contractions and the frame brackets
+    denominators other than 1."""
+    ambient = _live_del_structure(which)
+    a, b = _random_theta_form(ambient, p, rng), _random_theta_form(ambient, 1, rng)
+    assert _kernel_bracket(a, b, p) == schouten_general(a, b)
+
+
+@_SCHOUTEN_ORACLE
+@given(st.integers(0, 10**6).map(lambda seed: random_structure_text(random.Random(seed))),
+       _DEGREES, st.randoms(use_true_random=False))
+@example(LIVE_DEL_DIM4, 2, random.Random(0))
+def test_kernel_bracket_equals_schouten_general_on_random_structures(text, p, rng):
+    """The same over random non-parallelisable structures."""
+    ambient = parse_complex_structure_file(text)
+    a, b = _random_theta_form(ambient, p, rng), _random_theta_form(ambient, 1, rng)
+    assert _kernel_bracket(a, b, p) == schouten_general(a, b)
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.integers(0, 10**6).map(lambda seed: random_structure_text(random.Random(seed))))
 @example(LIVE_DEL_DIM4)
@@ -374,8 +416,8 @@ def test_phi_recursion_rejects_initial_over_another_ambient():
 
 
 def _past_the_frame(form: ExteriorForm) -> VectorForm:
-    """``form`` ⊗ X_{n+1}, one frame index past the ambient's n, which
-    ``VectorForm.single`` refuses to build."""
+    """``form`` ⊗ X_{n+1}, one frame index past the ambient's n, which the
+    ``VectorForm`` constructor refuses to build."""
     index = form.ambient.complex_dim + 1
     return VectorForm(form.ambient, {(mi, index): c for mi, c in form.terms.items()})
 
@@ -409,21 +451,26 @@ MALFORMED_INITIALS = [
 def test_phi_recursion_rejects_a_malformed_initial_before_any_recursion(
         complex_, case, build, error, monkeypatch):
     """Φ₁ must be a harmonic degree-1 element: anything else is an input
-    error, raised before either recursion runs."""
+    error, raised before the recursion runs.  A frame index outside 1..n
+    cannot even be built: the ``VectorForm`` constructor raises."""
     if complex_ == "scalar":
         ambient = catalog.get("(0,0,12,13)").build()
         decomposition = build_decomposition(ambient)
     else:
         ambient = catalog.get("general7").build()
         decomposition = build_theta_decomposition(ambient)
+    if case == "frame index":
+        with pytest.raises(error, match="frame index") as caught:
+            build(ambient)
+        assert type(caught.value) is error
+        return
     initial = build(ambient)
     assert initial
 
     def unreachable(*args):
         raise AssertionError("the recursion ran")
 
-    monkeypatch.setattr(kuranishi, "_vector_recursion", unreachable)
-    monkeypatch.setattr(kuranishi, "_integer_recursion", unreachable)
+    monkeypatch.setattr(kuranishi, "_solve", unreachable)
     with pytest.raises(error) as caught:
         phi_recursion(decomposition, 3, initial)
     assert type(caught.value) is error
@@ -709,9 +756,8 @@ def test_closedness_violation_carries_diagnostics():
 
 
 def _decomposition(L, complex_):
-    """The scalar decomposition of ``L``, on which the recursion runs on
-    integer forms, or the Θ decomposition of its complex structure, on which
-    it runs on VectorForms; and the ambient its forms live over."""
+    """The scalar decomposition of ``L`` or the Θ decomposition of its
+    complex structure, and the ambient its forms live over."""
     if complex_ == "scalar":
         return build_decomposition(L), L
     csa = to_complex_structure(L)
@@ -731,11 +777,7 @@ def _check_hidden_coefficients_raise(complex_, monkeypatch):
     # so degree 4's coexact term (see the test above on the dropped term of
     # this algebra) can no longer be dropped.
     decomposition, ambient = _decomposition(parse_salamon("(0,0,12,13,14)"), complex_)
-    if complex_ == "scalar":
-        monkeypatch.setattr(ScalarKernel, "harmonic_coefficients",
-                            lambda self, form: {})
-    else:
-        monkeypatch.setattr(decomposition, "harmonic_coefficients", lambda form: {})
+    monkeypatch.setattr(Kernel, "harmonic_coefficients", lambda self, form: {})
     with pytest.raises(ClosednessViolation) as caught:
         phi_recursion(decomposition, 4)
     coefficient = P("-8*t1_1*t2_1*delta[12;12]")
@@ -760,18 +802,16 @@ def _check_coexact_harmonic_part_raises(complex_, monkeypatch):
     L = parse_salamon("(0,0,0,12)")
     decomposition, ambient = _decomposition(L, complex_)
     if complex_ == "scalar":
-        owner, zero = ScalarKernel, ZERO
         expected = phi_recursion(build_decomposition(L), 2).harmonic_parts[2]
     else:
-        owner, zero = decomposition, VectorForm.zero(ambient)
         expected = phi_recursion(build_theta_decomposition(ambient), 2).harmonic_parts[2]
-    split = owner.split
+    split = Kernel.split
 
     def harmonic_as_coexact(*args):
         d, h, v = split(*args)
-        return d, zero, h + v
+        return d, ZERO, h + v
 
-    monkeypatch.setattr(owner, "split", harmonic_as_coexact)
+    monkeypatch.setattr(Kernel, "split", harmonic_as_coexact)
     with pytest.raises(ClosednessViolation) as caught:
         phi_recursion(decomposition, 2)
     assert (caught.value.degree, caught.value.identity) == (2, IN_V2)

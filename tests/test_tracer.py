@@ -39,16 +39,16 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("argv, hodge_span", [
-    # the scalar recursion applies ∂̄, δ and the projectors through the
-    # integer columns of ``HodgeDecomposition``, which the tracer does not
-    # wrap, so its Hodge span is the decomposition's build
+    # the recursion applies ∂̄, δ and the projectors through the integer
+    # columns of ``HodgeDecomposition``, which the tracer does not wrap, so
+    # its Hodge span is the decomposition's build, on either complex
     (["analyze", "(0,0,12,13,14)", "--json"], "hodge.build"),
     (["analyze", "(0,0,0,12,13+24)", "--general", "--max-degree", "3", "--json"],
-     "hodge.project"),
+     "hodge.build_theta"),
     # normal_form, ideal_intersect and buchberger on a tuple with deadline=
     (["verify", "(0,0,0,12,13)"], "hodge.build"),
     # phi_recursion(..., initial=) on the mixed structure
-    (["verify", "general7"], "hodge.project"),
+    (["verify", "general7"], "hodge.build_theta"),
 ], ids=["argv0", "argv1", "argv2", "argv3"])
 def test_traced_run_prints_the_untraced_output(argv, hodge_span):
     plain = _run(argv)
