@@ -50,7 +50,9 @@ and are their test oracle.
 
 δ = ∂̄*G on degree 2: it sends a form to the ∂̄-preimage in V¹ of its exact
 part, so δ∘P = δ and ∂̄∘δ = P, and it vanishes on H² ⊕ V².  It is
-precomputed as a rational matrix and applies to every degree-2 form.
+precomputed as a rational matrix, V(MᵀM)⁻¹Mᵀ for V a basis of V¹ and
+M = ∂̄V (``linalg.pseudo_inverse_product``, which also builds every
+projector), and applies to every degree-2 form.
 Every entry of a ∂̄ matrix, a projector or δ is a canonical rational value
 (:func:`~kuranil.polyring.rational`): an ``int`` while it is integral, else
 a ``Fraction``, so projections and δ multiply polynomials by ints wherever
@@ -60,13 +62,15 @@ Integer operators.  ``integer_columns`` hands out ∂̄, δ or a projector as
 integer columns over one common denominator, and ``integer_rows`` the RREF
 rows of a space likewise, with their pivots: the operators that
 ``kuranil.intforms`` applies to the recursion's integer forms, keyed by
-``coordinates``, each denominator taken out once.  The recursion's split of
-a bracket sum, s = ∂̄δs + Hs + Vs, and its rebuilding of a harmonic element
-from reported ``harmonic_coefficients`` run there too, on these operators.
-They are the matrices above, scaled, and build nothing the form operators
-would not.  The orthogonal projector onto H², Rᵀ(RRᵀ)⁻¹R, is built (once per
-decomposition) only when it is first read: in the recursion, for a bracket
-sum whose coexact part is dropped.
+``coordinates``, each denominator taken out once.  The decomposition builds
+each of these views on its first read and keeps it, so every kernel over
+it, the one a restarted recursion makes included, reads one copy.  The
+recursion's split of a bracket sum, s = ∂̄δs + Hs + Vs, and its rebuilding
+of a harmonic element from reported ``harmonic_coefficients`` run there
+too, on these operators.  They are the matrices above, scaled, and build
+nothing the form operators would not.  The orthogonal projector onto H²,
+Rᵀ(RRᵀ)⁻¹R, is built (once per decomposition) only when it is first read:
+in the recursion, for a bracket sum whose coexact part is dropped.
 """
 
 from __future__ import annotations
@@ -127,6 +131,8 @@ class HodgeDecomposition:
         self._d_columns = {q: linalg.transpose(d, self.dim(q))
                            for q, d in self.d_matrices.items()}
         self._spaces: dict[tuple[int, str], linalg.Subspace] = {}
+        self._integer_columns: dict[tuple[int, str], tuple] = {}
+        self._integer_rows: dict[tuple[int, str], tuple] = {}
 
     # -- cells and coordinates -------------------------------------------------
 
@@ -256,25 +262,32 @@ class HodgeDecomposition:
         image ``{target index: rational}`` of cell i.  ``operator`` is
         ``"delbar"`` (∂̄ from degree q to q + 1), ``"delta"`` (δ, from degree
         2 to 1) or one of ``"B"``, ``"H"``, ``"V"`` (the orthogonal projector
-        onto that space of degree q, built on its first read)."""
-        if operator == "delbar":
-            self._check_degree(q)
-            columns = self._d_columns[q]
-        elif operator == "delta":
-            if q != 2:
-                raise DegreeMismatch(f"δ acts on degree 2, not {q}")
-            columns = self._delta_columns
-        else:
-            columns = self.projector(q, operator)
-        return linalg.integral(columns)
+        onto that space of degree q).  Each view is built on its first read
+        and kept."""
+        view = self._integer_columns.get((q, operator))
+        if view is None:
+            if operator == "delbar":
+                self._check_degree(q)
+                columns = self._d_columns[q]
+            elif operator == "delta":
+                if q != 2:
+                    raise DegreeMismatch(f"δ acts on degree 2, not {q}")
+                columns = self._delta_columns
+            else:
+                columns = self.projector(q, operator)
+            view = self._integer_columns[q, operator] = linalg.integral(columns)
+        return view
 
     def integer_rows(self, q: int, which: str) -> tuple[list[dict[int, int]], tuple[int, ...], int]:
         """``(rows, pivots, D)``: the RREF rows of B, H or V in degree q as
         integer rows over one denominator D (each holds D at its pivot), and
-        their pivot columns."""
-        space = self._space(q, which)
-        rows, den = linalg.integral(space.rows)
-        return rows, space.pivots, den
+        their pivot columns, built on the first read and kept."""
+        view = self._integer_rows.get((q, which))
+        if view is None:
+            space = self._space(q, which)
+            rows, den = linalg.integral(space.rows)
+            view = self._integer_rows[q, which] = rows, space.pivots, den
+        return view
 
     # -- projections and membership -------------------------------------------
 
@@ -357,13 +370,9 @@ class HodgeDecomposition:
         if self.max_degree < 2:
             raise DegreeMismatch("decomposition does not include degree 2")
         v_rows = self._space(1, "V").rows
-        if not v_rows:
-            return [{} for _ in range(self.dim(1))]
         vt = linalg.transpose(v_rows, self.dim(1))
         m = linalg.mat_mul(self.d_matrices[1], vt)      # V¹-coords → degree-2
-        mt = linalg.transpose(m, len(v_rows))
-        gram_inv = linalg.invert(linalg.mat_mul(mt, m))
-        return linalg.mat_mul(vt, linalg.mat_mul(gram_inv, mt))
+        return linalg.pseudo_inverse_product(vt, m, len(v_rows))
 
     @cached_property
     def _delta_columns(self) -> linalg.Matrix:

@@ -207,38 +207,30 @@ class Kernel:
     with monomials in one packing.
 
     ∂̄, δ and the projectors act through the decomposition's integer columns,
-    each operator's denominator taken out once; each is read on first use
-    and kept.  The bracket reads the wedge table of ``_wedge_table``, and the
-    frame brackets and, on an ambient that is not parallelisable, the
-    contractions of ``_contractions``, as integers over one denominator per
-    degree of its first factor, built on first use: the certificate's
-    degree-2 contractions only where a coexact part is dropped."""
+    each operator's denominator taken out once, and the memberships and the
+    harmonic elements through its integer rows; the decomposition keeps each
+    of them, so every kernel over it reads one copy.  The bracket reads the
+    wedge table of ``_wedge_table``, and the frame brackets and, on an
+    ambient that is not parallelisable, the contractions of
+    ``_contractions``, as integers over one denominator per degree of its
+    first factor, built on first use: the certificate's degree-2
+    contractions only where a coexact part is dropped."""
 
     def __init__(self, decomposition, packing: Packing):
         self.decomposition = decomposition
         self.packing = packing
         self.n = decomposition.ambient.complex_dim
         self.scalar_blocks = decomposition.scalar_blocks
-        self._cells: dict[int, list] = {}
-        self._operators: dict[tuple[int, str], tuple] = {}
-        self._rows: dict[str, tuple] = {}
         self._tables: dict[int, tuple] = {}
         self._monomials: dict[int, tuple] = {}
 
     # -- cells, layout and conversions ---------------------------------------
 
-    def cells(self, q: int) -> list:
-        if q not in self._cells:
-            self._cells[q] = self.decomposition.cells(q)
-        return self._cells[q]
-
     def integral(self, polys: dict) -> tuple[dict, int]:
         """``(packed, D)``: the ``Polynomial`` values of ``polys`` packed, as
         integer polynomials over their least common denominator D."""
-        den = math.lcm(*(c.denominator for p in polys.values() for c in p.terms.values()))
-        return {key: {m: c.numerator * (den // c.denominator)
-                      for m, c in self.packing.pack(p).items()}
-                for key, p in polys.items()}, den
+        packed, den = linalg.integral(self.packing.pack(p) for p in polys.values())
+        return dict(zip(polys, packed)), den
 
     @staticmethod
     def generic_names(decomposition) -> list[list[tuple]]:
@@ -254,16 +246,11 @@ class Kernel:
 
     def generic_form(self) -> IntForm:
         """The generic Φ₁ = Σ t_a^b h_a^b over the RREF harmonic 1-forms as
-        an integer form, its terms in the order of ``h1_theta_basis``."""
-        rows, _, den = self.decomposition.integer_rows(1, "H")
-        unit = self.packing.unit
-        terms: dict = {}
-        for row, names in zip(rows, self.generic_names(self.decomposition)):
-            for name, frame in names:
-                t = unit(name)
-                for j, x in row.items():
-                    terms.setdefault((j, frame), {})[t] = x
-        return IntForm(terms, den)
+        an integer form, its terms in the order of ``h1_theta_basis``: the
+        harmonic 1-form whose coefficient at (row, frame index) is t_a^b."""
+        return self.harmonic_form({(r, frame): Polynomial.variable(name)
+                                   for r, names in enumerate(self.generic_names(self.decomposition))
+                                   for name, frame in names}, 1)
 
     def form(self, vf, q: int) -> IntForm:
         """The degree-q form ``vf`` as an integer form, its terms in order."""
@@ -282,7 +269,7 @@ class Kernel:
 
     def vector_form(self, form: IntForm, q: int) -> VectorForm:
         """The degree-q ``form`` as a ``VectorForm``, its terms in order."""
-        cells = self.cells(q)
+        cells = self.decomposition.cells(q)
         return VectorForm(self.decomposition.ambient, {
             cells[i] if frame is None else (cells[i], frame): self.polynomial(poly, form.den)
             for (i, frame), poly in form.terms.items()})
@@ -293,10 +280,7 @@ class Kernel:
         """``form`` of degree q sent through ``integer_columns(q, operator)``;
         terms come out by frame index as they first appear in ``form``, then
         by target cell, as ``HodgeDecomposition`` applies an operator."""
-        key = (q, operator)
-        if key not in self._operators:
-            self._operators[key] = self.decomposition.integer_columns(q, operator)
-        columns, den = self._operators[key]
+        columns, den = self.decomposition.integer_columns(q, operator)
         images: dict = {}
         for (i, frame), poly in form.terms.items():
             image = images.get(frame)
@@ -316,12 +300,6 @@ class Kernel:
                 if poly:
                     terms[(r, frame)] = poly
         return IntForm(terms, form.den * den)
-
-    def rows(self, which: str) -> tuple:
-        """``integer_rows(2, which)``, read once."""
-        if which not in self._rows:
-            self._rows[which] = self.decomposition.integer_rows(2, which)
-        return self._rows[which]
 
     def split(self, s: IntForm) -> tuple[IntForm, IntForm, IntForm]:
         """``(δs, Hs, Vs)`` of a degree-2 form, s = ∂̄δs + Hs + Vs.
@@ -347,7 +325,7 @@ class Kernel:
         its values at the pivot cells, keyed and ordered alike."""
         if not h:
             return {}
-        row_of = {p: r for r, p in enumerate(self.rows("H")[1])}
+        row_of = {p: r for r, p in enumerate(self.decomposition.integer_rows(2, "H")[1])}
         found: dict = {}
         for (i, frame), poly in h.terms.items():
             rows = found.setdefault(frame, {})
@@ -356,9 +334,12 @@ class Kernel:
         return {(r, frame): self.polynomial(rows[r], h.den)
                 for frame, rows in found.items() for r in sorted(rows)}
 
-    def harmonic_form(self, coefficients: dict) -> IntForm:
-        """The harmonic element with these reported ``harmonic_coefficients``."""
-        rows, _, rows_den = self.rows("H")
+    def harmonic_form(self, coefficients: dict, q: int) -> IntForm:
+        """The harmonic element of degree q with these coefficients, keyed
+        ``(RREF harmonic row, frame index)`` as ``harmonic_coefficients``
+        reports them: Σ coefficient·row, its terms in the order the rows
+        first reach them."""
+        rows, _, rows_den = self.decomposition.integer_rows(q, "H")
         packed, den = self.integral(coefficients)
         terms: dict = {}
         for (r, frame), coeff in packed.items():
@@ -370,7 +351,7 @@ class Kernel:
 
     def in_coexact_space(self, v: IntForm) -> bool:
         """Whether ``v`` lies in V², frame index by frame index."""
-        rows, pivots, den = self.rows("V")
+        rows, pivots, den = self.decomposition.integer_rows(2, "V")
         vectors: dict = {}
         for (i, frame), poly in v.terms.items():
             vectors.setdefault(frame, {})[i] = poly

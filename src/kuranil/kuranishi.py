@@ -261,7 +261,7 @@ def _solve(kernel: Kernel, cap: int, central, initial: VectorForm | None) -> Phi
             for j in range(2, k):
                 psi = dropped.get(j, ZERO)
                 if reported[j]:
-                    psi = psi + kernel.harmonic_form(reported[j])
+                    psi = psi + kernel.harmonic_form(reported[j], 2)
                 total = total + kernel.bracket(psi, phi[k - j], 2)
             if kernel.apply(coexact_part, 2, "delbar") != total.scaled(2):
                 raise _violation(kernel, k, coexact_part, BIANCHI)

@@ -79,6 +79,18 @@ def integral(a: Iterable[Row]) -> tuple[list[dict[int, int]], int]:
             for row in a], den
 
 
+def pseudo_inverse_product(v: Sequence[Row], m: Sequence[Row], ncols: int) -> Matrix:
+    """V (MᵀM)⁻¹ Mᵀ for matrices V and M with the same ``ncols`` columns,
+    the columns of M independent: V times the pseudo-inverse of M, exact
+    over Q because MᵀM is a Gram matrix.  With V = M it is the orthogonal
+    projector onto the column space of M.  Zero, one empty row per row of
+    V, when there are no columns."""
+    if not ncols:
+        return [{} for _ in v]
+    mt = transpose(m, ncols)
+    return mat_mul(v, mat_mul(invert(mat_mul(mt, m)), mt))
+
+
 def _subtract(row: Row, f, pivot_row: Row) -> None:
     """``row -= f * pivot_row`` in place, dropping entries that cancel."""
     for j, y in pivot_row.items():
@@ -196,13 +208,10 @@ class Subspace:
     @cached_property
     def projector(self) -> Matrix:
         """Orthogonal projector onto the subspace, as an ``ambient_dim`` square
-        matrix.  For the rows R it is ``R^T (R R^T)^{-1} R``; exact over Q
-        because ``R R^T`` is a Gram matrix, invertible for independent rows."""
-        if not self.rows:
-            return [{} for _ in range(self.ambient_dim)]
-        r = self.rows
-        rt = transpose(r, self.ambient_dim)
-        return mat_mul(mat_mul(rt, invert(mat_mul(r, rt))), r)
+        matrix.  For the rows R it is ``R^T (R R^T)^{-1} R``, the
+        ``pseudo_inverse_product`` of ``R^T`` with itself."""
+        rt = transpose(self.rows, self.ambient_dim)
+        return pseudo_inverse_product(rt, rt, self.dim)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

@@ -219,9 +219,11 @@ def test_published_components_are_parsed_once_and_handed_out_fresh(monkeypatch):
     stored = {variant: parse_ideal_components(catalog._data_text(
         entry.ideal_variant_file if variant else entry.ideal_file))
         for variant in (False, True)}
+    for variant in stored:  # each reading's first call parses its file
+        entry.published_components(variant=variant)
 
     def unread(filename):
-        raise AssertionError(f"{filename} read again after import")
+        raise AssertionError(f"{filename} read again after its first parse")
 
     monkeypatch.setattr(catalog, "_data_text", unread)
     for variant, components in stored.items():

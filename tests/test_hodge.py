@@ -30,7 +30,7 @@ from kuranil.hodge import (
 from kuranil.intforms import Kernel
 from kuranil.kuranishi import analyze, analyze_general
 from kuranil.linalg import Subspace, identity, mat_mul, transpose
-from kuranil.polyring import LEX, Packing, parse_polynomial, var_rank
+from kuranil.polyring import LEX, Packing, Polynomial, parse_polynomial, var_rank
 from oracles import harmonic_form
 from random_algebras import RANDOM_NILPOTENT_COUNT, change_frame, random_nilpotent_algebras
 
@@ -369,6 +369,34 @@ def _assert_delta_inverts_delbar_on_the_exact_part(dec):
 @pytest.mark.parametrize("name, kind", COMPLEXES)
 def test_delta_inverts_delbar_on_the_exact_part(name, kind):
     _assert_delta_inverts_delbar_on_the_exact_part(_decomposition(name, kind))
+
+
+@pytest.mark.parametrize("name, kind", [(HALVES, "scalar"), (HALVES, "theta"),
+                                        ("(0,0,0,12,13+24)", "scalar"), ("general7", "theta")])
+def test_integer_views_are_the_rational_operators_over_one_denominator(name, kind):
+    """``integer_columns`` is ∂̄, δ or a projector, and ``integer_rows`` a
+    space's RREF rows, times one denominator D; each is built on its first
+    read and the decomposition hands out that one copy on every read."""
+    dec = HodgeDecomposition(_decomposition(name, kind).ambient, kind)
+    operators = {(q, "delbar"): transpose(dec.d_matrices[q], dec.dim(q)) for q in range(3)}
+    operators[2, "delta"] = transpose(dec.delta_matrix(), dec.dim(2))
+    for q in range(3):
+        cells = dec.cells(q)
+        for which in "BHV":
+            operators[q, which] = dec.projector(q, which)
+            view = dec.integer_rows(q, which)
+            rows, pivots, den = view
+            assert dec.integer_rows(q, which) is view
+            assert [min(row) for row in rows] == list(pivots)
+            assert all(row[p] == den for row, p in zip(rows, pivots))
+            assert [{cells[j]: Polynomial.constant(Fraction(x, den)) for j, x in row.items()}
+                    for row in rows] == [form.terms for form in dec.basis(q, which)]
+    for (q, operator), columns in operators.items():
+        view = dec.integer_columns(q, operator)
+        integer, den = view
+        assert dec.integer_columns(q, operator) is view
+        assert all(type(x) is int for column in integer for x in column.values())
+        assert [{j: Fraction(x, den) for j, x in column.items()} for column in integer] == columns
 
 
 def test_d_squared_is_zero_matrixwise():

@@ -337,3 +337,67 @@ def test_a_field_too_narrow_overflows_and_the_recursion_restarts_wider(
     recorded = _recorded_packings(monkeypatch)
     _assert_same_series(phi_recursion(decomposition), expected)
     assert [width for _, width in recorded] == widths
+
+
+# -- the decomposition keeps one copy of each integer view -------------------------
+
+def _recorded_views(decomposition, monkeypatch, packings: list) -> list[tuple]:
+    """``(kernel, key, view)`` for each integer view ``decomposition`` hands
+    out from here on: ``kernel`` counts the packings made before the read,
+    one per kernel, and ``key`` is ``(method, degree, operator or space)``."""
+    reads = []
+    for name in ("integer_columns", "integer_rows"):
+        read = getattr(decomposition, name)
+
+        def recording(q, which, read=read, name=name):
+            view = read(q, which)
+            reads.append((len(packings), (name, q, which), view))
+            return view
+
+        monkeypatch.setattr(decomposition, name, recording)
+    return reads
+
+
+def _assert_one_copy_per_view(reads: list, shared: tuple) -> None:
+    """Every read of a view is the same object, also across kernels, and
+    the views in ``shared`` are read by more than one kernel."""
+    first: dict = {}
+    kernels: dict = {}
+    for kernel, key, view in reads:
+        assert view is first.setdefault(key, view), key
+        kernels.setdefault(key, set()).add(kernel)
+    assert all(len(kernels[key]) > 1 for key in shared)
+
+
+def test_a_restarted_recursion_reads_the_views_the_first_kernel_built(monkeypatch):
+    """The recursion restarted on wider fields runs a second kernel over the
+    same decomposition, which builds no integer view again: every read of
+    ∂̄, δ, a projector or a space's rows is the one copy the decomposition
+    built for the first kernel."""
+    decomposition = build_decomposition(parse_salamon("(0,0,12,13,14)"))
+
+    def narrowed(variables, order, width, compute):
+        return polyring.packed(variables, order, width - 1, compute)
+
+    monkeypatch.setattr(kuranishi, "packed", narrowed)
+    packings = _recorded_packings(monkeypatch)
+    reads = _recorded_views(decomposition, monkeypatch, packings)
+    phi_recursion(decomposition)
+    assert [width for _, width in packings] == [3, 6]
+    _assert_one_copy_per_view(reads, [("integer_rows", 1, "H"), ("integer_columns", 2, "delta"),
+                                      ("integer_columns", 1, "delbar")])
+
+
+@pytest.mark.parametrize("complex_", ["scalar", "theta"])
+def test_the_recursion_after_the_generic_element_builds_no_view_again(complex_, monkeypatch):
+    """``generic_harmonic_element`` and then ``phi_recursion`` over one
+    decomposition: two kernels, and Φ₁'s harmonic rows are built once."""
+    L = parse_salamon("(0,0,0,12,13+24)")
+    decomposition = (build_decomposition(L) if complex_ == "scalar"
+                     else build_theta_decomposition(to_complex_structure(L)))
+    packings = _recorded_packings(monkeypatch)
+    reads = _recorded_views(decomposition, monkeypatch, packings)
+    generic_harmonic_element(decomposition)
+    phi_recursion(decomposition, L.nilpotency_index())
+    assert len(packings) == 2
+    _assert_one_copy_per_view(reads, [("integer_rows", 1, "H")])

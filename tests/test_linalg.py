@@ -19,6 +19,7 @@ from kuranil.linalg import (
     invert,
     mat_mul,
     nullspace,
+    pseudo_inverse_product,
     rank,
     rref,
     transpose,
@@ -329,6 +330,67 @@ def test_sparse_invert_matches_sympy(case, rng):
         with pytest.raises(ValueError):
             invert(square)
 
+
+
+def _dense_mul(a, b):
+    return [[sum((x * row[j] for x, row in zip(r, b)), F(0)) for j in range(len(b[0]))]
+            for r in a]
+
+
+def _dense_pseudo_inverse_product(v, m, k):
+    """V (MᵀM)⁻¹ Mᵀ on dense rows of k entries, with the inverse of MᵀM
+    read off the dense reference's RREF of [MᵀM | I]: the reference for
+    ``pseudo_inverse_product``."""
+    if not k:
+        return [[F(0)] * len(m) for _ in v]
+    mt = [[row[j] for row in m] for j in range(k)]
+    augmented = [row + [F(int(i == j)) for j in range(k)]
+                 for i, row in enumerate(_dense_mul(mt, m))]
+    inverse = [[row.get(k + j, F(0)) for j in range(k)] for row in _dense_rref(augmented)[0]]
+    return _dense_mul(v, _dense_mul(inverse, mt))
+
+
+@_ORACLE
+@given(_sparse_matrices(max_dim=12), st.randoms(use_true_random=False))
+def test_pseudo_inverse_product_matches_dense_reference(case, rng):
+    """M with independent columns, the transpose of the RREF rows of a drawn
+    matrix; V = M, the projector's square case, and V of other rows, the
+    shape of δ.  A drawn matrix of rank 0 gives no columns and the zero
+    matrix, one empty row per row of V."""
+    a, ncols = case
+    rows = rref(a)[0]
+    k = len(rows)
+    m = transpose(rows, ncols)
+    other = [{j: F(rng.choice((-3, -1, 1, 2))) for j in range(k) if rng.random() < 0.4}
+             for _ in range(rng.randint(1, 8))]
+    for v in (m, other):
+        result = pseudo_inverse_product(v, m, k)
+        assert len(result) == len(v)
+        assert _dense(result, len(m)) == _dense_pseudo_inverse_product(
+            _dense(v, k), _dense(m, k), k)
+        assert all(all(row.values()) and list(row) == sorted(row) for row in result)
+    if not k:
+        assert pseudo_inverse_product(other, m, 0) == [{} for _ in other]
+    else:
+        assert pseudo_inverse_product(m, m, k) == Subspace.from_vectors(ncols, a).projector
+
+
+@pytest.mark.parametrize("text", ["(0,0,12,13)", "(0,0,0,12,13+24)", "(0,0,12,13,14+23)"])
+def test_pseudo_inverse_product_of_the_real_delta_matches_dense_reference(text):
+    """δ's own inputs: V the transpose of V¹'s rows and M = ∂̄·V, of more
+    rows than columns, on both complexes."""
+    L = parse_salamon(text)
+    for dec in (build_decomposition(L), build_theta_decomposition(to_complex_structure(L))):
+        rows, _, den = dec.integer_rows(1, "V")
+        k = len(rows)
+        vt = transpose([{j: Fraction(x, den) for j, x in row.items()} for row in rows],
+                       dec.dim(1))
+        m = mat_mul(dec.d_matrices[1], vt)
+        assert len(m) > k
+        result = pseudo_inverse_product(vt, m, k)
+        assert _dense(result, len(m)) == _dense_pseudo_inverse_product(
+            _dense(vt, k), _dense(m, k), k)
+        assert result == dec.delta_matrix()
 
 
 def _mixed(rows, rng):
